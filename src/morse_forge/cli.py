@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,11 +52,9 @@ DEFAULT_CONFIG = {
     "budgets": {
         "ball_radius": 4,
         "path_cap": 2000000,
-        "path_maxlen": 64,
         "ray_depth": 512,
         "match_steps": 20,
         "index_scan": 512,
-        "realization_cap": 10000,
         "vertex_budget": 200000,
         "continuity_ball": 12,
         "continuity_k_max": 12,
@@ -124,18 +122,23 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         _merge(raw, overrides)
     if raw.get("schema") != 1:
         raise ParseError(f"unsupported config schema {raw.get('schema')!r}")
-    first = [_parse_factor(e) for e in raw["factors"]["first"]]
-    fp1 = FreeProduct(first[0], first[1])
-    fp2 = None
-    homeo_a = homeo_b = None
-    if raw["factors"].get("second"):
-        second = [_parse_factor(e) for e in raw["factors"]["second"]]
-        fp2 = FreeProduct(second[0], second[1])
-        homeo_a = _parse_homeo(raw["homeos"]["a"], fp1.a, fp2.a)
-        homeo_b = _parse_homeo(raw["homeos"]["b"], fp1.b, fp2.b)
+    # the model constructors validate factors, products and homeomorphism
+    # rules; their complaints about the config are usage errors
+    try:
+        first = [_parse_factor(e) for e in raw["factors"]["first"]]
+        fp1 = FreeProduct(first[0], first[1])
+        fp2 = None
+        homeo_a = homeo_b = None
+        if raw["factors"].get("second"):
+            second = [_parse_factor(e) for e in raw["factors"]["second"]]
+            fp2 = FreeProduct(second[0], second[1])
+            homeo_a = _parse_homeo(raw["homeos"]["a"], fp1.a, fp2.a)
+            homeo_b = _parse_homeo(raw["homeos"]["b"], fp1.b, fp2.b)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"invalid factors or homeos: {exc}") from exc
     budgets = raw["budgets"]
-    if any(v <= 0 for v in budgets.values()):
-        raise ParseError("budgets must be positive")
+    if any(type(v) is not int or v <= 0 for v in budgets.values()):
+        raise ParseError("budgets must be positive integers")
     grid = [(Fraction(l), Fraction(e)) for l, e in raw["grid"]]
     if (Fraction(5), Fraction(0)) not in grid or (Fraction(3), Fraction(0)) not in grid:
         raise ParseError("grid must contain the probe points (5,0) and (3,0)")
@@ -181,7 +184,7 @@ def cmd_normalize(cfg: RunConfig, text: str) -> int:
     word = cfg.fp1.parse(text)
     payload = {
         "input": text,
-        "word": cfg.fp1.format_word(word),
+        "word": cfg.fp1.format(word),
         "syllable_length": cfg.fp1.syllable_length(word),
         "syllables": [s.spec.format_element(s) for s in word.syllables],
         "norm": cfg.fp1.norm(word),
@@ -193,17 +196,16 @@ def cmd_normalize(cfg: RunConfig, text: str) -> int:
 def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> int:
     budgets = cfg.budgets
     fp = cfg.fp1
+    ball_radius = budgets["ball_radius"] if radius is None else radius
     if check_id == "prefix-transit":
         report = checks.run_prefix_transit(
             fp, radius=5 if radius is None else radius, path_cap=budgets["path_cap"]
         )
     elif check_id == "projection-qg":
         grid = [(lam, eps)] if lam is not None else [(1, 0), (1, 2), (2, 1), (3, 0)]
-        report = checks.run_projection_qg(
-            fp, radius=budgets["ball_radius"] if radius is None else radius, grid=grid, path_cap=budgets["path_cap"]
-        )
+        report = checks.run_projection_qg(fp, radius=ball_radius, grid=grid, path_cap=budgets["path_cap"])
     elif check_id == "concat-qg":
-        report = checks.run_concat_qg(fp, radius=budgets["ball_radius"] if radius is None else radius)
+        report = checks.run_concat_qg(fp, radius=ball_radius)
     elif check_id == "nbhd-nesting":
         report = checks.run_nbhd_nesting(fp.a)
     elif check_id == "ray-merge":
@@ -218,7 +220,7 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
     _write_counterexample_paths(cfg, check_id, report)
     print(json.dumps({"report": str(path), "status": report["status"]}, sort_keys=True))
     if cfg.emit_dot:
-        ball = Ball.build(fp, budgets["ball_radius"] if radius is None else radius)
+        ball = Ball.build(fp, ball_radius)
         (cfg.output / f"ball-r{ball.radius}.dot").write_text(ball.to_dot(), encoding="utf-8")
         _write_report(cfg, f"ball-r{ball.radius}.json", ball.to_json_dict())
     return _status_exit(report)
@@ -290,6 +292,17 @@ def cmd_gauge(cfg: RunConfig, text: str, radius: int | None) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # names the type in argparse's messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morse-forge",
@@ -305,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run an exhaustive property check")
     p_check.add_argument("id", choices=CHECK_IDS)
-    p_check.add_argument("--radius", type=int)
-    p_check.add_argument("--lambda", dest="lam", type=int)
-    p_check.add_argument("--eps", type=int)
+    p_check.add_argument("--radius", type=_int_at_least(0))
+    p_check.add_argument("--lambda", dest="lam", type=_int_at_least(1))
+    p_check.add_argument("--eps", type=_int_at_least(0))
 
     p_match = sub.add_parser("match", help="run the matching pipeline and its invariant suite")
     p_match.add_argument("--steps", type=int)
 
     p_gauge = sub.add_parser("gauge", help="estimate a gauge table for a word's geodesic")
     p_gauge.add_argument("word")
-    p_gauge.add_argument("--radius", type=int)
+    p_gauge.add_argument("--radius", type=_int_at_least(0))
 
     return parser
 
@@ -322,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "check" and (args.lam is None) != (args.eps is None):
+        parser.error("check: --lambda and --eps must be given together")
     try:
         overrides = {"output": args.out} if args.out else None
         cfg = load_config(args.config, overrides)

@@ -6,13 +6,22 @@ These four admit exact distances, exact geodesic enumeration and (for
 the line and free groups) boundaries made of eventually periodic
 directions, so nothing downstream needs approximation or a word-problem
 solver.
+
+Everything that depends on the kind lives in one ops object per kind
+(``_LineOps``, ``_LatticeOps``, ``_FreeOps``, ``_FiniteOps``), built once
+with its ``FactorSpec``.  The ops work on payloads, the canonical element
+data: an ``int`` for the line, an integer vector for lattices, reduced
+``(base, exponent)`` runs for free groups and a table index for finite
+groups.  Other modules go through ``FactorSpec`` and ``FactorElement``
+and never read a kind or a payload.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+import operator
+from dataclasses import dataclass, field
 
 from .errors import CapExceeded, MixedFactor, NoBoundary
 
@@ -27,11 +36,6 @@ Letter = tuple[int, int]
 _FINITE_ASSOC_LIMIT = 64  # full associativity check is cubic in the order
 
 _DEFAULT_FREE_NAMES = ("x", "y", "z", "w")
-
-
-def _invert_letter(letter: Letter) -> Letter:
-    base, sign = letter
-    return (base, -sign)
 
 
 def _reduce_runs(runs) -> tuple[tuple[int, int], ...]:
@@ -56,6 +60,16 @@ def _runs_to_letters(runs) -> tuple[Letter, ...]:
     return tuple(letters)
 
 
+def _power_token(name: str, exp: int) -> str:
+    return name if exp == 1 else f"{name}^{exp}"
+
+
+def _runs_text(names, runs) -> str:
+    if not runs:
+        return "e"
+    return " ".join(_power_token(names[b], e) for b, e in runs)
+
+
 @dataclass(frozen=True)
 class Generator:
     """One directed edge label of a factor Cayley graph."""
@@ -63,6 +77,278 @@ class Generator:
     symbol: str
     base: int
     sign: int
+
+
+# -- per-kind operations --------------------------------------------------------
+
+
+class _Ops:
+    """Operations on the payloads of one factor group.
+
+    Every kind supplies ``identity``, ``check``, ``inverse``, ``norm`` and
+    ``multiply``, the hot path, in its own terms.  The infinite kinds also
+    read a payload as reduced runs ``(base, exponent)`` of generator powers
+    (``runs``, ``from_runs``), and powers, text, automorphisms and the
+    letter words of boundary kinds follow from that.
+    """
+
+    has_boundary = False
+
+    def __init__(self, spec: "FactorSpec"):
+        self.names = spec.names
+        self.bases = tuple(range(len(spec.names)))
+        gens = []
+        for base, name in enumerate(spec.names):
+            gens += [Generator(name, base, 1), Generator(f"{name}^-1", base, -1)]
+        self.generators = tuple(gens)
+
+    def power(self, base, k):
+        return self.from_runs(((base, k),))
+
+    def format(self, p):
+        return _runs_text(self.names, self.runs(p))
+
+    def sort_key(self, p):
+        return (self.norm(p), p)
+
+    def automorphisms(self):
+        """Payload maps of the signed generator permutations."""
+        n = len(self.bases)
+        return tuple(
+            functools.partial(self._relabel, perm, signs)
+            for perm in itertools.permutations(range(n))
+            for signs in itertools.product((1, -1), repeat=n)
+        )
+
+    def _relabel(self, perm, signs, p):
+        return self.from_runs((perm[b], e * signs[b]) for b, e in self.runs(p))
+
+    # -- kinds with a boundary ---------------------------------------------
+
+    def letters(self, p):
+        return _runs_to_letters(self.runs(p))
+
+    def split_first_power(self, p):
+        runs = self.runs(p)
+        if runs and runs[-1][0] == 0:
+            return self.from_runs(runs[:-1]), runs[-1][1]
+        return p, 0
+
+    def direction_text(self, prefix, block):
+        return f"{_runs_text(self.names, prefix)}~{_runs_text(self.names, block)}"
+
+
+class _LineOps(_Ops):
+    """The integer line; payload: the integer itself."""
+
+    has_boundary = True
+    identity = 0
+    inverse = staticmethod(operator.neg)
+    norm = staticmethod(abs)
+    multiply = staticmethod(operator.add)
+
+    def __init__(self, spec: "FactorSpec"):
+        if len(spec.names) != 1:
+            raise ValueError("the integer line has exactly one base generator")
+        super().__init__(spec)
+
+    def check(self, p):
+        if not isinstance(p, int):
+            raise ValueError("line elements are integers")
+        return p
+
+    def runs(self, p):
+        return ((0, p),) if p else ()
+
+    def from_runs(self, runs):
+        return sum(e for _b, e in runs)
+
+    def sort_key(self, p):
+        return (abs(p), 0 if p >= 0 else 1)
+
+    def direction_text(self, prefix, block):
+        # a reduced line direction is a bare sign
+        return "+inf" if block[0][1] > 0 else "-inf"
+
+
+class _LatticeOps(_Ops):
+    """The integer lattice Z^dim; payload: the coordinate vector."""
+
+    def __init__(self, spec: "FactorSpec"):
+        if spec.dim < 2:
+            raise ValueError("lattice dimension must be >= 2 (use integer_line for rank one)")
+        if len(spec.names) != spec.dim:
+            raise ValueError("need one generator name per lattice dimension")
+        super().__init__(spec)
+        self.identity = (0,) * spec.dim
+
+    def check(self, p):
+        p = tuple(p)
+        if len(p) != len(self.bases) or not all(isinstance(c, int) for c in p):
+            raise ValueError("lattice elements are integer vectors of the right dimension")
+        return p
+
+    def inverse(self, p):
+        return tuple(-c for c in p)
+
+    def norm(self, p):
+        return sum(abs(c) for c in p)
+
+    def multiply(self, p, q):
+        return tuple(a + b for a, b in zip(p, q))
+
+    def runs(self, p):
+        return tuple((b, c) for b, c in enumerate(p) if c)
+
+    def from_runs(self, runs):
+        vec = [0] * len(self.bases)
+        for b, e in runs:
+            vec[b] += e
+        return tuple(vec)
+
+
+class _FreeOps(_Ops):
+    """The free group of rank >= 1; payload: its reduced runs."""
+
+    has_boundary = True
+    identity = ()
+
+    def __init__(self, spec: "FactorSpec"):
+        if spec.rank < 1:
+            raise ValueError("free rank must be >= 1")
+        if len(spec.names) != spec.rank:
+            raise ValueError("need one generator name per free rank")
+        super().__init__(spec)
+
+    def check(self, p):
+        p = tuple((b, e) for b, e in p)
+        for i, (b, e) in enumerate(p):
+            if not (0 <= b < len(self.bases)) or e == 0:
+                raise ValueError("free elements are reduced non-trivial runs")
+            if i and p[i - 1][0] == b:
+                raise ValueError("adjacent runs must use different generators")
+        return p
+
+    def inverse(self, p):
+        return tuple((b, -e) for b, e in reversed(p))
+
+    def norm(self, p):
+        return sum(abs(e) for _b, e in p)
+
+    def multiply(self, p, q):
+        return _reduce_runs(itertools.chain(p, q))
+
+    def runs(self, p):
+        return p
+
+    def from_runs(self, runs):
+        return tuple((b, e) for b, e in runs)
+
+    def sort_key(self, p):
+        letters = _runs_to_letters(p)
+        return (len(letters), tuple((b, 0 if s > 0 else 1) for b, s in letters))
+
+
+class _FiniteOps(_Ops):
+    """A finite group from its full multiplication table; payload: a table
+    index.  Validation computes the identity, inverses and word norms, and
+    the ops keep them."""
+
+    def __init__(self, spec: "FactorSpec"):
+        t = spec.table
+        n = len(t)
+        if n == 0 or any(len(row) != n for row in t):
+            raise ValueError("finite table must be square and non-empty")
+        if any(not (0 <= v < n) for row in t for v in row):
+            raise ValueError("finite table entries out of range")
+        ident = next(
+            (e for e in range(n) if all(t[e][j] == j and t[j][e] == j for j in range(n))), None
+        )
+        if ident is None:
+            raise ValueError("finite table has no identity")
+        inverses = []
+        for i in range(n):
+            inv = next((j for j in range(n) if t[i][j] == ident and t[j][i] == ident), None)
+            if inv is None:
+                raise ValueError(f"finite table element {i} has no inverse")
+            inverses.append(inv)
+        if n > _FINITE_ASSOC_LIMIT:
+            raise ValueError(f"finite table order {n} above associativity-check limit {_FINITE_ASSOC_LIMIT}")
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if t[t[a][b]][c] != t[a][t[b][c]]:
+                raise ValueError(f"finite table is not associative at ({a},{b},{c})")
+        gens = spec.gen_elems
+        if not gens:
+            raise ValueError("finite factor needs at least one generator element")
+        if any(not (0 <= g < n) for g in gens):
+            raise ValueError("finite generator index out of range")
+        if len(set(gens)) != len(gens):
+            raise ValueError("finite generator elements must be distinct")
+        if len(spec.names) != len(gens):
+            raise ValueError("need one name per finite generator element")
+        if any(inverses[g] not in gens for g in gens):
+            raise ValueError("finite generator set must be closed under inversion")
+        # connectivity: the word metric must be total
+        norms: list[int | None] = [None] * n
+        norms[ident] = 0
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for g in gens:
+                    w = t[v][g]
+                    if norms[w] is None:
+                        norms[w] = norms[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        if any(d is None for d in norms):
+            raise ValueError("finite generator set does not generate the group")
+        super().__init__(spec)
+        # one directed label per generating element; involutions appear once
+        self.generators = tuple(Generator(name, i, 1) for i, name in enumerate(spec.names))
+        self.table, self.gen_elems, self.identity = t, gens, ident
+        self.inverses, self.norms = tuple(inverses), tuple(norms)
+        self.inverse, self.norm = self.inverses.__getitem__, self.norms.__getitem__
+        # the powers g^0, g^1, ... of each generator up to its order
+        self.cycles = []
+        for g in gens:
+            cycle = [ident]
+            while t[cycle[-1]][g] != ident:
+                cycle.append(t[cycle[-1]][g])
+            self.cycles.append(tuple(cycle))
+
+    def check(self, p):
+        if not isinstance(p, int) or not (0 <= p < len(self.table)):
+            raise ValueError("finite elements are table indices")
+        return p
+
+    def power(self, base, k):
+        cycle = self.cycles[base]
+        return cycle[k % len(cycle)]
+
+    def multiply(self, p, q):
+        return self.table[p][q]
+
+    def format(self, p):
+        """The generator symbols of the lexicographically first geodesic."""
+        t, inv, norms = self.table, self.inverses, self.norms
+        symbols = []
+        cur = self.identity
+        while cur != p:
+            remaining = norms[t[inv[cur]][p]]
+            i = next(i for i, g in enumerate(self.gen_elems) if norms[t[inv[t[cur][g]]][p]] < remaining)
+            symbols.append(self.names[i])
+            cur = t[cur][self.gen_elems[i]]
+        return " ".join(symbols) or "e"
+
+    def automorphisms(self):
+        return (lambda p: p,)
+
+
+_OPS = {LINE: _LineOps, LATTICE: _LatticeOps, FREE: _FreeOps, FINITE: _FiniteOps}
+
+
+# -- factor groups and their elements ---------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -73,6 +359,8 @@ class FactorSpec:
     closed under formal inversion.  For the finite kind, ``table`` is a
     full multiplication table over element indices and ``gen_elems``
     lists the generating element indices (closed under inversion).
+    ``ops`` holds the kind's operations; it is derived from the other
+    fields and takes no part in equality or hashing.
     """
 
     id: str
@@ -82,29 +370,19 @@ class FactorSpec:
     rank: int = 0
     table: tuple[tuple[int, ...], ...] = ()
     gen_elems: tuple[int, ...] = ()
+    ops: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("factor id must be non-empty")
         if len(set(self.names)) != len(self.names):
             raise ValueError("generator names must be distinct")
-        if self.kind == LINE:
-            if len(self.names) != 1:
-                raise ValueError("the integer line has exactly one base generator")
-        elif self.kind == LATTICE:
-            if self.dim < 2:
-                raise ValueError("lattice dimension must be >= 2 (use integer_line for rank one)")
-            if len(self.names) != self.dim:
-                raise ValueError("need one generator name per lattice dimension")
-        elif self.kind == FREE:
-            if self.rank < 1:
-                raise ValueError("free rank must be >= 1")
-            if len(self.names) != self.rank:
-                raise ValueError("need one generator name per free rank")
-        elif self.kind == FINITE:
-            _validate_finite(self)
-        else:
+        if self.kind not in _OPS:
             raise ValueError(f"unknown factor kind {self.kind!r}")
+        ops = _OPS[self.kind](self)
+        # generator steps are the inner loop of ball and geodesic searches
+        ops.steps = {(g.base, g.sign): FactorElement(self, ops.power(g.base, g.sign)) for g in ops.generators}
+        object.__setattr__(self, "ops", ops)
 
     # -- constructors ---------------------------------------------------
 
@@ -136,218 +414,59 @@ class FactorSpec:
     # -- elements --------------------------------------------------------
 
     def identity(self) -> "FactorElement":
-        if self.kind == LINE:
-            return FactorElement(self, 0)
-        if self.kind == LATTICE:
-            return FactorElement(self, (0,) * self.dim)
-        if self.kind == FREE:
-            return FactorElement(self, ())
-        return FactorElement(self, _finite_identity(self))
+        return FactorElement(self, self.ops.identity)
 
     def make_element(self, payload) -> "FactorElement":
         """Validating element constructor; payload must be canonical."""
-        if self.kind == LINE:
-            if not isinstance(payload, int):
-                raise ValueError("line elements are integers")
-        elif self.kind == LATTICE:
-            payload = tuple(payload)
-            if len(payload) != self.dim or not all(isinstance(c, int) for c in payload):
-                raise ValueError("lattice elements are integer vectors of the right dimension")
-        elif self.kind == FREE:
-            payload = tuple((b, e) for b, e in payload)
-            for i, (b, e) in enumerate(payload):
-                if not (0 <= b < self.rank) or e == 0:
-                    raise ValueError("free elements are reduced non-trivial runs")
-                if i and payload[i - 1][0] == b:
-                    raise ValueError("adjacent runs must use different generators")
-        else:
-            if not isinstance(payload, int) or not (0 <= payload < len(self.table)):
-                raise ValueError("finite elements are table indices")
-        return FactorElement(self, payload)
+        return FactorElement(self, self.ops.check(payload))
 
     def power(self, base: int, k: int) -> "FactorElement":
         """The k-th power of the given base generator."""
-        if not (0 <= base < len(self.generators_base_count())):
+        if not (0 <= base < len(self.ops.bases)):
             raise ValueError("generator index out of range")
         if k == 0:
             return self.identity()
-        if self.kind == LINE:
-            return FactorElement(self, k)
-        if self.kind == LATTICE:
-            vec = [0] * self.dim
-            vec[base] = k
-            return FactorElement(self, tuple(vec))
-        if self.kind == FREE:
-            return FactorElement(self, ((base, k),))
-        gen = self.gen_elems[base] if k > 0 else _finite_inverses(self)[self.gen_elems[base]]
-        out = _finite_identity(self)
-        for _ in range(abs(k)):
-            out = self.table[out][gen]
-        return FactorElement(self, out)
+        return FactorElement(self, self.ops.power(base, k))
 
     def generators_base_count(self) -> tuple[int, ...]:
-        if self.kind == LINE:
-            return (0,)
-        if self.kind == LATTICE:
-            return tuple(range(self.dim))
-        if self.kind == FREE:
-            return tuple(range(self.rank))
-        return tuple(range(len(self.gen_elems)))
+        return self.ops.bases
 
     def generators(self) -> tuple[Generator, ...]:
-        return _generators(self)
+        return self.ops.generators
 
     def generator_element(self, gen: Generator) -> "FactorElement":
-        if self.kind == FINITE:
-            elem = self.gen_elems[gen.base]
-            if gen.sign < 0:
-                elem = _finite_inverses(self)[elem]
-            return FactorElement(self, elem)
-        return self.power(gen.base, gen.sign)
+        return self.ops.steps[gen.base, gen.sign]
 
     def has_boundary(self) -> bool:
-        return self.kind in (LINE, FREE)
+        return self.ops.has_boundary
+
+    def automorphisms(self):
+        """Element maps of the label-preserving automorphisms: signed
+        coordinate permutations for lattices, signed generator permutations
+        for free factors, sign flips for lines, the identity otherwise."""
+        return tuple(
+            lambda x, f=f: FactorElement(self, f(x.payload)) for f in self.ops.automorphisms()
+        )
+
+    def letters(self, x: "FactorElement") -> tuple[Letter, ...]:
+        """The reduced word of x as signed generator letters."""
+        if not self.has_boundary():
+            raise NoBoundary(f"factor {self.id!r} ({self.kind}) has no letter words")
+        return self.ops.letters(x.payload)
+
+    def split_first_power(self, x: "FactorElement") -> tuple["FactorElement", int]:
+        """Write x as w * g^a with g the first generator and a maximal, so
+        that the reduced word of w does not end in g or its inverse."""
+        w, a = self.ops.split_first_power(x.payload)
+        return FactorElement(self, w), a
 
     # -- presentation -----------------------------------------------------
 
     def format_element(self, x: "FactorElement") -> str:
-        payload = x.payload
-        if self.kind == LINE:
-            return _power_token(self.names[0], payload) if payload else "e"
-        if self.kind == LATTICE:
-            parts = [_power_token(self.names[i], c) for i, c in enumerate(payload) if c]
-            return " ".join(parts) if parts else "e"
-        if self.kind == FREE:
-            if not payload:
-                return "e"
-            return " ".join(_power_token(self.names[b], e) for b, e in payload)
-        if x.is_identity():
-            return "e"
-        path = first_geodesic(self.identity(), x)
-        symbols = []
-        prev = self.identity()
-        for cur in path[1:]:
-            for gen in self.generators():
-                if self.table[prev.payload][self.generator_element(gen).payload] == cur.payload:
-                    symbols.append(gen.symbol)
-                    break
-            prev = cur
-        return " ".join(symbols)
+        return self.ops.format(x.payload)
 
     def element_sort_key(self, x: "FactorElement"):
-        payload = x.payload
-        if self.kind == LINE:
-            return (abs(payload), 0 if payload >= 0 else 1)
-        if self.kind == LATTICE:
-            return (sum(abs(c) for c in payload), payload)
-        if self.kind == FREE:
-            letters = _runs_to_letters(payload)
-            return (len(letters), tuple((b, 0 if s > 0 else 1) for b, s in letters))
-        return (_finite_norms(self)[payload], payload)
-
-
-def _power_token(name: str, exp: int) -> str:
-    return name if exp == 1 else f"{name}^{exp}"
-
-
-def _validate_finite(spec: FactorSpec) -> None:
-    n = len(spec.table)
-    if n == 0 or any(len(row) != n for row in spec.table):
-        raise ValueError("finite table must be square and non-empty")
-    if any(not (0 <= v < n) for row in spec.table for v in row):
-        raise ValueError("finite table entries out of range")
-    ident = None
-    for e in range(n):
-        if all(spec.table[e][j] == j and spec.table[j][e] == j for j in range(n)):
-            ident = e
-            break
-    if ident is None:
-        raise ValueError("finite table has no identity")
-    for i in range(n):
-        if not any(spec.table[i][j] == ident and spec.table[j][i] == ident for j in range(n)):
-            raise ValueError(f"finite table element {i} has no inverse")
-    if n > _FINITE_ASSOC_LIMIT:
-        raise ValueError(f"finite table order {n} above associativity-check limit {_FINITE_ASSOC_LIMIT}")
-    t = spec.table
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if t[t[a][b]][c] != t[a][t[b][c]]:
-            raise ValueError(f"finite table is not associative at ({a},{b},{c})")
-    if not spec.gen_elems:
-        raise ValueError("finite factor needs at least one generator element")
-    if any(not (0 <= g < n) for g in spec.gen_elems):
-        raise ValueError("finite generator index out of range")
-    if len(set(spec.gen_elems)) != len(spec.gen_elems):
-        raise ValueError("finite generator elements must be distinct")
-    if len(spec.names) != len(spec.gen_elems):
-        raise ValueError("need one name per finite generator element")
-    inv = _finite_table_inverses(spec.table, ident)
-    for g in spec.gen_elems:
-        if inv[g] not in spec.gen_elems:
-            raise ValueError("finite generator set must be closed under inversion")
-    # connectivity: the word metric must be total
-    norms = _bfs_norms(spec.table, ident, spec.gen_elems, inv)
-    if any(d is None for d in norms):
-        raise ValueError("finite generator set does not generate the group")
-
-
-def _finite_table_inverses(table, ident) -> tuple[int, ...]:
-    n = len(table)
-    out = []
-    for i in range(n):
-        out.append(next(j for j in range(n) if table[i][j] == ident and table[j][i] == ident))
-    return tuple(out)
-
-
-def _bfs_norms(table, ident, gens, inv):
-    n = len(table)
-    acting = sorted({g for g in gens} | {inv[g] for g in gens})
-    norms: list[int | None] = [None] * n
-    norms[ident] = 0
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in acting:
-                w = table[v][g]
-                if norms[w] is None:
-                    norms[w] = norms[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return norms
-
-
-@lru_cache(maxsize=None)
-def _finite_identity(spec: FactorSpec) -> int:
-    n = len(spec.table)
-    for e in range(n):
-        if all(spec.table[e][j] == j for j in range(n)):
-            return e
-    raise ValueError("no identity")
-
-
-@lru_cache(maxsize=None)
-def _finite_inverses(spec: FactorSpec) -> tuple[int, ...]:
-    return _finite_table_inverses(spec.table, _finite_identity(spec))
-
-
-@lru_cache(maxsize=None)
-def _finite_norms(spec: FactorSpec) -> tuple[int, ...]:
-    norms = _bfs_norms(spec.table, _finite_identity(spec), spec.gen_elems, _finite_inverses(spec))
-    return tuple(norms)
-
-
-@lru_cache(maxsize=None)
-def _generators(spec: FactorSpec) -> tuple[Generator, ...]:
-    gens: list[Generator] = []
-    if spec.kind == FINITE:
-        # one directed label per generating element; involutions appear once
-        for i, _g in enumerate(spec.gen_elems):
-            gens.append(Generator(spec.names[i], i, 1))
-        return tuple(gens)
-    for base, name in enumerate(spec.names):
-        gens.append(Generator(name, base, 1))
-        gens.append(Generator(f"{name}^-1", base, -1))
-    return tuple(gens)
+        return self.ops.sort_key(x.payload)
 
 
 @dataclass(frozen=True)
@@ -362,33 +481,19 @@ class FactorElement:
         return self.spec.id
 
     def is_identity(self) -> bool:
-        return self == self.spec.identity()
+        return self.payload == self.spec.ops.identity
 
     def __mul__(self, other: "FactorElement") -> "FactorElement":
         return multiply(self, other)
 
     def inverse(self) -> "FactorElement":
-        spec = self.spec
-        if spec.kind == LINE:
-            return FactorElement(spec, -self.payload)
-        if spec.kind == LATTICE:
-            return FactorElement(spec, tuple(-c for c in self.payload))
-        if spec.kind == FREE:
-            return FactorElement(spec, tuple((b, -e) for b, e in reversed(self.payload)))
-        return FactorElement(spec, _finite_inverses(spec)[self.payload])
+        return FactorElement(self.spec, self.spec.ops.inverse(self.payload))
 
     def norm(self) -> int:
-        spec = self.spec
-        if spec.kind == LINE:
-            return abs(self.payload)
-        if spec.kind == LATTICE:
-            return sum(abs(c) for c in self.payload)
-        if spec.kind == FREE:
-            return sum(abs(e) for _b, e in self.payload)
-        return _finite_norms(spec)[self.payload]
+        return self.spec.ops.norm(self.payload)
 
     def sort_key(self):
-        return self.spec.element_sort_key(self)
+        return self.spec.ops.sort_key(self.payload)
 
     def __repr__(self) -> str:
         return self.spec.format_element(self)
@@ -402,13 +507,7 @@ def _same_factor(x: FactorElement, y: FactorElement) -> FactorSpec:
 
 def multiply(x: FactorElement, y: FactorElement) -> FactorElement:
     spec = _same_factor(x, y)
-    if spec.kind == LINE:
-        return FactorElement(spec, x.payload + y.payload)
-    if spec.kind == LATTICE:
-        return FactorElement(spec, tuple(a + b for a, b in zip(x.payload, y.payload)))
-    if spec.kind == FREE:
-        return FactorElement(spec, _reduce_runs(itertools.chain(x.payload, y.payload)))
-    return FactorElement(spec, spec.table[x.payload][y.payload])
+    return FactorElement(spec, spec.ops.multiply(x.payload, y.payload))
 
 
 def distance(x: FactorElement, y: FactorElement) -> int:
@@ -467,6 +566,18 @@ def first_geodesic(x: FactorElement, y: FactorElement) -> tuple[FactorElement, .
     return tuple(path)
 
 
+def _canonical(prefix, block) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """The same eventually periodic word with the prefix tail absorbed into
+    the block and the block cut to its primitive root."""
+    prefix, block = [tuple(l) for l in prefix], [tuple(l) for l in block]
+    while prefix and block and prefix[-1] == block[-1]:
+        block.insert(0, block.pop())
+        prefix.pop()
+    n = len(block)
+    root = next((d for d in range(1, n) if n % d == 0 and block == block[:d] * (n // d)), n)
+    return tuple(prefix), tuple(block[:root])
+
+
 @dataclass(frozen=True)
 class BoundaryPoint:
     """An eventually periodic boundary direction of a factor group.
@@ -490,33 +601,18 @@ class BoundaryPoint:
             if b not in bases or s not in (1, -1):
                 raise ValueError("letters must be signed base-generator indices")
         word = self.prefix + self.block + self.block
-        if any(word[i] == _invert_letter(word[i + 1]) for i in range(len(word) - 1)):
+        if any(a[0] == b[0] and a[1] == -b[1] for a, b in zip(word, word[1:])):
             raise ValueError("unrolled word is not reduced")
-        # canonical form: nothing to absorb, block primitive
-        if self.prefix and self.prefix[-1] == self.block[-1]:
-            raise ValueError("prefix tail must be absorbed into the block (use make)")
-        for d in range(1, len(self.block)):
-            if len(self.block) % d == 0 and self.block == self.block[:d] * (len(self.block) // d):
-                raise ValueError("block must be primitive (use make)")
+        if (self.prefix, self.block) != _canonical(self.prefix, self.block):
+            raise ValueError("direction must have the shortest prefix and a primitive block (use make)")
 
     @classmethod
     def make(cls, spec: FactorSpec, prefix, block) -> "BoundaryPoint":
-        prefix = list(prefix)
-        block = list(block)
-        while prefix and block and tuple(prefix[-1]) == tuple(block[-1]):
-            last = block.pop()
-            block.insert(0, last)
-            prefix.pop()
-        block_t = tuple(tuple(l) for l in block)
-        for d in range(1, len(block_t)):
-            if len(block_t) % d == 0 and block_t == block_t[:d] * (len(block_t) // d):
-                block_t = block_t[:d]
-                break
-        return cls(spec, tuple(tuple(l) for l in prefix), block_t)
+        return cls(spec, *_canonical(prefix, block))
 
     @classmethod
     def line_end(cls, spec: FactorSpec, sign: int) -> "BoundaryPoint":
-        if spec.kind not in (LINE, FREE):
+        if not spec.has_boundary():
             raise NoBoundary(f"factor {spec.id!r} has no line ends")
         return cls(spec, (), ((0, 1 if sign > 0 else -1),))
 
@@ -536,34 +632,20 @@ class BoundaryPoint:
 
     def realization(self, depth: int) -> tuple[FactorElement, ...]:
         """The geodesic ray prefix of the given length representing this direction."""
-        verts = [self.spec.identity()]
+        spec = self.spec
+        from_runs = spec.ops.from_runs
+        verts = [spec.identity()]
         runs: list[list[int]] = []
         for base, sign in self.letters(depth):
             if runs and runs[-1][0] == base:
                 runs[-1][1] += sign
             else:
                 runs.append([base, sign])
-            if self.spec.kind == LINE:
-                verts.append(FactorElement(self.spec, runs[0][1]))
-            else:
-                verts.append(FactorElement(self.spec, tuple((b, e) for b, e in runs)))
+            verts.append(FactorElement(spec, from_runs(runs)))
         return tuple(verts)
 
     def format(self) -> str:
-        if self.spec.kind == LINE and not self.prefix:
-            return "+inf" if self.sign > 0 else "-inf"
-        names = self.spec.names
-
-        def text(letters):
-            if not letters:
-                return "e"
-            return " ".join(_power_token(names[b], s) for b, s in letters)
-
-        return f"{text(self.prefix)}~{text(self.block)}"
-
-
-def boundary_ray(z: BoundaryPoint, depth: int) -> tuple[FactorElement, ...]:
-    return z.realization(depth)
+        return self.spec.ops.direction_text(self.prefix, self.block)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class GraphPath:
 
     vertices: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -157,12 +153,6 @@ class Ball:
         """Exact distance from the space's closed-form metric."""
         return self._true_row(u)[v]
 
-    def distance_matrix(self) -> list[list[int]]:
-        return [
-            [self.pair_distance(u, v) for v in range(len(self.vertices))]
-            for u in range(len(self.vertices))
-        ]
-
     # -- enumeration --------------------------------------------------------
 
     def enumerate_geodesics(self, u: int, v: int, cap: int | None = None) -> list[GraphPath]:
@@ -260,17 +250,6 @@ class Ball:
             imgs.append(self.index_of(fp.embed(elt)))
         return GraphPath(tuple(imgs))
 
-    def transit_check(self, w: int, slack: int = 2, cap: int | None = None) -> bool:
-        """Do all short walks e -> w visit every prefix vertex of w?"""
-        fp = self.space
-        word = self.vertices[w]
-        required = {self.index_of(p) for p in fp.prefix_vertices(word)}
-        try:
-            paths = self.enumerate_paths(0, w, self.dist[w] + slack, cap=cap)
-        except CapExceeded as exc:
-            raise BudgetExceeded(f"transit check needs more than {exc.count} paths") from exc
-        return all(required <= set(p.vertices) for p in paths)
-
     # -- export -----------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -296,7 +275,3 @@ class Ball:
                     lines.append(f'  n{i} -- n{j} [label="{sym}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def build_ball(space, radius: int, vertex_budget: int | None = None) -> Ball:
-    return Ball.build(space, radius, vertex_budget)

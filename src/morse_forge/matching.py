@@ -10,34 +10,17 @@ candidate's own ray back and checking depth-T closeness exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import factors, morse, rays
-from .errors import DepthBudgetExceeded, NoBoundary, Unmatched
-from .rays import CombRay, CorrespondingRay, corresponding_ray
+from .errors import DepthBudgetExceeded, Unmatched
+from .rays import CombRay, corresponding_ray
 from .words import FreeProduct
 
 IDENTITY = "identity"
 PERM = "perm"
 LINESWAP = "lineswap"
-
-
-@dataclass(frozen=True)
-class GaugeTransfer:
-    """Finite gauge-to-gauge table with identity fallback."""
-
-    entries: tuple[tuple[str, morse.Gauge], ...] = ()
-
-    def apply(self, gauge: morse.Gauge) -> morse.Gauge:
-        for key, out in self.entries:
-            if key == gauge.key():
-                return out
-        return gauge
-
-
-IDENTITY_TRANSFER = GaugeTransfer()
 
 
 @dataclass(frozen=True)
@@ -54,7 +37,6 @@ class BoundaryHomeo:
     target: factors.FactorSpec
     rule: str
     perm: tuple[tuple[str, str], ...] = ()
-    gauge_transfer: GaugeTransfer = IDENTITY_TRANSFER
 
     def __post_init__(self):
         if self.source.has_boundary() != self.target.has_boundary():
@@ -120,36 +102,23 @@ class BoundaryHomeo:
 
     def inverse(self) -> "BoundaryHomeo":
         if not self.source.has_boundary() or self.rule in (IDENTITY, LINESWAP):
-            return BoundaryHomeo(self.target, self.source, self.rule, gauge_transfer=self.gauge_transfer)
-        mapping = self._letter_map()
-        # rebuild token form: target generator -> source token
-        inv_tokens = []
-        for (src_base, src_sign), (tgt_base, tgt_sign) in sorted(mapping.items()):
-            if src_sign != 1:
-                continue
-            src_name = self.source.names[src_base]
-            tgt_name = self.target.names[tgt_base]
-            token = src_name if tgt_sign == 1 else f"{src_name}^-1"
-            inv_tokens.append((tgt_name, token))
-        return BoundaryHomeo(
-            self.target,
-            self.source,
-            PERM,
-            perm=tuple(sorted(inv_tokens)),
-            gauge_transfer=self.gauge_transfer,
-        )
+            return BoundaryHomeo(self.target, self.source, self.rule)
+        # target generator -> source token, from the validated perm tokens
+        inv_tokens = set()
+        for src_name, tgt_token in self.perm:
+            tgt_name, _, power = tgt_token.partition("^")
+            inv_tokens.add((tgt_name, f"{src_name}^-1" if power else src_name))
+        return BoundaryHomeo(self.target, self.source, PERM, perm=tuple(sorted(inv_tokens)))
 
 
 def iterate_elements(spec: factors.FactorSpec):
-    """Deterministic enumeration: identity first, then by (norm, key)."""
-    if spec.kind == factors.FINITE:
-        elems = [factors.FactorElement(spec, i) for i in range(len(spec.table))]
-        yield from sorted(elems, key=lambda x: x.sort_key())
-        return
+    """Deterministic enumeration: identity first, then sphere by sphere,
+    each sphere in sort-key order; ends after the last sphere of a finite
+    group."""
     yield spec.identity()
     current = [spec.identity()]
     seen = {spec.identity()}
-    while True:
+    while current:
         nxt = set()
         for v in current:
             for g in spec.generators():
@@ -196,7 +165,6 @@ class MatchState:
         self,
         homeo: BoundaryHomeo,
         gauge: morse.Gauge = morse.CANONICAL_TREE_GAUGE,
-        line_transfer: GaugeTransfer = IDENTITY_TRANSFER,
         ray_depth: int = 512,
         index_scan: int = 512,
         enumerations=None,
@@ -207,9 +175,7 @@ class MatchState:
         self.source = homeo.source
         self.target = homeo.target
         self.gauge = gauge
-        h = homeo.gauge_transfer.apply
-        self.gauge_prime = h(line_transfer.apply(h(gauge)))
-        self.delta_prime = morse.delta_of(self.gauge_prime)
+        self.delta_prime = morse.delta_of(gauge)
         self.ray_depth = ray_depth
         self.index_scan = index_scan
         e_src, e_tgt = self.source.identity(), self.target.identity()
@@ -490,7 +456,7 @@ def check_continuity(
         failures = []
         for x in members:
             y = state.ensure_matched(x, extra_rounds=extra_rounds)
-            if not filled_member(state.target, state.gauge_prime, l, z_img, y):
+            if not filled_member(state.target, state.gauge, l, z_img, y):
                 failures.append(
                     {
                         "element": state.source.format_element(x),
@@ -539,7 +505,7 @@ def check_convergence(
     per_k = []
     for k in range(1, depth + 1):
         flags = [
-            y.norm() >= k and filled_member(state.target, state.gauge_prime, k, z_img, y)
+            y.norm() >= k and filled_member(state.target, state.gauge, k, z_img, y)
             for y in images
         ]
         if all(flags):

@@ -117,8 +117,6 @@ def gauge_max(g1: Gauge, g2: Gauge) -> Gauge:
 #: and positive (delta = 5).
 CANONICAL_TREE_GAUGE = Gauge.affine(0, Fraction(1, 2), Fraction(1, 2))
 
-ZERO_GAUGE = Gauge.affine(0, 0, 0)
-
 
 def delta_of(gauge: Gauge) -> Fraction:
     """Closeness threshold derived from a gauge.
@@ -132,12 +130,12 @@ def delta_of(gauge: Gauge) -> Fraction:
     return max(4 * m1 + 2 * m50, 8 * m30)
 
 
-def tracking_bound(gauge: Gauge, t: int, line_gauge: Gauge | None = None) -> Fraction:
+def tracking_bound(gauge: Gauge, t: int) -> Fraction:
     """Distance from the basepoint past which the corresponding ray tracks
     every realization on [0, t]: max{18 d, t + 6 d} with d the closeness
-    threshold of the transferred line gauge (identity transfer by default).
+    threshold of the gauge.
     """
-    d = delta_of(line_gauge if line_gauge is not None else gauge)
+    d = delta_of(gauge)
     return max(18 * d, t + 6 * d)
 
 
@@ -184,15 +182,14 @@ def enumerate_quasi_geodesics(
     lam,
     eps,
     cap: int | None = None,
-    include_stationary: bool = False,
 ):
     """Yield every (lam, eps)-quasi-geodesic edge path u -> v in the ball.
 
     The upper quasi-geodesic bound holds automatically for unit steps, so
     the search prunes on the lower bound and on in-ball reachability.
-    Stationary steps are excluded by default: padding a quasi-geodesic
-    with stays never changes its vertex set, so deviation and Hausdorff
-    quantities are unaffected while the count explodes.
+    Stationary steps are excluded: padding a quasi-geodesic with stays
+    never changes its vertex set, so deviation and Hausdorff quantities
+    are unaffected while the count explodes.
     """
     lam, eps = _frac(lam), _frac(eps)
     d_uv = ball.pair_distance(u, v)
@@ -205,13 +202,7 @@ def enumerate_quasi_geodesics(
     # a walk visiting x at time s must finish by s + floor(lam*(d(x,v)+eps))
     end_slack = [math.floor(lam * (d + eps)) for d in range(2 * ball.radius + 1)]
     row_v = rows[v]
-    if include_stationary:
-        neighbor_lists = [
-            [i] + [n for _s, n in row if n is not None]
-            for i, row in enumerate(ball.adjacency)
-        ]
-    else:
-        neighbor_lists = [[n for _s, n in row if n is not None] for row in ball.adjacency]
+    neighbor_lists = [[n for _s, n in row if n is not None] for row in ball.adjacency]
     count = 0
     out: list[tuple[int, ...]] = []
     if u == v:
@@ -381,10 +372,6 @@ class Neighborhood:
     def around_ray(cls, gauge: Gauge, depth: int, ray, filled: bool = False) -> "Neighborhood":
         verts = tuple(getattr(ray, "vertices", ray))
         return cls(gauge, depth, (verts,), filled)
-
-    @classmethod
-    def around_rays(cls, gauge: Gauge, depth: int, rays, filled: bool = False) -> "Neighborhood":
-        return cls(gauge, depth, tuple(tuple(getattr(r, "vertices", r)) for r in rays), filled)
 
     @classmethod
     def around_vertex(

@@ -11,7 +11,7 @@ same-factor runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import factors, morse
 from .errors import (
@@ -33,10 +33,6 @@ class TruncatedRay:
     vertices: tuple
     provenance: object | None = None
 
-    @property
-    def depth(self) -> int:
-        return len(self.vertices) - 1
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -55,7 +51,7 @@ def standard_line(spec: factors.FactorSpec):
     """The canonical bi-infinite geodesic through the basepoint: powers of
     the first generator.  Returns its two ends."""
     if not spec.has_boundary():
-        raise NoLine(f"factor {spec.id!r} ({spec.kind}) has no line through the basepoint")
+        raise NoLine(f"factor {spec.id!r} has no line through the basepoint")
     return (
         factors.BoundaryPoint.line_end(spec, 1),
         factors.BoundaryPoint.line_end(spec, -1),
@@ -93,29 +89,8 @@ def corresponding_ray(spec: factors.FactorSpec, x: factors.FactorElement) -> Cor
         raise NoLine(f"factor {spec.id!r} has no line through the basepoint")
     if x.spec != spec:
         raise ValueError("element does not belong to the factor")
-    if spec.kind == factors.LINE:
-        n = x.payload
-        sign = 1 if n >= 0 else -1
-        return CorrespondingRay(
-            spec=spec,
-            element=x,
-            base_point=spec.identity(),
-            t_x=abs(n),
-            merge_depth=0,
-            direction=factors.BoundaryPoint.line_end(spec, sign),
-        )
-    runs = x.payload
-    if runs and runs[-1][0] == 0:
-        a = runs[-1][1]
-        w_runs = runs[:-1]
-    else:
-        a = 0
-        w_runs = runs
-    sign = 1 if a >= 0 else -1
-    base = factors.FactorElement(spec, w_runs)
-    direction = factors.BoundaryPoint.make(
-        spec, factors._runs_to_letters(w_runs), ((0, sign),)
-    )
+    base, a = spec.split_first_power(x)
+    direction = factors.BoundaryPoint.make(spec, spec.letters(base), ((0, 1 if a >= 0 else -1),))
     return CorrespondingRay(
         spec=spec,
         element=x,
@@ -213,36 +188,24 @@ class CombRay:
             )
         return len(self.syllables) >= k
 
-    def vertex(self, pos: int) -> Word:
-        """Partial product of the first ``pos`` syllables."""
-        w = self.fp.identity()
-        for i in range(1, pos + 1):
-            s = self.syllable_at(i)
-            if s is None:
-                raise DepthExceedsContent(f"no syllable at position {i}")
-            w = self.fp.multiply(w, self.fp.embed(s))
-        return w
-
     def text(self) -> str:
-        parts = [self.fp.spec_of(s.factor).format_element(s) for s in self.syllables]
-        body = " | ".join(parts) if parts else "e"
+        body = " | ".join(map(repr, self.syllables)) or "e"
         if self.kind == FINITE:
             return f"{body} ; tail={self.tail.format()}"
         if self.repeat:
-            rep = " | ".join(self.fp.spec_of(s.factor).format_element(s) for s in self.repeat)
-            return f"{body} ; repeat={rep}"
+            return f"{body} ; repeat={' | '.join(map(repr, self.repeat))}"
         return body
 
     def to_json_dict(self) -> dict:
         out = {
             "kind": self.kind,
-            "syllables": [self.fp.spec_of(s.factor).format_element(s) for s in self.syllables],
+            "syllables": [repr(s) for s in self.syllables],
             "unstable_last": self.unstable_last,
         }
         if self.tail is not None:
             out["tail"] = self.tail.format()
         if self.repeat:
-            out["repeat"] = [self.fp.spec_of(s.factor).format_element(s) for s in self.repeat]
+            out["repeat"] = [repr(s) for s in self.repeat]
         return out
 
 
@@ -315,9 +278,7 @@ def decompose(fp: FreeProduct, ray: TruncatedRay) -> CombRay:
         last = observed[-1]
         if last.spec != prov.spec:
             raise ValueError("provenance tail factor does not match the growing run")
-        depth_needed = last.norm()
-        real = prov.realization(depth_needed)
-        if real[-1] != last:
+        if prov.realization(last.norm())[-1] != last:
             raise ValueError("growing run is not a prefix of the provenance tail")
         return CombRay(fp, FINITE, observed[:-1], tail=prov)
     return CombRay(fp, INFINITE, observed, unstable_last=bool(observed))
@@ -343,8 +304,7 @@ def _validate_against(fp: FreeProduct, observed, prov: CombRay) -> None:
         if not (ok_full or ok_prefix):
             raise ValueError(f"observed syllable {pos} is not a prefix of the provenance syllable")
     elif prov.kind == FINITE and pos == prov.stored_length + 1:
-        real = prov.tail.realization(last.norm())
-        if real[-1] != last:
+        if prov.tail.realization(last.norm())[-1] != last:
             raise ValueError("growing run is not a prefix of the provenance tail")
     else:
         raise ValueError("observed decomposition runs past the provenance content")
@@ -399,7 +359,7 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
     tail_spec = a.tail.spec
     space = factors.FactorSpace(tail_spec)
     center_ray = a.tail.realization(k)
-    if _comb_length_exceeds(b, la):
+    if b.kind == INFINITE or b.stored_length > la:
         u_next = b.syllable_at(la + 1)
         if u_next is None:
             raise BudgetExceeded("candidate next syllable unavailable")
@@ -413,12 +373,6 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
         raise BudgetExceeded("bare truncation of the same length cannot be classified")
     nb = morse.Neighborhood.around_ray(gauge, k, center_ray, filled=False)
     return morse.neighborhood_member(space, nb, b.tail.realization(k))
-
-
-def _comb_length_exceeds(b: CombRay, l: int) -> bool:
-    if b.kind == INFINITE:
-        return True
-    return b.stored_length > l
 
 
 def parse_comb(fp: FreeProduct, text: str) -> CombRay:
@@ -486,7 +440,7 @@ def _parse_tail(spec: factors.FactorSpec, value: str) -> factors.BoundaryPoint:
             return ()
         if len(word.syllables) != 1 or word.syllables[0].spec != spec:
             raise ParseError(f"tail part {t!r} is not a {spec.id} word")
-        return factors._runs_to_letters(word.syllables[0].payload)
+        return spec.letters(word.syllables[0])
 
     return factors.BoundaryPoint.make(spec, letters(prefix_text), letters(block_text))
 
@@ -498,13 +452,11 @@ def comb_population(
     fp: FreeProduct,
     max_len: int = 3,
     max_norm: int = 2,
-    include_infinite: bool = True,
-    repeat_norm: int = 1,
     max_infinite_prefix: int = 2,
 ) -> list[CombRay]:
     """Deterministic population of combinatorial geodesics for exhaustive
     checks: all finite kinds up to the given syllable count and norms,
-    plus periodic infinite kinds."""
+    plus periodic infinite kinds with a block of two norm-one syllables."""
 
     def elements(spec, include_identity):
         out = [spec.identity()] if include_identity else []
@@ -521,40 +473,23 @@ def comb_population(
     def spec_at(pos):
         return fp.a if pos % 2 else fp.b
 
+    def prefixes(n):
+        # only the first syllable may be the identity
+        pools = [elements(spec_at(pos), include_identity=(pos == 1)) for pos in range(1, n + 1)]
+        return [c for c in itertools.product(*pools) if not any(s.is_identity() for s in c[1:])]
+
     population: list[CombRay] = []
     for n in range(0, max_len + 1):
-        pools = []
-        for pos in range(1, n + 1):
-            pools.append(elements(spec_at(pos), include_identity=(pos == 1)))
-        for combo in itertools.product(*pools):
-            if any(s.is_identity() for s in combo[1:]):
-                continue
-            tail_spec = spec_at(n + 1)
-            if not tail_spec.has_boundary():
-                continue
-            for tail in standard_line(tail_spec):
-                population.append(CombRay(fp, FINITE, combo, tail=tail))
-    if include_infinite:
-        for n in range(0, max_infinite_prefix + 1):
-            pools = []
-            for pos in range(1, n + 1):
-                pools.append(elements(spec_at(pos), include_identity=(pos == 1)))
-            blocks = []
-            first = [
-                x
-                for x in elements(spec_at(n + 1), include_identity=False)
-                if x.norm() <= repeat_norm
-            ]
-            second = [
-                x
-                for x in elements(spec_at(n + 2), include_identity=False)
-                if x.norm() <= repeat_norm
-            ]
-            for u, v in itertools.product(first, second):
-                blocks.append((u, v))
-            for combo in itertools.product(*pools):
-                if any(s.is_identity() for s in combo[1:]):
-                    continue
-                for block in blocks:
-                    population.append(CombRay(fp, INFINITE, combo, repeat=block))
+        tail_spec = spec_at(n + 1)
+        if tail_spec.has_boundary():
+            for combo in prefixes(n):
+                for tail in standard_line(tail_spec):
+                    population.append(CombRay(fp, FINITE, combo, tail=tail))
+    for n in range(0, max_infinite_prefix + 1):
+        first = [x for x in elements(spec_at(n + 1), False) if x.norm() <= 1]
+        second = [x for x in elements(spec_at(n + 2), False) if x.norm() <= 1]
+        blocks = list(itertools.product(first, second))
+        for combo in prefixes(n):
+            for block in blocks:
+                population.append(CombRay(fp, INFINITE, combo, repeat=block))
     return population

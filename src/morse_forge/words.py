@@ -87,9 +87,6 @@ class FreeProduct:
             return self.b
         raise ValueError(f"unknown factor id {factor_id!r}")
 
-    def other(self, factor_id: str) -> factors.FactorSpec:
-        return self.b if factor_id == self.a.id else self.a
-
     # -- algebra ----------------------------------------------------------
 
     def multiply(self, u: Word, v: Word) -> Word:
@@ -170,26 +167,20 @@ class FreeProduct:
             total *= len(segs)
         if cap is not None and total > cap:
             raise CapExceeded(total)
-        paths = []
-        for combo in itertools.product(*choices):
-            verts = [u]
-            base = u
-            for seg in combo:
-                for elt in seg[1:]:
-                    verts.append(self.multiply(base, self.embed(elt)))
-                base = verts[-1]
-            paths.append(tuple(verts))
-        return paths
+        return [self._join(u, combo) for combo in itertools.product(*choices)]
 
     def first_geodesic(self, u: Word, v: Word) -> tuple[Word, ...]:
         w = self.multiply(self.inverse(u), v)
+        return self._join(u, [factors.first_geodesic(s.spec.identity(), s) for s in w.syllables])
+
+    def _join(self, u: Word, segments) -> tuple[Word, ...]:
+        """The vertex path from u along factor geodesics from the identity,
+        one per syllable, each translated to where the previous one ends."""
         verts = [u]
-        base = u
-        for s in w.syllables:
-            seg = factors.first_geodesic(s.spec.identity(), s)
+        for seg in segments:
+            base = verts[-1]
             for elt in seg[1:]:
                 verts.append(self.multiply(base, self.embed(elt)))
-            base = verts[-1]
         return tuple(verts)
 
     def sort_key(self, w: Word):
@@ -199,9 +190,6 @@ class FreeProduct:
         )
 
     # -- text -------------------------------------------------------------
-
-    def format_word(self, w: Word) -> str:
-        return repr(w)
 
     def format(self, w: Word) -> str:
         return repr(w)

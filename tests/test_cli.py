@@ -230,3 +230,63 @@ def test_match_reports_byte_identical(tmp_path, capsys):
             + (out / "match-transcript.jsonl").read_bytes()
         )
     assert blobs[0] == blobs[1]
+
+
+Z3_LINE_PAIR = [
+    {"id": "A1", "kind": "line", "names": ["x"]},
+    {"id": "B1", "kind": "finite", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)],
+     "generators": [1, 2], "names": ["s", "t"]},
+]
+
+
+def test_normalize_huge_finite_power(tmp_path, capsys):
+    # finite powers reduce the exponent modulo the generator's order
+    cfg = write_config(tmp_path, factors={"first": Z3_LINE_PAIR, "second": []})
+    outputs = []
+    for word in ("x s^1000000000000 x", "x s^-999999999998 x", "x s x"):
+        code, out, _ = run_cli(["--config", str(cfg), "normalize", word], capsys)
+        assert code == 0
+        data = json.loads(out)
+        del data["input"]
+        outputs.append(data)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0]["word"] == "x s x"
+
+
+def _assert_usage_error(code, err):
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_lambda_without_eps_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "projection-qg", "--lambda", "2"])
+    _assert_usage_error(exc.value.code, capsys.readouterr().err)
+
+
+def test_negative_radius_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "prefix-transit", "--radius", "-1"])
+    _assert_usage_error(exc.value.code, capsys.readouterr().err)
+
+
+def test_lattice_dim_one_is_usage_error(tmp_path, capsys):
+    first = [{"id": "A1", "kind": "lattice", "dim": 1}, {"id": "B1", "kind": "line", "names": ["y"]}]
+    cfg = write_config(tmp_path, factors={"first": first, "second": []})
+    code, _out, err = run_cli(["--config", str(cfg), "normalize", "y"], capsys)
+    _assert_usage_error(code, err)
+    assert "lattice dimension" in err
+
+
+def test_string_budget_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, budgets={"path_cap": "many"})
+    code, _out, err = run_cli(["--config", str(cfg), "normalize", "x"], capsys)
+    _assert_usage_error(code, err)
+    assert "budgets" in err
+
+
+def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, factors={"first": Z3_LINE_PAIR[::-1]})
+    code, _out, err = run_cli(["--config", str(cfg), "normalize", "s"], capsys)
+    _assert_usage_error(code, err)
+    assert "boundaries" in err

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from morse_forge import FactorSpec, FactorSpace, FreeProduct
+from morse_forge import FactorSpace, checks
 from morse_forge.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -176,11 +176,10 @@ def test_projection_is_short_on_edges(zz, lattice_product):
 
 
 def test_transit_check(zz, lattice_product):
-    ball = Ball.build(zz, 4)
-    assert ball.transit_check(ball.index_of(zz.parse("x y x^-1")))
-    assert ball.transit_check(ball.index_of(zz.parse("x")))
-    lball = Ball.build(lattice_product, 3)
-    assert lball.transit_check(lball.index_of(lattice_product.parse("a1 a2")))
+    # every short walk e -> w visits each prefix vertex of w, for every w
+    for fp, radius in ((zz, 4), (lattice_product, 3)):
+        report = checks.run_prefix_transit(fp, radius=radius)
+        assert report["status"] == "pass" and report["instances"] > 0
 
 
 def test_factor_space_ball(free2):

@@ -107,14 +107,14 @@ def test_realize_infinite(zz):
     a = CombRay(zz, rays.INFINITE, (zz.a.make_element(1), zz.b.make_element(1)),
                 repeat=(zz.a.make_element(1), zz.b.make_element(1)))
     ray = realize(a, 4)
-    assert [zz.format_word(v) for v in ray.vertices] == ["e", "x", "x y", "x y x", "x y x y"]
+    assert [zz.format(v) for v in ray.vertices] == ["e", "x", "x y", "x y x", "x y x y"]
 
 
 def test_realize_finite_tail(zz):
     a = CombRay(zz, rays.FINITE, (zz.a.make_element(1), zz.b.make_element(1)),
                 tail=BoundaryPoint.line_end(zz.a, 1))
     ray = realize(a, 4)
-    assert [zz.format_word(v) for v in ray.vertices] == ["e", "x", "x y", "x y x", "x y x^2"]
+    assert [zz.format(v) for v in ray.vertices] == ["e", "x", "x y", "x y x", "x y x^2"]
 
 
 def test_realize_exhausted(zz):

@@ -16,7 +16,7 @@ def test_multiply_inverse_cancellation(zz):
 def test_multiply_merges_syllables(zz):
     u = zz.parse("x y")
     v = zz.parse("y^-1 x")
-    assert zz.format_word(zz.multiply(u, v)) == "x^2"
+    assert zz.format(zz.multiply(u, v)) == "x^2"
 
 
 def test_multiply_no_cancellation(dihedral):
@@ -58,10 +58,10 @@ def test_syllable_length_subadditive(zz):
 
 def test_prefix_vertices(zz, dihedral):
     w = zz.parse("x y x^-1")
-    assert [zz.format_word(p) for p in zz.prefix_vertices(w)] == ["x", "x y"]
+    assert [zz.format(p) for p in zz.prefix_vertices(w)] == ["x", "x y"]
     assert zz.prefix_vertices(zz.parse("x")) == []
     aba = dihedral.parse("a b a")
-    assert [dihedral.format_word(p) for p in dihedral.prefix_vertices(aba)] == ["a", "a b"]
+    assert [dihedral.format(p) for p in dihedral.prefix_vertices(aba)] == ["a", "a b"]
 
 
 def test_prefix_vertices_empty_word(zz):
@@ -139,4 +139,4 @@ def test_parse_rejects_garbage(zz):
 def test_parse_format_roundtrip(zz, lattice_product):
     for fp, text in ((zz, "x y^-3 x^2"), (lattice_product, "a1^2 a2^-1 y a1")):
         w = fp.parse(text)
-        assert fp.parse(fp.format_word(w)) == w
+        assert fp.parse(fp.format(w)) == w
