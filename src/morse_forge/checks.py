@@ -84,7 +84,7 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     fixed = [proj_map[i] == i for i in range(n)]
     # the projection retracts onto the factor copy, so it fixes exactly the copy
     copy_a = [i for i in range(n) if fixed[i]]
-    dist = [ball._true_row(u) for u in range(n)]
+    dist = [ball.row(u) for u in range(n)]
     symmetries = ball_symmetries(ball)
     orbits: dict[tuple[int, int], int] = {}
     for ui in range(len(copy_a)):

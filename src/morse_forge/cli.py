@@ -139,9 +139,15 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     budgets = raw["budgets"]
     if any(type(v) is not int or v <= 0 for v in budgets.values()):
         raise ParseError("budgets must be positive integers")
-    grid = [(Fraction(l), Fraction(e)) for l, e in raw["grid"]]
+    try:
+        grid = [(Fraction(l), Fraction(e)) for l, e in raw["grid"]]
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"grid entries must be pairs of numbers: {exc}") from exc
     if (Fraction(5), Fraction(0)) not in grid or (Fraction(3), Fraction(0)) not in grid:
         raise ParseError("grid must contain the probe points (5,0) and (3,0)")
+    seed = raw.get("seed", 0)
+    if type(seed) is not int:
+        raise ParseError("seed must be an integer")
     return RunConfig(
         raw=raw,
         fp1=fp1,
@@ -150,7 +156,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         homeo_b=homeo_b,
         budgets=budgets,
         grid=grid,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         output=Path(raw.get("output", "reports")),
     )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import CapExceeded, MixedFactor, NoBoundary
 
@@ -360,7 +360,9 @@ class FactorSpec:
     full multiplication table over element indices and ``gen_elems``
     lists the generating element indices (closed under inversion).
     ``ops`` holds the kind's operations; it is derived from the other
-    fields and takes no part in equality or hashing.
+    fields and takes no part in equality or hashing.  The hash is computed
+    once, since every dict or set operation on an element hashes its spec
+    and a finite table is large.
     """
 
     id: str
@@ -371,6 +373,7 @@ class FactorSpec:
     table: tuple[tuple[int, ...], ...] = ()
     gen_elems: tuple[int, ...] = ()
     ops: object = field(default=None, init=False, repr=False, compare=False)
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id:
@@ -383,6 +386,11 @@ class FactorSpec:
         # generator steps are the inner loop of ball and geodesic searches
         ops.steps = {(g.base, g.sign): FactorElement(self, ops.power(g.base, g.sign)) for g in ops.generators}
         object.__setattr__(self, "ops", ops)
+        key = tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- constructors ---------------------------------------------------
 
@@ -665,6 +673,10 @@ class FactorSpace:
 
     def distance(self, x: FactorElement, y: FactorElement) -> int:
         return distance(x, y)
+
+    def split_last(self, x: FactorElement) -> tuple[FactorElement, FactorElement]:
+        """A non-identity element as one syllable after the identity."""
+        return self.spec.identity(), x
 
     def geodesics(self, x, y, cap=None):
         return geodesics(x, y, cap)

@@ -1,7 +1,7 @@
 """Finite balls of a Cayley graph with exhaustive enumeration.
 
 A ball is built by BFS over any "space": an object exposing
-``identity() / generators() / step() / distance() / geodesics() /
+``identity() / generators() / step() / split_last() / first_geodesic() /
 sort_key() / format()``.  Both a free product and a single factor
 qualify, so the same machinery serves as the brute-force oracle for
 either metric.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import factors
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -33,12 +34,108 @@ class GraphPath:
         return len(self.vertices)
 
 
+class _PrefixTree:
+    """The vertices of a ball as a tree of syllable prefixes.
+
+    A vertex's parent is the vertex without its last syllable.  Its norm
+    is smaller, so it lies in the ball (a single factor splits into the
+    identity and itself).  The word metric splits over this tree: with c
+    the deepest common prefix of u and w, and a and b the children of c
+    toward u and toward w,
+
+        d(u, w) = |u| - |a| + |w| - |b| + d_F(last a, last b)
+
+    when both children exist and their last syllables share a factor, and
+    d(u, w) = |u| + |w| - 2|c| otherwise.  All arithmetic is on ints;
+    factor distances are cached per pair of syllable ids.
+    """
+
+    def __init__(self, ball: "Ball"):
+        n = len(ball)
+        self.norm = ball.dist
+        self.parent = [0] * n
+        self.children: list[list[int]] = [[] for _ in range(n)]
+        self.syllable = [0] * n  # id of the last syllable
+        self.factor = [""] * n  # factor of the last syllable
+        self.syllables: list[factors.FactorElement] = []
+        self._factor_distance: dict[tuple[int, int], int] = {}
+        ids: dict[factors.FactorElement, int] = {}
+        for i in range(1, n):
+            prefix, last = ball.space.split_last(ball.vertices[i])
+            p = ball.index[prefix]
+            self.parent[i] = p
+            self.children[p].append(i)
+            sid = ids.get(last)
+            if sid is None:
+                sid = ids[last] = len(self.syllables)
+                self.syllables.append(last)
+            self.syllable[i] = sid
+            self.factor[i] = last.factor
+        # preorder positions: every subtree is one slice [start, stop)
+        self.start = [0] * n
+        self.stop = [0] * n
+        order = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            self.start[v] = len(order)
+            order.append(v)
+            stack.extend(reversed(self.children[v]))
+        size = [1] * n
+        for i in range(n - 1, 0, -1):  # parents come before children
+            size[self.parent[i]] += size[i]
+        for v in range(n):
+            self.stop[v] = self.start[v] + size[v]
+        self.preorder_norm = [self.norm[v] for v in order]
+
+    def factor_distance(self, a: int, b: int) -> int:
+        """Factor distance between the last syllables of vertices a and b."""
+        key = (self.syllable[a], self.syllable[b])
+        d = self._factor_distance.get(key)
+        if d is None:
+            d = self._factor_distance[key] = factors.distance(
+                self.syllables[key[0]], self.syllables[key[1]]
+            )
+        return d
+
+    def row(self, u: int) -> list[int]:
+        """True distances from u to every vertex, in vertex order."""
+        norm, factor, start, stop = self.norm, self.factor, self.start, self.stop
+        pnorm = self.preorder_norm
+        chain = [u]
+        while chain[-1]:
+            chain.append(self.parent[chain[-1]])
+        chain.reverse()
+        nu = norm[u]
+        out = [0] * len(norm)  # in preorder
+        # a vertex in the subtree of child b of c gets |w| + offset
+        for c, a in zip(chain, chain[1:]):
+            out[start[c]] = nu - norm[c]
+            for b in self.children[c]:
+                if b == a:
+                    continue
+                if factor[b] == factor[a]:
+                    offset = nu - norm[a] - norm[b] + self.factor_distance(a, b)
+                else:
+                    offset = nu - 2 * norm[c]
+                lo, hi = start[b], stop[b]
+                out[lo:hi] = [x + offset for x in pnorm[lo:hi]]
+        lo, hi = start[u], stop[u]
+        out[lo:hi] = [x - nu for x in pnorm[lo:hi]]
+        return [out[i] for i in start]
+
+
 class Ball:
     """The radius-r ball around the identity, with exact metric data.
 
-    ``distance`` is the BFS oracle and certifies its answers (see
-    ``certified``); ``pair_distance`` is the closed-form metric of the
-    underlying space and is always exact.
+    A ball keeps two distance stores, filled one row at a time.  ``row``
+    holds true distances in the whole space, read off the syllable-prefix
+    tree; ``pair_distance`` reads it and is always exact.
+    ``in_ball_row`` holds BFS distances along paths inside the ball, which
+    can exceed the true ones near the boundary.  They are the independent
+    oracle: ``certified`` uses them to show that no geodesic leaves the
+    ball, ``distance`` answers only such pairs, and searches prune walks
+    that could no longer return inside the ball.
     """
 
     def __init__(self, space, radius, vertices, index, dist, adjacency):
@@ -48,8 +145,9 @@ class Ball:
         self.index = index
         self.dist = dist
         self.adjacency = adjacency
-        self._bfs_cache: dict[int, list[int | None]] = {}
-        self._true_rows: dict[int, list[int]] = {}
+        self._rows: dict[int, list[int]] = {}
+        self._in_ball_rows: dict[int, bytes | list[int]] = {}
+        self._tree: _PrefixTree | None = None
 
     @classmethod
     def build(cls, space, radius: int, vertex_budget: int | None = None) -> "Ball":
@@ -105,23 +203,28 @@ class Ball:
 
     # -- metric -----------------------------------------------------------
 
-    def _bfs_from(self, src: int) -> list[int | None]:
-        cached = self._bfs_cache.get(src)
-        if cached is not None:
-            return cached
-        out: list[int | None] = [None] * len(self.vertices)
-        out[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for _s, n in self.adjacency[v]:
-                    if n is not None and out[n] is None:
-                        out[n] = out[v] + 1
-                        nxt.append(n)
-            frontier = nxt
-        self._bfs_cache[src] = out
-        return out
+    def in_ball_row(self, src: int) -> bytes | list[int]:
+        """Distances from src along paths that stay inside the ball.
+
+        The ball is connected through the identity, so every entry is set
+        and at most 2 * radius.  Rows are ``bytes`` when that bound fits in
+        a byte (``bytes`` refuses a larger value) and lists otherwise.
+        """
+        row = self._in_ball_rows.get(src)
+        if row is None:
+            out: list[int | None] = [None] * len(self.vertices)
+            out[src] = 0
+            frontier = [src]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for _s, n in self.adjacency[v]:
+                        if n is not None and out[n] is None:
+                            out[n] = out[v] + 1
+                            nxt.append(n)
+                frontier = nxt
+            row = self._in_ball_rows[src] = bytes(out) if 2 * self.radius < 256 else out
+        return row
 
     def certified(self, u: int, v: int) -> bool:
         """True when every true geodesic u -> v stays inside the ball.
@@ -130,28 +233,27 @@ class Ball:
         min(d(e,u) + a, d(e,v) + b) <= (d(e,u) + d(e,v) + d(u,v)) / 2 of
         the basepoint, and the in-ball BFS value bounds d(u,v) above.
         """
-        d = self._bfs_from(u)[v]
-        return d is not None and self.dist[u] + self.dist[v] + d <= 2 * self.radius
+        return self.dist[u] + self.dist[v] + self.in_ball_row(u)[v] <= 2 * self.radius
 
     def distance(self, u: int, v: int) -> int:
         """Exact graph distance, certified by the ball; BFS-backed."""
-        d = self._bfs_from(u)[v]
+        d = self.in_ball_row(u)[v]
         if not self.certified(u, v):
             raise PossiblyTruncated(d)
-        assert d is not None
         return d
 
-    def _true_row(self, u: int) -> list[int]:
-        row = self._true_rows.get(u)
+    def row(self, u: int) -> list[int]:
+        """True distances from u to every vertex, from the syllable-prefix tree."""
+        row = self._rows.get(u)
         if row is None:
-            vu = self.vertices[u]
-            row = [self.space.distance(vu, w) for w in self.vertices]
-            self._true_rows[u] = row
+            if self._tree is None:
+                self._tree = _PrefixTree(self)
+            row = self._rows[u] = self._tree.row(u)
         return row
 
     def pair_distance(self, u: int, v: int) -> int:
-        """Exact distance from the space's closed-form metric."""
-        return self._true_row(u)[v]
+        """Exact distance in the whole space, never truncated by the ball."""
+        return self.row(u)[v]
 
     # -- enumeration --------------------------------------------------------
 
@@ -159,10 +261,10 @@ class Ball:
         """All geodesic paths u -> v, in deterministic generator order."""
         if not self.certified(u, v):
             raise PossiblyTruncated(
-                self._bfs_from(u)[v],
+                self.in_ball_row(u)[v],
                 message="geodesics between these endpoints may leave the ball",
             )
-        to_v = self._bfs_from(v)
+        to_v = self.in_ball_row(v)
         out: list[GraphPath] = []
         count = 0
 
@@ -206,7 +308,7 @@ class Ball:
         Walks may revisit vertices and may take stationary steps; the
         step order is "stay" first, then generators.
         """
-        to_v = self._bfs_from(v)  # in-ball return distance prunes dead ends
+        to_v = self.in_ball_row(v)  # in-ball return distance prunes dead ends
         out: list[GraphPath] = []
         count = 0
 
@@ -221,8 +323,7 @@ class Ball:
                 return
             options = [cur] + [n for _s, n in self.adjacency[cur] if n is not None]
             for nxt in options:
-                back = to_v[nxt]
-                if back is not None and back <= remaining - 1:
+                if to_v[nxt] <= remaining - 1:
                     acc.append(nxt)
                     rec(nxt, acc)
                     acc.pop()

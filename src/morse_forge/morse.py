@@ -196,8 +196,8 @@ def enumerate_quasi_geodesics(
     max_len = math.floor(lam * (d_uv + eps))
     min_need = min_distance_profile(lam, eps, max_len)
     first_need = next((gap for gap, need in enumerate(min_need) if need), max_len + 1)
-    to_v = ball._bfs_from(v)
-    rows = [ball._true_row(i) for i in range(len(ball))]
+    to_v = ball.in_ball_row(v)
+    rows = [ball.row(i) for i in range(len(ball))]
     # pair constraint against the final vertex caps the total length:
     # a walk visiting x at time s must finish by s + floor(lam*(d(x,v)+eps))
     end_slack = [math.floor(lam * (d + eps)) for d in range(2 * ball.radius + 1)]
@@ -221,8 +221,6 @@ def enumerate_quasi_geodesics(
             continue
         done = len(walk) - 1
         back = to_v[nxt]
-        if back is None:
-            continue
         bound = bounds[-1]
         cand = done + 1 + end_slack[row_v[nxt]]
         if cand < bound:

@@ -146,12 +146,34 @@ class FreeProduct:
         return sum(s.norm() for s in w.syllables)
 
     def distance(self, u: Word, v: Word) -> int:
-        return self.norm(self.multiply(self.inverse(u), v))
+        """The norm of u^-1 v, read off the syllables without building it.
+
+        The common syllable prefix cancels.  If the first differing
+        syllables lie in one factor they merge into a single syllable,
+        never the identity since they differ, of norm their factor
+        distance; every other syllable left on either side stays as it is.
+        """
+        us, vs = u.syllables, v.syllables
+        n = min(len(us), len(vs))
+        i = 0
+        while i < n and us[i] == vs[i]:
+            i += 1
+        d = 0
+        if i < n and us[i].factor == vs[i].factor:
+            d = factors.distance(us[i], vs[i])
+            i += 1
+        for s in itertools.chain(us[i:], vs[i:]):
+            d += s.norm()
+        return d
 
     # -- space interface ----------------------------------------------------
 
     def generators(self) -> tuple[ProductGenerator, ...]:
         return _product_generators(self)
+
+    def split_last(self, w: Word) -> tuple[Word, factors.FactorElement]:
+        """A non-identity word as its syllable prefix and its last syllable."""
+        return Word(w.syllables[:-1]), w.syllables[-1]
 
     def step(self, w: Word, gen: ProductGenerator) -> Word:
         return self.multiply(w, self.embed(gen.element))

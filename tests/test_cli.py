@@ -285,6 +285,21 @@ def test_string_budget_is_usage_error(tmp_path, capsys):
     assert "budgets" in err
 
 
+def test_non_numeric_grid_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, grid=[["a", 0], [3, 0], [5, 0]])
+    code, _out, err = run_cli(["--config", str(cfg), "normalize", "x"], capsys)
+    _assert_usage_error(code, err)
+    assert "grid" in err
+
+
+@pytest.mark.parametrize("seed", ["x", True, 1.5])
+def test_non_integer_seed_is_usage_error(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, seed=seed)
+    code, _out, err = run_cli(["--config", str(cfg), "normalize", "x"], capsys)
+    _assert_usage_error(code, err)
+    assert "seed" in err
+
+
 def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, factors={"first": Z3_LINE_PAIR[::-1]})
     code, _out, err = run_cli(["--config", str(cfg), "normalize", "s"], capsys)

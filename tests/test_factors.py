@@ -75,6 +75,18 @@ def test_distance_matches_bfs_radius_six(line_a, lattice2, free2, z6):
             assert ball.dist[i] == factors.distance(e, x)
 
 
+def test_spec_hash_and_equality_are_by_value(lattice2, z6):
+    # the hash is cached per spec; the derived ops take no part in either
+    again = [FactorSpec.integer_lattice("A", 2), FactorSpec.finite_table("A", Z6_TABLE, [1, 5], names=["s", "s_inv"])]
+    for spec, twin in zip((lattice2, z6), again):
+        assert spec.ops is not twin.ops
+        assert spec == twin and hash(spec) == hash(twin)
+        assert {spec: 1}[twin] == 1
+        assert hash(spec.power(0, 2)) == hash(twin.power(0, 2))
+    other = FactorSpec.finite_table("A", Z6_TABLE, [1, 5], names=["r", "r_inv"])
+    assert other != z6
+
+
 def test_geodesics_tree_unique(free2):
     e = free2.identity()
     xy = free2.make_element(((0, 1), (1, 1)))

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from morse_forge import FactorSpace, checks
+from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks
 from morse_forge.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -180,6 +180,58 @@ def test_transit_check(zz, lattice_product):
     for fp, radius in ((zz, 4), (lattice_product, 3)):
         report = checks.run_prefix_transit(fp, radius=radius)
         assert report["status"] == "pass" and report["instances"] > 0
+
+
+def test_kernel_rows_match_reference_metric(zz, dihedral, lattice2, line_b, free2, z6):
+    # the syllable-prefix tree against the norm of u^-1 v, on every pair
+    free = FactorSpec.free_group("F", 2, names=("p", "q"))
+    line = FactorSpec.integer_line("L", "t")
+    z3 = FactorSpec.finite_table("C", [[(i + j) % 3 for j in range(3)] for i in range(3)], [1, 2], names=("s", "s_inv"))
+    cases = [(zz, r) for r in range(5)] + [
+        (dihedral, 5),
+        (FreeProduct(free, line_b), 3),
+        (FreeProduct(line, z3), 4),
+    ]
+    for fp, radius in cases:
+        ball = Ball.build(fp, radius)
+        for i, u in enumerate(ball.vertices):
+            inv = fp.inverse(u)
+            for j, w in enumerate(ball.vertices):
+                assert ball.pair_distance(i, j) == fp.norm(fp.multiply(inv, w)), (fp, u, w)
+    for spec in (FactorSpec.integer_line("A", "x"), lattice2, free2, z6):
+        ball = Ball.build(FactorSpace(spec), 3)
+        for i, x in enumerate(ball.vertices):
+            assert ball.row(i) == [(x.inverse() * y).norm() for y in ball.vertices]
+
+
+def test_kernel_rows_match_bfs_oracle(lattice_product):
+    ball = Ball.build(lattice_product, 4)
+    assert len(ball) == 609
+    certified = 0
+    for u in range(len(ball)):
+        in_ball = ball.in_ball_row(u)
+        for v, d in enumerate(ball.row(u)):
+            if ball.certified(u, v):
+                certified += 1
+                assert d == in_ball[v]
+            else:
+                assert d <= in_ball[v]
+    assert certified > 10 * len(ball)  # pairs with the identity alone give len(ball)
+
+
+def test_in_ball_rows_are_bytes(zz):
+    ball = Ball.build(zz, 4)
+    row = ball.in_ball_row(ball.index_of(zz.parse("x^2 y")))
+    assert isinstance(row, bytes) and len(row) == len(ball)
+    assert max(row) <= 2 * ball.radius
+
+
+def test_in_ball_rows_beyond_a_byte(dihedral):
+    # the Cayley graph of Z2*Z2 is a line: its ball spans 2 * radius edges
+    ball = Ball.build(dihedral, 130)
+    end = len(ball) - 1
+    assert max(ball.in_ball_row(end)) == 260
+    assert [len(p) for p in ball.enumerate_paths(0, end, ball.dist[end])] == [131]
 
 
 def test_factor_space_ball(free2):

@@ -1,9 +1,11 @@
-"""Factor kinds and payload layouts are known to factors.py alone.
+"""Factor kinds and payload layouts are known to factors.py alone, and a
+ball's distance stores to graph.py alone.
 
 Every other module reaches factor groups through ``FactorSpec`` and
 ``FactorElement`` methods, so adding or changing a kind touches one file.
 ``matching.BoundaryHomeo`` may still compare kinds while it validates a
-configured rule.
+configured rule.  Other modules read ball distances through ``Ball``'s
+public methods (``row``, ``in_ball_row``, ``pair_distance``, ...).
 """
 
 import re
@@ -17,6 +19,7 @@ OTHERS = sorted(p for p in SRC.glob("*.py") if p.name != "factors.py")
 PAYLOAD = re.compile(r"\.payload\b")
 PRIVATE = re.compile(r"\bfactors\._\w+")
 KIND = re.compile(r"\bfactors\.(LINE|LATTICE|FREE|FINITE)\b")
+BALL_PRIVATE = re.compile(r"\bball\._|\._(bfs|true_row)")
 
 
 def _hits(pattern, paths):
@@ -42,3 +45,7 @@ def test_no_private_factor_names_outside_factors():
 
 def test_checks_and_rays_name_no_factor_kind():
     assert _hits(KIND, [SRC / "checks.py", SRC / "rays.py"]) == []
+
+
+def test_no_ball_privates_outside_graph():
+    assert _hits(BALL_PRIVATE, [p for p in SRC.glob("*.py") if p.name != "graph.py"]) == []

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from morse_forge import FactorSpec, FreeProduct
 from morse_forge.errors import EmptyWord, ParseError
 from morse_forge.graph import Ball
 
@@ -140,3 +141,22 @@ def test_parse_format_roundtrip(zz, lattice_product):
     for fp, text in ((zz, "x y^-3 x^2"), (lattice_product, "a1^2 a2^-1 y a1")):
         w = fp.parse(text)
         assert fp.parse(fp.format(w)) == w
+
+
+def test_distance_merges_first_differing_syllables(zz, lattice_product, line_b):
+    # the closed form against the norm of u^-1 v where the first differing
+    # syllables of u and v merge in their factor
+    free = FreeProduct(FactorSpec.free_group("F", 2, names=("p", "q")), line_b)
+    z3 = FactorSpec.finite_table("C", [[(i + j) % 3 for j in range(3)] for i in range(3)], [1, 2], names=("s", "t"))
+    finite = FreeProduct(FactorSpec.integer_line("A", "x"), z3)
+    for fp, kind in ((zz, "line"), (lattice_product, "lattice"), (free, "free"), (finite, "finite")):
+        words = list(Ball.build(fp, 3).vertices)
+        merged = 0
+        for u, v in itertools.product(words, repeat=2):
+            pairs = zip(u.syllables, v.syllables)
+            first = next(((s, t) for s, t in pairs if s != t), None)
+            if first is None or first[0].factor != first[1].factor:
+                continue
+            merged += first[0].spec.kind == kind
+            assert fp.distance(u, v) == fp.norm(fp.multiply(fp.inverse(u), v)), (u, v)
+        assert merged > 0, kind
