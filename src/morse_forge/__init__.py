@@ -3,7 +3,7 @@ of quasi-geodesic stability properties on finite balls."""
 
 from .errors import MorseForgeError
 from .factors import BoundaryPoint, FactorElement, FactorSpec, FactorSpace
-from .graph import Ball, GraphPath
+from .graph import Ball
 from .morse import CANONICAL_TREE_GAUGE, Gauge, delta_of, nesting_constant, tracking_bound
 from .rays import CombNeighborhood, CombRay, TruncatedRay, corresponding_ray, standard_line
 from .matching import BoundaryHomeo, MatchState, ProductMatching, run_matching
@@ -23,7 +23,6 @@ __all__ = [
     "FactorSpec",
     "FreeProduct",
     "Gauge",
-    "GraphPath",
     "MatchState",
     "MorseForgeError",
     "ProductMatching",

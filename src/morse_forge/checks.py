@@ -7,11 +7,8 @@ passed silently.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from . import factors, matching, morse, rays
-from .graph import Ball, GraphPath
+from .graph import Ball
 from .words import FreeProduct
 
 
@@ -42,8 +39,8 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
         paths = ball.enumerate_paths(0, w, ball.dist[w] + slack, cap=path_cap)
         for p in paths:
             instances += 1
-            if not required <= set(p.vertices):
-                failures.append({"w": fp.format(word), "path": list(p.vertices)})
+            if not required <= set(p):
+                failures.append({"w": fp.format(word), "path": list(p)})
     return _report(
         "prefix-transit",
         {"radius": radius, "slack": slack},
@@ -99,13 +96,13 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     instances = 0
     covered = 0
     failures = []
-    for lam, eps in grid:
-        lam_f, eps_f = Fraction(lam), Fraction(eps)
-        haus_bound = lam_f * lam_f * eps_f + eps_f + 1
+    bounds = [morse.qg_bound(lam, eps) for lam, eps in grid]
+    for bound in bounds:
+        # no enumerated walk is longer than max_len of the ball's diameter
+        least = bound.least.upto(bound.max_len(2 * radius))
+        haus_bound = bound.hausdorff
         for (u, v), weight in sorted(orbits.items()):
-            max_gap = math.floor(lam_f * (dist[u][v] + eps_f))
-            min_need = morse.min_distance_profile(lam_f, eps_f, max_gap)
-            for walk in morse.enumerate_quasi_geodesics(ball, u, v, lam_f, eps_f, cap=path_cap):
+            for walk in morse.enumerate_quasi_geodesics(ball, u, v, bound.lam, bound.eps, cap=path_cap):
                 instances += 1
                 covered += weight
                 if all(fixed[x] for x in walk):
@@ -113,20 +110,20 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
                 proj = [proj_map[x] for x in walk]
                 easy_haus = max(proj_gap[x] for x in walk) <= haus_bound
                 bad = _projection_violation(
-                    dist, proj, walk, min_need, None if easy_haus else haus_bound
+                    dist, proj, walk, least, None if easy_haus else haus_bound
                 )
                 if bad:
                     failures.append(
                         {
-                            "lam": str(lam_f),
-                            "eps": str(eps_f),
+                            "lam": str(bound.lam),
+                            "eps": str(bound.eps),
                             "walk": list(walk),
                             "reason": bad,
                         }
                     )
     return _report(
         "projection-qg",
-        {"radius": radius, "grid": [[str(Fraction(l)), str(Fraction(e))] for l, e in grid]},
+        {"radius": radius, "grid": [[str(b.lam), str(b.eps)] for b in bounds]},
         instances,
         failures,
         {
@@ -137,7 +134,7 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     )
 
 
-def _projection_violation(dist, proj, walk, min_need, haus_bound):
+def _projection_violation(dist, proj, walk, least, haus_bound):
     # collapse the projected path into runs of constant value: inside a run
     # only the index span matters, across runs the widest index gap is the
     # binding one since the required distance grows with the gap
@@ -148,14 +145,14 @@ def _projection_violation(dist, proj, walk, min_need, haus_bound):
             runs.append((proj[start], start, t - 1))
             start = t
     for value, s, e in runs:
-        if e - s < len(min_need) and min_need[e - s]:
+        if least[e - s]:
             return "projection lower bound"
     for i in range(len(runs)):
         vi, si, _ei = runs[i]
         row = dist[vi]
         for j in range(i + 1, len(runs)):
             vj, _sj, ej = runs[j]
-            if row[vj] < min_need[ej - si]:
+            if row[vj] < least[ej - si]:
                 return "projection lower bound"
     if haus_bound is not None:
         proj_set = sorted({v for v, _s, _e in runs})
@@ -174,61 +171,33 @@ def _projection_violation(dist, proj, walk, min_need, haus_bound):
 # -- concatenation ------------------------------------------------------------
 
 
-def _near_set(ball: Ball, gamma: tuple[int, ...], reach: int) -> list[int]:
-    near = set(gamma)
-    if reach >= 1:
-        for g in gamma:
-            near.update(ball.neighbors(g))
-    return sorted(near)
-
-
 def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, geodesic_cap: int = 64) -> dict:
     ball = Ball.build(fp, radius)
-    families: list[tuple[str, Fraction, Fraction, list[tuple[int, ...]]]] = []
     geodesic_paths: list[tuple[int, ...]] = []
-    for w in range(len(ball)):
-        for p in ball.enumerate_geodesics(0, w, cap=geodesic_cap):
-            geodesic_paths.append(p.vertices)
-    families.append(("geodesic", Fraction(1), Fraction(0), geodesic_paths))
     qg_paths: list[tuple[int, ...]] = []
     for w in range(len(ball)):
-        if ball.dist[w] > qg_norm_limit:
-            continue
-        for walk in morse.enumerate_quasi_geodesics(ball, 0, w, 1, 2):
-            qg_paths.append(walk)
-    families.append(("qg", Fraction(1), Fraction(2), qg_paths))
+        geodesic_paths.extend(ball.enumerate_geodesics(0, w, cap=geodesic_cap))
+        if ball.dist[w] <= qg_norm_limit:
+            qg_paths.extend(morse.enumerate_quasi_geodesics(ball, 0, w, 1, 2))
+    families = (("geodesic", 1, 0, geodesic_paths), ("qg", 1, 2, qg_paths))
     instances = 0
     failures = []
     for name, lam, eps, paths in families:
         for gamma in paths:
             if len(gamma) < 2:
                 continue
-            reach = math.floor(Fraction(len(gamma) - 1) / (3 * lam))
-            near = _near_set(ball, gamma, reach)
-            closest = {}
-            for p in near:
-                pairs = [(ball.pair_distance(p, g), i) for i, g in enumerate(gamma)]
-                closest[p] = min(pairs)
-            for p in near:
-                dp, tp = closest[p]
-                for q in near:
-                    dq, tq = closest[q]
-                    if Fraction(abs(tp - tq)) < 3 * lam * (dp + dq):
-                        continue
-                    instances += 1
-                    path, cert = morse.concat_quasi_geodesic(
-                        ball, p, q, GraphPath(gamma), lam, eps
+            for p, q, cert in morse.separated_concatenations(ball, gamma, lam, eps):
+                instances += 1
+                if not (cert.hypothesis_held and cert.verified):
+                    failures.append(
+                        {
+                            "family": name,
+                            "gamma": list(gamma),
+                            "p": p,
+                            "q": q,
+                            "certificate": cert.to_json_dict(),
+                        }
                     )
-                    if not (cert.hypothesis_held and cert.verified):
-                        failures.append(
-                            {
-                                "family": name,
-                                "gamma": list(gamma),
-                                "p": p,
-                                "q": q,
-                                "certificate": cert.to_json_dict(),
-                            }
-                        )
     return _report(
         "concat-qg",
         {"radius": radius, "families": ["geodesic (1,0)", f"qg (1,2) norm<={qg_norm_limit}"]},
@@ -300,8 +269,7 @@ def run_nbhd_nesting(spec: factors.FactorSpec, gauge: morse.Gauge = morse.CANONI
 
 
 def run_ray_merge(fp: FreeProduct, depth: int = 36, k_values=(1, 2, 3, 4), max_len: int = 2, max_norm: int = 1) -> dict:
-    gauge = morse.CANONICAL_TREE_GAUGE
-    delta = morse.delta_of(gauge)
+    delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)  # distances are ints
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
     realized = [rays.realize(a, depth, validate=False).vertices for a in population]
     instances = 0

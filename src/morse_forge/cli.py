@@ -203,13 +203,13 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
     budgets = cfg.budgets
     fp = cfg.fp1
     ball_radius = budgets["ball_radius"] if radius is None else radius
+    # flags that are not given leave the check's own defaults in force
     if check_id == "prefix-transit":
-        report = checks.run_prefix_transit(
-            fp, radius=5 if radius is None else radius, path_cap=budgets["path_cap"]
-        )
+        given = {} if radius is None else {"radius": radius}
+        report = checks.run_prefix_transit(fp, path_cap=budgets["path_cap"], **given)
     elif check_id == "projection-qg":
-        grid = [(lam, eps)] if lam is not None else [(1, 0), (1, 2), (2, 1), (3, 0)]
-        report = checks.run_projection_qg(fp, radius=ball_radius, grid=grid, path_cap=budgets["path_cap"])
+        given = {} if lam is None else {"grid": [(lam, eps)]}
+        report = checks.run_projection_qg(fp, radius=ball_radius, path_cap=budgets["path_cap"], **given)
     elif check_id == "concat-qg":
         report = checks.run_concat_qg(fp, radius=ball_radius)
     elif check_id == "nbhd-nesting":
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--eps", type=_int_at_least(0))
 
     p_match = sub.add_parser("match", help="run the matching pipeline and its invariant suite")
-    p_match.add_argument("--steps", type=int)
+    p_match.add_argument("--steps", type=_int_at_least(1))
 
     p_gauge = sub.add_parser("gauge", help="estimate a gauge table for a word's geodesic")
     p_gauge.add_argument("word")

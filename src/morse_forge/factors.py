@@ -473,9 +473,6 @@ class FactorSpec:
     def format_element(self, x: "FactorElement") -> str:
         return self.ops.format(x.payload)
 
-    def element_sort_key(self, x: "FactorElement"):
-        return self.ops.sort_key(x.payload)
-
 
 @dataclass(frozen=True)
 class FactorElement:

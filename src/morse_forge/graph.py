@@ -6,14 +6,12 @@ sort_key() / format()``.  Both a free product and a single factor
 qualify, so the same machinery serves as the brute-force oracle for
 either metric.
 
-Paths are vertex-index sequences; a step may be stationary.  Stationary
+A walk is a tuple of vertex indices; a step may be stationary.  Stationary
 steps keep index sets intact under projection and make the path count
 the right discrete analogue of a reparametrizable curve.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import factors
 from .errors import (
@@ -22,16 +20,6 @@ from .errors import (
     EndpointsOutsideFactor,
     PossiblyTruncated,
 )
-
-
-@dataclass(frozen=True)
-class GraphPath:
-    """A walk through ball vertices; consecutive entries adjacent or equal."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 class _PrefixTree:
@@ -257,7 +245,7 @@ class Ball:
 
     # -- enumeration --------------------------------------------------------
 
-    def enumerate_geodesics(self, u: int, v: int, cap: int | None = None) -> list[GraphPath]:
+    def enumerate_geodesics(self, u: int, v: int, cap: int | None = None) -> list[tuple[int, ...]]:
         """All geodesic paths u -> v, in deterministic generator order."""
         if not self.certified(u, v):
             raise PossiblyTruncated(
@@ -265,7 +253,7 @@ class Ball:
                 message="geodesics between these endpoints may leave the ball",
             )
         to_v = self.in_ball_row(v)
-        out: list[GraphPath] = []
+        out: list[tuple[int, ...]] = []
         count = 0
 
         def rec(cur: int, acc: list[int]):
@@ -273,7 +261,7 @@ class Ball:
             if cur == v:
                 count += 1
                 if cap is None or count <= cap:
-                    out.append(GraphPath(tuple(acc)))
+                    out.append(tuple(acc))
                 return
             d = to_v[cur]
             for _s, n in self.adjacency[cur]:
@@ -287,14 +275,14 @@ class Ball:
             raise CapExceeded(count)
         return out
 
-    def first_geodesic(self, u: int, v: int) -> GraphPath:
+    def first_geodesic(self, u: int, v: int) -> tuple[int, ...]:
         """One true geodesic u -> v (the space's lexicographically first).
 
         Raises when that geodesic does not stay inside the ball.
         """
         words = self.space.first_geodesic(self.vertices[u], self.vertices[v])
         try:
-            return GraphPath(tuple(self.index[w] for w in words))
+            return tuple(self.index[w] for w in words)
         except KeyError:
             raise PossiblyTruncated(
                 message="the first geodesic between these endpoints leaves the ball"
@@ -302,14 +290,14 @@ class Ball:
 
     def enumerate_paths(
         self, u: int, v: int, maxlen: int, cap: int | None = None
-    ) -> list[GraphPath]:
+    ) -> list[tuple[int, ...]]:
         """All walks u -> v of length <= maxlen inside the ball.
 
         Walks may revisit vertices and may take stationary steps; the
         step order is "stay" first, then generators.
         """
         to_v = self.in_ball_row(v)  # in-ball return distance prunes dead ends
-        out: list[GraphPath] = []
+        out: list[tuple[int, ...]] = []
         count = 0
 
         def rec(cur: int, acc: list[int]):
@@ -317,7 +305,7 @@ class Ball:
             if cur == v:
                 count += 1
                 if cap is None or count <= cap:
-                    out.append(GraphPath(tuple(acc)))
+                    out.append(tuple(acc))
             remaining = maxlen - (len(acc) - 1)
             if remaining == 0:
                 return
@@ -335,21 +323,21 @@ class Ball:
 
     # -- projection -----------------------------------------------------------
 
-    def project_path(self, path: GraphPath, factor_id: str) -> GraphPath:
+    def project_path(self, walk: tuple[int, ...], factor_id: str) -> tuple[int, ...]:
         """Vertex-wise retraction of a walk onto the embedded factor copy."""
         fp = self.space
         project = getattr(fp, "project_to_factor", None)
         if project is None:
             raise TypeError("projection needs a free-product ball")
-        for end in (path.vertices[0], path.vertices[-1]):
+        for end in (walk[0], walk[-1]):
             w = self.vertices[end]
             if w.syllables and not (len(w) == 1 and w.syllables[0].factor == factor_id):
                 raise EndpointsOutsideFactor(f"endpoint {w!r} is not in the {factor_id} copy")
         imgs = []
-        for i in path.vertices:
+        for i in walk:
             elt = project(self.vertices[i], factor_id)
             imgs.append(self.index_of(fp.embed(elt)))
-        return GraphPath(tuple(imgs))
+        return tuple(imgs)
 
     # -- export -----------------------------------------------------------------
 

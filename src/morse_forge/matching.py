@@ -11,7 +11,6 @@ candidate's own ray back and checking depth-T closeness exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import factors, morse, rays
 from .errors import DepthBudgetExceeded, Unmatched
@@ -31,12 +30,16 @@ class BoundaryHomeo:
     generators, possibly onto inverses) and ``lineswap`` (flip the two
     ends of a line).  Each rule is invertible within the same family and
     maps eventually periodic directions to eventually periodic ones.
+    ``letters`` maps signed source generators to target ones; it is built
+    and validated once, from the other fields, and takes no part in
+    equality or hashing.
     """
 
     source: factors.FactorSpec
     target: factors.FactorSpec
     rule: str
     perm: tuple[tuple[str, str], ...] = ()
+    letters: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.has_boundary() != self.target.has_boundary():
@@ -54,10 +57,9 @@ class BoundaryHomeo:
                 self.target.names
             ):
                 raise ValueError("identity rule needs factors of the same shape")
-        elif self.rule == PERM:
-            self._letter_map()  # validates
-        else:
+        elif self.rule != PERM:
             raise ValueError(f"unknown homeomorphism rule {self.rule!r}")
+        object.__setattr__(self, "letters", self._letter_map())  # validates a perm
 
     def _letter_map(self) -> dict[factors.Letter, factors.Letter]:
         src_bases = self.source.generators_base_count()
@@ -93,7 +95,7 @@ class BoundaryHomeo:
     def apply(self, z: factors.BoundaryPoint) -> factors.BoundaryPoint:
         if z.spec != self.source:
             raise ValueError("direction does not belong to the source factor")
-        mapping = self._letter_map()
+        mapping = self.letters
         return factors.BoundaryPoint.make(
             self.target,
             tuple(mapping[l] for l in z.prefix),
@@ -172,6 +174,7 @@ class MatchState:
         if homeo.source.id == homeo.target.id:
             raise ValueError("source and target factors need distinct ids")
         self.homeo = homeo
+        self.homeo_inverse = homeo.inverse()
         self.source = homeo.source
         self.target = homeo.target
         self.gauge = gauge
@@ -200,11 +203,11 @@ class MatchState:
         if side == 1:
             init_spec, init_enum, init_matched = self.source, self._enum_src, self.forward
             other_enum, other_matched = self._enum_tgt, self.backward
-            homeo_dir = self.homeo
+            homeo_dir, homeo_back = self.homeo, self.homeo_inverse
         else:
             init_spec, init_enum, init_matched = self.target, self._enum_tgt, self.backward
             other_enum, other_matched = self._enum_src, self.forward
-            homeo_dir = self.homeo.inverse()
+            homeo_dir, homeo_back = self.homeo_inverse, self.homeo
         x = init_enum.next_unmatched(init_matched)
         record: dict = {
             "seq": self.steps_taken,
@@ -217,15 +220,12 @@ class MatchState:
             self._commit(side, x, y, record, init_direction=None, target_direction=None)
             return record
         cr = corresponding_ray(init_spec, x)
-        t = morse.rational_ceil(
-            max(Fraction(cr.merge_depth) + 4 * self.delta_prime, 12 * self.delta_prime)
-        )
+        t = morse.nesting_constant(cr.merge_depth, self.gauge)
         if t > self.ray_depth:
             raise DepthBudgetExceeded(f"certification depth {t} exceeds ray budget {self.ray_depth}")
         z_img = homeo_dir.apply(cr.direction)
         lam_x = cr.direction.realization(t)
         eta = z_img.realization(self.index_scan)
-        homeo_back = homeo_dir.inverse()
         chosen = None
         for i in range(1, self.index_scan + 1):
             cand = eta[i]
@@ -259,11 +259,12 @@ class MatchState:
 
     def _tracks(self, back: factors.BoundaryPoint, lam_x, t: int):
         xi = back.realization(t)
+        close_below = morse.rational_ceil(self.delta_prime)  # distances are ints
         worst = 0
         for a, b in zip(xi, lam_x):
             d = factors.distance(a, b)
             worst = max(worst, d)
-            if d != 0 and d >= self.delta_prime:
+            if d != 0 and d >= close_below:
                 return False, worst
         return True, worst
 

@@ -3,11 +3,13 @@
 A gauge maps stability parameters (lam, eps) to a deviation bound.  All
 derived constants are evaluated exactly over rationals; table gauges
 never interpolate, they either hold the probe point or fail loudly.
+This module alone knows the (lam, eps) inequality: ``qg_bound`` turns it
+into int tables once per pair, and every quasi-geodesic verdict reads them.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from .errors import (
     PossiblyTruncated,
     RealizationCapExceeded,
 )
-from .graph import Ball, GraphPath
+from .graph import Ball
 
 AFFINE = "affine"
 TABLE = "table"
@@ -95,6 +97,15 @@ class Gauge:
         body = ",".join(f"({l},{e})={v}" for (l, e), v in self.entries)
         return f"table:{body}"
 
+    @functools.cached_property
+    def delta(self) -> Fraction:
+        """Closeness threshold max{4 g(1, 2 g(5,0)) + 2 g(5,0), 8 g(3,0)},
+        computed once; table gauges must hold all three probe points."""
+        m50 = self.value(5, 0)
+        m30 = self.value(3, 0)
+        m1 = self.value(1, 2 * m50)
+        return max(4 * m1 + 2 * m50, 8 * m30)
+
 
 def gauge_max(g1: Gauge, g2: Gauge) -> Gauge:
     """Pointwise maximum; the partial order's join."""
@@ -119,15 +130,8 @@ CANONICAL_TREE_GAUGE = Gauge.affine(0, Fraction(1, 2), Fraction(1, 2))
 
 
 def delta_of(gauge: Gauge) -> Fraction:
-    """Closeness threshold derived from a gauge.
-
-    Evaluates max{4 g(1, 2 g(5,0)) + 2 g(5,0), 8 g(3,0)}; table gauges
-    must hold all three probe points.
-    """
-    m50 = gauge.value(5, 0)
-    m30 = gauge.value(3, 0)
-    m1 = gauge.value(1, 2 * m50)
-    return max(4 * m1 + 2 * m50, 8 * m30)
+    """Closeness threshold derived from a gauge (see ``Gauge.delta``)."""
+    return gauge.delta
 
 
 def tracking_bound(gauge: Gauge, t: int) -> Fraction:
@@ -145,45 +149,92 @@ def nesting_constant(l: int, gauge: Gauge) -> int:
     return rational_ceil(max(_frac(l) + 4 * d, 12 * d))
 
 
-# -- quasi-geodesic predicate and enumeration ------------------------------
+# -- the (lam, eps) inequality and quasi-geodesic search --------------------
 
 
-def sequence_is_quasi_geodesic(dist, seq, lam, eps) -> bool:
-    """Two-sided (lam, eps) check over all index pairs of a vertex sequence."""
-    lam, eps = _frac(lam), _frac(eps)
-    n = len(seq)
-    for s in range(n):
-        for t in range(s + 1, n):
-            d = dist(seq[s], seq[t])
-            gap = Fraction(t - s)
-            if d > lam * gap + eps or d < gap / lam - eps:
+class _Table:
+    """value(0), value(1), ... as ints, each computed on first use and kept."""
+
+    def __init__(self, value):
+        self.value = value
+        self.items: list[int] = []
+
+    def __call__(self, i: int) -> int:
+        return self.upto(i)[i]
+
+    def upto(self, n: int) -> list[int]:
+        """The kept list, grown to cover index n; it may run further."""
+        for i in range(len(self.items), n + 1):
+            self.items.append(self.value(i))
+        return self.items
+
+
+class QGBound:
+    """The (lam, eps) quasi-geodesic inequality on int distances, built
+    once per pair by ``qg_bound``.
+
+    Walk vertices g steps apart at distance d satisfy it when
+    least(g) <= d <= most(g), and a quasi-geodesic between vertices d apart
+    has at most max_len(d) steps.  With lam = p/q and eps = r/s:
+
+        least(g)   = max(0, ceil(g/lam - eps)) = max(0, ceil((g q s - r p) / (p s)))
+        most(g)    = floor(lam g + eps)        = floor((g p s + r q) / (q s))
+        max_len(d) = floor(lam (d + eps))      = floor(p (d s + r) / (q s))
+
+    ``lam`` and ``eps`` stay Fractions for report text.
+    """
+
+    def __init__(self, lam, eps):
+        self.lam, self.eps = _frac(lam), _frac(eps)
+        if self.lam < 1 or self.eps < 0:
+            raise ValueError(f"quasi-geodesics need lam >= 1 and eps >= 0, got ({lam}, {eps})")
+        p, q = self.lam.numerator, self.lam.denominator
+        r, s = self.eps.numerator, self.eps.denominator
+        self.least = _Table(lambda g: max(0, -((r * p - g * q * s) // (p * s))))
+        self.most = _Table(lambda g: (g * p * s + r * q) // (q * s))
+        self.max_len = _Table(lambda d: p * (d * s + r) // (q * s))
+        # how far, in Hausdorff distance, a quasi-geodesic's projection may lie
+        self.hausdorff = (self.lam * self.lam * self.eps + self.eps + 1) // 1
+
+    def separated(self, gap: int, off: int) -> bool:
+        """The concatenation hypothesis |t - t'| >= 3 lam (d_p + d_q)."""
+        return self.lam.denominator * gap >= 3 * self.lam.numerator * off
+
+    @functools.cached_property
+    def concatenated(self) -> "QGBound":
+        """(3 lam, eps + 1), which joins must meet; the +1 absorbs vertex discretization."""
+        return qg_bound(3 * self.lam, self.eps + 1)
+
+
+@functools.cache
+def qg_bound(lam, eps) -> QGBound:
+    """The bound for (lam, eps), built once per pair."""
+    return QGBound(lam, eps)
+
+
+def _holds(ball: Ball, walk: tuple[int, ...], bound: QGBound) -> bool:
+    least, most = bound.least.upto(len(walk)), bound.most.upto(len(walk))
+    for s, x in enumerate(walk):
+        row = ball.row(x)
+        for gap in range(1, len(walk) - s):
+            if not least[gap] <= row[walk[s + gap]] <= most[gap]:
                 return False
     return True
 
 
-def is_quasi_geodesic(ball: Ball, path: GraphPath, lam, eps) -> bool:
-    return sequence_is_quasi_geodesic(ball.pair_distance, path.vertices, lam, eps)
+def _closest_point(ball: Ball, walk: tuple[int, ...], x: int) -> tuple[int, int]:
+    """(distance, index) of the first walk vertex closest to x."""
+    row = ball.row(x)
+    return min((row[g], i) for i, g in enumerate(walk))
 
 
-def min_distance_profile(lam, eps, max_gap: int) -> list[int]:
-    """Smallest admissible integer distance per index gap (0 if none)."""
-    lam, eps = _frac(lam), _frac(eps)
-    out = [0] * (max_gap + 1)
-    for gap in range(1, max_gap + 1):
-        need = Fraction(gap) / lam - eps
-        out[gap] = max(0, rational_ceil(need))
-    return out
+def is_quasi_geodesic(ball: Ball, walk: tuple[int, ...], lam, eps) -> bool:
+    """Two-sided (lam, eps) check over all index pairs of a walk."""
+    return _holds(ball, walk, qg_bound(lam, eps))
 
 
-def enumerate_quasi_geodesics(
-    ball: Ball,
-    u: int,
-    v: int,
-    lam,
-    eps,
-    cap: int | None = None,
-):
-    """Yield every (lam, eps)-quasi-geodesic edge path u -> v in the ball.
+def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | None = None):
+    """Every (lam, eps)-quasi-geodesic edge path u -> v in the ball.
 
     The upper quasi-geodesic bound holds automatically for unit steps, so
     the search prunes on the lower bound and on in-ball reachability.
@@ -191,23 +242,18 @@ def enumerate_quasi_geodesics(
     never changes its vertex set, so deviation and Hausdorff quantities
     are unaffected while the count explodes.
     """
-    lam, eps = _frac(lam), _frac(eps)
-    d_uv = ball.pair_distance(u, v)
-    max_len = math.floor(lam * (d_uv + eps))
-    min_need = min_distance_profile(lam, eps, max_len)
-    first_need = next((gap for gap, need in enumerate(min_need) if need), max_len + 1)
+    qg = qg_bound(lam, eps)
+    # pair constraint against the final vertex caps the total length:
+    # a walk visiting x at time s must finish by s + max_len(d(x, v))
+    end_slack = qg.max_len.upto(2 * ball.radius)
+    max_len = end_slack[ball.pair_distance(u, v)]
+    min_need = qg.least.upto(max_len)
+    first_need = end_slack[0] + 1  # least(gap) > 0 exactly when gap > lam * eps
     to_v = ball.in_ball_row(v)
     rows = [ball.row(i) for i in range(len(ball))]
-    # pair constraint against the final vertex caps the total length:
-    # a walk visiting x at time s must finish by s + floor(lam*(d(x,v)+eps))
-    end_slack = [math.floor(lam * (d + eps)) for d in range(2 * ball.radius + 1)]
     row_v = rows[v]
     neighbor_lists = [[n for _s, n in row if n is not None] for row in ball.adjacency]
-    count = 0
-    out: list[tuple[int, ...]] = []
-    if u == v:
-        out.append((u,))
-        count = 1
+    out: list[tuple[int, ...]] = [(u,)] if u == v else []
     walk = [u]
     bounds = [min(max_len, end_slack[row_v[u]])]
     # iterative DFS; each stack entry scans the options of one prefix
@@ -238,10 +284,9 @@ def enumerate_quasi_geodesics(
             continue
         walk.append(nxt)
         if nxt == v:
-            count += 1
-            if cap is not None and count > cap:
-                raise CapExceeded(count)
             out.append(tuple(walk))
+            if cap is not None and len(out) > cap:
+                raise CapExceeded(len(out))
         if done + 1 < bound:
             bounds.append(bound)
             stack.append(iter(neighbor_lists[nxt]))
@@ -250,22 +295,16 @@ def enumerate_quasi_geodesics(
     return out
 
 
-def estimate_gauge(ball: Ball, path: GraphPath, grid, path_cap: int | None = None) -> Gauge:
+def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | None = None) -> Gauge:
     """Empirical table gauge for a geodesic: per grid point, the maximal
     deviation over every enumerated quasi-geodesic with endpoints on it.
     """
-    verts = path.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if ball.pair_distance(verts[i], verts[j]) != j - i:
-                raise ValueError("estimate_gauge needs a geodesic path")
-    dev_to_path = [
-        min(ball.pair_distance(x, g) for g in verts) for x in range(len(ball))
-    ]
+    if not is_quasi_geodesic(ball, verts, 1, 0):  # (1, 0) means geodesic
+        raise ValueError("estimate_gauge needs a geodesic path")
+    dev_to_path = [_closest_point(ball, verts, x)[0] for x in range(len(ball))]
     entries = {}
     for lam, eps in grid:
-        worst = Fraction(0)
-        seen = 0
+        worst = seen = 0
         for i in range(len(verts)):
             for j in range(i, len(verts)):
                 try:
@@ -276,14 +315,14 @@ def estimate_gauge(ball: Ball, path: GraphPath, grid, path_cap: int | None = Non
                     raise BudgetExceeded(
                         f"more than {exc.count} quasi-geodesics at ({lam}, {eps})"
                     ) from exc
+                seen += len(walks)
                 for walk in walks:
-                    seen += 1
                     for x in walk:
                         if dev_to_path[x] > worst:
-                            worst = Fraction(dev_to_path[x])
+                            worst = dev_to_path[x]
         if seen == 0:
             raise BudgetExceeded("no admissible quasi-geodesics enumerated")
-        entries[(_frac(lam), _frac(eps))] = worst
+        entries[(lam, eps)] = worst  # Gauge.table makes Fractions of them
     return Gauge.table(entries, certified_radius=ball.radius)
 
 
@@ -302,43 +341,54 @@ class ConcatCertificate:
     verified: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "lam": str(self.lam),
-            "eps": str(self.eps),
-            "closest_to_p": self.closest_to_p,
-            "closest_to_q": self.closest_to_q,
-            "hypothesis_held": self.hypothesis_held,
-            "out_lam": str(self.out_lam),
-            "out_eps": str(self.out_eps),
-            "verified": self.verified,
-        }
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
 
 
-def concat_quasi_geodesic(ball: Ball, p: int, q: int, path: GraphPath, lam, eps):
-    """Join p and q to a quasi-geodesic through its closest points.
-
-    Returns the concatenated walk plus a certificate recording whether
-    the separation hypothesis held and whether the result verified at
-    (3 lam, eps + 1); the +1 absorbs the vertex discretization.
-    """
-    lam, eps = _frac(lam), _frac(eps)
-    verts = path.vertices
-    t = min(range(len(verts)), key=lambda i: (ball.pair_distance(p, verts[i]), i))
-    t2 = min(range(len(verts)), key=lambda i: (ball.pair_distance(q, verts[i]), i))
-    dp = ball.pair_distance(p, verts[t])
-    dq = ball.pair_distance(q, verts[t2])
-    hypothesis = Fraction(abs(t - t2)) >= 3 * lam * (dp + dq)
+def _join(ball: Ball, walk: tuple[int, ...], p: int, q: int, closest: dict, bound: QGBound):
+    (dp, t), (dq, t2) = closest[p], closest[q]
     try:
-        alpha = ball.first_geodesic(p, verts[t]).vertices
-        beta = ball.first_geodesic(verts[t2], q).vertices
+        alpha = ball.first_geodesic(p, walk[t])
+        beta = ball.first_geodesic(walk[t2], q)
     except PossiblyTruncated as exc:
         raise BallTooSmall("joining geodesics may leave the ball") from exc
-    middle = verts[t : t2 + 1] if t <= t2 else tuple(reversed(verts[t2 : t + 1]))
-    combined = tuple(alpha) + tuple(middle[1:]) + tuple(beta[1:])
-    out_lam, out_eps = 3 * lam, eps + 1
-    verified = sequence_is_quasi_geodesic(ball.pair_distance, combined, out_lam, out_eps)
-    cert = ConcatCertificate(lam, eps, t, t2, hypothesis, out_lam, out_eps, verified)
-    return GraphPath(combined), cert
+    middle = walk[t : t2 + 1] if t <= t2 else walk[t2 : t + 1][::-1]
+    combined = alpha + middle[1:] + beta[1:]
+    out = bound.concatenated
+    hypothesis = bound.separated(abs(t - t2), dp + dq)
+    verified = _holds(ball, combined, out)
+    cert = ConcatCertificate(bound.lam, bound.eps, t, t2, hypothesis, out.lam, out.eps, verified)
+    return combined, cert
+
+
+def concat_quasi_geodesic(ball: Ball, p: int, q: int, walk: tuple[int, ...], lam, eps):
+    """Join p and q to a quasi-geodesic walk through its closest points.
+
+    Returns the joined walk and a certificate of whether the separation
+    hypothesis held and whether the result verified at (3 lam, eps + 1).
+    """
+    closest = {x: _closest_point(ball, walk, x) for x in (p, q)}
+    return _join(ball, walk, p, q, closest, qg_bound(lam, eps))
+
+
+def separated_concatenations(ball: Ball, gamma: tuple[int, ...], lam, eps) -> list:
+    """(p, q, certificate), in sorted order, for every pair of vertices near
+    gamma that meets the separation hypothesis, joined as in
+    ``concat_quasi_geodesic``.  Near means on gamma, or one step off it when
+    floor(|gamma| / (3 lam)) >= 1, the hypothesis for a gap of |gamma| and
+    an offset of 1.  Each vertex's closest point is found once.
+    """
+    bound = qg_bound(lam, eps)
+    near = set(gamma)
+    if bound.separated(len(gamma) - 1, 1):
+        for g in gamma:
+            near.update(ball.neighbors(g))
+    closest = {x: _closest_point(ball, gamma, x) for x in sorted(near)}
+    joined = []
+    for p, (dp, tp) in closest.items():
+        for q, (dq, tq) in closest.items():
+            if bound.separated(abs(tp - tq), dp + dq):
+                joined.append((p, q, _join(ball, gamma, p, q, closest, bound)[1]))
+    return joined
 
 
 # -- neighborhoods -----------------------------------------------------------
@@ -368,8 +418,7 @@ class Neighborhood:
 
     @classmethod
     def around_ray(cls, gauge: Gauge, depth: int, ray, filled: bool = False) -> "Neighborhood":
-        verts = tuple(getattr(ray, "vertices", ray))
-        return cls(gauge, depth, (verts,), filled)
+        return cls(gauge, depth, (tuple(ray),), filled)
 
     @classmethod
     def around_vertex(
@@ -395,10 +444,8 @@ def neighborhood_member(space, nbhd: Neighborhood, candidate, cap: int | None = 
     threshold of all center realizations up to the depth.  Exactly
     coinciding points count as close even when the threshold is zero.
     """
-    delta = delta_of(nbhd.gauge)
-    if hasattr(candidate, "vertices"):
-        candidate_rays = [tuple(candidate.vertices)]
-    elif isinstance(candidate, (tuple, list)):
+    delta = rational_ceil(nbhd.gauge.delta)  # for an int d, d >= delta iff d >= ceil(delta)
+    if isinstance(candidate, (tuple, list)):
         candidate_rays = [tuple(candidate)]
     else:
         if not nbhd.filled:

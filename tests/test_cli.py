@@ -270,6 +270,14 @@ def test_negative_radius_is_usage_error(capsys):
     _assert_usage_error(exc.value.code, capsys.readouterr().err)
 
 
+def test_non_positive_steps_is_usage_error(capsys):
+    # a match of no rounds would pass vacuously
+    for steps in ("-3", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "--steps", steps])
+        _assert_usage_error(exc.value.code, capsys.readouterr().err)
+
+
 def test_lattice_dim_one_is_usage_error(tmp_path, capsys):
     first = [{"id": "A1", "kind": "lattice", "dim": 1}, {"id": "B1", "kind": "line", "names": ["y"]}]
     cfg = write_config(tmp_path, factors={"first": first, "second": []})

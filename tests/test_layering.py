@@ -1,11 +1,14 @@
-"""Factor kinds and payload layouts are known to factors.py alone, and a
-ball's distance stores to graph.py alone.
+"""Factor kinds and payload layouts are known to factors.py alone, a
+ball's distance stores to graph.py alone, and the (lam, eps) inequality to
+morse.py alone.
 
 Every other module reaches factor groups through ``FactorSpec`` and
 ``FactorElement`` methods, so adding or changing a kind touches one file.
 ``matching.BoundaryHomeo`` may still compare kinds while it validates a
 configured rule.  Other modules read ball distances through ``Ball``'s
-public methods (``row``, ``in_ball_row``, ``pair_distance``, ...).
+public methods (``row``, ``in_ball_row``, ``pair_distance``, ...).  The
+checks and the ball decide quasi-geodesic verdicts through ``morse``'s int
+bound, so they do no rational arithmetic of their own.
 """
 
 import re
@@ -20,6 +23,7 @@ PAYLOAD = re.compile(r"\.payload\b")
 PRIVATE = re.compile(r"\bfactors\._\w+")
 KIND = re.compile(r"\bfactors\.(LINE|LATTICE|FREE|FINITE)\b")
 BALL_PRIVATE = re.compile(r"\bball\._|\._(bfs|true_row)")
+RATIONAL = re.compile(r"\b(Fraction|fractions)\b")
 
 
 def _hits(pattern, paths):
@@ -49,3 +53,7 @@ def test_checks_and_rays_name_no_factor_kind():
 
 def test_no_ball_privates_outside_graph():
     assert _hits(BALL_PRIVATE, [p for p in SRC.glob("*.py") if p.name != "graph.py"]) == []
+
+
+def test_checks_and_graph_do_no_rational_arithmetic():
+    assert _hits(RATIONAL, [SRC / "checks.py", SRC / "graph.py"]) == []

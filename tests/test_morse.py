@@ -1,5 +1,6 @@
 """Gauges, derived constants, quasi-geodesic machinery, neighborhoods."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from morse_forge import CANONICAL_TREE_GAUGE, FactorSpace, Gauge
 from morse_forge import morse
 from morse_forge.errors import GridMiss, RealizationCapExceeded
-from morse_forge.graph import Ball, GraphPath
+from morse_forge.graph import Ball
 from morse_forge.morse import (
     Neighborhood,
     concat_quasi_geodesic,
@@ -98,7 +99,7 @@ def test_geodesic_is_quasi_geodesic(zz):
 def test_backtrack_needs_eps(zz):
     ball = Ball.build(zz, 2)
     x = ball.index_of(zz.parse("x"))
-    back = GraphPath((0, x, 0))
+    back = (0, x, 0)
     assert is_quasi_geodesic(ball, back, 1, 2)
     assert not is_quasi_geodesic(ball, back, 1, 1)
 
@@ -107,16 +108,31 @@ def test_enumeration_matches_path_filter(zz):
     # oracle: quasi-geodesics = all edge walks passing the predicate
     ball = Ball.build(zz, 3)
     u, v = 0, ball.index_of(zz.parse("x^2"))
-    for lam, eps in ((1, 2), (2, 1)):
+    for lam, eps in ((1, 2), (2, 1), (Fraction(3, 2), Fraction(1, 2))):
         got = sorted(enumerate_quasi_geodesics(ball, u, v, lam, eps))
         walks = ball.enumerate_paths(u, v, int(lam * (ball.pair_distance(u, v) + eps)))
         expect = sorted(
-            w.vertices
+            w
             for w in walks
-            if all(a != b for a, b in zip(w.vertices, w.vertices[1:]))
+            if all(a != b for a, b in zip(w, w[1:]))
             and is_quasi_geodesic(ball, w, lam, eps)
         )
         assert got == expect
+
+
+@pytest.mark.parametrize("lam", [1, Fraction(3, 2), 2, Fraction(5, 2), 3])
+@pytest.mark.parametrize("eps", [0, Fraction(1, 2), 1, 2, 3])
+def test_integer_bound_matches_fraction_definitions(lam, eps):
+    # the int tables must decide exactly as the rational inequality does
+    bound = morse.qg_bound(lam, eps)
+    lam, eps = Fraction(lam), Fraction(eps)
+    for n in range(41):
+        lower, upper = n / lam - eps, lam * n + eps
+        assert bound.least(n) == max(0, math.ceil(lower))
+        assert bound.most(n) == math.floor(upper)
+        assert bound.max_len(n) == math.floor(lam * (n + eps))
+        for d in range(41):
+            assert (lower <= d <= upper) == (bound.least(n) <= d <= bound.most(n))
 
 
 # -- gauge estimation -----------------------------------------------------------
@@ -156,7 +172,7 @@ def test_estimate_gauge_subsegment_bounded(lattice_product):
     # quasi-geodesics over a subsegment are a subfamily of the full segment's
     ball = Ball.build(lattice_product, 3)
     full = ball.first_geodesic(0, ball.index_of(lattice_product.parse("a1^3")))
-    sub = GraphPath(full.vertices[:3])
+    sub = full[:3]
     grid = [(1, 2), (2, 1)]
     g_full = estimate_gauge(ball, full, grid)
     g_sub = estimate_gauge(ball, sub, grid)
@@ -179,8 +195,8 @@ def test_estimated_tree_tables_below_canonical(zz):
 def test_concat_trivial_endpoints(zz):
     ball = Ball.build(zz, 3)
     path = ball.first_geodesic(0, ball.index_of(zz.parse("x^3")))
-    out, cert = concat_quasi_geodesic(ball, path.vertices[0], path.vertices[-1], path, 1, 0)
-    assert out.vertices == path.vertices
+    out, cert = concat_quasi_geodesic(ball, path[0], path[-1], path, 1, 0)
+    assert out == path
     assert cert.hypothesis_held and cert.verified
 
 
@@ -194,7 +210,7 @@ def test_concat_spec_instance(zz):
     assert not cert.hypothesis_held  # separation 4 < 3*(1+1)
     assert cert.verified  # still a (3, 1) quasi-geodesic
     assert cert.out_lam == 3 and cert.out_eps == 1
-    assert out.vertices[0] == p and out.vertices[-1] == q
+    assert out[0] == p and out[-1] == q
 
 
 def test_concat_hypothesis_instances_verify(zz, lattice_product):
@@ -206,7 +222,7 @@ def test_concat_hypothesis_instances_verify(zz, lattice_product):
             if ball.dist[w] < 3:
                 continue
             for gamma in ball.enumerate_geodesics(0, w, cap=8):
-                near = sorted(set(gamma.vertices))
+                near = sorted(set(gamma))
                 for p in near:
                     for q in near:
                         out, cert = concat_quasi_geodesic(ball, p, q, gamma, 1, 0)

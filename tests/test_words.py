@@ -108,9 +108,9 @@ def test_prefix_vertices_are_the_product_level_forced_set(zz, lattice_product):
         for idx in range(1, len(ball)):
             w = ball.vertex(idx)
             geods = ball.enumerate_geodesics(0, idx, cap=512)
-            forced = set(geods[0].vertices)
+            forced = set(geods[0])
             for p in geods[1:]:
-                forced &= set(p.vertices)
+                forced &= set(p)
             prefixes = {ball.index_of(p) for p in fp.prefix_vertices(w)}
             assert prefixes <= forced
             # the factor-forced part: intersect per-syllable factor geodesics
