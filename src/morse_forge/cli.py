@@ -143,6 +143,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         grid = [(Fraction(l), Fraction(e)) for l, e in raw["grid"]]
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"grid entries must be pairs of numbers: {exc}") from exc
+    if any(l < 1 or e < 0 for l, e in grid):
+        raise ParseError("grid entries need lambda >= 1 and eps >= 0")
     if (Fraction(5), Fraction(0)) not in grid or (Fraction(3), Fraction(0)) not in grid:
         raise ParseError("grid must contain the probe points (5,0) and (3,0)")
     seed = raw.get("seed", 0)

@@ -360,9 +360,9 @@ class FactorSpec:
     full multiplication table over element indices and ``gen_elems``
     lists the generating element indices (closed under inversion).
     ``ops`` holds the kind's operations; it is derived from the other
-    fields and takes no part in equality or hashing.  The hash is computed
-    once, since every dict or set operation on an element hashes its spec
-    and a finite table is large.
+    fields and takes no part in equality or hashing.  The tuple of compared
+    fields and its hash are computed once, since every dict or set
+    operation on an element hashes its spec and a finite table is large.
     """
 
     id: str
@@ -373,6 +373,7 @@ class FactorSpec:
     table: tuple[tuple[int, ...], ...] = ()
     gen_elems: tuple[int, ...] = ()
     ops: object = field(default=None, init=False, repr=False, compare=False)
+    _key: tuple = field(default=(), init=False, repr=False, compare=False)
     _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -383,11 +384,22 @@ class FactorSpec:
         if self.kind not in _OPS:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         ops = _OPS[self.kind](self)
-        # generator steps are the inner loop of ball and geodesic searches
+        # generator steps are the inner loop of ball searches
         ops.steps = {(g.base, g.sign): FactorElement(self, ops.power(g.base, g.sign)) for g in ops.generators}
+        # (g, g^-1) payloads in generator order, for searches on payloads
+        ops.moves = tuple((g.payload, ops.inverse(g.payload)) for g in ops.steps.values())
         object.__setattr__(self, "ops", ops)
         key = tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other) -> bool:
+        # every element operation compares specs; most compare one object
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -525,27 +537,36 @@ def step(x: FactorElement, gen: Generator) -> FactorElement:
 
 
 def geodesics(x: FactorElement, y: FactorElement, cap: int | None = None):
-    """All geodesic vertex paths from x to y, in generator-index order."""
+    """All geodesic vertex paths from x to y, in generator-index order.
+
+    The search runs on payloads and carries the residual r = cur^-1 y:
+    the step by g leaves g^-1 r, and it is geodesic exactly when that has
+    norm one less.  Only the paths returned are wrapped as elements.
+    """
     spec = _same_factor(x, y)
+    ops = spec.ops
+    mul, norm, moves = ops.multiply, ops.norm, ops.moves
     paths: list[tuple[FactorElement, ...]] = []
     count = 0
-    gens = spec.generators()
-
-    def rec(cur: FactorElement, acc: list[FactorElement], remaining: int):
-        nonlocal count
+    path: list = []  # payloads from x to the current vertex
+    r = mul(ops.inverse(x.payload), y.payload)
+    stack = [(0, x.payload, r, norm(r))]  # (depth, vertex, residual, remaining)
+    while stack:
+        depth, cur, r, remaining = stack.pop()
+        del path[depth:]
+        path.append(cur)
         if remaining == 0:
             count += 1
             if cap is None or count <= cap:
-                paths.append(tuple(acc))
-            return
-        for gen in gens:
-            nxt = step(cur, gen)
-            if distance(nxt, y) == remaining - 1:
-                acc.append(nxt)
-                rec(nxt, acc, remaining - 1)
-                acc.pop()
-
-    rec(x, [x], distance(x, y))
+                paths.append(tuple(FactorElement(spec, p) for p in path))
+            continue
+        below = remaining - 1
+        children = []
+        for g, g_inv in moves:
+            rest = mul(g_inv, r)
+            if norm(rest) == below:
+                children.append((depth + 1, mul(cur, g), rest, below))
+        stack.extend(reversed(children))  # the first generator is searched first
     if cap is not None and count > cap:
         raise CapExceeded(count)
     return paths
@@ -554,16 +575,18 @@ def geodesics(x: FactorElement, y: FactorElement, cap: int | None = None):
 def first_geodesic(x: FactorElement, y: FactorElement) -> tuple[FactorElement, ...]:
     """The lexicographically first geodesic from x to y (greedy, linear time)."""
     spec = _same_factor(x, y)
-    gens = spec.generators()
+    ops = spec.ops
+    mul, norm = ops.multiply, ops.norm
     path = [x]
-    cur = x
-    remaining = distance(x, y)
+    cur = x.payload
+    r = mul(ops.inverse(cur), y.payload)
+    remaining = norm(r)
     while remaining:
-        for gen in gens:
-            nxt = step(cur, gen)
-            if distance(nxt, y) == remaining - 1:
-                path.append(nxt)
-                cur = nxt
+        for g, g_inv in ops.moves:
+            rest = mul(g_inv, r)
+            if norm(rest) == remaining - 1:
+                cur, r = mul(cur, g), rest
+                path.append(FactorElement(spec, cur))
                 remaining -= 1
                 break
         else:
@@ -627,27 +650,23 @@ class BoundaryPoint:
             raise ValueError("sign is only defined for bare directions")
         return self.block[0][1]
 
-    def letters(self, n: int) -> tuple[Letter, ...]:
-        out = list(self.prefix[:n])
-        i = 0
-        while len(out) < n:
-            out.append(self.block[i % len(self.block)])
-            i += 1
-        return tuple(out)
-
-    def realization(self, depth: int) -> tuple[FactorElement, ...]:
-        """The geodesic ray prefix of the given length representing this direction."""
+    def vertices(self):
+        """The vertices of the geodesic ray representing this direction,
+        from the identity on, built one at a time as they are read."""
         spec = self.spec
         from_runs = spec.ops.from_runs
-        verts = [spec.identity()]
+        yield spec.identity()
         runs: list[list[int]] = []
-        for base, sign in self.letters(depth):
+        for base, sign in itertools.chain(self.prefix, itertools.cycle(self.block)):
             if runs and runs[-1][0] == base:
                 runs[-1][1] += sign
             else:
                 runs.append([base, sign])
-            verts.append(FactorElement(spec, from_runs(runs)))
-        return tuple(verts)
+            yield FactorElement(spec, from_runs(runs))
+
+    def realization(self, depth: int) -> tuple[FactorElement, ...]:
+        """The geodesic ray prefix of the given length representing this direction."""
+        return tuple(itertools.islice(self.vertices(), depth + 1))
 
     def format(self) -> str:
         return self.spec.ops.direction_text(self.prefix, self.block)

@@ -270,7 +270,10 @@ class Ball:
                     rec(n, acc)
                     acc.pop()
 
-        rec(u, [u])
+        try:
+            rec(u, [u])
+        finally:
+            del rec  # rec refers to itself through its cell; free the search now
         if cap is not None and count > cap:
             raise CapExceeded(count)
         return out
@@ -316,7 +319,10 @@ class Ball:
                     rec(nxt, acc)
                     acc.pop()
 
-        rec(u, [u])
+        try:
+            rec(u, [u])
+        finally:
+            del rec  # rec refers to itself through its cell; free the search now
         if cap is not None and count > cap:
             raise CapExceeded(count)
         return out

@@ -225,13 +225,13 @@ class MatchState:
             raise DepthBudgetExceeded(f"certification depth {t} exceeds ray budget {self.ray_depth}")
         z_img = homeo_dir.apply(cr.direction)
         lam_x = cr.direction.realization(t)
-        eta = z_img.realization(self.index_scan)
+        eta = z_img.vertices()  # the scan builds only the vertices it reads
+        next(eta)  # the identity is matched from the start
         chosen = None
-        for i in range(1, self.index_scan + 1):
-            cand = eta[i]
+        for i, cand in zip(range(1, self.index_scan + 1), eta):
             if cand in other_matched:
                 continue
-            back = homeo_back.apply(corresponding_ray(eta[i].spec, cand).direction)
+            back = homeo_back.apply(corresponding_ray(cand.spec, cand).direction)
             ok, worst = self._tracks(back, lam_x, t)
             if ok:
                 chosen = (i, cand, worst)

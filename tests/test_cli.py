@@ -300,6 +300,16 @@ def test_non_numeric_grid_is_usage_error(tmp_path, capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("point", [[0.5, 0], [1, -1]])
+def test_out_of_range_grid_is_usage_error(tmp_path, capsys, point):
+    # gauge reads every grid point; (lambda, eps) bounds need lambda >= 1, eps >= 0
+    cfg = write_config(tmp_path, grid=[point, [1, 0], [3, 0], [5, 0]])
+    args = ["--config", str(cfg), "--out", str(tmp_path), "gauge", "x", "--radius", "2"]
+    code, _out, err = run_cli(args, capsys)
+    _assert_usage_error(code, err)
+    assert "grid" in err
+
+
 @pytest.mark.parametrize("seed", ["x", True, 1.5])
 def test_non_integer_seed_is_usage_error(tmp_path, capsys, seed):
     cfg = write_config(tmp_path, seed=seed)

@@ -127,6 +127,60 @@ def test_geodesics_cap(lattice2):
     assert exc.value.count == 6
 
 
+def _reference_geodesics(x, y):
+    """The search on elements: try every generator with step, keep it when
+    distance drops by one."""
+    paths = []
+
+    def rec(cur, acc, remaining):
+        if remaining == 0:
+            paths.append(tuple(acc))
+            return
+        for gen in x.spec.generators():
+            nxt = factors.step(cur, gen)
+            if factors.distance(nxt, y) == remaining - 1:
+                rec(nxt, acc + [nxt], remaining - 1)
+
+    rec(x, [x], factors.distance(x, y))
+    return paths
+
+
+def test_payload_search_matches_element_search(line_a, lattice2, free2, z6):
+    for spec in (line_a, lattice2, free2, z6):
+        elements = Ball.build(FactorSpace(spec), 4).vertices
+        starts = [spec.identity(), elements[1], elements[-1]]
+        for x in starts:
+            for y in elements:
+                want = _reference_geodesics(x, y)
+                assert factors.geodesics(x, y) == want
+                assert factors.first_geodesic(x, y) == want[0]
+                assert factors.geodesics(x, y, cap=len(want)) == want
+                if len(want) > 1:
+                    with pytest.raises(CapExceeded) as exc:
+                        factors.geodesics(x, y, cap=len(want) - 1)
+                    assert exc.value.count == len(want)
+
+
+def test_ray_walker_gives_every_realization(line_a, free2):
+    directions = [
+        BoundaryPoint.line_end(line_a, 1),
+        BoundaryPoint.line_end(line_a, -1),
+        BoundaryPoint.make(free2, (), ((0, 1),)),
+        BoundaryPoint.make(free2, (), ((0, 1), (1, -1))),
+        BoundaryPoint.make(free2, ((1, 1), (1, 1)), ((0, -1),)),
+        BoundaryPoint.make(free2, ((0, 1), (1, -1)), ((0, 1), (1, 1), (1, 1))),
+    ]
+    for z in directions:
+        walker = z.vertices()
+        first = [next(walker) for _ in range(41)]
+        for n in range(41):
+            assert z.realization(n) == tuple(first[: n + 1])
+        # consecutive vertices are one generator apart, from the identity on
+        assert first[0].is_identity()
+        assert all(factors.distance(a, b) == 1 for a, b in zip(first, first[1:]))
+        assert [v.norm() for v in first] == list(range(41))
+
+
 def test_boundary_ray_line(line_a):
     plus = BoundaryPoint.line_end(line_a, 1)
     assert [v.payload for v in plus.realization(3)] == [0, 1, 2, 3]

@@ -1,10 +1,11 @@
 """Cayley-graph balls: BFS metric, enumeration, projection."""
 
+import gc
 from collections import defaultdict
 
 import pytest
 
-from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks
+from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, factors
 from morse_forge.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -244,3 +245,20 @@ def test_exports(zz, tmp_path):
     assert data["vertices"][0] == "e"
     dot = ball.to_dot()
     assert dot.startswith("graph ball {") and dot.count("--") == 16
+
+
+def test_searches_leave_no_reference_cycles(zz, lattice2):
+    # results are freed as soon as their caller drops them, without waiting
+    # for the cyclic collector
+    ball = Ball.build(zz, 4)
+    e, target = lattice2.identity(), lattice2.make_element((2, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        for w in range(len(ball)):
+            assert ball.enumerate_paths(0, w, ball.dist[w] + 2)  # prefix-transit, slack 2
+            assert ball.enumerate_geodesics(0, w)
+        assert len(factors.geodesics(e, target)) == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -11,12 +11,16 @@ checks and the ball decide quasi-geodesic verdicts through ``morse``'s int
 bound, so they do no rational arithmetic of their own.
 """
 
+import importlib
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import morse_forge
 
 SRC = Path(morse_forge.__file__).parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 OTHERS = sorted(p for p in SRC.glob("*.py") if p.name != "factors.py")
 
 PAYLOAD = re.compile(r"\.payload\b")
@@ -57,3 +61,23 @@ def test_no_ball_privates_outside_graph():
 
 def test_checks_and_graph_do_no_rational_arithmetic():
     assert _hits(RATIONAL, [SRC / "checks.py", SRC / "graph.py"]) == []
+
+
+def test_tracer_targets_resolve_to_plain_functions():
+    # the benchmark's --trace 1 wraps these names; a rename or a generator
+    # would break it (the tracer file is only read here)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, attr, _kind, _hook in tracer.TARGETS:
+        obj = importlib.import_module(f"morse_forge.{module_name}")
+        owner, _, leaf = attr.rpartition(".")
+        if owner:
+            obj = getattr(obj, owner)
+            fn = obj.__dict__[leaf]
+        else:
+            fn = getattr(obj, leaf)
+        fn = getattr(fn, "__func__", fn)  # a classmethod wraps its function
+        assert inspect.isfunction(fn), f"{module_name}.{attr}"
+        assert not inspect.isgeneratorfunction(fn), f"{module_name}.{attr}"

@@ -277,3 +277,24 @@ def test_check_convergence_free_perm():
     r = check_convergence(state, seq, z, depth=2, extra_rounds=2048)
     assert r["image_z"] == "e~y x"
     assert all(e["holds_at_tail"] for e in r["per_k"])
+
+
+def test_index_scan_reads_the_image_ray_lazily():
+    # the scan walks the image ray only as far as it reads, so a budget of
+    # 10**5 costs what 512 does and writes the same transcript
+    free = [FactorSpec.free_group(f"A{i}", 2, names=("x", "y")) for i in (1, 2)]
+    homeos = [
+        BoundaryHomeo(*_line_pair(), "identity"),
+        BoundaryHomeo(*_line_pair(), "lineswap"),
+        BoundaryHomeo(*free, "perm", perm=(("x", "y^-1"), ("y", "x"))),
+    ]
+    for homeo in homeos:
+        transcripts = []
+        for index_scan in (512, 10**5):
+            state = MatchState(homeo, index_scan=index_scan)
+            for _ in range(10):
+                state.step(1)
+                state.step(2)
+            transcripts.append(state.records)
+        assert len(transcripts[0]) == 20
+        assert transcripts[0] == transcripts[1]
