@@ -78,9 +78,8 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
         ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices
     ]
     n = len(ball)
-    fixed = [proj_map[i] == i for i in range(n)]
     # the projection retracts onto the factor copy, so it fixes exactly the copy
-    copy_a = [i for i in range(n) if fixed[i]]
+    copy_a = [i for i in range(n) if proj_map[i] == i]
     dist = [ball.row(u) for u in range(n)]
     symmetries = ball_symmetries(ball)
     orbits: dict[tuple[int, int], int] = {}
@@ -100,27 +99,16 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     for bound in bounds:
         # no enumerated walk is longer than max_len of the ball's diameter
         least = bound.least.upto(bound.max_len(2 * radius))
-        haus_bound = bound.hausdorff
         for (u, v), weight in sorted(orbits.items()):
-            for walk in morse.enumerate_quasi_geodesics(ball, u, v, bound.lam, bound.eps, cap=path_cap):
-                instances += 1
-                covered += weight
-                if all(fixed[x] for x in walk):
-                    continue  # projection is the identity on such walks
-                proj = [proj_map[x] for x in walk]
-                easy_haus = max(proj_gap[x] for x in walk) <= haus_bound
-                bad = _projection_violation(
-                    dist, proj, walk, least, None if easy_haus else haus_bound
+            bad: list = []
+            visit = projection_visitor(dist, proj_map, proj_gap, v, bound, least, bound.hausdorff, bad)
+            walks = morse.scan_quasi_geodesics(ball, u, v, bound, visit, PROJECTION_START, path_cap)
+            instances += walks
+            covered += walks * weight
+            for walk, reason in bad:
+                failures.append(
+                    {"lam": str(bound.lam), "eps": str(bound.eps), "walk": list(walk), "reason": reason}
                 )
-                if bad:
-                    failures.append(
-                        {
-                            "lam": str(bound.lam),
-                            "eps": str(bound.eps),
-                            "walk": list(walk),
-                            "reason": bad,
-                        }
-                    )
     return _report(
         "projection-qg",
         {"radius": radius, "grid": [[str(b.lam), str(b.eps)] for b in bounds]},
@@ -134,38 +122,89 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     )
 
 
-def _projection_violation(dist, proj, walk, least, haus_bound):
-    # collapse the projected path into runs of constant value: inside a run
-    # only the index span matters, across runs the widest index gap is the
-    # binding one since the required distance grows with the gap
-    runs = []
-    start = 0
-    for t in range(1, len(proj) + 1):
-        if t == len(proj) or proj[t] != proj[start]:
-            runs.append((proj[start], start, t - 1))
-            start = t
-    for value, s, e in runs:
-        if least[e - s]:
-            return "projection lower bound"
-    for i in range(len(runs)):
-        vi, si, _ei = runs[i]
-        row = dist[vi]
-        for j in range(i + 1, len(runs)):
-            vj, _sj, ej = runs[j]
-            if row[vj] < least[ej - si]:
-                return "projection lower bound"
-    if haus_bound is not None:
-        proj_set = sorted({v for v, _s, _e in runs})
-        for x in walk:
-            row = dist[x]
-            if min(row[p] for p in proj_set) > haus_bound:
-                return "hausdorff bound"
-        walk_set = sorted(set(walk))
-        for p in proj_set:
-            row = dist[p]
-            if min(row[x] for x in walk_set) > haus_bound:
-                return "hausdorff bound"
-    return None
+#: State of the empty prefix for ``projection_visitor``: no projected runs,
+#: no broken lower bound, largest d(x, pi(x)) so far 0.
+PROJECTION_START = (0, False, 0)
+
+
+def projection_visitor(dist, proj_map, proj_gap, v, bound, least, haus_bound, failures):
+    """A ``morse.scan_quasi_geodesics`` visitor, for a search run with
+    ``bound``, that decides for each walk ending at v whether its
+    projection pi(walk) breaks the lower bound ``least`` (indexed by index
+    gap) or lies farther than ``haus_bound`` from the walk in Hausdorff
+    distance.  Failing walks are appended to ``failures`` as (walk, reason)
+    in search order.
+
+    The projected path is kept as runs of constant value, (value, start)
+    pairs in one list shared by the whole search; a prefix's state holds
+    its run count, so a visit first cuts the list back to its parent's
+    runs.  Inside a run only the index span matters, and across runs the
+    widest index gap binds, since ``least`` never decreases.  So a run's
+    span is checked on each extension and its constraints against the
+    earlier runs once, when it closes or the walk ends; a prefix that
+    breaks one stays broken in every extension.
+
+    On a prefix inside the factor copy pi is the identity, so when
+    ``least`` asks no more than the search's own lower bound, the search
+    has already checked the prefix and only its runs are recorded.
+    """
+    runs: list[tuple[int, int]] = []
+    copy_checked = all(need <= have for need, have in zip(least, bound.least.upto(len(least) - 1)))
+
+    def closes_badly(t: int) -> bool:
+        # the last run ends at index t: compare it with every earlier run
+        last = len(runs) - 1
+        row = dist[runs[last][0]]
+        for i in range(last):
+            value, start = runs[i]
+            if row[value] < least[t - start]:
+                return True
+        return False
+
+    def visit(state, walk, t):
+        nruns, broken, worst = state
+        x = walk[t]
+        if copy_checked and not worst and not proj_gap[x]:
+            del runs[nruns:]
+            runs.append((x, t))
+            return nruns + 1, False, 0
+        if proj_gap[x] > worst:
+            worst = proj_gap[x]
+        if not broken:
+            del runs[nruns:]
+            p = proj_map[x]
+            if nruns and runs[-1][0] == p:
+                broken = least[t - runs[-1][1]] > 0
+            else:
+                broken = nruns > 0 and closes_badly(t - 1)
+                runs.append((p, t))
+                nruns += 1
+            if x == v and not broken:
+                broken = closes_badly(t)
+        if x == v:
+            if broken:
+                failures.append((tuple(walk), "projection lower bound"))
+            elif worst > haus_bound and _hausdorff_exceeds(dist, walk, runs, haus_bound):
+                failures.append((tuple(walk), "hausdorff bound"))
+        return nruns, broken, worst
+
+    return visit
+
+
+def _hausdorff_exceeds(dist, walk, runs, haus_bound) -> bool:
+    """Whether the walk and the values of its projected runs lie farther
+    than haus_bound apart in Hausdorff distance."""
+    proj_set = {value for value, _start in runs}
+    for x in walk:
+        row = dist[x]
+        if min(row[p] for p in proj_set) > haus_bound:
+            return True
+    walk_set = set(walk)
+    for p in proj_set:
+        row = dist[p]
+        if min(row[x] for x in walk_set) > haus_bound:
+            return True
+    return False
 
 
 # -- concatenation ------------------------------------------------------------

@@ -208,10 +208,10 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
     # flags that are not given leave the check's own defaults in force
     if check_id == "prefix-transit":
         given = {} if radius is None else {"radius": radius}
-        report = checks.run_prefix_transit(fp, path_cap=budgets["path_cap"], **given)
+        report = _path_capped(checks.run_prefix_transit, fp, budgets["path_cap"], **given)
     elif check_id == "projection-qg":
         given = {} if lam is None else {"grid": [(lam, eps)]}
-        report = checks.run_projection_qg(fp, radius=ball_radius, path_cap=budgets["path_cap"], **given)
+        report = _path_capped(checks.run_projection_qg, fp, budgets["path_cap"], radius=ball_radius, **given)
     elif check_id == "concat-qg":
         report = checks.run_concat_qg(fp, radius=ball_radius)
     elif check_id == "nbhd-nesting":
@@ -232,6 +232,14 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
         (cfg.output / f"ball-r{ball.radius}.dot").write_text(ball.to_dot(), encoding="utf-8")
         _write_report(cfg, f"ball-r{ball.radius}.json", ball.to_json_dict())
     return _status_exit(report)
+
+
+def _path_capped(run, fp: FreeProduct, path_cap: int, **kwargs) -> dict:
+    """Run a check whose path enumerations are capped by the path_cap budget."""
+    try:
+        return run(fp, path_cap=path_cap, **kwargs)
+    except CapExceeded as exc:
+        raise BudgetExceeded(f"budget path_cap {path_cap} exceeded: {exc.count} paths enumerated") from exc
 
 
 def _write_counterexample_paths(cfg: RunConfig, check_id: str, report: dict) -> None:

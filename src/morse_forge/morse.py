@@ -233,8 +233,18 @@ def is_quasi_geodesic(ball: Ball, walk: tuple[int, ...], lam, eps) -> bool:
     return _holds(ball, walk, qg_bound(lam, eps))
 
 
-def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | None = None):
-    """Every (lam, eps)-quasi-geodesic edge path u -> v in the ball.
+def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, state, cap: int | None = None) -> int:
+    """Depth-first search over the bound's quasi-geodesic edge paths u -> v
+    in the ball; returns how many there are.
+
+    ``visit(state, walk, t)`` is called once on every prefix walk[:t + 1]
+    of a walk, in search order, each prefix after its parent; ``walk`` is
+    the search's own list, valid only during the call.  The state returned
+    for a prefix is passed to the visits of its extensions, so a caller can
+    carry work along shared prefixes instead of rescanning whole walks.  A
+    prefix is a walk when it ends at v (then t == len(walk) - 1); it may
+    still be extended.  Prefixes are visited only once a walk through them
+    is found, so branches that never reach v cost the caller nothing.
 
     The upper quasi-geodesic bound holds automatically for unit steps, so
     the search prunes on the lower bound and on in-ball reachability.
@@ -242,19 +252,23 @@ def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | N
     never changes its vertex set, so deviation and Hausdorff quantities
     are unaffected while the count explodes.
     """
-    qg = qg_bound(lam, eps)
     # pair constraint against the final vertex caps the total length:
     # a walk visiting x at time s must finish by s + max_len(d(x, v))
-    end_slack = qg.max_len.upto(2 * ball.radius)
+    end_slack = bound.max_len.upto(2 * ball.radius)
     max_len = end_slack[ball.pair_distance(u, v)]
-    min_need = qg.least.upto(max_len)
+    min_need = bound.least.upto(max_len)
     first_need = end_slack[0] + 1  # least(gap) > 0 exactly when gap > lam * eps
     to_v = ball.in_ball_row(v)
     rows = [ball.row(i) for i in range(len(ball))]
     row_v = rows[v]
     neighbor_lists = [[n for _s, n in row if n is not None] for row in ball.adjacency]
-    out: list[tuple[int, ...]] = [(u,)] if u == v else []
     walk = [u]
+    # states[k] follows the visit of walk[:k]; the deeper prefixes are unvisited
+    states = [state]
+    count = 0
+    if u == v:
+        count = 1
+        states.append(visit(state, walk, 0))
     bounds = [min(max_len, end_slack[row_v[u]])]
     # iterative DFS; each stack entry scans the options of one prefix
     stack = [iter(neighbor_lists[u] if max_len else ())]
@@ -264,34 +278,48 @@ def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | N
             stack.pop()
             walk.pop()
             bounds.pop()
+            if len(states) > len(walk) + 1:
+                states.pop()
             continue
-        done = len(walk) - 1
-        back = to_v[nxt]
-        bound = bounds[-1]
-        cand = done + 1 + end_slack[row_v[nxt]]
-        if cand < bound:
-            bound = cand
-        if done + 1 + back > bound:
+        t = len(walk)  # the index nxt would take
+        limit = bounds[-1]
+        cand = t + end_slack[row_v[nxt]]
+        if cand < limit:
+            limit = cand
+        if t + to_v[nxt] > limit:
             continue
         row = rows[nxt]
-        ok = True
-        gap = done + 1
-        for s in range(done + 2 - first_need):  # widest gaps first: they bind
-            if row[walk[s]] < min_need[gap - s]:
-                ok = False
+        for s in range(t + 1 - first_need):  # widest gaps first: they bind
+            if row[walk[s]] < min_need[t - s]:
                 break
-        if not ok:
-            continue
-        walk.append(nxt)
-        if nxt == v:
-            out.append(tuple(walk))
-            if cap is not None and len(out) > cap:
-                raise CapExceeded(len(out))
-        if done + 1 < bound:
-            bounds.append(bound)
-            stack.append(iter(neighbor_lists[nxt]))
         else:
-            walk.pop()
+            walk.append(nxt)
+            if nxt == v:
+                count += 1
+                if cap is not None and count > cap:
+                    raise CapExceeded(count)
+                for k in range(len(states) - 1, t + 1):
+                    states.append(visit(states[-1], walk, k))
+            if t < limit:
+                bounds.append(limit)
+                stack.append(iter(neighbor_lists[nxt]))
+            else:
+                walk.pop()  # only a walk ending at v reaches its length limit
+                states.pop()
+    return count
+
+
+def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | None = None):
+    """Every (lam, eps)-quasi-geodesic edge path u -> v in the ball, as
+    tuples in search order (see ``scan_quasi_geodesics``)."""
+    out: list[tuple[int, ...]] = []
+
+    def collect(state, walk, t):
+        if walk[t] == v:
+            out.append(tuple(walk))
+        return state
+
+    scan_quasi_geodesics(ball, u, v, qg_bound(lam, eps), collect, None, cap)
     return out
 
 

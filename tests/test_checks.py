@@ -1,7 +1,9 @@
 """Check layer: reports, symmetry reduction, matching invariant suites."""
 
+import pytest
+
 from morse_forge import FactorSpec, FreeProduct
-from morse_forge import checks, matching
+from morse_forge import checks, matching, morse
 from morse_forge.graph import Ball
 from morse_forge.matching import BoundaryHomeo, MatchState, run_matching
 
@@ -32,6 +34,98 @@ def test_symmetries_commute_with_projection(lattice_product):
     for p in checks.ball_symmetries(ball):
         for i in range(len(ball)):
             assert p[proj[i]] == proj[p[i]]
+
+
+def _projection_violation(dist, proj, walk, least, haus_bound):
+    """Reference verdict on one whole walk and its projection ``proj``."""
+    # collapse the projected path into runs of constant value: inside a run
+    # only the index span matters, across runs the widest index gap is the
+    # binding one since the required distance grows with the gap
+    runs = []
+    start = 0
+    for t in range(1, len(proj) + 1):
+        if t == len(proj) or proj[t] != proj[start]:
+            runs.append((proj[start], start, t - 1))
+            start = t
+    for value, s, e in runs:
+        if least[e - s]:
+            return "projection lower bound"
+    for i in range(len(runs)):
+        vi, si, _ei = runs[i]
+        row = dist[vi]
+        for j in range(i + 1, len(runs)):
+            vj, _sj, ej = runs[j]
+            if row[vj] < least[ej - si]:
+                return "projection lower bound"
+    proj_set = sorted({v for v, _s, _e in runs})
+    for x in walk:
+        row = dist[x]
+        if min(row[p] for p in proj_set) > haus_bound:
+            return "hausdorff bound"
+    walk_set = sorted(set(walk))
+    for p in proj_set:
+        row = dist[p]
+        if min(row[x] for x in walk_set) > haus_bound:
+            return "hausdorff bound"
+    return None
+
+
+@pytest.mark.parametrize(
+    "first, radius",
+    [
+        (FactorSpec.integer_line("A", "x"), 3),
+        (FactorSpec.integer_lattice("A", 2), 2),
+        (FactorSpec.free_group("A", 2, names=("a", "b")), 2),
+    ],
+    ids=["zz-r3", "lattice-line-r2", "free2-line-r2"],
+)
+def test_projection_visitor_matches_reference(first, radius, line_b):
+    # the fused verdict against the whole-walk reference, on every walk of
+    # the enumeration, under the real bound, under the (1, 0) lower bound
+    # (most walks fail it), under Hausdorff bound 0, and under the (2, 0)
+    # lower bound, which some projections break only between runs before
+    # their last one
+    fp = FreeProduct(first, line_b)
+    ball = Ball.build(fp, radius)
+    n = len(ball)
+    proj_map = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
+    dist = [ball.row(i) for i in range(n)]
+    proj_gap = [dist[i][proj_map[i]] for i in range(n)]
+    copy_a = [i for i in range(n) if proj_map[i] == i]
+    # endpoint pairs up to the ball's symmetries, as the check takes them
+    symmetries = checks.ball_symmetries(ball)
+    pairs = sorted({min(tuple(sorted((p[u], p[v]))) for p in symmetries) for u in copy_a for v in copy_a})
+    reasons = set()
+    for lam, eps in ((2, 1), (2, 2), (3, 0)):
+        bound = morse.qg_bound(lam, eps)
+        real = bound.least.upto(bound.max_len(2 * radius))
+        geodesic = morse.qg_bound(1, 0).least.upto(len(real))
+        slope_half = morse.qg_bound(2, 0).least.upto(len(real))
+        for u, v in pairs:
+            walks = morse.enumerate_quasi_geodesics(ball, u, v, lam, eps)
+            settings = ((real, bound.hausdorff), (geodesic, bound.hausdorff), (real, 0), (slope_half, bound.hausdorff))
+            for least, haus_bound in settings:
+                expected = []
+                for walk in walks:
+                    proj = [proj_map[x] for x in walk]
+                    reason = _projection_violation(dist, proj, walk, least, haus_bound)
+                    if reason:
+                        expected.append((walk, reason))
+                found = []
+                visit = checks.projection_visitor(dist, proj_map, proj_gap, v, bound, least, haus_bound, found)
+                count = morse.scan_quasi_geodesics(ball, u, v, bound, visit, checks.PROJECTION_START)
+                assert count == len(walks)
+                assert found == expected
+                reasons.update(r for _w, r in found)
+    assert reasons == {"projection lower bound", "hausdorff bound"}
+
+
+def test_projection_check_keeps_bound_tables(zz):
+    # the bound's int tables are shared by every caller; a rerun must not grow them
+    checks.run_projection_qg(zz, radius=2, grid=[(2, 1)])
+    least = list(morse.qg_bound(2, 1).least.items)
+    checks.run_projection_qg(zz, radius=2, grid=[(2, 1)])
+    assert morse.qg_bound(2, 1).least.items == least
 
 
 def test_nbhd_nesting_free_factor(free2):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from morse_forge import morse
 from morse_forge.cli import DEFAULT_CONFIG, main
 
 
@@ -185,7 +186,33 @@ def test_inconclusive_budget_exit_code(tmp_path, capsys):
         capsys,
     )
     assert code == 3
-    assert "inconclusive" in err
+    assert "inconclusive" in err and "path_cap 5" in err
+
+
+def test_projection_path_cap_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, budgets={"path_cap": 5})
+    args = ["check", "projection-qg", "--radius", "3", "--lambda", "2", "--eps", "3"]
+    code, _out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path / "rep")] + args, capsys)
+    assert code == 3
+    assert "inconclusive" in err and "path_cap 5" in err
+
+
+def test_projection_qg_can_fail(tmp_path, capsys, monkeypatch):
+    # a Hausdorff bound of 0 is too strong: some walk leaves the factor copy
+    def strict(lam, eps):
+        bound = morse.QGBound(lam, eps)
+        bound.hausdorff = 0
+        return bound
+
+    monkeypatch.setattr(morse, "qg_bound", strict)
+    args = ["check", "projection-qg", "--radius", "2", "--lambda", "2", "--eps", "2"]
+    code, _out, _err = run_cli(["--out", str(tmp_path)] + args, capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "check-projection-qg.json").read_text())
+    assert report["status"] == "fail"
+    assert report["counterexamples"][0]["reason"] == "hausdorff bound"
+    rows = (tmp_path / "check-projection-qg-paths.csv").read_text().splitlines()
+    assert rows[0] == ",".join(str(x) for x in report["counterexamples"][0]["walk"])
 
 
 def test_match_transcript_names_gauge(tmp_path, capsys):

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import pytest
 
-from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, factors
+from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, factors, morse
 from morse_forge.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -252,6 +252,11 @@ def test_searches_leave_no_reference_cycles(zz, lattice2):
     # for the cyclic collector
     ball = Ball.build(zz, 4)
     e, target = lattice2.identity(), lattice2.make_element((2, 2))
+    dist = [ball.row(i) for i in range(len(ball))]
+    proj_map = [ball.index_of(zz.embed(zz.project_to_factor(w, zz.a.id))) for w in ball.vertices]
+    proj_gap = [dist[i][proj_map[i]] for i in range(len(ball))]
+    bound = morse.qg_bound(2, 1)
+    least = bound.least.upto(bound.max_len(2 * ball.radius))
     gc.collect()
     gc.disable()
     try:
@@ -259,6 +264,10 @@ def test_searches_leave_no_reference_cycles(zz, lattice2):
             assert ball.enumerate_paths(0, w, ball.dist[w] + 2)  # prefix-transit, slack 2
             assert ball.enumerate_geodesics(0, w)
         assert len(factors.geodesics(e, target)) == 6
+        x3 = ball.index_of(zz.parse("x^3"))
+        failures = []
+        visit = checks.projection_visitor(dist, proj_map, proj_gap, x3, bound, least, 0, failures)
+        assert morse.scan_quasi_geodesics(ball, 0, x3, bound, visit, checks.PROJECTION_START) > len(failures) > 0
         assert gc.collect() == 0
     finally:
         gc.enable()
