@@ -101,7 +101,7 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
         least = bound.least.upto(bound.max_len(2 * radius))
         for (u, v), weight in sorted(orbits.items()):
             bad: list = []
-            visit = projection_visitor(dist, proj_map, proj_gap, v, bound, least, bound.hausdorff, bad)
+            visit = projection_visitor(dist, proj_map, proj_gap, v, least, bound.hausdorff, bad)
             walks = morse.scan_quasi_geodesics(ball, u, v, bound, visit, PROJECTION_START, path_cap)
             instances += walks
             covered += walks * weight
@@ -127,13 +127,12 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
 PROJECTION_START = (0, False, 0)
 
 
-def projection_visitor(dist, proj_map, proj_gap, v, bound, least, haus_bound, failures):
-    """A ``morse.scan_quasi_geodesics`` visitor, for a search run with
-    ``bound``, that decides for each walk ending at v whether its
-    projection pi(walk) breaks the lower bound ``least`` (indexed by index
-    gap) or lies farther than ``haus_bound`` from the walk in Hausdorff
-    distance.  Failing walks are appended to ``failures`` as (walk, reason)
-    in search order.
+def projection_visitor(dist, proj_map, proj_gap, v, least, haus_bound, failures):
+    """A ``morse.scan_quasi_geodesics`` visitor that decides for each walk
+    ending at v whether its projection pi(walk) breaks the lower bound
+    ``least`` (indexed by index gap) or lies farther than ``haus_bound``
+    from the walk in Hausdorff distance.  Failing walks are appended to
+    ``failures`` as (walk, reason) in search order.
 
     The projected path is kept as runs of constant value, (value, start)
     pairs in one list shared by the whole search; a prefix's state holds
@@ -143,13 +142,8 @@ def projection_visitor(dist, proj_map, proj_gap, v, bound, least, haus_bound, fa
     span is checked on each extension and its constraints against the
     earlier runs once, when it closes or the walk ends; a prefix that
     breaks one stays broken in every extension.
-
-    On a prefix inside the factor copy pi is the identity, so when
-    ``least`` asks no more than the search's own lower bound, the search
-    has already checked the prefix and only its runs are recorded.
     """
     runs: list[tuple[int, int]] = []
-    copy_checked = all(need <= have for need, have in zip(least, bound.least.upto(len(least) - 1)))
 
     def closes_badly(t: int) -> bool:
         # the last run ends at index t: compare it with every earlier run
@@ -161,13 +155,10 @@ def projection_visitor(dist, proj_map, proj_gap, v, bound, least, haus_bound, fa
                 return True
         return False
 
-    def visit(state, walk, t):
+    def visit(state, walk):
         nruns, broken, worst = state
+        t = len(walk) - 1
         x = walk[t]
-        if copy_checked and not worst and not proj_gap[x]:
-            del runs[nruns:]
-            runs.append((x, t))
-            return nruns + 1, False, 0
         if proj_gap[x] > worst:
             worst = proj_gap[x]
         if not broken:

@@ -237,14 +237,12 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     """Depth-first search over the bound's quasi-geodesic edge paths u -> v
     in the ball; returns how many there are.
 
-    ``visit(state, walk, t)`` is called once on every prefix walk[:t + 1]
-    of a walk, in search order, each prefix after its parent; ``walk`` is
-    the search's own list, valid only during the call.  The state returned
-    for a prefix is passed to the visits of its extensions, so a caller can
+    ``visit(state, walk)`` is called once on every prefix the search
+    keeps, in search order, each prefix after its parent; ``walk`` is the
+    search's own list, valid only during the call.  The state returned for
+    a prefix is passed to the visits of its extensions, so a caller can
     carry work along shared prefixes instead of rescanning whole walks.  A
-    prefix is a walk when it ends at v (then t == len(walk) - 1); it may
-    still be extended.  Prefixes are visited only once a walk through them
-    is found, so branches that never reach v cost the caller nothing.
+    prefix is a walk when it ends at v; it may still be extended.
 
     The upper quasi-geodesic bound holds automatically for unit steps, so
     the search prunes on the lower bound and on in-ball reachability.
@@ -263,12 +261,9 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     row_v = rows[v]
     neighbor_lists = [[n for _s, n in row if n is not None] for row in ball.adjacency]
     walk = [u]
-    # states[k] follows the visit of walk[:k]; the deeper prefixes are unvisited
-    states = [state]
-    count = 0
-    if u == v:
-        count = 1
-        states.append(visit(state, walk, 0))
+    # states[k] is the visitor's state for walk[:k + 1]
+    states = [visit(state, walk)]
+    count = 1 if u == v else 0
     bounds = [min(max_len, end_slack[row_v[u]])]
     # iterative DFS; each stack entry scans the options of one prefix
     stack = [iter(neighbor_lists[u] if max_len else ())]
@@ -278,8 +273,7 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
             stack.pop()
             walk.pop()
             bounds.pop()
-            if len(states) > len(walk) + 1:
-                states.pop()
+            states.pop()
             continue
         t = len(walk)  # the index nxt would take
         limit = bounds[-1]
@@ -298,14 +292,13 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
                 count += 1
                 if cap is not None and count > cap:
                     raise CapExceeded(count)
-                for k in range(len(states) - 1, t + 1):
-                    states.append(visit(states[-1], walk, k))
             if t < limit:
+                states.append(visit(states[-1], walk))
                 bounds.append(limit)
                 stack.append(iter(neighbor_lists[nxt]))
             else:
-                walk.pop()  # only a walk ending at v reaches its length limit
-                states.pop()
+                visit(states[-1], walk)
+                walk.pop()
     return count
 
 
@@ -314,8 +307,8 @@ def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | N
     tuples in search order (see ``scan_quasi_geodesics``)."""
     out: list[tuple[int, ...]] = []
 
-    def collect(state, walk, t):
-        if walk[t] == v:
+    def collect(state, walk):
+        if walk[-1] == v:
             out.append(tuple(walk))
         return state
 

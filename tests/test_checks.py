@@ -112,7 +112,7 @@ def test_projection_visitor_matches_reference(first, radius, line_b):
                     if reason:
                         expected.append((walk, reason))
                 found = []
-                visit = checks.projection_visitor(dist, proj_map, proj_gap, v, bound, least, haus_bound, found)
+                visit = checks.projection_visitor(dist, proj_map, proj_gap, v, least, haus_bound, found)
                 count = morse.scan_quasi_geodesics(ball, u, v, bound, visit, checks.PROJECTION_START)
                 assert count == len(walks)
                 assert found == expected

@@ -266,7 +266,7 @@ def test_searches_leave_no_reference_cycles(zz, lattice2):
         assert len(factors.geodesics(e, target)) == 6
         x3 = ball.index_of(zz.parse("x^3"))
         failures = []
-        visit = checks.projection_visitor(dist, proj_map, proj_gap, x3, bound, least, 0, failures)
+        visit = checks.projection_visitor(dist, proj_map, proj_gap, x3, least, 0, failures)
         assert morse.scan_quasi_geodesics(ball, 0, x3, bound, visit, checks.PROJECTION_START) > len(failures) > 0
         assert gc.collect() == 0
     finally:
