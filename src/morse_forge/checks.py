@@ -29,8 +29,8 @@ def _report(check: str, params: dict, instances: int, failures: list, extra: dic
 # -- prefix transit ----------------------------------------------------------
 
 
-def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_cap: int | None = None) -> dict:
-    ball = Ball.build(fp, radius)
+def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
+    ball = Ball.build(fp, radius, vertex_budget)
     instances = 0
     failures = []
     for w in range(1, len(ball)):
@@ -72,8 +72,8 @@ def ball_symmetries(ball: Ball) -> list[list[int]]:
     return perms
 
 
-def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2, 1), (3, 0)), path_cap: int | None = None) -> dict:
-    ball = Ball.build(fp, radius)
+def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2, 1), (3, 0)), path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
+    ball = Ball.build(fp, radius, vertex_budget)
     proj_map = [
         ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices
     ]
@@ -201,8 +201,8 @@ def _hausdorff_exceeds(dist, walk, runs, haus_bound) -> bool:
 # -- concatenation ------------------------------------------------------------
 
 
-def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, geodesic_cap: int = 64) -> dict:
-    ball = Ball.build(fp, radius)
+def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, geodesic_cap: int = 64, vertex_budget: int | None = None) -> dict:
+    ball = Ball.build(fp, radius, vertex_budget)
     geodesic_paths: list[tuple[int, ...]] = []
     qg_paths: list[tuple[int, ...]] = []
     for w in range(len(ball)):
@@ -366,6 +366,7 @@ def run_v_system(
     sample_stride: int = 21,
 ) -> dict:
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm)
+    index = rays.CombIndex(population)
     max_k = max(i_values) + 1
     failures = []
     instances = 0
@@ -373,33 +374,27 @@ def run_v_system(
     def member(center, k, b) -> bool:
         return rays.comb_neighborhood_member(rays.CombNeighborhood(center, k, gauge), b)
 
-    def level(center, b) -> int:
-        out = 0
-        for k in range(1, max_k + 1):
-            if member(center, k, b):
-                out = k
-            else:
-                break
-        return out
+    def members(center, k, within: rays.CombIndex = index) -> list[rays.CombRay]:
+        return within.members(rays.CombNeighborhood(center, k, gauge))
 
-    levels: list[list[int]] = []
-    for a in population:
-        row = [level(a, b) for b in population]
-        levels.append(row)
     # property 1: a in V_k(a) for all k
-    for ai, a in enumerate(population):
+    for a in population:
         for k in range(1, max_k + 1):
             instances += 1
             if not member(a, k, a):
                 failures.append({"property": 1, "a": a.text(), "k": k})
-    # property 2: V_max(i,j) inside V_i and V_j (levels are cumulative)
-    for ai, a in enumerate(population):
-        for bi, lvl in enumerate(levels[ai]):
-            for i in i_values:
-                for j in i_values:
-                    instances += 1
-                    if lvl >= max(i, j) and (lvl < i or lvl < j):
-                        failures.append({"property": 2, "a": a.text(), "b": population[bi].text()})
+    # property 2: V_max(i,j)(a) inside V_i(a) and V_j(a), one instance per
+    # (b, i, j); only the deeper neighborhood's members can break it
+    pairs = [(i, j) for i in i_values for j in i_values]
+    for a in population:
+        inside = {k: members(a, k) for k in set(i_values)}
+        inside_ids = {k: {id(b) for b in bs} for k, bs in inside.items()}
+        instances += len(population) * len(pairs)
+        for i, j in pairs:
+            shallow = inside_ids[min(i, j)]
+            for b in inside[max(i, j)]:
+                if id(b) not in shallow:
+                    failures.append({"property": 2, "a": a.text(), "b": b.text()})
     # property 3, infinite centers: j = i + 1 and k = j
     sample = population[::sample_stride]
     for a in sample:
@@ -407,16 +402,13 @@ def run_v_system(
             continue
         for i in i_values:
             j = i + 1
-            for bi, b in enumerate(population):
-                if not member(a, j, b):
-                    continue
-                for ci, c in enumerate(population):
-                    if member(b, j, c):
-                        instances += 1
-                        if not member(a, i, c):
-                            failures.append(
-                                {"property": 3, "a": a.text(), "b": b.text(), "c": c.text(), "i": i}
-                            )
+            for b in members(a, j):
+                for c in members(b, j):
+                    instances += 1
+                    if not member(a, i, c):
+                        failures.append(
+                            {"property": 3, "a": a.text(), "b": b.text(), "c": c.text(), "i": i}
+                        )
     # property 3, finite centers: j from the nesting constant
     deep_checked = 0
     for a in sample:
@@ -424,20 +416,17 @@ def run_v_system(
             continue
         for i in i_values:
             j = morse.nesting_constant(i, gauge)
-            candidates = [a] + _deep_witnesses(a, j)
-            for b in candidates:
-                if not member(a, j, b):
-                    continue
+            candidates = rays.CombIndex([a] + _deep_witnesses(a, j))
+            for b in members(a, j, candidates):
                 k = j if b.kind == rays.FINITE else a.stored_length + 1
                 inner = [b] + (_deep_witnesses(b, j) if b.kind == rays.FINITE else [_extend_infinite(b)])
-                for c in inner:
-                    if member(b, k, c):
-                        instances += 1
-                        deep_checked += 1
-                        if not member(a, i, c):
-                            failures.append(
-                                {"property": 3, "a": a.text(), "b": b.text(), "c": c.text(), "i": i}
-                            )
+                for c in members(b, k, rays.CombIndex(inner)):
+                    instances += 1
+                    deep_checked += 1
+                    if not member(a, i, c):
+                        failures.append(
+                            {"property": 3, "a": a.text(), "b": b.text(), "c": c.text(), "i": i}
+                        )
     return _report(
         "v-system",
         {"max_len": max_len, "max_norm": max_norm, "i_values": list(i_values)},
@@ -545,21 +534,28 @@ def bijectivity_report(state: matching.MatchState) -> dict:
 
 def induced_containment_report(pm: matching.ProductMatching, l_values=(1, 2, 3), max_len: int = 3, max_norm: int = 2, sample_stride: int = 7) -> dict:
     population = rays.comb_population(pm.fp1, max_len=max_len, max_norm=max_norm)
+    index = rays.CombIndex(population)
     infinite_sample = [a for a in population if a.kind == rays.INFINITE][::sample_stride]
     gauge = pm.a.gauge
     instances = 0
     failures = []
+    # each ray's image, by identity within the population; the match tables
+    # only grow, so mapping a ray again would give the same image
+    images: dict[int, rays.CombRay] = {}
+
+    def image(a: rays.CombRay) -> rays.CombRay:
+        out = images.get(id(a))
+        if out is None:
+            out = images[id(a)] = matching.induced_map(pm, a)
+        return out
+
     for a in infinite_sample:
-        image_a = matching.induced_map(pm, a)
+        image_a = image(a)
         for l in l_values:
-            for b in population:
-                if not rays.comb_neighborhood_member(rays.CombNeighborhood(a, l, gauge), b):
-                    continue
+            image_nbhd = rays.CombNeighborhood(image_a, l, gauge)
+            for b in index.members(rays.CombNeighborhood(a, l, gauge)):
                 instances += 1
-                image_b = matching.induced_map(pm, b)
-                if not rays.comb_neighborhood_member(
-                    rays.CombNeighborhood(image_a, l, gauge), image_b
-                ):
+                if not rays.comb_neighborhood_member(image_nbhd, image(b)):
                     failures.append({"a": a.text(), "b": b.text(), "l": l})
     return {"instances": instances, "sampled": len(infinite_sample), "failures": failures}
 

@@ -205,15 +205,25 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
     budgets = cfg.budgets
     fp = cfg.fp1
     ball_radius = budgets["ball_radius"] if radius is None else radius
+    vertex_budget = budgets["vertex_budget"]
     # flags that are not given leave the check's own defaults in force
     if check_id == "prefix-transit":
         given = {} if radius is None else {"radius": radius}
-        report = _path_capped(checks.run_prefix_transit, fp, budgets["path_cap"], **given)
+        report = _path_capped(
+            checks.run_prefix_transit, fp, budgets["path_cap"], vertex_budget=vertex_budget, **given
+        )
     elif check_id == "projection-qg":
         given = {} if lam is None else {"grid": [(lam, eps)]}
-        report = _path_capped(checks.run_projection_qg, fp, budgets["path_cap"], radius=ball_radius, **given)
+        report = _path_capped(
+            checks.run_projection_qg,
+            fp,
+            budgets["path_cap"],
+            radius=ball_radius,
+            vertex_budget=vertex_budget,
+            **given,
+        )
     elif check_id == "concat-qg":
-        report = checks.run_concat_qg(fp, radius=ball_radius)
+        report = checks.run_concat_qg(fp, radius=ball_radius, vertex_budget=vertex_budget)
     elif check_id == "nbhd-nesting":
         report = checks.run_nbhd_nesting(fp.a)
     elif check_id == "ray-merge":
@@ -228,7 +238,7 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
     _write_counterexample_paths(cfg, check_id, report)
     print(json.dumps({"report": str(path), "status": report["status"]}, sort_keys=True))
     if cfg.emit_dot:
-        ball = Ball.build(fp, ball_radius)
+        ball = Ball.build(fp, ball_radius, vertex_budget)
         (cfg.output / f"ball-r{ball.radius}.dot").write_text(ball.to_dot(), encoding="utf-8")
         _write_report(cfg, f"ball-r{ball.radius}.json", ball.to_json_dict())
     return _status_exit(report)

@@ -156,7 +156,8 @@ class Ball:
             new = sorted(seen, key=space.sort_key)
             if vertex_budget is not None and len(verts) + len(new) > vertex_budget:
                 raise BudgetExceeded(
-                    f"ball needs at least {len(verts) + len(new)} vertices, budget is {vertex_budget}"
+                    f"budget vertex_budget {vertex_budget} exceeded: "
+                    f"the ball needs at least {len(verts) + len(new)} vertices"
                 )
             for w in new:
                 index[w] = len(verts)

@@ -324,23 +324,29 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
         raise ValueError("estimate_gauge needs a geodesic path")
     dev_to_path = [_closest_point(ball, verts, x)[0] for x in range(len(ball))]
     entries = {}
+
+    def deepest(most: int, walk) -> int:
+        # the state is the largest deviation along the prefix; a walk
+        # ending at the current endpoint v raises the grid point's worst
+        nonlocal worst
+        x = walk[-1]
+        if dev_to_path[x] > most:
+            most = dev_to_path[x]
+        if x == v and most > worst:
+            worst = most
+        return most
+
     for lam, eps in grid:
+        bound = qg_bound(lam, eps)
         worst = seen = 0
-        for i in range(len(verts)):
-            for j in range(i, len(verts)):
+        for i, u in enumerate(verts):
+            for v in verts[i:]:
                 try:
-                    walks = enumerate_quasi_geodesics(
-                        ball, verts[i], verts[j], lam, eps, cap=path_cap
-                    )
+                    seen += scan_quasi_geodesics(ball, u, v, bound, deepest, 0, path_cap)
                 except CapExceeded as exc:
                     raise BudgetExceeded(
                         f"more than {exc.count} quasi-geodesics at ({lam}, {eps})"
                     ) from exc
-                seen += len(walks)
-                for walk in walks:
-                    for x in walk:
-                        if dev_to_path[x] > worst:
-                            worst = dev_to_path[x]
         if seen == 0:
             raise BudgetExceeded("no admissible quasi-geodesics enumerated")
         entries[(lam, eps)] = worst  # Gauge.table makes Fractions of them

@@ -375,6 +375,80 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
     return morse.neighborhood_member(space, nb, b.tail.realization(k))
 
 
+class CombIndex:
+    """A population of combinatorial geodesics bucketed by their first k
+    syllables, to list every member of a neighborhood in one step.
+
+    ``members(nbhd)`` equals ``[b for b in population if
+    comb_neighborhood_member(nbhd, b)]``, in population order.  An
+    infinite center's members are the bucket of its first k syllables; a
+    finite center's are the bucket of its stored syllables, filtered by the
+    tail test, whose neighborhood is built once and whose verdict is kept
+    per distinct next syllable or tail.  The buckets of depth k are built
+    when depth k is first asked for; an infinite center gets the bucket
+    itself, which callers must not modify.
+
+    Buckets hold rays whose syllable count is certain.  A bare truncation,
+    in the population or as the center, sends the query through the
+    pointwise test, so it raises ``BudgetExceeded`` just as a scan would.
+    """
+
+    def __init__(self, population):
+        self.population = list(population)
+        self.fp = self.population[0].fp if self.population else None
+        if any(b.fp != self.fp for b in self.population):
+            raise ValueError("combinatorial geodesics over different products")
+        self._bare = any(_is_bare(b) for b in self.population)
+        self._buckets: dict[int, dict[tuple, list[CombRay]]] = {}
+
+    def _bucket(self, key: tuple) -> list[CombRay]:
+        """The rays with at least len(key) syllables that begin with key."""
+        k = len(key)
+        table = self._buckets.get(k)
+        if table is None:
+            table = self._buckets[k] = {}
+            for b in self.population:
+                if b.kind == INFINITE or b.stored_length >= k:
+                    prefix = tuple(b.syllable_at(i) for i in range(1, k + 1))
+                    table.setdefault(prefix, []).append(b)
+        return table.get(key, [])
+
+    def members(self, nbhd: CombNeighborhood) -> list[CombRay]:
+        a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
+        if self._bare or _is_bare(a):
+            return [b for b in self.population if comb_neighborhood_member(nbhd, b)]
+        if self.population and a.fp != self.fp:
+            raise ValueError("combinatorial geodesics over different products")
+        if a.kind == INFINITE:
+            return self._bucket(tuple(a.syllable_at(i) for i in range(1, k + 1)))
+        la = a.stored_length
+        space = factors.FactorSpace(a.tail.spec)
+        center_ray = a.tail.realization(k)
+        filled = morse.Neighborhood.around_ray(gauge, k, center_ray, filled=True)
+        unfilled = morse.Neighborhood.around_ray(gauge, k, center_ray, filled=False)
+        # verdicts by next syllable, or by tail for rays of the center's length
+        verdicts: dict[factors.FactorElement | factors.BoundaryPoint, bool] = {}
+        out = []
+        for b in self._bucket(a.syllables):
+            longer = b.kind == INFINITE or b.stored_length > la
+            key = b.syllable_at(la + 1) if longer else b.tail
+            ok = verdicts.get(key)
+            if ok is None:
+                if longer:
+                    ok = morse.neighborhood_member(space, filled, key)
+                else:
+                    ok = morse.neighborhood_member(space, unfilled, key.realization(k))
+                verdicts[key] = ok
+            if ok:
+                out.append(b)
+        return out
+
+
+def _is_bare(a: CombRay) -> bool:
+    """A bare truncation: its syllable count cannot be certified."""
+    return a.kind == INFINITE and not a.repeat
+
+
 def parse_comb(fp: FreeProduct, text: str) -> CombRay:
     """Parse the pipe-separated syllable syntax.
 

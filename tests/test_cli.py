@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, reports, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from morse_forge import morse
+from morse_forge import matching, morse, rays
 from morse_forge.cli import DEFAULT_CONFIG, main
 
 
@@ -213,6 +214,90 @@ def test_projection_qg_can_fail(tmp_path, capsys, monkeypatch):
     assert report["counterexamples"][0]["reason"] == "hausdorff bound"
     rows = (tmp_path / "check-projection-qg-paths.csv").read_text().splitlines()
     assert rows[0] == ",".join(str(x) for x in report["counterexamples"][0]["walk"])
+
+
+def test_vertex_budget_binds_on_check_balls(tmp_path, capsys):
+    # Z*Z at radius 10 has 118,097 vertices; the budget stops the ball early
+    cfg = write_config(tmp_path, budgets={"vertex_budget": 1000})
+    args = ["check", "projection-qg", "--radius", "10"]
+    code, _out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path / "rep")] + args, capsys)
+    assert code == 3
+    assert "inconclusive" in err and "vertex_budget 1000" in err
+
+
+def _lz3_config(tmp_path):
+    z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    return write_config(
+        tmp_path,
+        factors={
+            "first": [
+                {"id": "A1", "kind": "line", "names": ["x"]},
+                {"id": "B1", "kind": "finite", "table": z3, "generators": [1, 2], "names": ["s", "t"]},
+            ],
+            "second": None,
+        },
+    )
+
+
+def _run_v_system(tmp_path, capsys):
+    args = ["--config", str(_lz3_config(tmp_path)), "--out", str(tmp_path / "rep"), "check", "v-system"]
+    code, _out, _err = run_cli(args, capsys)
+    return code, json.loads((tmp_path / "rep" / "check-v-system.json").read_text())
+
+
+def test_v_system_property_2_can_fail(tmp_path, capsys, monkeypatch):
+    # drop one ray from V_1 of one center but keep it in V_2: not nested
+    members = rays.CombIndex.members
+    a_text, b_text = "e ; tail=+inf", "e ; tail=-inf"
+
+    def non_nested(self, nbhd):
+        out = members(self, nbhd)
+        if nbhd.k == 1 and nbhd.center.text() == a_text:
+            out = [b for b in out if b.text() != b_text]
+        return out
+
+    monkeypatch.setattr(rays.CombIndex, "members", non_nested)
+    code, report = _run_v_system(tmp_path, capsys)
+    assert code == 1 and report["status"] == "fail"
+    assert {"property": 2, "a": a_text, "b": b_text} in report["counterexamples"]
+
+
+def test_v_system_property_3_can_fail(tmp_path, capsys, monkeypatch):
+    # reject one (a, i, c) that the infinite-center scan of property 3 reaches
+    member = rays.comb_neighborhood_member
+    a_text, c_text = "e ; repeat=t | x^-1", "e | t ; tail=+inf"
+
+    def rejecting(nbhd, b):
+        if nbhd.k == 1 and nbhd.center.text() == a_text and b.text() == c_text:
+            return False
+        return member(nbhd, b)
+
+    monkeypatch.setattr(rays, "comb_neighborhood_member", rejecting)
+    code, report = _run_v_system(tmp_path, capsys)
+    assert code == 1 and report["status"] == "fail"
+    rows = [c for c in report["counterexamples"] if c["property"] == 3]
+    assert rows and all(c["a"] == a_text and c["c"] == c_text and c["i"] == 1 for c in rows)
+
+
+def test_induced_containment_can_fail(tmp_path, capsys, monkeypatch):
+    # one ray's image gets a different second syllable, so it leaves the
+    # depth-2 neighborhood of its center's image
+    induced_map = matching.induced_map
+    a_text, b_text = "e ; repeat=y^-1 | x^-1", "e | y^-1 | x ; tail=+inf"
+
+    def corrupted(pm, a, *args, **kwargs):
+        image = induced_map(pm, a, *args, **kwargs)
+        if a.text() == b_text:
+            s = image.syllables[1]
+            image = dataclasses.replace(image, syllables=(image.syllables[0], s * s) + image.syllables[2:])
+        return image
+
+    monkeypatch.setattr(matching, "induced_map", corrupted)
+    code, _out, _err = run_cli(["--out", str(tmp_path), "match", "--steps", "20"], capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "match-report.json").read_text())
+    assert report["status"] == "fail"
+    assert {"a": a_text, "b": b_text, "l": 2} in report["induced_containment"]["failures"]
 
 
 def test_match_transcript_names_gauge(tmp_path, capsys):

@@ -180,6 +180,27 @@ def test_estimate_gauge_subsegment_bounded(lattice_product):
         assert g_sub.value(*point) <= g_full.value(*point)
 
 
+@pytest.mark.parametrize("product,word", [("zz", "x y^-1 x"), ("lattice_product", "a1 y a2")])
+def test_estimate_gauge_matches_enumerated_walks(product, word, request):
+    # reference: build every walk and take its largest deviation from the path
+    fp = request.getfixturevalue(product)
+    ball = Ball.build(fp, 3)
+    path = ball.first_geodesic(0, ball.index_of(fp.parse(word)))
+    dev = [min(ball.row(x)[g] for g in path) for x in range(len(ball))]
+    grid = [(1, 0), (1, 1), (1, 2), (2, 1), (3, 0), (5, 0)]  # the CLI's default grid
+    expected = {}
+    for lam, eps in grid:
+        walks = [
+            walk
+            for i in range(len(path))
+            for j in range(i, len(path))
+            for walk in morse.enumerate_quasi_geodesics(ball, path[i], path[j], lam, eps)
+        ]
+        expected[(lam, eps)] = max(dev[x] for walk in walks for x in walk)
+    g = estimate_gauge(ball, path, grid)
+    assert {point: g.value(*point) for point in grid} == expected
+
+
 def test_estimated_tree_tables_below_canonical(zz):
     ball = Ball.build(zz, 4)
     path = ball.first_geodesic(0, ball.index_of(zz.parse("x^2")))

@@ -2,11 +2,12 @@
 
 import pytest
 
-from morse_forge import CANONICAL_TREE_GAUGE, FactorSpec, FactorSpace
+from morse_forge import CANONICAL_TREE_GAUGE, FactorSpec, FactorSpace, FreeProduct
 from morse_forge import factors, morse, rays
-from morse_forge.errors import DepthExceedsContent, NoLine
+from morse_forge.errors import BudgetExceeded, DepthExceedsContent, NoLine
 from morse_forge.factors import BoundaryPoint
 from morse_forge.rays import (
+    CombIndex,
     CombNeighborhood,
     CombRay,
     TruncatedRay,
@@ -227,3 +228,56 @@ def test_comb_json_mirrors_fields(zz):
         "tail": "+inf",
         "unstable_last": False,
     }
+
+
+# -- the syllable-prefix index ----------------------------------------------------
+
+Z2 = [[0, 1], [1, 0]]
+Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+
+
+def _index_product(name):
+    line_a, line_b = FactorSpec.integer_line("A", "x"), FactorSpec.integer_line("B", "y")
+    return {
+        "zz": lambda: FreeProduct(line_a, line_b),
+        "lz3": lambda: FreeProduct(line_a, FactorSpec.finite_table("B", Z3, [1, 2], names=["s", "t"])),
+        "f2l": lambda: FreeProduct(FactorSpec.free_group("A", 2, names=("x1", "x2")), line_b),
+        "lxl": lambda: FreeProduct(FactorSpec.integer_lattice("A", 2), line_b),
+        "dih": lambda: FreeProduct(
+            FactorSpec.finite_table("A", Z2, [1], names=["a"]),
+            FactorSpec.finite_table("B", Z2, [1], names=["b"]),
+        ),
+    }[name]()
+
+
+@pytest.mark.parametrize(
+    "name,max_len,stride",
+    [("zz", 4, 1), ("lz3", 4, 1), ("f2l", 3, 7), ("lxl", 3, 7), ("dih", 3, 1)],
+)
+def test_comb_index_matches_pointwise_filter(name, max_len, stride):
+    population = comb_population(_index_product(name), max_len=max_len)
+    index = CombIndex(population)
+    for a in population[::stride]:
+        for k in range(1, 6):
+            nb = CombNeighborhood(a, k, CANONICAL_TREE_GAUGE)
+            expected = [b for b in population if comb_neighborhood_member(nb, b)]
+            assert index.members(nb) == expected, (a.text(), k)
+
+
+def test_comb_index_bare_truncation_keeps_budget_error(zz):
+    population = comb_population(zz, max_len=2, max_norm=1)
+    x1, y1 = zz.a.make_element(1), zz.b.make_element(1)
+    bare = CombRay(zz, rays.INFINITE, (x1, y1), unstable_last=True)
+    periodic = CombRay(zz, rays.INFINITE, (x1, y1), repeat=(x1, y1))
+    # a bare member cannot certify three syllables, nor a bare center its third
+    with pytest.raises(BudgetExceeded):
+        comb_neighborhood_member(CombNeighborhood(periodic, 3, CANONICAL_TREE_GAUGE), bare)
+    with pytest.raises(BudgetExceeded):
+        CombIndex(population + [bare]).members(CombNeighborhood(periodic, 3, CANONICAL_TREE_GAUGE))
+    with pytest.raises(BudgetExceeded):
+        CombIndex(population).members(CombNeighborhood(bare, 3, CANONICAL_TREE_GAUGE))
+    # where the pointwise test settles them, the index agrees with it
+    for center, members in ((periodic, population + [bare]), (bare, population)):
+        nb = CombNeighborhood(center, 1, CANONICAL_TREE_GAUGE)
+        expected = [b for b in members if comb_neighborhood_member(nb, b)]
+        assert CombIndex(members).members(nb) == expected
