@@ -4,7 +4,7 @@ of quasi-geodesic stability properties on finite balls."""
 from .errors import MorseForgeError
 from .factors import BoundaryPoint, FactorElement, FactorSpec, FactorSpace
 from .graph import Ball
-from .morse import CANONICAL_TREE_GAUGE, Gauge, delta_of, nesting_constant, tracking_bound
+from .morse import CANONICAL_TREE_GAUGE, Gauge, nesting_constant, tracking_bound
 from .rays import CombNeighborhood, CombRay, TruncatedRay, corresponding_ray, standard_line
 from .matching import BoundaryHomeo, MatchState, ProductMatching, run_matching
 from .words import FreeProduct, Word
@@ -29,7 +29,6 @@ __all__ = [
     "TruncatedRay",
     "Word",
     "corresponding_ray",
-    "delta_of",
     "nesting_constant",
     "run_matching",
     "standard_line",

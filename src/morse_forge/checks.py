@@ -479,16 +479,15 @@ def run_phi_psi(fp: FreeProduct, max_len: int = 4, max_norm: int = 2, tail_depth
 
 def duality_report(state: matching.MatchState, k_values=(1, 2, 3)) -> dict:
     gauge = state.gauge
-    delta_p = morse.delta_of(gauge)
+    delta_p = gauge.delta
     checked = 0
     vacuous = 0
     failures = []
     elements = sorted(state.meta, key=lambda x: (x.spec.id, x.sort_key()))
     for x in elements:
-        info = state.meta[x]
-        if info["direction"] is None:
+        direction = state.meta[x]["direction"]
+        if direction is None:
             continue
-        g = matching.matched_geodesic(state, x)
         space = factors.FactorSpace(x.spec)
         for k in k_values:
             threshold = morse.tracking_bound(gauge, k + morse.rational_ceil(4 * delta_p))
@@ -497,8 +496,8 @@ def duality_report(state: matching.MatchState, k_values=(1, 2, 3)) -> dict:
                 continue
             checked += 1
             ray_inside = morse.Neighborhood.around_vertex(space, gauge, k, x, filled=False)
-            ok1 = morse.neighborhood_member(space, ray_inside, g.direction.realization(k))
-            ok2 = matching.filled_member(x.spec, gauge, k, g.direction, x)
+            ok1 = morse.neighborhood_member(space, ray_inside, direction.realization(k))
+            ok2 = matching.filled_member(x.spec, gauge, k, direction, x)
             if not (ok1 and ok2):
                 failures.append({"x": repr(x), "k": k, "ray_near_x": ok1, "x_near_ray": ok2})
     return {

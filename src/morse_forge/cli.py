@@ -60,7 +60,6 @@ DEFAULT_CONFIG = {
         "continuity_k_max": 12,
     },
     "grid": [[1, 0], [1, 1], [1, 2], [2, 1], [3, 0], [5, 0]],
-    "seed": 0,
     "output": "reports",
 }
 
@@ -79,14 +78,12 @@ CHECK_IDS = (
 class RunConfig:
     """Validated run configuration."""
 
-    raw: dict
     fp1: FreeProduct
     fp2: FreeProduct | None
     homeo_a: matching.BoundaryHomeo | None
     homeo_b: matching.BoundaryHomeo | None
     budgets: dict
     grid: list[tuple[Fraction, Fraction]]
-    seed: int
     output: Path
     emit_dot: bool = False
 
@@ -147,18 +144,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ParseError("grid entries need lambda >= 1 and eps >= 0")
     if (Fraction(5), Fraction(0)) not in grid or (Fraction(3), Fraction(0)) not in grid:
         raise ParseError("grid must contain the probe points (5,0) and (3,0)")
-    seed = raw.get("seed", 0)
-    if type(seed) is not int:
-        raise ParseError("seed must be an integer")
     return RunConfig(
-        raw=raw,
         fp1=fp1,
         fp2=fp2,
         homeo_a=homeo_a,
         homeo_b=homeo_b,
         budgets=budgets,
         grid=grid,
-        seed=seed,
         output=Path(raw.get("output", "reports")),
     )
 
@@ -309,7 +301,7 @@ def cmd_gauge(cfg: RunConfig, text: str, radius: int | None) -> int:
     lines = ["lambda,eps,bound,certified_radius"]
     for (lam, eps), bound in gauge.entries:
         lines.append(f"{lam},{eps},{bound},{gauge.certified_radius}")
-    lines.append(f"delta,,{morse.delta_of(gauge)},")
+    lines.append(f"delta,,{gauge.delta},")
     cfg.output.mkdir(parents=True, exist_ok=True)
     slug = "".join(ch if ch.isalnum() else "_" for ch in text) or "e"
     out = cfg.output / f"gauge-{slug}.csv"

@@ -64,16 +64,8 @@ class BallTooSmall(MorseForgeError):
     """A constructed path would leave the ball."""
 
 
-class EndpointsOutsideFactor(MorseForgeError):
-    """Path projection needs both endpoints inside the embedded factor copy."""
-
-
 class DepthBudgetExceeded(MorseForgeError):
     """A matching step could not be certified within the truncation budget."""
-
-
-class Unmatched(MorseForgeError):
-    """The element has not been matched, or carries no matched geodesic."""
 
 
 class DepthExceedsContent(MorseForgeError):

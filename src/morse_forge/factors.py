@@ -384,10 +384,10 @@ class FactorSpec:
         if self.kind not in _OPS:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         ops = _OPS[self.kind](self)
-        # generator steps are the inner loop of ball searches
-        ops.steps = {(g.base, g.sign): FactorElement(self, ops.power(g.base, g.sign)) for g in ops.generators}
+        # generator payloads; the ops keep no element, which would refer back to the spec
+        ops.steps = {(g.base, g.sign): ops.power(g.base, g.sign) for g in ops.generators}
         # (g, g^-1) payloads in generator order, for searches on payloads
-        ops.moves = tuple((g.payload, ops.inverse(g.payload)) for g in ops.steps.values())
+        ops.moves = tuple((p, ops.inverse(p)) for p in ops.steps.values())
         object.__setattr__(self, "ops", ops)
         key = tuple(getattr(self, f.name) for f in fields(self) if f.compare)
         object.__setattr__(self, "_key", key)
@@ -455,7 +455,7 @@ class FactorSpec:
         return self.ops.generators
 
     def generator_element(self, gen: Generator) -> "FactorElement":
-        return self.ops.steps[gen.base, gen.sign]
+        return FactorElement(self, self.ops.steps[gen.base, gen.sign])
 
     def has_boundary(self) -> bool:
         return self.ops.has_boundary

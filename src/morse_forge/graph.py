@@ -14,12 +14,27 @@ the right discrete analogue of a reparametrizable curve.
 from __future__ import annotations
 
 from . import factors
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    EndpointsOutsideFactor,
-    PossiblyTruncated,
-)
+from .errors import BudgetExceeded, CapExceeded, PossiblyTruncated
+
+
+def spheres(space):
+    """The spheres of radius 1, 2, ... around the identity, each a list in
+    ``sort_key`` order; ends after the last sphere of a finite space."""
+    frontier = [space.identity()]
+    seen = set(frontier)
+    gens = space.generators()
+    while True:
+        new = []
+        for v in frontier:
+            for gen in gens:
+                w = space.step(v, gen)
+                if w not in seen:
+                    seen.add(w)
+                    new.append(w)
+        if not new:
+            return
+        frontier = sorted(new, key=space.sort_key)
+        yield frontier
 
 
 class _PrefixTree:
@@ -122,8 +137,8 @@ class Ball:
     ``in_ball_row`` holds BFS distances along paths inside the ball, which
     can exceed the true ones near the boundary.  They are the independent
     oracle: ``certified`` uses them to show that no geodesic leaves the
-    ball, ``distance`` answers only such pairs, and searches prune walks
-    that could no longer return inside the ball.
+    ball, and searches prune walks that could no longer return inside the
+    ball.
     """
 
     def __init__(self, space, radius, vertices, index, dist, adjacency):
@@ -145,27 +160,17 @@ class Ball:
         verts = [e]
         index = {e: 0}
         dist = [0]
-        frontier = [e]
-        for level in range(1, radius + 1):
-            seen = {}
-            for v in frontier:
-                for gen in space.generators():
-                    w = space.step(v, gen)
-                    if w not in index and w not in seen:
-                        seen[w] = None
-            new = sorted(seen, key=space.sort_key)
-            if vertex_budget is not None and len(verts) + len(new) > vertex_budget:
+        # the range comes first, so the sphere past the radius is never built
+        for level, sphere in zip(range(1, radius + 1), spheres(space)):
+            if vertex_budget is not None and len(verts) + len(sphere) > vertex_budget:
                 raise BudgetExceeded(
                     f"budget vertex_budget {vertex_budget} exceeded: "
-                    f"the ball needs at least {len(verts) + len(new)} vertices"
+                    f"the ball needs at least {len(verts) + len(sphere)} vertices"
                 )
-            for w in new:
+            for w in sphere:
                 index[w] = len(verts)
                 verts.append(w)
                 dist.append(level)
-            frontier = new
-            if not frontier:
-                break
         adjacency = []
         for v in verts:
             row = []
@@ -223,13 +228,6 @@ class Ball:
         the basepoint, and the in-ball BFS value bounds d(u,v) above.
         """
         return self.dist[u] + self.dist[v] + self.in_ball_row(u)[v] <= 2 * self.radius
-
-    def distance(self, u: int, v: int) -> int:
-        """Exact graph distance, certified by the ball; BFS-backed."""
-        d = self.in_ball_row(u)[v]
-        if not self.certified(u, v):
-            raise PossiblyTruncated(d)
-        return d
 
     def row(self, u: int) -> list[int]:
         """True distances from u to every vertex, from the syllable-prefix tree."""
@@ -327,24 +325,6 @@ class Ball:
         if cap is not None and count > cap:
             raise CapExceeded(count)
         return out
-
-    # -- projection -----------------------------------------------------------
-
-    def project_path(self, walk: tuple[int, ...], factor_id: str) -> tuple[int, ...]:
-        """Vertex-wise retraction of a walk onto the embedded factor copy."""
-        fp = self.space
-        project = getattr(fp, "project_to_factor", None)
-        if project is None:
-            raise TypeError("projection needs a free-product ball")
-        for end in (walk[0], walk[-1]):
-            w = self.vertices[end]
-            if w.syllables and not (len(w) == 1 and w.syllables[0].factor == factor_id):
-                raise EndpointsOutsideFactor(f"endpoint {w!r} is not in the {factor_id} copy")
-        imgs = []
-        for i in walk:
-            elt = project(self.vertices[i], factor_id)
-            imgs.append(self.index_of(fp.embed(elt)))
-        return tuple(imgs)
 
     # -- export -----------------------------------------------------------------
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import factors, morse, rays
-from .errors import DepthBudgetExceeded, Unmatched
+from . import factors, morse
+from .errors import DepthBudgetExceeded
+from .graph import spheres
 from .rays import CombRay, corresponding_ray
 from .words import FreeProduct
 
@@ -118,18 +119,8 @@ def iterate_elements(spec: factors.FactorSpec):
     each sphere in sort-key order; ends after the last sphere of a finite
     group."""
     yield spec.identity()
-    current = [spec.identity()]
-    seen = {spec.identity()}
-    while current:
-        nxt = set()
-        for v in current:
-            for g in spec.generators():
-                w = factors.step(v, g)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        current = sorted(nxt, key=lambda x: x.sort_key())
-        yield from current
+    for sphere in spheres(factors.FactorSpace(spec)):
+        yield from sphere
 
 
 class _Enumeration:
@@ -178,7 +169,7 @@ class MatchState:
         self.source = homeo.source
         self.target = homeo.target
         self.gauge = gauge
-        self.delta_prime = morse.delta_of(gauge)
+        self.delta_prime = gauge.delta
         self.ray_depth = ray_depth
         self.index_scan = index_scan
         e_src, e_tgt = self.source.identity(), self.target.identity()
@@ -298,31 +289,6 @@ class MatchState:
             self.step(2)
             rounds += 1
         return table[x]
-
-
-@dataclass(frozen=True)
-class MatchedGeodesic:
-    """The boundary direction attached to a matched element."""
-
-    owner: factors.FactorElement
-    side: str
-    role: str
-    direction: factors.BoundaryPoint
-
-    def realize(self, depth: int) -> rays.TruncatedRay:
-        return rays.TruncatedRay(self.direction.realization(depth), provenance=self.direction)
-
-
-def matched_geodesic(state: MatchState, x: factors.FactorElement) -> MatchedGeodesic:
-    if x in (state.source.identity(), state.target.identity()):
-        raise Unmatched("the identity is pre-matched and carries no matched geodesic")
-    info = state.meta.get(x)
-    if info is None:
-        raise Unmatched(f"{x!r} has not been matched")
-    if info["direction"] is None:
-        raise Unmatched(f"{x!r} was matched through the empty-boundary branch")
-    side = "source" if x.spec == state.source else "target"
-    return MatchedGeodesic(x, side, info["role"], info["direction"])
 
 
 @dataclass
@@ -487,46 +453,5 @@ def check_continuity(
         "k_max": k_max,
         "status": status,
         "found": found,
-        "per_k": per_k,
-    }
-
-
-def check_convergence(
-    state: MatchState,
-    sequence,
-    z: factors.BoundaryPoint,
-    depth: int,
-    extra_rounds: int = 512,
-) -> dict:
-    """Track, per neighborhood depth k, the index past which all images of
-    the sequence lie in the depth-k filled neighborhood of the image
-    direction."""
-    z_img = state.homeo.apply(z)
-    images = [state.ensure_matched(x, extra_rounds=extra_rounds) for x in sequence]
-    per_k = []
-    for k in range(1, depth + 1):
-        flags = [
-            y.norm() >= k and filled_member(state.target, state.gauge, k, z_img, y)
-            for y in images
-        ]
-        if all(flags):
-            settles = 0
-        elif flags and not flags[-1]:
-            settles = None
-        else:
-            settles = len(flags) - 1 - flags[::-1].index(False)
-            settles += 1
-        per_k.append(
-            {
-                "k": k,
-                "settles_at_index": settles,
-                "holds_at_tail": bool(flags and flags[-1]),
-            }
-        )
-    return {
-        "z": z.format(),
-        "image_z": z_img.format(),
-        "sequence": [state.source.format_element(x) for x in sequence],
-        "images": [state.target.format_element(y) for y in images],
         "per_k": per_k,
     }

@@ -107,31 +107,10 @@ class Gauge:
         return max(4 * m1 + 2 * m50, 8 * m30)
 
 
-def gauge_max(g1: Gauge, g2: Gauge) -> Gauge:
-    """Pointwise maximum; the partial order's join."""
-    if g1.kind == AFFINE and g2.kind == AFFINE:
-        if all(x >= y for x, y in zip(g1.coeffs, g2.coeffs)):
-            return g1
-        if all(y >= x for x, y in zip(g1.coeffs, g2.coeffs)):
-            return g2
-        raise ValueError("affine gauges with crossing coefficients need a table grid")
-    if g1.kind == TABLE and g2.kind == TABLE and g1.grid() != g2.grid():
-        raise ValueError("table gauges must share a grid to take a maximum")
-    grid = g1.grid() if g1.kind == TABLE else g2.grid()
-    entries = {p: max(g1.value(*p), g2.value(*p)) for p in grid}
-    radii = [r for r in (g1.certified_radius, g2.certified_radius) if r is not None]
-    return Gauge.table(entries, certified_radius=min(radii) if radii else None)
-
-
 #: Default gauge for tree-like testbeds: dominates every deviation seen on
 #: the standard sample grid and keeps the derived closeness threshold small
 #: and positive (delta = 5).
 CANONICAL_TREE_GAUGE = Gauge.affine(0, Fraction(1, 2), Fraction(1, 2))
-
-
-def delta_of(gauge: Gauge) -> Fraction:
-    """Closeness threshold derived from a gauge (see ``Gauge.delta``)."""
-    return gauge.delta
 
 
 def tracking_bound(gauge: Gauge, t: int) -> Fraction:
@@ -139,13 +118,13 @@ def tracking_bound(gauge: Gauge, t: int) -> Fraction:
     every realization on [0, t]: max{18 d, t + 6 d} with d the closeness
     threshold of the gauge.
     """
-    d = delta_of(gauge)
+    d = gauge.delta
     return max(18 * d, t + 6 * d)
 
 
 def nesting_constant(l: int, gauge: Gauge) -> int:
     """Depth at which gauge neighborhoods nest uniformly inside depth l."""
-    d = delta_of(gauge)
+    d = gauge.delta
     return rational_ceil(max(_frac(l) + 4 * d, 12 * d))
 
 

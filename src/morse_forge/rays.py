@@ -74,9 +74,6 @@ class CorrespondingRay:
     merge_depth: int
     direction: factors.BoundaryPoint
 
-    def realize(self, depth: int) -> TruncatedRay:
-        return TruncatedRay(self.direction.realization(depth), provenance=self.direction)
-
 
 def corresponding_ray(spec: factors.FactorSpec, x: factors.FactorElement) -> CorrespondingRay:
     """Construct the ray corresponding to x along the standard line.
@@ -195,18 +192,6 @@ class CombRay:
         if self.repeat:
             return f"{body} ; repeat={' | '.join(map(repr, self.repeat))}"
         return body
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "syllables": [repr(s) for s in self.syllables],
-            "unstable_last": self.unstable_last,
-        }
-        if self.tail is not None:
-            out["tail"] = self.tail.format()
-        if self.repeat:
-            out["repeat"] = [repr(s) for s in self.repeat]
-        return out
 
 
 def realize(a: CombRay, depth: int, validate: bool = True) -> TruncatedRay:
@@ -447,76 +432,6 @@ class CombIndex:
 def _is_bare(a: CombRay) -> bool:
     """A bare truncation: its syllable count cannot be certified."""
     return a.kind == INFINITE and not a.repeat
-
-
-def parse_comb(fp: FreeProduct, text: str) -> CombRay:
-    """Parse the pipe-separated syllable syntax.
-
-    ``x | y^2 ; tail=+inf`` gives a finite kind, ``x | y ; repeat=x | y``
-    a periodic infinite kind, and a bare syllable list a truncation whose
-    last syllable is unstable.
-    """
-    from .errors import ParseError
-
-    body, _, rest = text.partition(";")
-    rest = rest.strip()
-    syllables: list[factors.FactorElement] = []
-    for pos, chunk in enumerate(
-        [c for c in (p.strip() for p in body.split("|")) if c], start=1
-    ):
-        spec = fp.a if pos % 2 else fp.b
-        word = fp.parse(chunk)
-        if word.is_identity():
-            elt = spec.identity()
-        elif len(word.syllables) == 1 and word.syllables[0].spec == spec:
-            elt = word.syllables[0]
-        else:
-            raise ParseError(f"syllable {pos} ({chunk!r}) is not a {spec.id} element")
-        syllables.append(elt)
-    if syllables and syllables[0].is_identity() and len(syllables) == 1 and not rest:
-        syllables = []
-    if not rest:
-        return CombRay(fp, INFINITE, tuple(syllables), unstable_last=bool(syllables))
-    key, _, value = rest.partition("=")
-    key, value = key.strip(), value.strip()
-    if key == "tail":
-        n = len(syllables)
-        spec = fp.a if (n + 1) % 2 else fp.b
-        return CombRay(fp, FINITE, tuple(syllables), tail=_parse_tail(spec, value))
-    if key == "repeat":
-        block = []
-        for j, chunk in enumerate(v.strip() for v in value.split("|")):
-            pos = len(syllables) + 1 + j
-            spec = fp.a if pos % 2 else fp.b
-            word = fp.parse(chunk)
-            if len(word.syllables) != 1 or word.syllables[0].spec != spec:
-                raise ParseError(f"repeat entry {chunk!r} is not a {spec.id} element")
-            block.append(word.syllables[0])
-        return CombRay(fp, INFINITE, tuple(syllables), repeat=tuple(block))
-    raise ParseError(f"unknown trailer {key!r}")
-
-
-def _parse_tail(spec: factors.FactorSpec, value: str) -> factors.BoundaryPoint:
-    from .errors import ParseError
-
-    if value == "+inf":
-        return factors.BoundaryPoint.line_end(spec, 1)
-    if value == "-inf":
-        return factors.BoundaryPoint.line_end(spec, -1)
-    prefix_text, sep, block_text = value.partition("~")
-    if not sep:
-        raise ParseError(f"bad tail {value!r}")
-    space = FreeProduct(spec, factors.FactorSpec.integer_line("__pad__", "__t__"))
-
-    def letters(t):
-        word = space.parse(t)
-        if word.is_identity():
-            return ()
-        if len(word.syllables) != 1 or word.syllables[0].spec != spec:
-            raise ParseError(f"tail part {t!r} is not a {spec.id} word")
-        return spec.letters(word.syllables[0])
-
-    return factors.BoundaryPoint.make(spec, letters(prefix_text), letters(block_text))
 
 
 # -- population -----------------------------------------------------------

@@ -124,11 +124,6 @@ class FreeProduct:
             raise EmptyWord("the identity has no prefix vertices")
         return [Word(w.syllables[:i]) for i in range(1, len(w.syllables))]
 
-    def in_shadow(self, w: Word, v: Word) -> bool:
-        """True iff v's syllable sequence strictly extends w's."""
-        m = len(w.syllables)
-        return len(v.syllables) > m and v.syllables[:m] == w.syllables
-
     def project_to_factor(self, v: Word, factor_id: str) -> factors.FactorElement:
         """First syllable of v in the target factor, or its identity.
 

@@ -71,8 +71,8 @@ def test_criterion_3_concatenation():
 
 def test_criterion_4_closed_form_constants():
     checks_exact = [
-        morse.delta_of(Gauge.affine(1, 1, 0)) == Fraction(54),
-        morse.delta_of(Gauge.affine(0, 0, 0)) == Fraction(0),
+        Gauge.affine(1, 1, 0).delta == Fraction(54),
+        Gauge.affine(0, 0, 0).delta == Fraction(0),
         morse.tracking_bound(Gauge.affine(0, 0, 0), 10) == Fraction(10),
     ]
     _verdict(4, all(checks_exact), "delta and tracking constants exact over rationals")

@@ -216,6 +216,35 @@ def test_projection_qg_can_fail(tmp_path, capsys, monkeypatch):
     assert rows[0] == ",".join(str(x) for x in report["counterexamples"][0]["walk"])
 
 
+def test_concat_qg_can_fail(tmp_path, capsys, monkeypatch):
+    # joins held to (1, 0) instead of (3 lam, eps + 1): some join is too long
+    monkeypatch.setattr(morse.QGBound, "concatenated", property(lambda self: morse.qg_bound(1, 0)))
+    code, _out, _err = run_cli(["--out", str(tmp_path), "check", "concat-qg", "--radius", "3"], capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "check-concat-qg.json").read_text())
+    assert report["status"] == "fail" and report["counterexample_count"] > 0
+    assert (tmp_path / "check-concat-qg-paths.csv").read_text().strip()
+
+
+def test_phi_psi_can_fail(tmp_path, capsys, monkeypatch):
+    # a decomposition that inverts the second syllable of every bare ray
+    decompose = rays.decompose
+
+    def corrupted(fp, ray):
+        out = decompose(fp, ray)
+        if ray.provenance is None and out.stored_length >= 2:
+            syllables = (out.syllables[0], out.syllables[1].inverse()) + out.syllables[2:]
+            return dataclasses.replace(out, syllables=syllables)
+        return out
+
+    monkeypatch.setattr(rays, "decompose", corrupted)
+    code, _out, _err = run_cli(["--out", str(tmp_path), "check", "phi-psi"], capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "check-phi-psi.json").read_text())
+    assert report["status"] == "fail"
+    assert (report["instances"], report["counterexample_count"]) == (956, 954)
+
+
 def test_vertex_budget_binds_on_check_balls(tmp_path, capsys):
     # Z*Z at radius 10 has 118,097 vertices; the budget stops the ball early
     cfg = write_config(tmp_path, budgets={"vertex_budget": 1000})
@@ -422,12 +451,11 @@ def test_out_of_range_grid_is_usage_error(tmp_path, capsys, point):
     assert "grid" in err
 
 
-@pytest.mark.parametrize("seed", ["x", True, 1.5])
-def test_non_integer_seed_is_usage_error(tmp_path, capsys, seed):
-    cfg = write_config(tmp_path, seed=seed)
-    code, _out, err = run_cli(["--config", str(cfg), "normalize", "x"], capsys)
-    _assert_usage_error(code, err)
-    assert "seed" in err
+def test_config_accepts_unread_fields(tmp_path, capsys):
+    # configs written for other tools may carry a seed and extra budgets
+    cfg = write_config(tmp_path, seed="x", budgets={"path_maxlen": 40, "realization_cap": 64})
+    code, out, _err = run_cli(["--config", str(cfg), "normalize", "x"], capsys)
+    assert code == 0 and json.loads(out)["word"] == "x"
 
 
 def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):

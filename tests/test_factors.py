@@ -1,5 +1,6 @@
 """Factor groups: exact multiplication, metric, geodesics and boundaries."""
 
+import gc
 import itertools
 
 import pytest
@@ -234,3 +235,16 @@ def test_lattice_needs_dim_two():
 def test_format_parse_roundtrip(z6):
     x = z6.make_element(4)
     assert z6.format_element(x) == "s_inv s_inv"
+
+
+def test_specs_leave_no_reference_cycles():
+    # the ops keep generator payloads, not elements that refer back to the
+    # spec, so a spec is freed without waiting for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (lambda: FactorSpec.integer_lattice("A", 2), lambda: FactorSpec.integer_line("A", "x")):
+            assert build().generators()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

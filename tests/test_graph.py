@@ -6,13 +6,8 @@ from collections import defaultdict
 import pytest
 
 from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, factors, morse
-from morse_forge.errors import (
-    BudgetExceeded,
-    CapExceeded,
-    EndpointsOutsideFactor,
-    PossiblyTruncated,
-)
-from morse_forge.graph import Ball
+from morse_forge.errors import BudgetExceeded, CapExceeded, PossiblyTruncated
+from morse_forge.graph import Ball, spheres
 
 
 def walk_count_oracle(ball, u, v, maxlen):
@@ -38,6 +33,11 @@ def test_ball_sizes(zz, dihedral):
     assert len(Ball.build(zz, 0)) == 1
 
 
+def test_spheres_end_after_a_finite_space(z6):
+    assert [[x.payload for x in s] for s in spheres(FactorSpace(z6))] == [[1, 5], [2, 4], [3]]
+    assert len(Ball.build(FactorSpace(z6), 10)) == 6
+
+
 def test_ball_budget(zz):
     with pytest.raises(BudgetExceeded):
         Ball.build(zz, 4, vertex_budget=50)
@@ -47,22 +47,24 @@ def test_ball_distances_certified(zz):
     ball = Ball.build(zz, 4)
     x = ball.index_of(zz.parse("x"))
     y = ball.index_of(zz.parse("y"))
-    assert ball.distance(x, y) == 2
-    assert ball.distance(x, x) == 0
+    assert ball.certified(x, y) and ball.in_ball_row(x)[y] == 2
+    assert ball.certified(x, x) and ball.in_ball_row(x)[x] == 0
 
 
 def test_ball_distance_flags_uncertified(zz):
     ball = Ball.build(zz, 4)
     u = ball.index_of(zz.parse("x^3"))
     v = ball.index_of(zz.parse("y x^3"))
+    # a geodesic through the basepoint may leave a ball of radius 4
+    assert not ball.certified(u, v)
     with pytest.raises(PossiblyTruncated):
-        ball.distance(u, v)
+        ball.enumerate_geodesics(u, v)
 
 
 def test_dihedral_distance(dihedral):
     ball = Ball.build(dihedral, 4)
     w = ball.index_of(dihedral.parse("a b a b"))
-    assert ball.distance(0, w) == 4
+    assert ball.certified(0, w) and ball.in_ball_row(0)[w] == 4
 
 
 def test_bfs_equals_syllable_metric(zz, dihedral, lattice_product):
@@ -136,32 +138,27 @@ def test_geodesics_are_filtered_paths(zz, lattice_product):
             assert sorted(walks) == sorted(geods)
 
 
-def test_project_path_collapses_excursion(zz):
+def _projection(fp, ball, walk):
+    return tuple(ball.index_of(fp.embed(fp.project_to_factor(ball.vertex(i), "A"))) for i in walk)
+
+
+def test_projection_collapses_excursion(zz):
     ball = Ball.build(zz, 3)
     path = tuple(ball.index_of(zz.parse(t)) for t in ("e", "y", "y x", "y", "e"))
-    proj = ball.project_path(path, "A")
-    assert proj == (0, 0, 0, 0, 0)
+    assert _projection(zz, ball, path) == (0, 0, 0, 0, 0)
 
 
-def test_project_path_tracks_factor_steps(zz):
+def test_projection_tracks_factor_steps(zz):
     ball = Ball.build(zz, 3)
     idx = [ball.index_of(zz.parse(t)) for t in ("e", "x", "x y", "x", "x^2")]
-    proj = ball.project_path(tuple(idx), "A")
     expected = [ball.index_of(zz.parse(t)) for t in ("e", "x", "x", "x", "x^2")]
-    assert list(proj) == expected
+    assert list(_projection(zz, ball, idx)) == expected
 
 
-def test_project_path_fixes_factor_copy(zz):
+def test_projection_fixes_factor_copy(zz):
     ball = Ball.build(zz, 3)
     idx = tuple(ball.index_of(zz.parse(t)) for t in ("e", "x", "x^2"))
-    assert ball.project_path(idx, "A") == idx
-
-
-def test_project_path_rejects_outside_endpoints(zz):
-    ball = Ball.build(zz, 3)
-    path = (0, ball.index_of(zz.parse("y")))
-    with pytest.raises(EndpointsOutsideFactor):
-        ball.project_path(path, "A")
+    assert _projection(zz, ball, idx) == idx
 
 
 def test_projection_is_short_on_edges(zz, lattice_product):

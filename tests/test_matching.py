@@ -4,15 +4,12 @@ import pytest
 
 from morse_forge import FactorSpec, FreeProduct
 from morse_forge import matching, rays
-from morse_forge.errors import Unmatched
 from morse_forge.factors import BoundaryPoint
 from morse_forge.matching import (
     BoundaryHomeo,
     MatchState,
     check_continuity,
-    check_convergence,
     induced_map,
-    matched_geodesic,
     run_matching,
 )
 
@@ -140,27 +137,20 @@ def test_run_matching_bijectivity():
             assert state.backward[y] == x
 
 
-def test_matched_geodesic_roles():
+def test_match_meta_roles():
     a1, a2 = _line_pair()
     state = MatchState(BoundaryHomeo(a1, a2, "lineswap"))
     state.step(1)
     x = a1.make_element(1)
     y = a2.make_element(-1)
-    gx = matched_geodesic(state, x)
-    gy = matched_geodesic(state, y)
-    assert gx.role == "initiator" and gx.direction.sign == 1
-    assert gy.role == "target" and gy.direction.sign == -1
-    # the target lies on a realization of its matched geodesic
-    assert y in gy.realize(2).vertices
-
-
-def test_matched_geodesic_identity_unmatched():
-    a1, a2 = _line_pair()
-    state = MatchState(BoundaryHomeo(a1, a2, "identity"))
-    with pytest.raises(Unmatched):
-        matched_geodesic(state, a1.identity())
-    with pytest.raises(Unmatched):
-        matched_geodesic(state, a1.make_element(7))
+    gx, gy = state.meta[x], state.meta[y]
+    assert gx["role"] == "initiator" and gx["direction"].sign == 1
+    assert gy["role"] == "target" and gy["direction"].sign == -1
+    # the target lies on a realization of its matched direction
+    assert y in gy["direction"].realization(2)
+    # the identity is matched from the start and carries no direction
+    assert a1.identity() not in state.meta and state.forward[a1.identity()] == a2.identity()
+    assert a1.make_element(7) not in state.meta
 
 
 def test_induced_map_lookup_and_tail_flip():
@@ -247,36 +237,6 @@ def test_check_continuity_inconclusive_flags_vacuous_depths():
     assert r["status"] == "inconclusive"
     assert any(entry["vacuous"] for entry in r["per_k"])
     assert any(entry["failures"] for entry in r["per_k"])
-
-
-def test_check_convergence_line():
-    a1, a2 = _line_pair()
-    state = MatchState(BoundaryHomeo(a1, a2, "identity"))
-    seq = [a1.make_element(n) for n in range(1, 9)]
-    r = check_convergence(state, seq, BoundaryPoint.line_end(a1, 1), depth=4)
-    settle = {e["k"]: e["settles_at_index"] for e in r["per_k"]}
-    assert settle == {1: 0, 2: 1, 3: 2, 4: 3}
-    assert all(e["holds_at_tail"] for e in r["per_k"])
-
-
-def test_check_convergence_constant_sequence_fails():
-    a1, a2 = _line_pair()
-    state = MatchState(BoundaryHomeo(a1, a2, "identity"))
-    seq = [a1.make_element(1)] * 6
-    r = check_convergence(state, seq, BoundaryPoint.line_end(a1, 1), depth=3)
-    assert not r["per_k"][-1]["holds_at_tail"]
-    assert r["per_k"][-1]["settles_at_index"] is None
-
-
-def test_check_convergence_free_perm():
-    src = FactorSpec.free_group("A1", 2, names=("x", "y"))
-    tgt = FactorSpec.free_group("A2", 2, names=("x", "y"))
-    state = MatchState(BoundaryHomeo(src, tgt, "perm", perm=(("x", "y"), ("y", "x"))))
-    z = BoundaryPoint.make(src, (), ((0, 1), (1, 1)))  # (x y)^inf
-    seq = [src.make_element(((0, 1), (1, 1)) * n) for n in (1, 2)]
-    r = check_convergence(state, seq, z, depth=2, extra_rounds=2048)
-    assert r["image_z"] == "e~y x"
-    assert all(e["holds_at_tail"] for e in r["per_k"])
 
 
 def test_index_scan_reads_the_image_ray_lazily():

@@ -12,10 +12,8 @@ from morse_forge.graph import Ball
 from morse_forge.morse import (
     Neighborhood,
     concat_quasi_geodesic,
-    delta_of,
     estimate_gauge,
     enumerate_quasi_geodesics,
-    gauge_max,
     is_quasi_geodesic,
     neighborhood_member,
     nesting_constant,
@@ -27,27 +25,27 @@ from morse_forge.morse import (
 
 
 def test_delta_zero_gauge():
-    assert delta_of(Gauge.affine(0, 0, 0)) == 0
+    assert Gauge.affine(0, 0, 0).delta == 0
 
 
 def test_delta_affine_sum():
-    assert delta_of(Gauge.affine(1, 1, 0)) == 54
+    assert Gauge.affine(1, 1, 0).delta == 54
 
 
 def test_delta_affine_two_lambda():
-    assert delta_of(Gauge.affine(2, 0, 0)) == 48
+    assert Gauge.affine(2, 0, 0).delta == 48
 
 
 def test_delta_canonical():
-    assert delta_of(CANONICAL_TREE_GAUGE) == 5
+    assert CANONICAL_TREE_GAUGE.delta == 5
 
 
 def test_delta_table_needs_probes():
     g = Gauge.table({(1, 0): 0, (3, 0): 0})
     with pytest.raises(GridMiss):
-        delta_of(g)
+        g.delta
     full = Gauge.table({(1, 0): 0, (3, 0): 0, (5, 0): 0})
-    assert delta_of(full) == 0
+    assert full.delta == 0
 
 
 def test_tracking_bound():
@@ -62,7 +60,7 @@ def test_nesting_constant():
     assert nesting_constant(7, Gauge.affine(0, 0, 0)) == 7
     assert nesting_constant(10, Gauge.affine(1, 1, 0)) == 648
     g1 = _delta_one_gauge()
-    assert delta_of(g1) == 1
+    assert g1.delta == 1
     assert nesting_constant(100, g1) == 104
 
 
@@ -75,16 +73,6 @@ def _delta_one_gauge():
 def test_gauge_table_monotonicity_enforced():
     with pytest.raises(ValueError):
         Gauge.table({(1, 0): 2, (3, 0): 1, (5, 0): 3})
-
-
-def test_gauge_max():
-    a = Gauge.affine(1, 0, 0)
-    b = Gauge.affine(2, 0, 0)
-    assert gauge_max(a, b) == b
-    t1 = Gauge.table({(1, 0): 1, (3, 0): 1})
-    t2 = Gauge.table({(1, 0): 0, (3, 0): 2})
-    m = gauge_max(t1, t2)
-    assert m.value(1, 0) == 1 and m.value(3, 0) == 2
 
 
 # -- quasi-geodesic predicate ------------------------------------------------
@@ -271,7 +259,7 @@ def test_center_is_member():
 
 def test_divergent_ray_excluded_for_small_delta(zz):
     ball_gauge = _delta_one_gauge()
-    assert delta_of(ball_gauge) == 1
+    assert ball_gauge.delta == 1
     center = [zz.parse(t) for t in ("e", "x", "x^2", "x^3")]
     cand = [zz.parse(t) for t in ("e", "x", "x^2", "x^2 y")]
     nb = Neighborhood.around_ray(ball_gauge, 3, center)
@@ -304,7 +292,7 @@ def test_vertex_center_quantifies_all_realizations(lattice_product):
     x = fp.parse("a1^22 a2")
     depth = 3
     gauge = CANONICAL_TREE_GAUGE
-    delta4 = morse.rational_ceil(4 * delta_of(gauge))
+    delta4 = morse.rational_ceil(4 * gauge.delta)
     deep_depth = depth + delta4
     assert fp.norm(x) == deep_depth
     centered = Neighborhood.around_vertex(fp, gauge, depth, x, filled=True)
@@ -334,7 +322,7 @@ def test_ray_merge_shadow(zz):
     # rays staying K-close long enough stay delta-close on the early range
     from morse_forge import rays as rays_mod
 
-    delta = delta_of(CANONICAL_TREE_GAUGE)
+    delta = CANONICAL_TREE_GAUGE.delta
     pop = rays_mod.comb_population(zz, max_len=2, max_norm=1, max_infinite_prefix=1)
     depth = 24
     realized = [rays_mod.realize(a, depth, validate=False).vertices for a in pop]

@@ -37,13 +37,13 @@ def test_standard_line_refused(lattice2):
 
 def test_corresponding_ray_line_positive(line_a):
     cr = corresponding_ray(line_a, line_a.make_element(5))
-    assert [v.payload for v in cr.realize(3).vertices] == [0, 1, 2, 3]
+    assert [v.payload for v in cr.direction.realization(3)] == [0, 1, 2, 3]
     assert cr.t_x == 5 and cr.merge_depth == 0
 
 
 def test_corresponding_ray_line_negative(line_a):
     cr = corresponding_ray(line_a, line_a.make_element(-5))
-    assert [v.payload for v in cr.realize(3).vertices] == [0, -1, -2, -3]
+    assert [v.payload for v in cr.direction.realization(3)] == [0, -1, -2, -3]
 
 
 def test_corresponding_ray_free(free2):
@@ -51,8 +51,8 @@ def test_corresponding_ray_free(free2):
     cr = corresponding_ray(free2, x)
     assert cr.base_point.payload == ((1, 1),)
     assert cr.t_x == 2 and cr.merge_depth == 1
-    ray = cr.realize(4)
-    assert [free2.format_element(v) for v in ray.vertices] == ["e", "y", "y x", "y x^2", "y x^3"]
+    ray = cr.direction.realization(4)
+    assert [free2.format_element(v) for v in ray] == ["e", "y", "y x", "y x^2", "y x^3"]
 
 
 def test_corresponding_ray_mirrors(free2):
@@ -61,7 +61,7 @@ def test_corresponding_ray_mirrors(free2):
     assert cr.t_x == 3
     assert cr.direction.block == ((0, -1),)
     # the ray passes through x at its norm
-    assert cr.realize(5).vertices[4] == x
+    assert cr.direction.realization(5)[4] == x
 
 
 def test_corresponding_ray_passes_through_element(line_a, free2):
@@ -72,15 +72,15 @@ def test_corresponding_ray_passes_through_element(line_a, free2):
         for p in payloads:
             x = spec.make_element(p)
             cr = corresponding_ray(spec, x)
-            ray = cr.realize(x.norm())
-            assert ray.vertices[x.norm()] == x
+            ray = cr.direction.realization(x.norm())
+            assert ray[x.norm()] == x
 
 
 def test_corresponding_ray_tracks_realizations(line_a, free2):
     # past the tracking bound, the ray stays within the closeness threshold
     # of every realization of the element on the requested range
     gauge = CANONICAL_TREE_GAUGE
-    delta = morse.delta_of(gauge)
+    delta = gauge.delta
     t = 4
     bound = morse.tracking_bound(gauge, t)  # 90 for the default gauge
     tested = 0
@@ -95,7 +95,7 @@ def test_corresponding_ray_tracks_realizations(line_a, free2):
         for x in elems:
             assert x.norm() >= bound
             cr = corresponding_ray(spec, x)
-            lam = cr.realize(t).vertices
+            lam = cr.direction.realization(t)
             for eta in factors.geodesics(spec.identity(), x, cap=4):
                 tested += 1
                 for s in range(t + 1):
@@ -199,35 +199,27 @@ def test_population_is_deterministic(zz):
     assert p1 == p2
 
 
-def test_comb_text_parse_roundtrip(zz):
+def test_comb_text_forms(zz):
+    x, y = zz.a.power(0, 1), zz.b.power(0, 1)
+    a_plus, b_minus = standard_line(zz.a)[0], standard_line(zz.b)[1]
     samples = [
-        "x | y ; tail=+inf",
-        "x^2 | y^-1 | x ; tail=-inf",
-        "e | y ; tail=+inf",
-        "x | y ; repeat=x | y",
-        "x | y^2 | x^-1",
+        (CombRay(zz, "finite", (x, y), tail=a_plus), "x | y ; tail=+inf"),
+        (CombRay(zz, "finite", (x * x, y.inverse(), x), tail=b_minus), "x^2 | y^-1 | x ; tail=-inf"),
+        (CombRay(zz, "finite", (zz.a.identity(), y), tail=a_plus), "e | y ; tail=+inf"),
+        (CombRay(zz, "finite", (), tail=a_plus), "e ; tail=+inf"),
+        (CombRay(zz, "infinite", (x, y), repeat=(x, y)), "x | y ; repeat=x | y"),
+        (CombRay(zz, "infinite", (x, y * y, x.inverse()), unstable_last=True), "x | y^2 | x^-1"),
     ]
-    for text in samples:
-        a = rays.parse_comb(zz, text)
-        assert rays.parse_comb(zz, a.text()) == a
+    for a, text in samples:
+        assert a.text() == text
 
 
-def test_comb_parse_free_tail(free2):
+def test_comb_text_free_tail(free2):
     fp = rays.FreeProduct(free2, FactorSpec.integer_line("B", "t"))
-    a = rays.parse_comb(fp, "x | t ; tail=y~x")
+    tail = BoundaryPoint.make(free2, ((1, 1),), ((0, 1),))
+    a = CombRay(fp, "finite", (free2.power(0, 1), fp.b.power(0, 1)), tail=tail)
     assert a.tail.prefix == ((1, 1),) and a.tail.block == ((0, 1),)
-    assert rays.parse_comb(fp, a.text()) == a
-
-
-def test_comb_json_mirrors_fields(zz):
-    a = rays.parse_comb(zz, "x | y^2 ; tail=+inf")
-    data = a.to_json_dict()
-    assert data == {
-        "kind": "finite",
-        "syllables": ["x", "y^2"],
-        "tail": "+inf",
-        "unstable_last": False,
-    }
+    assert a.text() == "x | t ; tail=y~x"
 
 
 # -- the syllable-prefix index ----------------------------------------------------
