@@ -298,23 +298,51 @@ def run_nbhd_nesting(spec: factors.FactorSpec, gauge: morse.Gauge = morse.CANONI
 # -- ray merging ---------------------------------------------------------------
 
 
+def ray_merge_pair(fp: FreeProduct, ra: tuple, rb: tuple, ks: list[int], delta: int) -> list[tuple[int, bool]]:
+    """The merge verdicts of one pair of realized rays of equal length.
+
+    The pair counts for each k in ``ks`` (in order, repeats kept) whose
+    bound its whole distance profile stays under, and fails at k when a
+    nonzero distance at least ``delta`` occurs up to ``len(ra) - 1 - 2k``.
+    The profile is read lazily and stops at the first distance of at
+    least max(ks): from there the maximum is at least every k, so the
+    pair counts for none and fails none.  The stop is exact.
+    """
+    top = max(ks)
+    profile = []
+    for u, v in zip(ra, rb):
+        d = fp.distance(u, v)
+        if d >= top:
+            return []
+        profile.append(d)
+    most = max(profile)
+    depth = len(profile) - 1
+    return [
+        (k, any(d != 0 and d >= delta for d in profile[: depth - 2 * k + 1]))
+        for k in ks
+        if most < k
+    ]
+
+
 def run_ray_merge(fp: FreeProduct, depth: int = 36, k_values=(1, 2, 3, 4), max_len: int = 2, max_norm: int = 1) -> dict:
+    """Population rays whose realizations stay within k up to ``depth``
+    must stay closer than δ up to ``depth - 2k``, for each k in
+    ``k_values`` with ``depth >= 6k``.  Each pair's profile stops at the
+    first distance that rules out every such k (``ray_merge_pair``), which
+    changes no count and no verdict."""
     delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)  # distances are ints
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
     realized = [rays.realize(a, depth, validate=False).vertices for a in population]
+    ks = [k for k in k_values if depth >= 6 * k]
     instances = 0
     failures = []
-    for ai in range(len(realized)):
-        for bi in range(len(realized)):
-            profile = [fp.distance(realized[ai][t], realized[bi][t]) for t in range(depth + 1)]
-            for k in k_values:
-                if depth < 6 * k:
-                    continue
-                if max(profile) < k:
+    if ks:
+        for a, ra in zip(population, realized):
+            for b, rb in zip(population, realized):
+                for k, failed in ray_merge_pair(fp, ra, rb, ks, delta):
                     instances += 1
-                    horizon = depth - 2 * k
-                    if any(d != 0 and d >= delta for d in profile[: horizon + 1]):
-                        failures.append({"a": population[ai].text(), "b": population[bi].text(), "k": k})
+                    if failed:
+                        failures.append({"a": a.text(), "b": b.text(), "k": k})
     return _report(
         "ray-merge",
         {"depth": depth, "k_values": list(k_values)},

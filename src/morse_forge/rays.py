@@ -62,15 +62,12 @@ def standard_line(spec: factors.FactorSpec):
 class CorrespondingRay:
     """The ray read off the translated standard line of an element.
 
-    ``base_point`` is the closest point of the translated line to the
-    basepoint; past ``merge_depth`` the ray runs along the line itself,
+    Its vertex at ``merge_depth`` is the closest point of the translated
+    line to the basepoint; past it the ray runs along the line itself,
     and it passes through the owning element at parameter ``norm``.
     """
 
     spec: factors.FactorSpec
-    element: factors.FactorElement
-    base_point: factors.FactorElement
-    t_x: int
     merge_depth: int
     direction: factors.BoundaryPoint
 
@@ -88,14 +85,7 @@ def corresponding_ray(spec: factors.FactorSpec, x: factors.FactorElement) -> Cor
         raise ValueError("element does not belong to the factor")
     base, a = spec.split_first_power(x)
     direction = factors.BoundaryPoint.make(spec, spec.letters(base), ((0, 1 if a >= 0 else -1),))
-    return CorrespondingRay(
-        spec=spec,
-        element=x,
-        base_point=base,
-        t_x=abs(a),
-        merge_depth=base.norm(),
-        direction=direction,
-    )
+    return CorrespondingRay(spec=spec, merge_depth=base.norm(), direction=direction)
 
 
 @dataclass(frozen=True)
@@ -202,7 +192,9 @@ def realize(a: CombRay, depth: int, validate: bool = True) -> TruncatedRay:
     """
     fp = a.fp
     verts: list[Word] = [fp.identity()]
-    base = fp.identity()
+    # the syllables before the current one; a's factors alternate, so each
+    # vertex is this prefix and one more syllable, already reduced
+    base: tuple[factors.FactorElement, ...] = ()
     pos = 0
     while len(verts) <= depth:
         pos += 1
@@ -213,12 +205,13 @@ def realize(a: CombRay, depth: int, validate: bool = True) -> TruncatedRay:
         for elt in seg[1:]:
             if len(verts) > depth:
                 break
-            verts.append(fp.multiply(base, fp.embed(elt)))
-        base = fp.multiply(base, fp.embed(s))
+            verts.append(Word(base + (elt,)))
+        if not s.is_identity():
+            base += (s,)
     if len(verts) <= depth:
         if a.kind == FINITE:
             for elt in a.tail.realization(depth - len(verts) + 1)[1:]:
-                verts.append(fp.multiply(base, fp.embed(elt)))
+                verts.append(Word(base + (elt,)))
         else:
             raise DepthExceedsContent(
                 f"combinatorial geodesic holds {len(verts) - 1} steps, {depth} requested"
@@ -238,10 +231,9 @@ def decompose(fp: FreeProduct, ray: TruncatedRay) -> CombRay:
     """
     runs: list[factors.FactorElement] = []
     for prev, cur in zip(ray.vertices, ray.vertices[1:]):
-        q = fp.multiply(fp.inverse(prev), cur)
-        if len(q.syllables) != 1 or q.syllables[0].norm() != 1:
+        s = _step(prev.syllables, cur.syllables)
+        if s is None or s.norm() != 1:
             raise ValueError("consecutive ray vertices must differ by one generator")
-        s = q.syllables[0]
         if runs and runs[-1].factor == s.factor:
             runs[-1] = runs[-1] * s
         else:
@@ -267,6 +259,27 @@ def decompose(fp: FreeProduct, ray: TruncatedRay) -> CombRay:
             raise ValueError("growing run is not a prefix of the provenance tail")
         return CombRay(fp, FINITE, observed[:-1], tail=prov)
     return CombRay(fp, INFINITE, observed, unstable_last=bool(observed))
+
+
+def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
+    """The word prev^-1 cur, from the syllables p of prev and c of cur,
+    when it is a single syllable; otherwise None.
+
+    After the common prefix cancels, one syllable is left exactly when
+    cur appends one syllable to prev, changes prev's last syllable within
+    its factor, or cancels it.
+    """
+    n = len(p)
+    if len(c) == n + 1:
+        if c[:n] == p:
+            return c[n]
+    elif len(c) == n:
+        if n and c[:-1] == p[:-1] and c[-1].factor == p[-1].factor:
+            return p[-1].inverse() * c[-1]
+    elif len(c) == n - 1:
+        if p[:-1] == c:
+            return p[-1].inverse()
+    return None
 
 
 def _validate_against(fp: FreeProduct, observed, prov: CombRay) -> None:

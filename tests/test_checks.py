@@ -3,7 +3,7 @@
 import pytest
 
 from morse_forge import FactorSpec, FreeProduct
-from morse_forge import checks, matching, morse
+from morse_forge import checks, matching, morse, rays, words
 from morse_forge.graph import Ball
 from morse_forge.matching import BoundaryHomeo, MatchState, run_matching
 
@@ -138,6 +138,93 @@ def test_ray_merge_nonvacuous(zz):
     report = checks.run_ray_merge(zz, depth=24, k_values=(1, 2, 4))
     assert report["status"] == "pass"
     assert report["instances"] > 0
+
+
+def _ray_merge_pair_reference(fp, ra, rb, depth, k_values, delta):
+    """Reference verdicts of one pair from its whole distance profile."""
+    profile = [fp.distance(ra[t], rb[t]) for t in range(depth + 1)]
+    out = []
+    for k in k_values:
+        if depth < 6 * k:
+            continue
+        if max(profile) < k:
+            horizon = depth - 2 * k
+            out.append((k, any(d != 0 and d >= delta for d in profile[: horizon + 1])))
+    return out
+
+
+def _ray_merge_reference(fp, depth=36, k_values=(1, 2, 3, 4), max_len=2, max_norm=1):
+    """Reference ray-merge report, taking every pair's whole profile."""
+    delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)
+    population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
+    realized = [rays.realize(a, depth, validate=False).vertices for a in population]
+    instances = 0
+    failures = []
+    for ai in range(len(realized)):
+        for bi in range(len(realized)):
+            for k, failed in _ray_merge_pair_reference(fp, realized[ai], realized[bi], depth, k_values, delta):
+                instances += 1
+                if failed:
+                    failures.append({"a": population[ai].text(), "b": population[bi].text(), "k": k})
+    return checks._report("ray-merge", {"depth": depth, "k_values": list(k_values)}, instances, failures, {"rays": len(realized)})
+
+
+_Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (FactorSpec.integer_line("A", "x"), FactorSpec.integer_line("B", "y")),
+        (FactorSpec.integer_lattice("A", 2), FactorSpec.integer_line("B", "y")),
+        (FactorSpec.free_group("A", 2, names=("a", "b")), FactorSpec.integer_line("B", "y")),
+        (FactorSpec.integer_line("A", "x"), FactorSpec.finite_table("B", _Z3, [1, 2], names=["s", "t"])),
+    ],
+    ids=["zz", "lattice-line", "free2-line", "line-z3"],
+)
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"depth": 24, "k_values": (1, 2, 4)}, {"depth": 18, "k_values": (1, 2, 3, 4)}],
+    ids=["defaults", "d24", "d18-drops-4"],
+)
+def test_ray_merge_matches_full_profile_reference(first, second, kwargs):
+    fp = FreeProduct(first, second)
+    report = checks.run_ray_merge(fp, **kwargs)
+    assert report == _ray_merge_reference(fp, **kwargs)
+    # the report names every k the caller passed, also one the depth drops
+    assert report["params"]["k_values"] == list(kwargs.get("k_values", (1, 2, 3, 4)))
+
+
+def test_ray_merge_pair_counts_and_fails_below_top(zz, monkeypatch):
+    # hand-made vertex tuples: a straight ray and copies of it with one
+    # vertex pushed off by a given distance at a given index
+    depth, k_values = 24, (1, 2, 3, 4)  # k = 4 needs depth 24, so top is 4
+    ks = [k for k in k_values if depth >= 6 * k]
+    ra = tuple(zz.embed(zz.a.power(0, t)) for t in range(depth + 1))
+
+    def bumped(t, by):
+        return ra[:t] + (zz.multiply(ra[t], zz.embed(zz.b.power(0, by))),) + ra[t + 1 :]
+
+    cases = [
+        # (rb, delta, verdicts): horizons are 22, 20, 18 and 16 for k = 1..4
+        (ra, 1, [(1, False), (2, False), (3, False), (4, False)]),
+        (bumped(2, 1), 1, [(2, True), (3, True), (4, True)]),
+        (bumped(2, 1), 2, [(2, False), (3, False), (4, False)]),
+        (bumped(10, 3), 3, [(4, True)]),
+        (bumped(18, 3), 3, [(4, False)]),  # past k = 4's horizon
+        (bumped(17, 2), 2, [(3, True), (4, False)]),
+        (bumped(24, 4), 1, []),  # reaches top at the last index
+        (bumped(1, 4), 1, []),  # reaches top at once and stops there
+    ]
+    for rb, delta, verdicts in cases:
+        assert checks.ray_merge_pair(zz, ra, rb, ks, delta) == verdicts
+        assert _ray_merge_pair_reference(zz, ra, rb, depth, k_values, delta) == verdicts
+    # the profile stops at the first distance that reaches top
+    calls = []
+    distance = words.FreeProduct.distance
+    monkeypatch.setattr(words.FreeProduct, "distance", lambda fp, u, v: calls.append(1) or distance(fp, u, v))
+    assert checks.ray_merge_pair(zz, ra, bumped(1, 4), ks, 1) == []
+    assert len(calls) == 2
 
 
 def test_v_system_small(dihedral):

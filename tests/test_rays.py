@@ -36,9 +36,11 @@ def test_standard_line_refused(lattice2):
 
 
 def test_corresponding_ray_line_positive(line_a):
-    cr = corresponding_ray(line_a, line_a.make_element(5))
+    x = line_a.make_element(5)
+    cr = corresponding_ray(line_a, x)
     assert [v.payload for v in cr.direction.realization(3)] == [0, 1, 2, 3]
-    assert cr.t_x == 5 and cr.merge_depth == 0
+    # x sits at index |a| + merge_depth, for x = base * (first generator)^a
+    assert cr.merge_depth == 0 and cr.direction.realization(5)[5] == x
 
 
 def test_corresponding_ray_line_negative(line_a):
@@ -49,18 +51,20 @@ def test_corresponding_ray_line_negative(line_a):
 def test_corresponding_ray_free(free2):
     x = free2.make_element(((1, 1), (0, 2)))  # y x^2
     cr = corresponding_ray(free2, x)
-    assert cr.base_point.payload == ((1, 1),)
-    assert cr.t_x == 2 and cr.merge_depth == 1
+    assert cr.merge_depth == 1
     ray = cr.direction.realization(4)
+    # the ray reaches the line's closest point y at merge_depth, x two steps on
+    assert ray[cr.merge_depth].payload == ((1, 1),)
+    assert ray[cr.merge_depth + 2] == x
     assert [free2.format_element(v) for v in ray] == ["e", "y", "y x", "y x^2", "y x^3"]
 
 
 def test_corresponding_ray_mirrors(free2):
     x = free2.make_element(((1, 1), (0, -3)))  # y x^-3
     cr = corresponding_ray(free2, x)
-    assert cr.t_x == 3
     assert cr.direction.block == ((0, -1),)
-    # the ray passes through x at its norm
+    # the ray passes through x at its norm, three steps past merge_depth
+    assert cr.merge_depth + 3 == x.norm()
     assert cr.direction.realization(5)[4] == x
 
 
@@ -150,6 +154,92 @@ def test_roundtrip_population(zz):
         depth = sum(s.norm() for s in a.syllables) + 3
         ray = realize(a, depth)
         assert decompose(zz, ray) == a
+
+
+def _realize_reference(a, depth):
+    """Reference vertices of ``realize``: each vertex as a word product."""
+    fp = a.fp
+    verts = [fp.identity()]
+    base = fp.identity()
+    pos = 0
+    while len(verts) <= depth:
+        pos += 1
+        s = a.syllable_at(pos)
+        if s is None:
+            break
+        for elt in factors.first_geodesic(s.spec.identity(), s)[1:]:
+            if len(verts) > depth:
+                break
+            verts.append(fp.multiply(base, fp.embed(elt)))
+        base = fp.multiply(base, fp.embed(s))
+    if len(verts) <= depth and a.kind == rays.FINITE:
+        for elt in a.tail.realization(depth - len(verts) + 1)[1:]:
+            verts.append(fp.multiply(base, fp.embed(elt)))
+    return tuple(verts[: depth + 1])
+
+
+def _decompose_reference(fp, vertices):
+    """Reference ``decompose`` without provenance: each step is prev^-1 cur."""
+    runs = []
+    for prev, cur in zip(vertices, vertices[1:]):
+        q = fp.multiply(fp.inverse(prev), cur)
+        if len(q.syllables) != 1 or q.syllables[0].norm() != 1:
+            raise ValueError("consecutive ray vertices must differ by one generator")
+        s = q.syllables[0]
+        if runs and runs[-1].factor == s.factor:
+            runs[-1] = runs[-1] * s
+        else:
+            runs.append(s)
+    lead = [fp.a.identity()] if runs and runs[0].factor == fp.b.id else []
+    observed = tuple(lead + runs)
+    return CombRay(fp, rays.INFINITE, observed, unstable_last=bool(observed))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("raises", str(exc))
+
+
+@pytest.mark.parametrize("name", ["zz", "lxl", "f2l"])
+def test_decompose_steps_match_word_product_rule(name):
+    # every vertex of every realized ray, followed by: a stationary step, a
+    # step by g^2, a step that appends two syllables, one that changes the
+    # last two syllables, a backtracking step, and every generator step
+    fp = _index_product(name)
+    gens = [g.element for g in fp.generators()]
+    outcomes = {}
+    for a in comb_population(fp, max_len=2, max_norm=1):
+        depth = sum(s.norm() for s in a.syllables) + 2
+        verts = realize(a, depth).vertices
+        assert verts == _realize_reference(a, depth)
+        for t, prev in enumerate(verts):
+            ps = prev.syllables
+            steps = {"stationary": [prev], "square": [], "two appended": [], "two changed": [], "back": [], "generator": []}
+            for g in gens:
+                steps["square"].append(fp.multiply(prev, fp.embed(g * g)))
+                steps["generator"].append(fp.multiply(prev, fp.embed(g)))
+                for h in gens:
+                    if h.factor != g.factor:
+                        steps["two appended"].append(fp.multiply(prev, fp.word((g, h))))
+                if len(ps) >= 2 and ps[-2].factor == g.factor and not (ps[-2] * g).is_identity():
+                    steps["two changed"].append(fp.word(ps[:-2] + (ps[-2] * g, ps[-1] * ps[-1])))
+            if t:
+                steps["back"].append(verts[t - 1])
+            for kind, curs in steps.items():
+                for cur in curs:
+                    # a one-generator step also goes on the ray, where runs merge
+                    whole = kind in ("back", "generator")
+                    for ray in ((prev, cur), verts[: t + 1] + (cur,))[: 1 + whole]:
+                        got = _outcome(decompose, fp, TruncatedRay(ray))
+                        assert got == _outcome(_decompose_reference, fp, ray), (kind, ray)
+                        outcomes.setdefault(kind, set()).add(isinstance(got, tuple))
+    assert outcomes["stationary"] == outcomes["square"] == outcomes["two appended"] == {True}
+    assert outcomes["two changed"] == {True}
+    # a backtracking step is one generator; the ray decomposes unless it
+    # cancels a whole later syllable, which CombRay refuses
+    assert outcomes["back"] == outcomes["generator"] == {False, True}
 
 
 def test_comb_neighborhood_center_in_itself(zz):
