@@ -8,6 +8,7 @@ passed silently.
 from __future__ import annotations
 
 from . import factors, matching, morse, rays
+from .errors import CapExceeded
 from .graph import Ball
 from .words import FreeProduct
 
@@ -53,7 +54,7 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
 # -- projection --------------------------------------------------------------
 
 
-def ball_symmetries(ball: Ball) -> list[list[int]]:
+def ball_symmetries(ball: Ball) -> list[tuple[int, ...]]:
     """Vertex permutations of the ball induced by factor automorphisms.
 
     Each fixes the basepoint, preserves adjacency and both factor copies,
@@ -68,7 +69,7 @@ def ball_symmetries(ball: Ball) -> list[list[int]]:
             for w in ball.vertices:
                 image = fp.word(fa(s) if s.factor == fp.a.id else fb(s) for s in w.syllables)
                 perm.append(ball.index_of(image))
-            perms.append(perm)
+            perms.append(tuple(perm))
     return perms
 
 
@@ -96,13 +97,28 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     covered = 0
     failures = []
     bounds = [morse.qg_bound(lam, eps) for lam, eps in grid]
+
+    def scan(bound, least, u, v, symmetries):
+        bad: list = []
+        visit = projection_visitor(dist, proj_map, proj_gap, v, least, bound.hausdorff, bad)
+        walks = morse.scan_quasi_geodesics(ball, u, v, bound, visit, PROJECTION_START, path_cap, symmetries)
+        return walks, bad
+
     for bound in bounds:
         # no enumerated walk is longer than max_len of the ball's diameter
         least = bound.least.upto(bound.max_len(2 * radius))
         for (u, v), weight in sorted(orbits.items()):
-            bad: list = []
-            visit = projection_visitor(dist, proj_map, proj_gap, v, least, bound.hausdorff, bad)
-            walks = morse.scan_quasi_geodesics(ball, u, v, bound, visit, PROJECTION_START, path_cap)
+            # one walk per orbit of the symmetries that fix both ends
+            stabilizer = [p for p in symmetries if p[u] == u and p[v] == v]
+            try:
+                walks, bad = scan(bound, least, u, v, stabilizer)
+                settled = not bad
+            except CapExceeded:
+                settled = False
+            if not settled:
+                # a failure or an overrun: list every failing walk, and
+                # count up to the cap, as the plain search meets them
+                walks, bad = scan(bound, least, u, v, None)
             instances += walks
             covered += walks * weight
             for walk, reason in bad:

@@ -10,6 +10,7 @@ into int tables once per pair, and every quasi-geodesic verdict reads them.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,16 +213,126 @@ def is_quasi_geodesic(ball: Ball, walk: tuple[int, ...], lam, eps) -> bool:
     return _holds(ball, walk, qg_bound(lam, eps))
 
 
-def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, state, cap: int | None = None) -> int:
+class _Orbits:
+    """One group S of ball vertex permutations, as a canonical scan reads it.
+
+    For each vertex c that S fixes, ``options[c]`` lists the neighbours of
+    c that are least in their S-orbit, in adjacency order.  For each such
+    neighbour y, ``size[y]`` is the size of its S-orbit and ``child[y]``
+    the key of its stabilizer in S (see ``_Groups``).  The trivial group
+    fixes every vertex and keeps lists: every neighbour, size 1 and key 0,
+    itself.  Other groups fix few vertices and fill dicts as a scan reaches
+    them.
+    """
+
+    __slots__ = ("options", "size", "child")
+
+    def __init__(self, options, size, child):
+        self.options, self.size, self.child = options, size, child
+
+
+class _Options(dict):
+    """``options`` of a nontrivial group, listed for a vertex on first use."""
+
+    def __init__(self, neighbors, group, size, child):
+        super().__init__()
+        self.neighbors, self.group, self.size, self.child = neighbors, group, size, child
+
+    def __missing__(self, c):
+        reps = self[c] = []
+        for y in self.neighbors[c]:
+            orbit = {y}  # the identity's image; ``group`` leaves it out
+            orbit.update(p[y] for _i, p in self.group)
+            if min(orbit) == y:
+                reps.append(y)
+                if y not in self.size:
+                    self.size[y] = len(orbit)
+                    self.child[y] = sum(1 << i for i, p in self.group if p[y] == y)
+        return reps
+
+
+class _Groups(dict):
+    """The ``_Orbits`` of each group of one ball's permutations, keyed by
+    the bit set of the interned ids of its permutations other than the
+    identity, so the trivial group is 0; built on first use.  No entry
+    refers to another, so all are freed with the ball."""
+
+    def __init__(self, neighbors, perms):
+        super().__init__()
+        self.neighbors, self.perms = neighbors, perms
+        n = len(neighbors)
+        self[0] = _Orbits(neighbors, [1] * n, [0] * n)
+
+    def __missing__(self, key):
+        group = [(i, p) for i, p in enumerate(self.perms) if key >> i & 1]
+        size, child = {}, {}
+        entry = self[key] = _Orbits(_Options(self.neighbors, group, size, child), size, child)
+        return entry
+
+
+class _ScanTables:
+    """What every scan of one ball shares: its distance rows, its neighbour
+    lists and the ``_Groups`` met so far."""
+
+    def __init__(self, ball: Ball):
+        n = len(ball)
+        self.rows = [ball.row(i) for i in range(n)]
+        self.identity = tuple(range(n))
+        self.perm_ids: dict[tuple[int, ...], int] = {}
+        self.perms: list[tuple[int, ...]] = []
+        neighbors = [[x for _s, x in row if x is not None] for row in ball.adjacency]
+        self.groups = _Groups(neighbors, self.perms)
+
+    def key(self, perms) -> int:
+        """The key of the group made of ``perms``, which must be closed
+        under composition."""
+        key = 0
+        for p in perms:
+            p = tuple(p)  # no copy when p is a tuple already
+            if p == self.identity:
+                continue
+            i = self.perm_ids.get(p)
+            if i is None:
+                i = self.perm_ids[p] = len(self.perms)
+                self.perms.append(p)
+            key |= 1 << i
+        return key
+
+
+#: the scan tables of each live ball, built by its first scan
+_SCAN_TABLES: weakref.WeakKeyDictionary[Ball, _ScanTables] = weakref.WeakKeyDictionary()
+
+
+def _scan_tables(ball: Ball) -> _ScanTables:
+    tables = _SCAN_TABLES.get(ball)
+    if tables is None:
+        tables = _SCAN_TABLES[ball] = _ScanTables(ball)
+    return tables
+
+
+def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, state, cap: int | None = None, symmetries=None) -> int:
     """Depth-first search over the bound's quasi-geodesic edge paths u -> v
-    in the ball; returns how many there are.
+    in the ball, one prefix per orbit of ``symmetries``; returns how many
+    paths there are, orbits counted in full.
+
+    ``symmetries`` is a group of ball vertex permutations that fix u and v
+    and preserve adjacency, ``ball.row`` and ``ball.in_ball_row``; None
+    means the identity alone.  The search keeps only prefixes that are
+    least in their orbit, by canonical augmentation: a prefix p has the
+    pointwise stabilizer H_p of its vertices, extends only by neighbours x
+    that are least in their H_p-orbit, and gives each extension p's
+    weight times that orbit's size.  The weights of the walks it meets sum
+    to the number of walks.  Under the identity alone every prefix has
+    weight 1 and the search is the plain one.
 
     ``visit(state, walk)`` is called once on every prefix the search
     keeps, in search order, each prefix after its parent; ``walk`` is the
     search's own list, valid only during the call.  The state returned for
     a prefix is passed to the visits of its extensions, so a caller can
     carry work along shared prefixes instead of rescanning whole walks.  A
-    prefix is a walk when it ends at v; it may still be extended.
+    prefix is a walk when it ends at v; it may still be extended.  A
+    verdict that the symmetries preserve holds for every walk exactly when
+    it holds for every walk visited.  ``cap`` bounds the weighted count.
 
     The upper quasi-geodesic bound holds automatically for unit steps, so
     the search prunes on the lower bound and on in-ball reachability.
@@ -229,6 +340,9 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     never changes its vertex set, so deviation and Hausdorff quantities
     are unaffected while the count explodes.
     """
+    tables = _scan_tables(ball)
+    groups = tables.groups
+    root = groups[0 if symmetries is None else tables.key(symmetries)]
     # pair constraint against the final vertex caps the total length:
     # a walk visiting x at time s must finish by s + max_len(d(x, v))
     end_slack = bound.max_len.upto(2 * ball.radius)
@@ -236,26 +350,28 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     min_need = bound.least.upto(max_len)
     first_need = end_slack[0] + 1  # least(gap) > 0 exactly when gap > lam * eps
     to_v = ball.in_ball_row(v)
-    rows = [ball.row(i) for i in range(len(ball))]
+    rows = tables.rows
     row_v = rows[v]
-    neighbor_lists = [[n for _s, n in row if n is not None] for row in ball.adjacency]
-    walk = [u]
-    # states[k] is the visitor's state for walk[:k + 1]
-    states = [visit(state, walk)]
     count = 1 if u == v else 0
-    bounds = [min(max_len, end_slack[row_v[u]])]
-    # iterative DFS; each stack entry scans the options of one prefix
-    stack = [iter(neighbor_lists[u] if max_len else ())]
-    while stack:
-        nxt = next(stack[-1], None)
+    # the current prefix's options, length bound, group, weight and
+    # visitor state; frames saves them for each proper prefix of it
+    walk = [u]
+    options = iter(root.options[u] if max_len else ())
+    top = min(max_len, end_slack[row_v[u]])
+    group = root
+    weight = 1
+    current = visit(state, walk)
+    frames = []
+    while True:
+        nxt = next(options, None)
         if nxt is None:
-            stack.pop()
+            if not frames:
+                return count
             walk.pop()
-            bounds.pop()
-            states.pop()
+            options, top, group, weight, current = frames.pop()
             continue
         t = len(walk)  # the index nxt would take
-        limit = bounds[-1]
+        limit = top
         cand = t + end_slack[row_v[nxt]]
         if cand < limit:
             limit = cand
@@ -267,18 +383,21 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
                 break
         else:
             walk.append(nxt)
+            extended = weight * group.size[nxt]
             if nxt == v:
-                count += 1
+                count += extended
                 if cap is not None and count > cap:
                     raise CapExceeded(count)
             if t < limit:
-                states.append(visit(states[-1], walk))
-                bounds.append(limit)
-                stack.append(iter(neighbor_lists[nxt]))
+                frames.append((options, top, group, weight, current))
+                current = visit(current, walk)
+                top = limit
+                group = groups[group.child[nxt]]
+                weight = extended
+                options = iter(group.options[nxt])
             else:
-                visit(states[-1], walk)
+                visit(current, walk)
                 walk.pop()
-    return count
 
 
 def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | None = None):

@@ -14,26 +14,63 @@ def _zz_pair():
     return fp1, fp2
 
 
-def test_ball_symmetries_are_automorphisms(zz):
-    ball = Ball.build(zz, 3)
-    perms = checks.ball_symmetries(ball)
-    assert len(perms) == 4
-    for p in perms:
-        assert p[0] == 0
-        assert sorted(p) == list(range(len(ball)))
-        for i, row in enumerate(ball.adjacency):
-            image_neighbors = {p[j] for _s, j in row if j is not None}
-            mapped_rows = {j for _s, j in ball.adjacency[p[i]] if j is not None}
-            assert image_neighbors <= mapped_rows
+_LINE_B = FactorSpec.integer_line("B", "y")
+_PRODUCTS = {
+    "zz": FreeProduct(FactorSpec.integer_line("A", "x"), _LINE_B),
+    "lattice-line": FreeProduct(FactorSpec.integer_lattice("A", 2), _LINE_B),
+    "free2-line": FreeProduct(FactorSpec.free_group("A", 2, names=("a", "b")), _LINE_B),
+}
 
 
-def test_symmetries_commute_with_projection(lattice_product):
-    fp = lattice_product
-    ball = Ball.build(fp, 3)
-    proj = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
-    for p in checks.ball_symmetries(ball):
-        for i in range(len(ball)):
-            assert p[proj[i]] == proj[p[i]]
+def test_ball_symmetries_are_automorphisms():
+    # what the reduced quasi-geodesic scan relies on: a group of graph
+    # automorphisms that keep both distance stores
+    sizes = {}
+    for name, fp in _PRODUCTS.items():
+        ball = Ball.build(fp, 3)
+        n = len(ball)
+        perms = checks.ball_symmetries(ball)
+        sizes[name] = len(perms)
+        as_tuples = {tuple(p) for p in perms}
+        assert len(as_tuples) == len(perms)
+        for p in perms:
+            assert p[0] == 0
+            assert sorted(p) == list(range(n))
+            for i, row in enumerate(ball.adjacency):
+                image_neighbors = {p[j] for _s, j in row if j is not None}
+                mapped_rows = {j for _s, j in ball.adjacency[p[i]] if j is not None}
+                assert image_neighbors == mapped_rows
+            for i in range(n):
+                row, image = ball.row(i), ball.row(p[i])
+                assert [image[p[j]] for j in range(n)] == row
+                row, image = ball.in_ball_row(i), ball.in_ball_row(p[i])
+                assert [image[p[j]] for j in range(n)] == list(row)
+            for q in perms:
+                assert tuple(p[q[i]] for i in range(n)) in as_tuples
+    assert sizes == {"zz": 4, "lattice-line": 16, "free2-line": 16}
+
+
+def test_symmetries_commute_with_projection():
+    for fp in _PRODUCTS.values():
+        ball = Ball.build(fp, 3)
+        proj = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
+        for p in checks.ball_symmetries(ball):
+            for i in range(len(ball)):
+                assert p[proj[i]] == proj[p[i]]
+
+
+def _projection_setup(fp, radius):
+    """The ball, the projection tables and the orbit representatives of
+    endpoint pairs, as ``checks.run_projection_qg`` builds them."""
+    ball = Ball.build(fp, radius)
+    n = len(ball)
+    proj_map = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
+    dist = [ball.row(i) for i in range(n)]
+    proj_gap = [dist[i][proj_map[i]] for i in range(n)]
+    copy_a = [i for i in range(n) if proj_map[i] == i]
+    symmetries = checks.ball_symmetries(ball)
+    pairs = sorted({min(tuple(sorted((p[u], p[v]))) for p in symmetries) for u in copy_a for v in copy_a})
+    return ball, proj_map, dist, proj_gap, symmetries, pairs
 
 
 def _projection_violation(dist, proj, walk, least, haus_bound):
@@ -86,15 +123,7 @@ def test_projection_visitor_matches_reference(first, radius, line_b):
     # lower bound, which some projections break only between runs before
     # their last one
     fp = FreeProduct(first, line_b)
-    ball = Ball.build(fp, radius)
-    n = len(ball)
-    proj_map = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
-    dist = [ball.row(i) for i in range(n)]
-    proj_gap = [dist[i][proj_map[i]] for i in range(n)]
-    copy_a = [i for i in range(n) if proj_map[i] == i]
-    # endpoint pairs up to the ball's symmetries, as the check takes them
-    symmetries = checks.ball_symmetries(ball)
-    pairs = sorted({min(tuple(sorted((p[u], p[v]))) for p in symmetries) for u in copy_a for v in copy_a})
+    ball, proj_map, dist, proj_gap, _symmetries, pairs = _projection_setup(fp, radius)
     reasons = set()
     for lam, eps in ((2, 1), (2, 2), (3, 0)):
         bound = morse.qg_bound(lam, eps)
@@ -118,6 +147,68 @@ def test_projection_visitor_matches_reference(first, radius, line_b):
                 assert found == expected
                 reasons.update(r for _w, r in found)
     assert reasons == {"projection lower bound", "hausdorff bound"}
+
+
+def _all_of(visitors):
+    """One scan visitor that runs several, each on its own state."""
+    visitors = tuple(visitors)
+
+    def visit(states, walk):
+        return tuple(f(state, walk) for f, state in zip(visitors, states))
+
+    return visit
+
+
+_ORACLE_GRID = ((1, 0), (1, 2), (2, 1), (2, 2), (2, 3), (3, 0))
+
+
+@pytest.mark.parametrize(
+    "product, radius, grid",
+    [
+        ("zz", 3, _ORACLE_GRID),
+        ("lattice-line", 2, _ORACLE_GRID),
+        # (2, 2) and (2, 3) are left out at radius 3: at (2, 2) alone the
+        # reduced scans keep 4.55 M prefixes (about 20 s), the plain ones more
+        ("lattice-line", 3, ((1, 0), (1, 2), (2, 1), (3, 0))),
+        ("free2-line", 2, _ORACLE_GRID),
+    ],
+    ids=["zz-r3", "lattice-line-r2", "lattice-line-r3", "free2-line-r2"],
+)
+def test_reduced_scan_matches_plain_scan(product, radius, grid):
+    # on every orbit representative, the scan reduced by the stabilizer of
+    # its endpoints counts the plain scan's walks, and its failing walks,
+    # closed under the stabilizer, are the plain scan's failing walks; a
+    # Hausdorff bound of 0 and a lower bound raised by 1 make walks fail
+    # for both reasons
+    ball, proj_map, dist, proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS[product], radius)
+    reasons = set()
+    reduced_failures = plain_failures = 0
+    for lam, eps in grid:
+        bound = morse.qg_bound(lam, eps)
+        least = bound.least.upto(bound.max_len(2 * radius))
+        settings = ((least, 0), ([x + 1 for x in least], bound.hausdorff))
+        for u, v in pairs:
+            stabilizer = [p for p in symmetries if p[u] == u and p[v] == v]
+            runs = []
+            for group in (stabilizer, None):
+                found = [[] for _ in settings]
+                visit = _all_of(
+                    checks.projection_visitor(dist, proj_map, proj_gap, v, table, haus_bound, out)
+                    for (table, haus_bound), out in zip(settings, found)
+                )
+                start = (checks.PROJECTION_START,) * len(settings)
+                count = morse.scan_quasi_geodesics(ball, u, v, bound, visit, start, None, group)
+                runs.append((count, found))
+            (count, reduced), (plain_count, plain) = runs
+            assert count == plain_count
+            for mine, theirs in zip(reduced, plain):
+                closure = {(tuple(p[x] for x in walk), reason) for walk, reason in mine for p in stabilizer}
+                assert closure == set(theirs)
+                reasons.update(reason for _walk, reason in theirs)
+                reduced_failures += len(mine)
+                plain_failures += len(theirs)
+    assert reasons == {"projection lower bound", "hausdorff bound"}
+    assert reduced_failures < plain_failures
 
 
 def test_projection_check_keeps_bound_tables(zz):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from morse_forge import matching, morse, rays
+from morse_forge import checks, matching, morse, rays
 from morse_forge.cli import DEFAULT_CONFIG, main
 
 
@@ -190,12 +190,36 @@ def test_inconclusive_budget_exit_code(tmp_path, capsys):
     assert "inconclusive" in err and "path_cap 5" in err
 
 
-def test_projection_path_cap_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, budgets={"path_cap": 5})
-    args = ["check", "projection-qg", "--radius", "3", "--lambda", "2", "--eps", "3"]
-    code, _out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path / "rep")] + args, capsys)
-    assert code == 3
-    assert "inconclusive" in err and "path_cap 5" in err
+def _plain_scans(monkeypatch):
+    """Make every quasi-geodesic scan ignore its symmetries."""
+    scan = morse.scan_quasi_geodesics
+
+    def plain(ball, u, v, bound, visit, state, cap=None, symmetries=None):
+        return scan(ball, u, v, bound, visit, state, cap)
+
+    monkeypatch.setattr(morse, "scan_quasi_geodesics", plain)
+
+
+def _written(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_projection_path_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # Z*Z, radius 3: the first pair over the cap is (e, e) at (2, 3) with
+    # cap 5, and (e, x^2) at (2, 1) with cap 10.  The scans reduced by
+    # their endpoints' stabilizers overrun with weighted counts; the message
+    # counts as the plain search does
+    for (lam, eps), cap in ((("2", "3"), 5), (("2", "1"), 10)):
+        cfg = write_config(tmp_path, budgets={"path_cap": cap})
+        args = ["--config", str(cfg), "--out", str(tmp_path / "rep")]
+        args += ["check", "projection-qg", "--radius", "3", "--lambda", lam, "--eps", eps]
+        result = run_cli(args, capsys)
+        code, _out, err = result
+        assert code == 3
+        assert err == f"inconclusive: budget path_cap {cap} exceeded: {cap + 1} paths enumerated\n"
+        with monkeypatch.context() as patched:
+            _plain_scans(patched)
+            assert run_cli(args, capsys) == result
 
 
 def test_projection_qg_can_fail(tmp_path, capsys, monkeypatch):
@@ -214,6 +238,29 @@ def test_projection_qg_can_fail(tmp_path, capsys, monkeypatch):
     assert report["counterexamples"][0]["reason"] == "hausdorff bound"
     rows = (tmp_path / "check-projection-qg-paths.csv").read_text().splitlines()
     assert rows[0] == ",".join(str(x) for x in report["counterexamples"][0]["walk"])
+
+
+def test_projection_lower_bound_can_fail(tmp_path, capsys, monkeypatch):
+    # a lower bound raised by 1 is too strong: a projection that stays put
+    # for one step already breaks it.  Every pair fails, so each reduced
+    # scan is rerun plainly and the files match a run without the reduction
+    visitor = checks.projection_visitor
+
+    def raised(dist, proj_map, proj_gap, v, least, haus_bound, failures):
+        return visitor(dist, proj_map, proj_gap, v, [x + 1 for x in least], haus_bound, failures)
+
+    monkeypatch.setattr(checks, "projection_visitor", raised)
+    args = ["check", "projection-qg", "--radius", "2", "--lambda", "2", "--eps", "2"]
+    code, _out, _err = run_cli(["--out", str(tmp_path / "reduced")] + args, capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "reduced" / "check-projection-qg.json").read_text())
+    assert report["status"] == "fail"
+    assert report["counterexamples"][0]["reason"] == "projection lower bound"
+    rows = (tmp_path / "reduced" / "check-projection-qg-paths.csv").read_text().splitlines()
+    assert rows[0] == ",".join(str(x) for x in report["counterexamples"][0]["walk"])
+    _plain_scans(monkeypatch)
+    assert run_cli(["--out", str(tmp_path / "plain")] + args, capsys)[0] == 1
+    assert _written(tmp_path / "reduced") == _written(tmp_path / "plain")
 
 
 def test_concat_qg_can_fail(tmp_path, capsys, monkeypatch):
