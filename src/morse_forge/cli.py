@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import checks, factors, matching, morse
 from .errors import (
+    BallTooSmall,
     BudgetExceeded,
     CapExceeded,
     DepthBudgetExceeded,
@@ -372,6 +373,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
+        BallTooSmall,
         BudgetExceeded,
         CapExceeded,
         DepthBudgetExceeded,

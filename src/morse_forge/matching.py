@@ -46,9 +46,11 @@ class BoundaryHomeo:
         if self.source.has_boundary() != self.target.has_boundary():
             raise ValueError("both factors must have boundaries, or neither")
         if not self.source.has_boundary():
-            if self.source.kind == factors.FINITE and self.target.kind == factors.FINITE:
-                if len(self.source.table) != len(self.target.table):
-                    raise ValueError("finite factors of different order admit no bijection")
+            finite = self.source.kind == factors.FINITE
+            if finite != (self.target.kind == factors.FINITE):
+                raise ValueError("a finite factor and an infinite one admit no bijection")
+            if finite and len(self.source.table) != len(self.target.table):
+                raise ValueError("finite factors of different order admit no bijection")
             return
         if self.rule == LINESWAP:
             if self.source.kind != factors.LINE or self.target.kind != factors.LINE:

@@ -208,11 +208,6 @@ def _closest_point(ball: Ball, walk: tuple[int, ...], x: int) -> tuple[int, int]
     return min((row[g], i) for i, g in enumerate(walk))
 
 
-def is_quasi_geodesic(ball: Ball, walk: tuple[int, ...], lam, eps) -> bool:
-    """Two-sided (lam, eps) check over all index pairs of a walk."""
-    return _holds(ball, walk, qg_bound(lam, eps))
-
-
 class _Orbits:
     """One group S of ball vertex permutations, as a canonical scan reads it.
 
@@ -270,9 +265,64 @@ class _Groups(dict):
         return entry
 
 
+def _nearest_gates(neighbors, v: int) -> list[int]:
+    """For each vertex x of the graph, x's nearest gate: the cut vertex
+    other than x that lies closest to x among those every path x -> v
+    passes, or v when there is none (so v's own entry is v).
+
+    One lowpoint DFS rooted at v.  A child x of p in the DFS tree is cut
+    off from v by p exactly when no edge from x's subtree reaches above p
+    (low[x] >= disc[p]); then p is x's nearest gate, and otherwise x shares
+    p's.  Every path x -> v passes the gate, so the in-ball distance from x
+    to it is to_v[x] - to_v[gate[x]].
+    """
+    n = len(neighbors)
+    disc = [-1] * n
+    low = [0] * n
+    parent = [v] * n
+    order = [v]
+    disc[v] = 0
+    stack = [(v, iter(neighbors[v]))]
+    while stack:
+        x, rest = stack[-1]
+        for y in rest:
+            if disc[y] < 0:
+                disc[y] = low[y] = len(order)
+                order.append(y)
+                parent[y] = x
+                stack.append((y, iter(neighbors[y])))
+                break
+            if disc[y] < low[x]:
+                low[x] = disc[y]
+        else:
+            stack.pop()
+            p = parent[x]
+            if low[x] < low[p]:
+                low[p] = low[x]
+    gate = [v] * n
+    for x in order[1:]:  # a parent comes before its children
+        p = parent[x]
+        gate[x] = p if low[x] >= disc[p] else gate[p]
+    return gate
+
+
+class _Gates(dict):
+    """``_nearest_gates`` of one ball graph for each target v, built on
+    first use."""
+
+    def __init__(self, neighbors):
+        super().__init__()
+        self.neighbors = neighbors
+
+    def __missing__(self, v):
+        gate = self[v] = _nearest_gates(self.neighbors, v)
+        return gate
+
+
 class _ScanTables:
     """What every scan of one ball shares: its distance rows, its neighbour
-    lists and the ``_Groups`` met so far."""
+    lists, the ``_Groups`` met so far and the nearest gates toward each
+    target scanned so far."""
 
     def __init__(self, ball: Ball):
         n = len(ball)
@@ -282,6 +332,7 @@ class _ScanTables:
         self.perms: list[tuple[int, ...]] = []
         neighbors = [[x for _s, x in row if x is not None] for row in ball.adjacency]
         self.groups = _Groups(neighbors, self.perms)
+        self.gates = _Gates(neighbors)
 
     def key(self, perms) -> int:
         """The key of the group made of ``perms``, which must be closed
@@ -334,11 +385,29 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     verdict that the symmetries preserve holds for every walk exactly when
     it holds for every walk visited.  ``cap`` bounds the weighted count.
 
-    The upper quasi-geodesic bound holds automatically for unit steps, so
-    the search prunes on the lower bound and on in-ball reachability.
-    Stationary steps are excluded: padding a quasi-geodesic with stays
-    never changes its vertex set, so deviation and Hausdorff quantities
-    are unaffected while the count explodes.
+    The upper quasi-geodesic bound holds automatically for unit steps.  A
+    step to x at index t is refused by four exact prunes, each reading only
+    distances and the cut structure of the ball graph, which the
+    symmetries preserve:
+
+    - in-ball reachability: v is more than the length bound away from x
+      along paths inside the ball;
+    - end cap: the walk must end by s + max_len(d(w_s, v)) for every s,
+      including x itself;
+    - lower bound: d(w_s, x) < least(t - s) for some earlier s;
+    - gate deadline: every path from x to v inside the ball passes x's
+      nearest gate c, a cut vertex of the ball graph, so the walk passes c
+      again no earlier than t + d_in(x, c).  That is too late once it is
+      past s + max_len(d(w_s, c)) for some earlier s, and past c's own
+      gate's deadline less d_in(c, gate).  The deadline of a gate is taken
+      when the walk steps from c into the branch behind it (for u's gates,
+      from u alone), since ``least`` never decreases.
+
+    On Z*Z at radii 3 and 4 and on F2*Z at radius 2, every prefix the
+    search keeps leads to a walk.  Stationary steps are excluded:
+    padding a quasi-geodesic with stays never changes its vertex set, so
+    deviation and Hausdorff quantities are unaffected while the count
+    explodes.
     """
     tables = _scan_tables(ball)
     groups = tables.groups
@@ -352,15 +421,34 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     to_v = ball.in_ball_row(v)
     rows = tables.rows
     row_v = rows[v]
+    gate = tables.gates[v]
+    # The gates between the walk's last vertex and v, innermost first, as
+    # nested (gate, due, outer) tuples.  due is the latest index at which
+    # the walk may pass the gate plus the gate's in-ball distance to v, so a
+    # step to x behind that gate is refused when t + to_v[x] > due.  v's own
+    # entry never binds beyond the length bound.
+    chain = (v, max_len, None)
+    outward = []
+    g = gate[u]
+    while g != v:
+        outward.append(g)
+        g = gate[g]
+    row_u = rows[u]
+    for g in reversed(outward):
+        chain = (g, min(end_slack[row_u[g]] + to_v[g], chain[1]), chain)
     count = 1 if u == v else 0
-    # the current prefix's options, length bound, group, weight and
-    # visitor state; frames saves them for each proper prefix of it
+    # the current prefix's options, length bound, group, weight, visitor
+    # state, gate chain and the chain of the branch behind its last vertex
+    # (None until a step into that branch needs it); frames saves them for
+    # each proper prefix of it
+    here, due, _outer = chain
     walk = [u]
     options = iter(root.options[u] if max_len else ())
     top = min(max_len, end_slack[row_v[u]])
     group = root
     weight = 1
     current = visit(state, walk)
+    branch = None
     frames = []
     while True:
         nxt = next(options, None)
@@ -368,15 +456,37 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
             if not frames:
                 return count
             walk.pop()
-            options, top, group, weight, current = frames.pop()
+            options, top, group, weight, current, chain, branch = frames.pop()
+            here, due, _outer = chain
             continue
         t = len(walk)  # the index nxt would take
         limit = top
         cand = t + end_slack[row_v[nxt]]
         if cand < limit:
             limit = cand
-        if t + to_v[nxt] > limit:
+        reach = t + to_v[nxt]
+        if reach > limit:
             continue
+        g = gate[nxt]
+        if g == here:
+            if reach > due:
+                continue
+            inner = chain
+        else:
+            if g == walk[-1]:
+                # nxt lies in the branch behind the last vertex c, which
+                # the walk must pass again at some index t' with
+                # d(w_s, c) >= least(t' - s) for every earlier s
+                if branch is None:
+                    c = walk[-1]
+                    row = rows[c]
+                    back = min([s + end_slack[row[w]] for s, w in enumerate(walk)]) + to_v[c]
+                    branch = (c, back if back < due else due, chain)
+                inner = branch
+            else:  # nxt is the gate of the last vertex
+                inner = chain[2]
+            if reach > inner[1]:
+                continue
         row = rows[nxt]
         for s in range(t + 1 - first_need):  # widest gaps first: they bind
             if row[walk[s]] < min_need[t - s]:
@@ -389,12 +499,14 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
                 if cap is not None and count > cap:
                     raise CapExceeded(count)
             if t < limit:
-                frames.append((options, top, group, weight, current))
+                frames.append((options, top, group, weight, current, chain, branch))
                 current = visit(current, walk)
                 top = limit
                 group = groups[group.child[nxt]]
                 weight = extended
                 options = iter(group.options[nxt])
+                here, due, _outer = chain = inner
+                branch = None
             else:
                 visit(current, walk)
                 walk.pop()
@@ -418,7 +530,11 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
     """Empirical table gauge for a geodesic: per grid point, the maximal
     deviation over every enumerated quasi-geodesic with endpoints on it.
     """
-    if not is_quasi_geodesic(ball, verts, 1, 0):  # (1, 0) means geodesic
+    # a path is geodesic, the (1, 0) bound, exactly when its steps are
+    # edges and its ends lie as far apart as its length
+    if ball.pair_distance(verts[0], verts[-1]) != len(verts) - 1 or any(
+        ball.pair_distance(x, y) != 1 for x, y in zip(verts, verts[1:])
+    ):
         raise ValueError("estimate_gauge needs a geodesic path")
     dev_to_path = [_closest_point(ball, verts, x)[0] for x in range(len(ball))]
     entries = {}
@@ -475,7 +591,9 @@ def _join(ball: Ball, walk: tuple[int, ...], p: int, q: int, closest: dict, boun
         alpha = ball.first_geodesic(p, walk[t])
         beta = ball.first_geodesic(walk[t2], q)
     except PossiblyTruncated as exc:
-        raise BallTooSmall("joining geodesics may leave the ball") from exc
+        raise BallTooSmall(
+            f"budget ball_radius {ball.radius} too small: joining geodesics may leave the ball"
+        ) from exc
     middle = walk[t : t2 + 1] if t <= t2 else walk[t2 : t + 1][::-1]
     combined = alpha + middle[1:] + beta[1:]
     out = bound.concatenated

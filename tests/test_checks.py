@@ -159,6 +159,60 @@ def _all_of(visitors):
     return visit
 
 
+def _reference_scan(ball, u, v, bound, visit, state, symmetries=None):
+    """``morse.scan_quasi_geodesics`` without its gate deadline: the search
+    pruned by in-ball reachability, the end cap and the lower bound only."""
+    tables = morse._scan_tables(ball)
+    groups = tables.groups
+    root = groups[0 if symmetries is None else tables.key(symmetries)]
+    end_slack = bound.max_len.upto(2 * ball.radius)
+    max_len = end_slack[ball.pair_distance(u, v)]
+    min_need = bound.least.upto(max_len)
+    first_need = end_slack[0] + 1
+    to_v = ball.in_ball_row(v)
+    rows = tables.rows
+    row_v = rows[v]
+    count = 1 if u == v else 0
+    walk = [u]
+    options = iter(root.options[u] if max_len else ())
+    top = min(max_len, end_slack[row_v[u]])
+    group = root
+    weight = 1
+    current = visit(state, walk)
+    frames = []
+    while True:
+        nxt = next(options, None)
+        if nxt is None:
+            if not frames:
+                return count
+            walk.pop()
+            options, top, group, weight, current = frames.pop()
+            continue
+        t = len(walk)
+        limit = min(top, t + end_slack[row_v[nxt]])
+        if t + to_v[nxt] > limit:
+            continue
+        row = rows[nxt]
+        for s in range(t + 1 - first_need):
+            if row[walk[s]] < min_need[t - s]:
+                break
+        else:
+            walk.append(nxt)
+            extended = weight * group.size[nxt]
+            if nxt == v:
+                count += extended
+            if t < limit:
+                frames.append((options, top, group, weight, current))
+                current = visit(current, walk)
+                top = limit
+                group = groups[group.child[nxt]]
+                weight = extended
+                options = iter(group.options[nxt])
+            else:
+                visit(current, walk)
+                walk.pop()
+
+
 _ORACLE_GRID = ((1, 0), (1, 2), (2, 1), (2, 2), (2, 3), (3, 0))
 
 
@@ -179,7 +233,8 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
     # its endpoints counts the plain scan's walks, and its failing walks,
     # closed under the stabilizer, are the plain scan's failing walks; a
     # Hausdorff bound of 0 and a lower bound raised by 1 make walks fail
-    # for both reasons
+    # for both reasons.  Each scan, reduced or plain, also meets the walks
+    # and failures of the reference scan without the gate deadline, in order
     ball, proj_map, dist, proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS[product], radius)
     reasons = set()
     reduced_failures = plain_failures = 0
@@ -191,15 +246,18 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
             stabilizer = [p for p in symmetries if p[u] == u and p[v] == v]
             runs = []
             for group in (stabilizer, None):
-                found = [[] for _ in settings]
-                visit = _all_of(
-                    checks.projection_visitor(dist, proj_map, proj_gap, v, table, haus_bound, out)
-                    for (table, haus_bound), out in zip(settings, found)
-                )
-                start = (checks.PROJECTION_START,) * len(settings)
-                count = morse.scan_quasi_geodesics(ball, u, v, bound, visit, start, None, group)
-                runs.append((count, found))
-            (count, reduced), (plain_count, plain) = runs
+                for scan in (morse.scan_quasi_geodesics, _reference_scan):
+                    found = [[] for _ in settings]
+                    visit = _all_of(
+                        checks.projection_visitor(dist, proj_map, proj_gap, v, table, haus_bound, out)
+                        for (table, haus_bound), out in zip(settings, found)
+                    )
+                    start = (checks.PROJECTION_START,) * len(settings)
+                    count = scan(ball, u, v, bound, visit, start, symmetries=group)
+                    runs.append((count, found))
+            (count, reduced), reduced_reference, (plain_count, plain), plain_reference = runs
+            assert (count, reduced) == reduced_reference
+            assert (plain_count, plain) == plain_reference
             assert count == plain_count
             for mine, theirs in zip(reduced, plain):
                 closure = {(tuple(p[x] for x in walk), reason) for walk, reason in mine for p in stabilizer}
@@ -209,6 +267,40 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
                 plain_failures += len(theirs)
     assert reasons == {"projection lower bound", "hausdorff bound"}
     assert reduced_failures < plain_failures
+
+
+def _dead_prefixes(scan, ball, u, v, bound, group):
+    """(kept, dead): how many prefixes the scan keeps, and how many of
+    them lead to no walk."""
+    parent, live = [], []
+
+    def visit(state, walk):
+        parent.append(state)
+        live.append(walk[-1] == v)
+        return len(parent) - 1
+
+    scan(ball, u, v, bound, visit, None, symmetries=group)
+    for i in range(len(parent) - 1, 0, -1):  # each prefix after its parent
+        if live[i]:
+            live[parent[i]] = True
+    return len(live), live.count(False)
+
+
+@pytest.mark.parametrize("product, radius, point", [("zz", 3, (2, 3)), ("free2-line", 2, (2, 2))], ids=["zz-r3", "free2-line-r2"])
+def test_no_kept_prefix_is_dead(product, radius, point):
+    # with the gate deadline, every prefix the scan keeps leads to a walk;
+    # without it, the reference scan keeps dead ones
+    ball, _proj_map, _dist, _proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS[product], radius)
+    bound = morse.qg_bound(*point)
+    kept = reference_dead = 0
+    for u, v in pairs:
+        stabilizer = [p for p in symmetries if p[u] == u and p[v] == v]
+        for group in (stabilizer, None):
+            count, dead = _dead_prefixes(morse.scan_quasi_geodesics, ball, u, v, bound, group)
+            assert dead == 0
+            kept += count
+            reference_dead += _dead_prefixes(_reference_scan, ball, u, v, bound, group)[1]
+    assert kept > 0 and reference_dead > 0
 
 
 def test_projection_check_keeps_bound_tables(zz):

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from morse_forge import checks, matching, morse, rays
-from morse_forge.cli import DEFAULT_CONFIG, main
+from morse_forge import checks, graph, matching, morse, rays, words
+from morse_forge.cli import DEFAULT_CONFIG, load_config, main
+from morse_forge.errors import PossiblyTruncated
 
 
 def run_cli(args, capsys):
@@ -510,3 +511,79 @@ def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):
     code, _out, err = run_cli(["--config", str(cfg), "normalize", "s"], capsys)
     _assert_usage_error(code, err)
     assert "boundaries" in err
+
+
+def test_concat_ball_too_small_exit_code(tmp_path, capsys, monkeypatch):
+    # a joining geodesic that leaves the ball exhausts the ball_radius budget
+    def truncated(ball, u, v):
+        raise PossiblyTruncated(message="the first geodesic between these endpoints leaves the ball")
+
+    monkeypatch.setattr(graph.Ball, "first_geodesic", truncated)
+    cfg = write_config(tmp_path, budgets={"ball_radius": 2})
+    args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "check", "concat-qg"]
+    code, _out, err = run_cli(args, capsys)
+    assert code == 3
+    assert err == "inconclusive: budget ball_radius 2 too small: joining geodesics may leave the ball\n"
+
+
+def test_match_ray_budget_exit_code(tmp_path, capsys):
+    # the default gauge certifies each boundary step at depth 60
+    errors = []
+    for ray_depth, expected in ((59, 3), (60, 0)):
+        cfg = write_config(tmp_path, budgets={"ray_depth": ray_depth})
+        args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "match", "--steps", "1"]
+        code, _out, err = run_cli(args, capsys)
+        assert code == expected
+        errors.append(err)
+    assert errors == ["inconclusive: certification depth 60 exceeds ray budget 59\n", ""]
+
+
+_Z2_FACTOR = {"kind": "finite", "table": [[0, 1], [1, 0]], "generators": [1], "names": ["a"]}
+_LATTICE_FACTOR = {"kind": "lattice", "dim": 2}
+
+
+def _pair(first_a, second_a):
+    line = {"kind": "line", "names": ["y"]}
+    return {
+        "first": [dict(first_a, id="A1"), dict(line, id="B1")],
+        "second": [dict(second_a, id="A2"), dict(line, id="B2")],
+    }
+
+
+def test_finite_factor_matched_to_infinite_is_usage_error(tmp_path, capsys):
+    # neither has a boundary, but no bijection of Z/2 onto Z^2 exists
+    for first_a, second_a in ((_Z2_FACTOR, _LATTICE_FACTOR), (_LATTICE_FACTOR, _Z2_FACTOR)):
+        cfg = write_config(tmp_path, factors=_pair(first_a, second_a))
+        code, _out, err = run_cli(["--config", str(cfg), "normalize", "y"], capsys)
+        _assert_usage_error(code, err)
+        assert "a finite factor and an infinite one admit no bijection" in err
+    for same in (_Z2_FACTOR, _LATTICE_FACTOR):
+        cfg = write_config(tmp_path, factors=_pair(same, same))
+        code, out, _err = run_cli(["--config", str(cfg), "normalize", "y"], capsys)
+        assert code == 0 and json.loads(out)["word"] == "y"
+
+
+def test_prefix_transit_can_fail(tmp_path, capsys, monkeypatch):
+    # a claim too strong: every path to a1 a2 must pass a1, which is no cut
+    # vertex of the lattice, so the path through a2 breaks it
+    prefix_vertices = words.FreeProduct.prefix_vertices
+
+    def stricter(fp, w):
+        required = prefix_vertices(fp, w)
+        if w == fp.parse("a1 a2"):
+            required.append(fp.parse("a1"))
+        return required
+
+    monkeypatch.setattr(words.FreeProduct, "prefix_vertices", stricter)
+    cfg = write_config(tmp_path, factors=_pair(_LATTICE_FACTOR, _LATTICE_FACTOR))
+    args = ["--config", str(cfg), "--out", str(tmp_path), "check", "prefix-transit", "--radius", "2"]
+    code, _out, _err = run_cli(args, capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "check-prefix-transit.json").read_text())
+    assert report["status"] == "fail"
+    assert {cex["w"] for cex in report["counterexamples"]} == {"a1 a2"}
+    first = report["counterexamples"][0]["path"]
+    fp = load_config(str(cfg)).fp1
+    assert graph.Ball.build(fp, 2).index_of(fp.parse("a1")) not in first
+    rows = (tmp_path / "check-prefix-transit-paths.csv").read_text().splitlines()
+    assert rows[0] == ",".join(str(x) for x in first)

@@ -5,16 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from morse_forge import CANONICAL_TREE_GAUGE, FactorSpace, Gauge
+from morse_forge import CANONICAL_TREE_GAUGE, FactorSpace, FactorSpec, FreeProduct, Gauge
 from morse_forge import morse
-from morse_forge.errors import GridMiss, RealizationCapExceeded
+from morse_forge.errors import BallTooSmall, GridMiss, RealizationCapExceeded
 from morse_forge.graph import Ball
 from morse_forge.morse import (
     Neighborhood,
     concat_quasi_geodesic,
     estimate_gauge,
     enumerate_quasi_geodesics,
-    is_quasi_geodesic,
     neighborhood_member,
     nesting_constant,
     tracking_bound,
@@ -78,18 +77,22 @@ def test_gauge_table_monotonicity_enforced():
 # -- quasi-geodesic predicate ------------------------------------------------
 
 
+def _is_quasi_geodesic(ball, walk, lam, eps):
+    return morse._holds(ball, walk, morse.qg_bound(lam, eps))
+
+
 def test_geodesic_is_quasi_geodesic(zz):
     ball = Ball.build(zz, 3)
     path = ball.first_geodesic(0, ball.index_of(zz.parse("x y x")))
-    assert is_quasi_geodesic(ball, path, 1, 0)
+    assert _is_quasi_geodesic(ball, path, 1, 0)
 
 
 def test_backtrack_needs_eps(zz):
     ball = Ball.build(zz, 2)
     x = ball.index_of(zz.parse("x"))
     back = (0, x, 0)
-    assert is_quasi_geodesic(ball, back, 1, 2)
-    assert not is_quasi_geodesic(ball, back, 1, 1)
+    assert _is_quasi_geodesic(ball, back, 1, 2)
+    assert not _is_quasi_geodesic(ball, back, 1, 1)
 
 
 def test_enumeration_matches_path_filter(zz):
@@ -103,7 +106,7 @@ def test_enumeration_matches_path_filter(zz):
             w
             for w in walks
             if all(a != b for a, b in zip(w, w[1:]))
-            and is_quasi_geodesic(ball, w, lam, eps)
+            and _is_quasi_geodesic(ball, w, lam, eps)
         )
         assert got == expect
 
@@ -123,6 +126,59 @@ def test_integer_bound_matches_fraction_definitions(lam, eps):
             assert (lower <= d <= upper) == (bound.least(n) <= d <= bound.most(n))
 
 
+# -- gates of the quasi-geodesic search ------------------------------------------
+
+
+def _brute_force_gates(ball, v):
+    """Each vertex's nearest gate toward v: delete each other vertex c in
+    turn, search from v, and take the closest c that cuts x off."""
+    n = len(ball)
+    cut_off = {}
+    for c in range(n):
+        if c == v:
+            continue
+        seen = {v, c}
+        stack = [v]
+        while stack:
+            for y in ball.neighbors(stack.pop()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        cut_off[c] = set(range(n)) - seen
+    gates = []
+    for x in range(n):
+        d_in = ball.in_ball_row(x)
+        behind = sorted((d_in[c], c) for c, lost in cut_off.items() if x in lost)
+        assert len({d for d, _c in behind}) == len(behind)  # the gates of x form a chain
+        gates.append(behind[0][1] if behind else v)
+    return gates
+
+
+@pytest.mark.parametrize(
+    "product, radius",
+    [("zz", 3), ("lattice_product", 2), ("free2_line", 2), ("dihedral", 3)],
+)
+def test_nearest_gates_match_brute_force(product, radius, request, line_b):
+    if product == "free2_line":
+        fp = FreeProduct(FactorSpec.free_group("A", 2, names=("a", "b")), line_b)
+    else:
+        fp = request.getfixturevalue(product)
+    ball = Ball.build(fp, radius)
+    neighbors = [list(ball.neighbors(x)) for x in range(len(ball))]
+    # the targets of the projection check: the copy of the first factor
+    copy = [x for x, w in enumerate(ball.vertices) if ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) == x]
+    cut_vertices = set()
+    for v in copy:
+        gates = morse._nearest_gates(neighbors, v)
+        assert gates == _brute_force_gates(ball, v)
+        to_v = ball.in_ball_row(v)
+        for x, g in enumerate(gates):
+            # every path x -> v passes the gate, so the distances add up
+            assert ball.in_ball_row(x)[g] == to_v[x] - to_v[g]
+        cut_vertices.update(g for g in gates if g != v)
+    assert cut_vertices
+
+
 # -- gauge estimation -----------------------------------------------------------
 
 
@@ -132,6 +188,18 @@ def test_estimate_gauge_tree_geodesic(zz):
     g = estimate_gauge(ball, path, [(1, 0)])
     assert g.value(1, 0) == 0
     assert g.certified_radius == 3
+
+
+def test_estimate_gauge_refuses_non_geodesics(lattice_product):
+    # a backtrack, a stay, a jump and a detour around a lattice square
+    fp = lattice_product
+    ball = Ball.build(fp, 3)
+    a1, a1a1, a2, a1a2 = (ball.index_of(fp.parse(w)) for w in ("a1", "a1^2", "a2", "a1 a2"))
+    for path in ((0, a1, 0), (0, 0, a1), (0, a1a1), (0, a1, a1a2, a2)):
+        with pytest.raises(ValueError, match="geodesic path"):
+            estimate_gauge(ball, path, [(1, 0)])
+    around = (a2, a1a2, a1, ball.index_of(fp.parse("a1 y")))
+    assert estimate_gauge(ball, around, [(1, 0)]).certified_radius == 3
 
 
 def test_estimate_gauge_line_overshoot(dihedral):
@@ -239,6 +307,15 @@ def test_concat_hypothesis_instances_verify(zz, lattice_product):
                             held += 1
                             assert cert.verified
         assert held > 0
+
+
+def test_concat_join_leaving_the_ball_names_the_budget(lattice_product):
+    # the first geodesic a2^2 -> a1^2 runs through a1 a2^2, outside radius 2
+    fp = lattice_product
+    ball = Ball.build(fp, 2)
+    p, q = ball.index_of(fp.parse("a2^2")), ball.index_of(fp.parse("a1^2"))
+    with pytest.raises(BallTooSmall, match="^budget ball_radius 2 too small: "):
+        concat_quasi_geodesic(ball, p, q, (q,), 1, 0)
 
 
 # -- neighborhoods -------------------------------------------------------------------
