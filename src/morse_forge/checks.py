@@ -82,12 +82,13 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     # the projection retracts onto the factor copy, so it fixes exactly the copy
     copy_a = [i for i in range(n) if proj_map[i] == i]
     dist = [ball.row(u) for u in range(n)]
-    symmetries = ball_symmetries(ball)
+    perms = ball_symmetries(ball)
+    symmetries = morse.Symmetries(ball, perms)
     orbits: dict[tuple[int, int], int] = {}
     for ui in range(len(copy_a)):
         for vi in range(ui, len(copy_a)):
             u, v = copy_a[ui], copy_a[vi]
-            orbit = {tuple(sorted((p[u], p[v]))) for p in symmetries}
+            orbit = {tuple(sorted((p[u], p[v]))) for p in perms}
             rep = min(orbit)
             orbits[rep] = len(orbit)
     # d(x, pi(x)) bounds the Hausdorff distance in both directions, since
@@ -108,10 +109,8 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
         # no enumerated walk is longer than max_len of the ball's diameter
         least = bound.least.upto(bound.max_len(2 * radius))
         for (u, v), weight in sorted(orbits.items()):
-            # one walk per orbit of the symmetries that fix both ends
-            stabilizer = [p for p in symmetries if p[u] == u and p[v] == v]
-            try:
-                walks, bad = scan(bound, least, u, v, stabilizer)
+            try:  # one walk per orbit of the symmetries that fix both ends
+                walks, bad = scan(bound, least, u, v, symmetries)
                 settled = not bad
             except CapExceeded:
                 settled = False

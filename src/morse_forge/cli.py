@@ -18,17 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import checks, factors, matching, morse
-from .errors import (
-    BallTooSmall,
-    BudgetExceeded,
-    CapExceeded,
-    DepthBudgetExceeded,
-    GridMiss,
-    MorseForgeError,
-    ParseError,
-    PossiblyTruncated,
-    RealizationCapExceeded,
-)
+from .errors import BudgetExceeded, CapExceeded, Inconclusive, MorseForgeError, ParseError
 from .graph import Ball
 from .words import FreeProduct
 
@@ -372,15 +362,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        BallTooSmall,
-        BudgetExceeded,
-        CapExceeded,
-        DepthBudgetExceeded,
-        GridMiss,
-        PossiblyTruncated,
-        RealizationCapExceeded,
-    ) as exc:
+    except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except MorseForgeError as exc:

@@ -29,7 +29,11 @@ class ParseError(MorseForgeError):
     """Unparseable word, element or tail text."""
 
 
-class CapExceeded(MorseForgeError):
+class Inconclusive(MorseForgeError):
+    """A verdict could not be reached within a budget; the CLI exits 3."""
+
+
+class CapExceeded(Inconclusive):
     """An enumeration produced more results than the caller allowed."""
 
     def __init__(self, count: int, message: str = ""):
@@ -37,11 +41,11 @@ class CapExceeded(MorseForgeError):
         super().__init__(message or f"enumeration produced {count} results, above the cap")
 
 
-class BudgetExceeded(MorseForgeError):
+class BudgetExceeded(Inconclusive):
     """A configured hard budget (vertices, path length, depth) is too small."""
 
 
-class PossiblyTruncated(MorseForgeError):
+class PossiblyTruncated(Inconclusive):
     """The ball cannot certify that a distance or path family is fully inside it."""
 
     def __init__(self, in_ball_distance=None, message: str = ""):
@@ -52,19 +56,19 @@ class PossiblyTruncated(MorseForgeError):
         )
 
 
-class GridMiss(MorseForgeError):
+class GridMiss(Inconclusive):
     """A table gauge lacks a sample point required by a derived constant."""
 
 
-class RealizationCapExceeded(MorseForgeError):
+class RealizationCapExceeded(Inconclusive):
     """A vertex has more realizations than the membership check allows."""
 
 
-class BallTooSmall(MorseForgeError):
+class BallTooSmall(Inconclusive):
     """A constructed path would leave the ball."""
 
 
-class DepthBudgetExceeded(MorseForgeError):
+class DepthBudgetExceeded(Inconclusive):
     """A matching step could not be certified within the truncation budget."""
 
 

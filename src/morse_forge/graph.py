@@ -9,6 +9,14 @@ either metric.
 A walk is a tuple of vertex indices; a step may be stationary.  Stationary
 steps keep index sets intact under projection and make the path count
 the right discrete analogue of a reparametrizable curve.
+
+A ``Ball`` owns every table of its graph; no other module keeps one.
+``adjacency`` lists each vertex's (generator symbol, neighbour index, or
+None outside the ball) and ``neighbors`` its in-ball neighbours, in the
+same order.  Three stores fill one entry per source or target on first
+use and are freed with the ball: ``row`` (true distances), ``in_ball_row``
+(distances along paths inside the ball) and ``gates`` (nearest cut
+vertices toward a target).
 """
 
 from __future__ import annotations
@@ -141,15 +149,17 @@ class Ball:
     ball.
     """
 
-    def __init__(self, space, radius, vertices, index, dist, adjacency):
+    def __init__(self, space, radius, vertices, index, dist, adjacency, neighbors):
         self.space = space
         self.radius = radius
         self.vertices = vertices
         self.index = index
         self.dist = dist
         self.adjacency = adjacency
+        self.neighbors = neighbors
         self._rows: dict[int, list[int]] = {}
         self._in_ball_rows: dict[int, bytes | list[int]] = {}
+        self._gates: dict[int, list[int]] = {}
         self._tree: _PrefixTree | None = None
 
     @classmethod
@@ -172,13 +182,12 @@ class Ball:
                 verts.append(w)
                 dist.append(level)
         adjacency = []
+        neighbors = []
         for v in verts:
-            row = []
-            for gen in space.generators():
-                w = space.step(v, gen)
-                row.append((gen.symbol, index.get(w)))
-            adjacency.append(tuple(row))
-        return cls(space, radius, verts, index, dist, tuple(adjacency))
+            row = tuple((gen.symbol, index.get(space.step(v, gen))) for gen in space.generators())
+            adjacency.append(row)
+            neighbors.append([w for _s, w in row if w is not None])
+        return cls(space, radius, verts, index, dist, tuple(adjacency), neighbors)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -191,9 +200,6 @@ class Ball:
             return self.index[v]
         except KeyError:
             raise KeyError(f"vertex {v!r} not in ball") from None
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(n for _s, n in self.adjacency[i] if n is not None)
 
     # -- metric -----------------------------------------------------------
 
@@ -212,8 +218,8 @@ class Ball:
             while frontier:
                 nxt = []
                 for v in frontier:
-                    for _s, n in self.adjacency[v]:
-                        if n is not None and out[n] is None:
+                    for n in self.neighbors[v]:
+                        if out[n] is None:
                             out[n] = out[v] + 1
                             nxt.append(n)
                 frontier = nxt
@@ -242,6 +248,51 @@ class Ball:
         """Exact distance in the whole space, never truncated by the ball."""
         return self.row(u)[v]
 
+    def gates(self, v: int) -> list[int]:
+        """For each vertex x, x's nearest gate toward v: the cut vertex of
+        the ball graph other than x that lies closest to x among those every
+        in-ball path x -> v passes, or v when there is none (so v's own
+        entry is v).
+
+        One lowpoint DFS rooted at v.  A child x of p in the DFS tree is cut
+        off from v by p exactly when no edge from x's subtree reaches above
+        p (low[x] >= disc[p]); then p is x's nearest gate, and otherwise x
+        shares p's.  Every path x -> v passes the gate, so the in-ball
+        distance from x to it is to_v[x] - to_v[gate[x]].
+        """
+        gate = self._gates.get(v)
+        if gate is not None:
+            return gate
+        neighbors = self.neighbors
+        n = len(neighbors)
+        disc = [-1] * n
+        low = [0] * n
+        parent = [v] * n
+        order = [v]
+        disc[v] = 0
+        stack = [(v, iter(neighbors[v]))]
+        while stack:
+            x, rest = stack[-1]
+            for y in rest:
+                if disc[y] < 0:
+                    disc[y] = low[y] = len(order)
+                    order.append(y)
+                    parent[y] = x
+                    stack.append((y, iter(neighbors[y])))
+                    break
+                if disc[y] < low[x]:
+                    low[x] = disc[y]
+            else:
+                stack.pop()
+                p = parent[x]
+                if low[x] < low[p]:
+                    low[p] = low[x]
+        gate = self._gates[v] = [v] * n
+        for x in order[1:]:  # a parent comes before its children
+            p = parent[x]
+            gate[x] = p if low[x] >= disc[p] else gate[p]
+        return gate
+
     # -- enumeration --------------------------------------------------------
 
     def enumerate_geodesics(self, u: int, v: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -263,8 +314,8 @@ class Ball:
                     out.append(tuple(acc))
                 return
             d = to_v[cur]
-            for _s, n in self.adjacency[cur]:
-                if n is not None and to_v[n] == d - 1:
+            for n in self.neighbors[cur]:
+                if to_v[n] == d - 1:
                     acc.append(n)
                     rec(n, acc)
                     acc.pop()
@@ -311,8 +362,7 @@ class Ball:
             remaining = maxlen - (len(acc) - 1)
             if remaining == 0:
                 return
-            options = [cur] + [n for _s, n in self.adjacency[cur] if n is not None]
-            for nxt in options:
+            for nxt in [cur] + self.neighbors[cur]:
                 if to_v[nxt] <= remaining - 1:
                     acc.append(nxt)
                     rec(nxt, acc)

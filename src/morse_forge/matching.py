@@ -139,13 +139,13 @@ class _Enumeration:
                 self._done = True
         return self._items[i] if i < len(self._items) else None
 
-    def next_unmatched(self, matched) -> factors.FactorElement:
+    def next_unmatched(self, matched) -> factors.FactorElement | None:
+        """The first element not in ``matched``; None once a finite group
+        is all matched."""
         i = 0
         while True:
             x = self.get(i)
-            if x is None:
-                raise DepthBudgetExceeded("element enumeration exhausted")
-            if x not in matched:
+            if x is None or x not in matched:
                 return x
             i += 1
 
@@ -189,7 +189,8 @@ class MatchState:
 
     def step(self, side: int) -> dict:
         """Run one matching step; side 1 initiates from the source group,
-        side 2 from the target group."""
+        side 2 from the target group.  Returns the step's record, which is
+        empty when a finite pair's bijection is already complete."""
         if side not in (1, 2):
             raise ValueError("side must be 1 or 2")
         self.steps_taken += 1
@@ -202,6 +203,8 @@ class MatchState:
             other_enum, other_matched = self._enum_src, self.forward
             homeo_dir, homeo_back = self.homeo_inverse, self.homeo
         x = init_enum.next_unmatched(init_matched)
+        if x is None:
+            return {}
         record: dict = {
             "seq": self.steps_taken,
             "side": side,
@@ -315,6 +318,8 @@ class ProductMatching:
             for state in (self.a, self.b):
                 for side in (1, 2):
                     rec = state.step(side)
+                    if not rec:
+                        continue
                     rec = dict(rec)
                     rec["pair"] = "A" if state is self.a else "B"
                     self.transcript.append(rec)

@@ -10,7 +10,6 @@ into int tables once per pair, and every quasi-geodesic verdict reads them.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,7 +213,7 @@ class _Orbits:
     For each vertex c that S fixes, ``options[c]`` lists the neighbours of
     c that are least in their S-orbit, in adjacency order.  For each such
     neighbour y, ``size[y]`` is the size of its S-orbit and ``child[y]``
-    the key of its stabilizer in S (see ``_Groups``).  The trivial group
+    the key of its stabilizer in S (see ``Symmetries``).  The trivial group
     fixes every vertex and keeps lists: every neighbour, size 1 and key 0,
     itself.  Other groups fix few vertices and fill dicts as a scan reaches
     them.
@@ -246,17 +245,29 @@ class _Options(dict):
         return reps
 
 
-class _Groups(dict):
-    """The ``_Orbits`` of each group of one ball's permutations, keyed by
-    the bit set of the interned ids of its permutations other than the
-    identity, so the trivial group is 0; built on first use.  No entry
-    refers to another, so all are freed with the ball."""
+class Symmetries(dict):
+    """The ``_Orbits`` of each subgroup of one group of ball vertex
+    permutations, built on first use.
 
-    def __init__(self, neighbors, perms):
+    ``perms`` must be closed under composition, and each permutation must
+    preserve adjacency, ``Ball.row`` and ``Ball.in_ball_row``, as those of
+    ``checks.ball_symmetries`` do.  A subgroup's key is the bit mask of its
+    permutations in ``self.perms``, which leaves out the identity, so the
+    trivial group is 0.  No entry refers to another or to this object, so
+    all are freed with it.
+    """
+
+    def __init__(self, ball: Ball, perms):
         super().__init__()
-        self.neighbors, self.perms = neighbors, perms
-        n = len(neighbors)
-        self[0] = _Orbits(neighbors, [1] * n, [0] * n)
+        n = len(ball)
+        identity = tuple(range(n))
+        self.neighbors = ball.neighbors
+        self.perms = [p for p in map(tuple, perms) if p != identity]
+        self[0] = _Orbits(ball.neighbors, [1] * n, [0] * n)
+
+    def stabilizer(self, u: int, v: int) -> int:
+        """The key of the subgroup of the permutations that fix u and v."""
+        return sum(1 << i for i, p in enumerate(self.perms) if p[u] == u and p[v] == v)
 
     def __missing__(self, key):
         group = [(i, p) for i, p in enumerate(self.perms) if key >> i & 1]
@@ -265,115 +276,18 @@ class _Groups(dict):
         return entry
 
 
-def _nearest_gates(neighbors, v: int) -> list[int]:
-    """For each vertex x of the graph, x's nearest gate: the cut vertex
-    other than x that lies closest to x among those every path x -> v
-    passes, or v when there is none (so v's own entry is v).
-
-    One lowpoint DFS rooted at v.  A child x of p in the DFS tree is cut
-    off from v by p exactly when no edge from x's subtree reaches above p
-    (low[x] >= disc[p]); then p is x's nearest gate, and otherwise x shares
-    p's.  Every path x -> v passes the gate, so the in-ball distance from x
-    to it is to_v[x] - to_v[gate[x]].
-    """
-    n = len(neighbors)
-    disc = [-1] * n
-    low = [0] * n
-    parent = [v] * n
-    order = [v]
-    disc[v] = 0
-    stack = [(v, iter(neighbors[v]))]
-    while stack:
-        x, rest = stack[-1]
-        for y in rest:
-            if disc[y] < 0:
-                disc[y] = low[y] = len(order)
-                order.append(y)
-                parent[y] = x
-                stack.append((y, iter(neighbors[y])))
-                break
-            if disc[y] < low[x]:
-                low[x] = disc[y]
-        else:
-            stack.pop()
-            p = parent[x]
-            if low[x] < low[p]:
-                low[p] = low[x]
-    gate = [v] * n
-    for x in order[1:]:  # a parent comes before its children
-        p = parent[x]
-        gate[x] = p if low[x] >= disc[p] else gate[p]
-    return gate
-
-
-class _Gates(dict):
-    """``_nearest_gates`` of one ball graph for each target v, built on
-    first use."""
-
-    def __init__(self, neighbors):
-        super().__init__()
-        self.neighbors = neighbors
-
-    def __missing__(self, v):
-        gate = self[v] = _nearest_gates(self.neighbors, v)
-        return gate
-
-
-class _ScanTables:
-    """What every scan of one ball shares: its distance rows, its neighbour
-    lists, the ``_Groups`` met so far and the nearest gates toward each
-    target scanned so far."""
-
-    def __init__(self, ball: Ball):
-        n = len(ball)
-        self.rows = [ball.row(i) for i in range(n)]
-        self.identity = tuple(range(n))
-        self.perm_ids: dict[tuple[int, ...], int] = {}
-        self.perms: list[tuple[int, ...]] = []
-        neighbors = [[x for _s, x in row if x is not None] for row in ball.adjacency]
-        self.groups = _Groups(neighbors, self.perms)
-        self.gates = _Gates(neighbors)
-
-    def key(self, perms) -> int:
-        """The key of the group made of ``perms``, which must be closed
-        under composition."""
-        key = 0
-        for p in perms:
-            p = tuple(p)  # no copy when p is a tuple already
-            if p == self.identity:
-                continue
-            i = self.perm_ids.get(p)
-            if i is None:
-                i = self.perm_ids[p] = len(self.perms)
-                self.perms.append(p)
-            key |= 1 << i
-        return key
-
-
-#: the scan tables of each live ball, built by its first scan
-_SCAN_TABLES: weakref.WeakKeyDictionary[Ball, _ScanTables] = weakref.WeakKeyDictionary()
-
-
-def _scan_tables(ball: Ball) -> _ScanTables:
-    tables = _SCAN_TABLES.get(ball)
-    if tables is None:
-        tables = _SCAN_TABLES[ball] = _ScanTables(ball)
-    return tables
-
-
 def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, state, cap: int | None = None, symmetries=None) -> int:
     """Depth-first search over the bound's quasi-geodesic edge paths u -> v
     in the ball, one prefix per orbit of ``symmetries``; returns how many
     paths there are, orbits counted in full.
 
-    ``symmetries`` is a group of ball vertex permutations that fix u and v
-    and preserve adjacency, ``ball.row`` and ``ball.in_ball_row``; None
-    means the identity alone.  The search keeps only prefixes that are
-    least in their orbit, by canonical augmentation: a prefix p has the
-    pointwise stabilizer H_p of its vertices, extends only by neighbours x
-    that are least in their H_p-orbit, and gives each extension p's
-    weight times that orbit's size.  The weights of the walks it meets sum
-    to the number of walks.  Under the identity alone every prefix has
+    ``symmetries`` is a ``Symmetries`` of the ball, of which the search
+    reads the stabilizer of u and v; None means the identity alone.  The
+    search keeps only prefixes that are least in their orbit, by canonical
+    augmentation: a prefix p has the pointwise stabilizer H_p of its
+    vertices, extends only by neighbours x that are least in their
+    H_p-orbit, and gives each extension p's weight times that orbit's size.
+    The weights of the walks it meets sum to the number of walks.  Under the identity alone every prefix has
     weight 1 and the search is the plain one.
 
     ``visit(state, walk)`` is called once on every prefix the search
@@ -409,9 +323,8 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     deviation and Hausdorff quantities are unaffected while the count
     explodes.
     """
-    tables = _scan_tables(ball)
-    groups = tables.groups
-    root = groups[0 if symmetries is None else tables.key(symmetries)]
+    groups = Symmetries(ball, ()) if symmetries is None else symmetries
+    root = groups[groups.stabilizer(u, v)]
     # pair constraint against the final vertex caps the total length:
     # a walk visiting x at time s must finish by s + max_len(d(x, v))
     end_slack = bound.max_len.upto(2 * ball.radius)
@@ -419,9 +332,9 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     min_need = bound.least.upto(max_len)
     first_need = end_slack[0] + 1  # least(gap) > 0 exactly when gap > lam * eps
     to_v = ball.in_ball_row(v)
-    rows = tables.rows
+    rows = [ball.row(x) for x in range(len(ball))]  # an index costs less than a call per step
     row_v = rows[v]
-    gate = tables.gates[v]
+    gate = ball.gates(v)
     # The gates between the walk's last vertex and v, innermost first, as
     # nested (gate, due, outer) tuples.  due is the latest index at which
     # the walk may pass the gate plus the gate's in-ball distance to v, so a
@@ -624,7 +537,7 @@ def separated_concatenations(ball: Ball, gamma: tuple[int, ...], lam, eps) -> li
     near = set(gamma)
     if bound.separated(len(gamma) - 1, 1):
         for g in gamma:
-            near.update(ball.neighbors(g))
+            near.update(ball.neighbors[g])
     closest = {x: _closest_point(ball, gamma, x) for x in sorted(near)}
     joined = []
     for p, (dp, tp) in closest.items():

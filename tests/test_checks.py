@@ -59,6 +59,21 @@ def test_symmetries_commute_with_projection():
                 assert p[proj[i]] == proj[p[i]]
 
 
+@pytest.mark.parametrize("product, radius", [("zz", 3), ("lattice-line", 2)])
+def test_stabilizer_selects_the_permutations_fixing_both_ends(product, radius):
+    ball, proj_map, _dist, _proj_gap, perms, _pairs = _projection_setup(_PRODUCTS[product], radius)
+    groups = morse.Symmetries(ball, perms)
+    identity = tuple(range(len(ball)))
+    assert len(groups.perms) == len(perms) - 1  # all but the identity
+    assert groups.stabilizer(0, 0) == (1 << len(groups.perms)) - 1  # all fix the basepoint
+    copy_a = [x for x in range(len(ball)) if proj_map[x] == x]
+    for u in copy_a:
+        for v in copy_a:
+            key = groups.stabilizer(u, v)
+            selected = [p for i, p in enumerate(groups.perms) if key >> i & 1]
+            assert selected == [p for p in perms if p[u] == u and p[v] == v and p != identity]
+
+
 def _projection_setup(fp, radius):
     """The ball, the projection tables and the orbit representatives of
     endpoint pairs, as ``checks.run_projection_qg`` builds them."""
@@ -162,16 +177,14 @@ def _all_of(visitors):
 def _reference_scan(ball, u, v, bound, visit, state, symmetries=None):
     """``morse.scan_quasi_geodesics`` without its gate deadline: the search
     pruned by in-ball reachability, the end cap and the lower bound only."""
-    tables = morse._scan_tables(ball)
-    groups = tables.groups
-    root = groups[0 if symmetries is None else tables.key(symmetries)]
+    groups = morse.Symmetries(ball, ()) if symmetries is None else symmetries
+    root = groups[groups.stabilizer(u, v)]
     end_slack = bound.max_len.upto(2 * ball.radius)
     max_len = end_slack[ball.pair_distance(u, v)]
     min_need = bound.least.upto(max_len)
     first_need = end_slack[0] + 1
     to_v = ball.in_ball_row(v)
-    rows = tables.rows
-    row_v = rows[v]
+    row_v = ball.row(v)
     count = 1 if u == v else 0
     walk = [u]
     options = iter(root.options[u] if max_len else ())
@@ -192,7 +205,7 @@ def _reference_scan(ball, u, v, bound, visit, state, symmetries=None):
         limit = min(top, t + end_slack[row_v[nxt]])
         if t + to_v[nxt] > limit:
             continue
-        row = rows[nxt]
+        row = ball.row(nxt)
         for s in range(t + 1 - first_need):
             if row[walk[s]] < min_need[t - s]:
                 break
@@ -236,6 +249,7 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
     # for both reasons.  Each scan, reduced or plain, also meets the walks
     # and failures of the reference scan without the gate deadline, in order
     ball, proj_map, dist, proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS[product], radius)
+    groups = morse.Symmetries(ball, symmetries)
     reasons = set()
     reduced_failures = plain_failures = 0
     for lam, eps in grid:
@@ -245,7 +259,7 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
         for u, v in pairs:
             stabilizer = [p for p in symmetries if p[u] == u and p[v] == v]
             runs = []
-            for group in (stabilizer, None):
+            for group in (groups, None):
                 for scan in (morse.scan_quasi_geodesics, _reference_scan):
                     found = [[] for _ in settings]
                     visit = _all_of(
@@ -292,10 +306,10 @@ def test_no_kept_prefix_is_dead(product, radius, point):
     # without it, the reference scan keeps dead ones
     ball, _proj_map, _dist, _proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS[product], radius)
     bound = morse.qg_bound(*point)
+    groups = morse.Symmetries(ball, symmetries)
     kept = reference_dead = 0
     for u, v in pairs:
-        stabilizer = [p for p in symmetries if p[u] == u and p[v] == v]
-        for group in (stabilizer, None):
+        for group in (groups, None):
             count, dead = _dead_prefixes(morse.scan_quasi_geodesics, ball, u, v, bound, group)
             assert dead == 0
             kept += count

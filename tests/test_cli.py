@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from morse_forge import checks, graph, matching, morse, rays, words
+from morse_forge import checks, cli, errors, graph, matching, morse, rays, words
 from morse_forge.cli import DEFAULT_CONFIG, load_config, main
 from morse_forge.errors import PossiblyTruncated
 
@@ -561,6 +561,54 @@ def test_finite_factor_matched_to_infinite_is_usage_error(tmp_path, capsys):
         cfg = write_config(tmp_path, factors=_pair(same, same))
         code, out, _err = run_cli(["--config", str(cfg), "normalize", "y"], capsys)
         assert code == 0 and json.loads(out)["word"] == "y"
+
+
+def test_finite_factor_match_finishes(tmp_path, capsys):
+    # Z/2 is all matched by pair A's first step; its later steps record nothing
+    cfg = write_config(tmp_path, factors=_pair(_Z2_FACTOR, _Z2_FACTOR))
+    args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "match", "--steps", "3"]
+    code, _out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "rep" / "match-report.json").read_text())
+    assert report["pairs"]["A"]["bijectivity"]["pairs"] == 2
+    assert report["pairs"]["A"]["bijectivity"]["ok"]
+    lines = (tmp_path / "rep" / "match-transcript.jsonl").read_text().splitlines()
+    assert [json.loads(l)["pair"] for l in lines].count("A") == 1
+
+
+_INCONCLUSIVE_ERRORS = (
+    errors.BudgetExceeded,
+    errors.CapExceeded,
+    errors.PossiblyTruncated,
+    errors.GridMiss,
+    errors.RealizationCapExceeded,
+    errors.BallTooSmall,
+    errors.DepthBudgetExceeded,
+)
+_USAGE_ERRORS = (
+    errors.MorseForgeError,
+    errors.MixedFactor,
+    errors.NoBoundary,
+    errors.NoLine,
+    errors.EmptyWord,
+    errors.ParseError,
+    errors.DepthExceedsContent,
+)
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [(e, 3) for e in _INCONCLUSIVE_ERRORS] + [(e, 2) for e in _USAGE_ERRORS],
+    ids=lambda x: x.__name__ if isinstance(x, type) else str(x),
+)
+def test_error_class_sets_exit_code(capsys, monkeypatch, error, expected):
+    def failing(cfg, word):
+        raise error(7)
+
+    monkeypatch.setattr(cli, "cmd_normalize", failing)
+    code, _out, err = run_cli(["normalize", "x"], capsys)
+    assert code == expected
+    assert err.startswith("inconclusive: " if expected == 3 else "error: ")
 
 
 def test_prefix_transit_can_fail(tmp_path, capsys, monkeypatch):

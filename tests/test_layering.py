@@ -1,14 +1,17 @@
 """Factor kinds and payload layouts are known to factors.py alone, a
-ball's distance stores to graph.py alone, and the (lam, eps) inequality to
-morse.py alone.
+ball's distance stores and graph tables to graph.py alone, and the
+(lam, eps) inequality to morse.py alone.
 
 Every other module reaches factor groups through ``FactorSpec`` and
 ``FactorElement`` methods, so adding or changing a kind touches one file.
 ``matching.BoundaryHomeo`` may still compare kinds while it validates a
-configured rule.  Other modules read ball distances through ``Ball``'s
-public methods (``row``, ``in_ball_row``, ``pair_distance``, ...).  The
-checks and the ball decide quasi-geodesic verdicts through ``morse``'s int
-bound, so they do no rational arithmetic of their own.
+configured rule.  Other modules read ball distances and the ball graph
+through ``Ball``'s public methods and its ``neighbors`` lists (``row``,
+``in_ball_row``, ``pair_distance``, ``gates``, ...), never through the raw
+``adjacency`` rows, and keep no per-ball cache of their own: no module
+holds one in a ``weakref`` table.  The checks and the ball decide
+quasi-geodesic verdicts through ``morse``'s int bound, so they do no
+rational arithmetic of their own.
 """
 
 import importlib
@@ -27,6 +30,8 @@ PAYLOAD = re.compile(r"\.payload\b")
 PRIVATE = re.compile(r"\bfactors\._\w+")
 KIND = re.compile(r"\bfactors\.(LINE|LATTICE|FREE|FINITE)\b")
 BALL_PRIVATE = re.compile(r"\bball\._|\._(bfs|true_row)")
+ADJACENCY = re.compile(r"\.adjacency\b")
+WEAKREF = re.compile(r"^\s*(import|from)\s+weakref\b")
 RATIONAL = re.compile(r"\b(Fraction|fractions)\b")
 
 
@@ -57,6 +62,14 @@ def test_checks_and_rays_name_no_factor_kind():
 
 def test_no_ball_privates_outside_graph():
     assert _hits(BALL_PRIVATE, [p for p in SRC.glob("*.py") if p.name != "graph.py"]) == []
+
+
+def test_only_graph_reads_adjacency():
+    assert _hits(ADJACENCY, [p for p in SRC.glob("*.py") if p.name != "graph.py"]) == []
+
+
+def test_no_module_imports_weakref():
+    assert _hits(WEAKREF, sorted(SRC.glob("*.py"))) == []
 
 
 def test_checks_and_graph_do_no_rational_arithmetic():

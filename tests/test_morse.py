@@ -140,7 +140,7 @@ def _brute_force_gates(ball, v):
         seen = {v, c}
         stack = [v]
         while stack:
-            for y in ball.neighbors(stack.pop()):
+            for y in ball.neighbors[stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -164,12 +164,11 @@ def test_nearest_gates_match_brute_force(product, radius, request, line_b):
     else:
         fp = request.getfixturevalue(product)
     ball = Ball.build(fp, radius)
-    neighbors = [list(ball.neighbors(x)) for x in range(len(ball))]
     # the targets of the projection check: the copy of the first factor
     copy = [x for x, w in enumerate(ball.vertices) if ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) == x]
     cut_vertices = set()
     for v in copy:
-        gates = morse._nearest_gates(neighbors, v)
+        gates = ball.gates(v)
         assert gates == _brute_force_gates(ball, v)
         to_v = ball.in_ball_row(v)
         for x, g in enumerate(gates):
