@@ -522,7 +522,8 @@ def run_phi_psi(fp: FreeProduct, max_len: int = 4, max_norm: int = 2, tail_depth
 
 def duality_report(state: matching.MatchState, k_values=(1, 2, 3)) -> dict:
     gauge = state.gauge
-    delta_p = gauge.delta
+    shift = morse.rational_ceil(4 * gauge.delta)
+    thresholds = [(k, morse.tracking_bound(gauge, k + shift)) for k in k_values]
     checked = 0
     vacuous = 0
     failures = []
@@ -531,16 +532,16 @@ def duality_report(state: matching.MatchState, k_values=(1, 2, 3)) -> dict:
         direction = state.meta[x]["direction"]
         if direction is None:
             continue
-        space = factors.FactorSpace(x.spec)
-        for k in k_values:
-            threshold = morse.tracking_bound(gauge, k + morse.rational_ceil(4 * delta_p))
+        for k, threshold in thresholds:
             if x.norm() < threshold:
                 vacuous += 1
                 continue
             checked += 1
-            ray_inside = morse.Neighborhood.around_vertex(space, gauge, k, x, filled=False)
-            ok1 = morse.neighborhood_member(space, ray_inside, direction.realization(k))
-            ok2 = matching.filled_member(x.spec, gauge, k, direction, x)
+            # the ray inside the unfilled neighborhood of x's one geodesic
+            # (a threshold is at least k, so x reaches the depth), and x
+            # inside the filled neighborhood of the ray
+            ok1 = morse.tree_close(gauge, k, factors.shared_steps(x, direction, k))
+            ok2 = matching.filled_member(gauge, k, direction, x)
             if not (ok1 and ok2):
                 failures.append({"x": repr(x), "k": k, "ray_near_x": ok1, "x_near_ray": ok2})
     return {

@@ -672,6 +672,39 @@ class BoundaryPoint:
         return self.spec.ops.direction_text(self.prefix, self.block)
 
 
+def shared_steps(u, v, depth: int) -> int:
+    """How many of the first ``depth`` steps the geodesics from the
+    identity to u and to v have in common.
+
+    Each of u and v is an element, whose geodesic spells its reduced
+    letters, or a boundary direction, whose ray spells its prefix and then
+    its block over and over.  Only the line and free groups have
+    boundaries, and their Cayley graphs are trees, so these geodesics are
+    unique and two of them that share s steps stand 2 * max(0, t - s)
+    apart at step t.
+    """
+    spec = _same_factor(u, v)
+    if not spec.ops.has_boundary:
+        raise NoBoundary(f"factor {spec.id!r} ({spec.kind}) is not a tree with a boundary")
+    shared = 0
+    for a, b in zip(_letter_stream(u), _letter_stream(v)):
+        if shared == depth or a != b:
+            break
+        shared += 1
+    return shared
+
+
+def _letter_stream(u):
+    """The letters of u's geodesic, read lazily: a depth-capped count reads
+    no more of a long element than of a short one."""
+    if u.__class__ is BoundaryPoint:
+        return itertools.chain(u.prefix, itertools.cycle(u.block))
+    return itertools.chain.from_iterable(
+        itertools.repeat((base, 1 if exp > 0 else -1), abs(exp))
+        for base, exp in u.spec.ops.runs(u.payload)
+    )
+
+
 @dataclass(frozen=True)
 class FactorSpace:
     """Adapter giving a factor group the shared metric-space interface."""

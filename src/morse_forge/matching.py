@@ -130,6 +130,7 @@ class _Enumeration:
         self._iter = iterate_elements(spec) if source is None else iter(source)
         self._items: list[factors.FactorElement] = []
         self._done = False
+        self._cursor = 0  # every element before it is matched
 
     def get(self, i: int):
         while len(self._items) <= i and not self._done:
@@ -141,13 +142,14 @@ class _Enumeration:
 
     def next_unmatched(self, matched) -> factors.FactorElement | None:
         """The first element not in ``matched``; None once a finite group
-        is all matched."""
-        i = 0
+        is all matched.  Each enumeration is always asked about the same
+        match table, which only grows, so the scan resumes at the element
+        the last call returned."""
         while True:
-            x = self.get(i)
+            x = self.get(self._cursor)
             if x is None or x not in matched:
                 return x
-            i += 1
+            self._cursor += 1
 
 
 class MatchState:
@@ -220,7 +222,6 @@ class MatchState:
         if t > self.ray_depth:
             raise DepthBudgetExceeded(f"certification depth {t} exceeds ray budget {self.ray_depth}")
         z_img = homeo_dir.apply(cr.direction)
-        lam_x = cr.direction.realization(t)
         eta = z_img.vertices()  # the scan builds only the vertices it reads
         next(eta)  # the identity is matched from the start
         chosen = None
@@ -228,7 +229,7 @@ class MatchState:
             if cand in other_matched:
                 continue
             back = homeo_back.apply(corresponding_ray(cand.spec, cand).direction)
-            ok, worst = self._tracks(back, lam_x, t)
+            ok, worst = self._tracks(back, cr.direction, t)
             if ok:
                 chosen = (i, cand, worst)
                 break
@@ -253,16 +254,17 @@ class MatchState:
         self._commit(side, x, y, record, init_direction=cr.direction, target_direction=z_img)
         return record
 
-    def _tracks(self, back: factors.BoundaryPoint, lam_x, t: int):
-        xi = back.realization(t)
-        close_below = morse.rational_ceil(self.delta_prime)  # distances are ints
-        worst = 0
-        for a, b in zip(xi, lam_x):
-            d = factors.distance(a, b)
-            worst = max(worst, d)
-            if d != 0 and d >= close_below:
-                return False, worst
-        return True, worst
+    def _tracks(self, back: factors.BoundaryPoint, lam_x: factors.BoundaryPoint, t: int):
+        """Whether the two rays stay close up to depth t, and the largest
+        pointwise distance read on the way, up to the first one that
+        fails.  Rays sharing s steps stand 2 * max(0, t' - s) apart at step
+        t', so the distances read are 0, ..., 0, 2, 4, ..."""
+        shared = factors.shared_steps(back, lam_x, t)
+        if morse.tree_close(self.gauge, t, shared):
+            return True, 2 * (t - shared)
+        # the first failing distance: the least even one >= max(1, ceil(delta))
+        close_below = morse.rational_ceil(self.delta_prime)
+        return False, 2 * max(1, -(-close_below // 2))
 
     def _commit(self, side, x, y, record, init_direction, target_direction):
         if side == 1:
@@ -381,16 +383,20 @@ def induced_map(pm: ProductMatching, a: CombRay, extra_rounds: int = 512) -> Com
 
 
 def filled_member(
-    spec: factors.FactorSpec,
     gauge: morse.Gauge,
     k: int,
     direction: factors.BoundaryPoint,
     x: factors.FactorElement,
 ) -> bool:
-    """Is x inside the depth-k filled neighborhood of a boundary direction?"""
-    space = factors.FactorSpace(spec)
-    nb = morse.Neighborhood.around_ray(gauge, k, direction.realization(k), filled=True)
-    return morse.neighborhood_member(space, nb, x)
+    """Is x inside the depth-k filled neighborhood of a boundary direction?
+
+    That is: x has norm at least k and its geodesic stays close to the ray
+    up to depth k.  Factors with a boundary are trees, so the geodesic is
+    unique and closeness follows from the letters it shares with the ray
+    (``factors.shared_steps``); ``morse.neighborhood_member`` is the
+    pointwise definition it agrees with.
+    """
+    return x.norm() >= k and morse.tree_close(gauge, k, factors.shared_steps(x, direction, k))
 
 
 def check_continuity(
@@ -422,7 +428,7 @@ def check_continuity(
         members = [
             x
             for x in candidates
-            if x.norm() >= k and filled_member(state.source, state.gauge, k, z, x)
+            if filled_member(state.gauge, k, z, x)
         ]
         if not members:
             per_k.append({"k": k, "members": 0, "failures": [], "vacuous": True})
@@ -430,7 +436,7 @@ def check_continuity(
         failures = []
         for x in members:
             y = state.ensure_matched(x, extra_rounds=extra_rounds)
-            if not filled_member(state.target, state.gauge, l, z_img, y):
+            if not filled_member(state.gauge, l, z_img, y):
                 failures.append(
                     {
                         "element": state.source.format_element(x),

@@ -592,6 +592,17 @@ class Neighborhood:
         return cls(gauge, depth, tuple(tuple(r) for r in reals), filled)
 
 
+def tree_close(gauge: Gauge, depth: int, shared: int) -> bool:
+    """Pointwise closeness up to ``depth`` of two geodesics from the
+    basepoint of a tree that share their first ``shared`` steps.
+
+    At step t they stand 2 * max(0, t - shared) apart, so the largest
+    distance is the one at the depth; it passes when it is zero or below
+    ceil(delta), as in ``neighborhood_member``.
+    """
+    return shared >= depth or 2 * (depth - shared) < rational_ceil(gauge.delta)
+
+
 def neighborhood_member(space, nbhd: Neighborhood, candidate, cap: int | None = None) -> bool:
     """Pointwise membership test.
 

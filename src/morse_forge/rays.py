@@ -327,7 +327,8 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
     Infinite centers: prefix agreement on the first k syllables.  Finite
     centers: same syllables, then either the next syllable lies in the
     filled depth-k neighborhood of the tail direction, or the tails are
-    depth-k close.  Tail tests run in the factor.
+    depth-k close.  Tail tests run in the factor, on shared letters
+    (``_tail_close``).
     """
     a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
     if a.fp != b.fp:
@@ -354,9 +355,6 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
             raise BudgetExceeded(f"candidate holds no syllable at position {i}")
         if ub != a.syllables[i - 1]:
             return False
-    tail_spec = a.tail.spec
-    space = factors.FactorSpace(tail_spec)
-    center_ray = a.tail.realization(k)
     if b.kind == INFINITE or b.stored_length > la:
         u_next = b.syllable_at(la + 1)
         if u_next is None:
@@ -365,12 +363,24 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
         if unstable_next and u_next.norm() < k:
             # a growing syllable below the depth may still enter later
             raise BudgetExceeded("candidate next syllable is unstable and too short to classify")
-        nb = morse.Neighborhood.around_ray(gauge, k, center_ray, filled=True)
-        return morse.neighborhood_member(space, nb, u_next)
+        return _tail_close(gauge, k, a.tail, u_next)
     if b.kind != FINITE:
         raise BudgetExceeded("bare truncation of the same length cannot be classified")
-    nb = morse.Neighborhood.around_ray(gauge, k, center_ray, filled=False)
-    return morse.neighborhood_member(space, nb, b.tail.realization(k))
+    return _tail_close(gauge, k, a.tail, b.tail)
+
+
+def _tail_close(gauge: morse.Gauge, k: int, tail: factors.BoundaryPoint, key) -> bool:
+    """The tail test of a finite center whose tail direction is ``tail``.
+
+    ``key`` is a longer ray's next syllable, which must lie in the filled
+    depth-k neighborhood of ``tail`` (norm at least k, and close), or the
+    tail of a ray of the center's length, which must be depth-k close.
+    Closeness is read off the letters the two share, as in
+    ``matching.filled_member``.
+    """
+    if isinstance(key, factors.FactorElement) and key.norm() < k:
+        return False
+    return morse.tree_close(gauge, k, factors.shared_steps(key, tail, k))
 
 
 class CombIndex:
@@ -381,10 +391,10 @@ class CombIndex:
     comb_neighborhood_member(nbhd, b)]``, in population order.  An
     infinite center's members are the bucket of its first k syllables; a
     finite center's are the bucket of its stored syllables, filtered by the
-    tail test, whose neighborhood is built once and whose verdict is kept
-    per distinct next syllable or tail.  The buckets of depth k are built
-    when depth k is first asked for; an infinite center gets the bucket
-    itself, which callers must not modify.
+    tail test that ``comb_neighborhood_member`` runs too: the shared
+    letters of the next syllable, or of the tail, with the center's tail.
+    The buckets of depth k are built when depth k is first asked for; an
+    infinite center gets the bucket itself, which callers must not modify.
 
     Buckets hold rays whose syllable count is certain.  A bare truncation,
     in the population or as the center, sends the query through the
@@ -420,24 +430,11 @@ class CombIndex:
         if a.kind == INFINITE:
             return self._bucket(tuple(a.syllable_at(i) for i in range(1, k + 1)))
         la = a.stored_length
-        space = factors.FactorSpace(a.tail.spec)
-        center_ray = a.tail.realization(k)
-        filled = morse.Neighborhood.around_ray(gauge, k, center_ray, filled=True)
-        unfilled = morse.Neighborhood.around_ray(gauge, k, center_ray, filled=False)
-        # verdicts by next syllable, or by tail for rays of the center's length
-        verdicts: dict[factors.FactorElement | factors.BoundaryPoint, bool] = {}
         out = []
         for b in self._bucket(a.syllables):
             longer = b.kind == INFINITE or b.stored_length > la
             key = b.syllable_at(la + 1) if longer else b.tail
-            ok = verdicts.get(key)
-            if ok is None:
-                if longer:
-                    ok = morse.neighborhood_member(space, filled, key)
-                else:
-                    ok = morse.neighborhood_member(space, unfilled, key.realization(k))
-                verdicts[key] = ok
-            if ok:
+            if _tail_close(gauge, k, a.tail, key):
                 out.append(b)
         return out
 

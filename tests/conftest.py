@@ -1,9 +1,35 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from morse_forge import FactorSpec, FreeProduct
+from morse_forge import CANONICAL_TREE_GAUGE, FactorSpec, FreeProduct, Gauge
+from morse_forge.factors import BoundaryPoint
 
 Z2_TABLE = [[0, 1], [1, 0]]
 Z6_TABLE = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+
+# gauges whose ceil(delta) is 0, 1, 2 and 5; delta is 1/2 and 3/2 in the middle two
+CLOSENESS_GAUGES = (
+    Gauge.affine(0, 0, 0),
+    Gauge.affine(0, 0, Fraction(1, 16)),
+    Gauge.affine(0, 0, Fraction(3, 16)),
+    CANONICAL_TREE_GAUGE,
+)
+
+
+def directions(spec, size):
+    """Every boundary direction written with |prefix| + |block| <= size."""
+    letters = [(b, s) for b in spec.generators_base_count() for s in (1, -1)]
+    out = set()
+    for n in range(1, size + 1):
+        for word in itertools.product(letters, repeat=n):
+            for cut in range(n):
+                prefix, block = word[:cut], word[cut:]
+                unrolled = prefix + block + block
+                if all(a != (b[0], -b[1]) for a, b in zip(unrolled, unrolled[1:])):
+                    out.add(BoundaryPoint.make(spec, prefix, block))
+    return sorted(out, key=lambda z: (len(z.prefix) + len(z.block), z.prefix, z.block))
 
 
 @pytest.fixture

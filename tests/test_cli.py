@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from morse_forge import checks, cli, errors, graph, matching, morse, rays, words
+from morse_forge import checks, cli, errors, factors, graph, matching, morse, rays, words
 from morse_forge.cli import DEFAULT_CONFIG, load_config, main
 from morse_forge.errors import PossiblyTruncated
 
@@ -375,6 +375,83 @@ def test_induced_containment_can_fail(tmp_path, capsys, monkeypatch):
     report = json.loads((tmp_path / "match-report.json").read_text())
     assert report["status"] == "fail"
     assert {"a": a_text, "b": b_text, "l": 2} in report["induced_containment"]["failures"]
+
+
+def _run_match(tmp_path, capsys, steps):
+    code, _out, _err = run_cli(["--out", str(tmp_path), "match", "--steps", str(steps)], capsys)
+    return code, json.loads((tmp_path / "match-report.json").read_text())
+
+
+def test_match_bijectivity_can_fail(tmp_path, capsys, monkeypatch):
+    # pair A's fifth step (x^3 to x^3) records its pair forward but not backward
+    commit = matching.MatchState._commit
+
+    def dropping(self, side, x, y, record, **directions):
+        commit(self, side, x, y, record, **directions)
+        if self.source.id == "A1" and record["seq"] == 5:
+            del self.backward[y if side == 1 else x]
+
+    monkeypatch.setattr(matching.MatchState, "_commit", dropping)
+    code, report = _run_match(tmp_path, capsys, 20)
+    assert code == 1 and report["status"] == "fail"
+    # x^3 is matched again from the target side, so two sources share it
+    assert report["pairs"]["A"]["bijectivity"] == {
+        "pairs": 41,
+        "mutually_inverse": False,
+        "injective": False,
+        "identity_fixed": True,
+        "alternation_prefix_matched": True,
+        "ok": False,
+    }
+    assert report["pairs"]["B"]["bijectivity"]["ok"]
+
+
+def test_match_duality_can_fail(tmp_path, capsys, monkeypatch):
+    # x^95 is recorded with the wrong end of the line; duality checks
+    # elements of norm >= 90 only, which 100 steps reach and 20 do not
+    commit = matching.MatchState._commit
+
+    def misdirecting(self, side, x, y, record, init_direction, target_direction):
+        if self.source.id == "A1" and side == 1 and record["initiator"] == "x^95":
+            init_direction = factors.BoundaryPoint.line_end(x.spec, -1)
+        commit(self, side, x, y, record, init_direction=init_direction, target_direction=target_direction)
+
+    monkeypatch.setattr(matching.MatchState, "_commit", misdirecting)
+    code, report = _run_match(tmp_path, capsys, 100)
+    assert code == 1 and report["status"] == "fail"
+    dual = report["pairs"]["A"]["duality"]
+    assert dual["checked"] == 132
+    # the ends of the line stand 2k apart at depth k, which passes below ceil(delta) = 5
+    assert dual["failures"] == [{"x": "x^95", "k": 3, "ray_near_x": False, "x_near_ray": False}]
+    assert report["pairs"]["A"]["bijectivity"]["ok"] and not report["pairs"]["B"]["duality"]["failures"]
+
+
+def test_match_continuity_can_fail(tmp_path, capsys, monkeypatch):
+    # pair A swaps the images of x^12 and x^-12 after the run; the map stays
+    # a bijection, but sends a deep point of each end to the other end
+    run_rounds = matching.ProductMatching.run_rounds
+
+    def swapping(self, rounds):
+        run_rounds(self, rounds)
+        state = self.a
+        plus, minus = state.source.make_element(12), state.source.make_element(-12)
+        y_plus, y_minus = state.forward[plus], state.forward[minus]
+        state.forward[plus], state.forward[minus] = y_minus, y_plus
+        state.backward[y_minus], state.backward[y_plus] = plus, minus
+        return self
+
+    monkeypatch.setattr(matching.ProductMatching, "run_rounds", swapping)
+    code, report = _run_match(tmp_path, capsys, 20)
+    assert code == 1 and report["status"] == "fail"
+    pair = report["pairs"]["A"]
+    assert pair["bijectivity"]["ok"] and not pair["duality"]["failures"]
+    # depths 1 and 2 hold any two points of norm >= l; at depth 3 the ends split
+    failed = {key: entry for key, entry in pair["continuity"].items() if entry["status"] != "verified"}
+    assert failed == {
+        "+inf|l=3": {"status": "inconclusive", "found_k": None},
+        "-inf|l=3": {"status": "inconclusive", "found_k": None},
+    }
+    assert all(e["status"] == "verified" for e in report["pairs"]["B"]["continuity"].values())
 
 
 def test_match_transcript_names_gauge(tmp_path, capsys):

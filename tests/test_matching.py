@@ -1,9 +1,11 @@
 """Boundary homeomorphisms and the element-matching pipeline."""
 
+import itertools
+
 import pytest
 
 from morse_forge import FactorSpec, FreeProduct
-from morse_forge import matching, rays
+from morse_forge import factors, matching, morse, rays
 from morse_forge.factors import BoundaryPoint
 from morse_forge.matching import (
     BoundaryHomeo,
@@ -12,6 +14,8 @@ from morse_forge.matching import (
     induced_map,
     run_matching,
 )
+
+from conftest import CLOSENESS_GAUGES, directions
 
 
 def _line_pair():
@@ -116,6 +120,72 @@ def test_alternation_matches_prefixes():
     for i in range(10):
         assert state._enum_src.get(i) in state.forward
         assert state._enum_tgt.get(i) in state.backward
+
+
+# -- the closeness test of a candidate ------------------------------------------
+
+def _reference_tracks(state, back, lam_x, t):
+    """The pointwise loop that ``MatchState._tracks`` replaced: distances
+    between the two realizations, up to the first one that fails."""
+    xi = back.realization(t)
+    close_below = morse.rational_ceil(state.delta_prime)  # distances are ints
+    worst = 0
+    for a, b in zip(xi, lam_x.realization(t)):
+        d = factors.distance(a, b)
+        worst = max(worst, d)
+        if d != 0 and d >= close_below:
+            return False, worst
+    return True, worst
+
+
+def _free_homeos():
+    src = FactorSpec.free_group("A1", 2, names=("x", "y"))
+    tgt = FactorSpec.free_group("A2", 2, names=("x", "y"))
+    return [
+        BoundaryHomeo(src, tgt, "perm", perm=(("x", "y"), ("y", "x"))),
+        BoundaryHomeo(src, tgt, "perm", perm=(("x", "y^-1"), ("y", "x"))),
+        BoundaryHomeo(src, tgt, "identity"),
+        BoundaryHomeo(*_line_pair(), "identity"),
+        BoundaryHomeo(*_line_pair(), "lineswap"),
+    ]
+
+
+@pytest.mark.parametrize("gauge", CLOSENESS_GAUGES, ids=lambda g: str(g.delta))
+def test_tracks_matches_reference_on_direction_pairs(gauge):
+    spec = FactorSpec.free_group("A1", 2, names=("x", "y"))
+    state = MatchState(_free_homeos()[0], gauge=gauge)
+    outcomes = set()
+    for back, lam_x in itertools.product(directions(spec, 2), directions(spec, 3)):
+        for t in range(0, 9):
+            got = state._tracks(back, lam_x, t)
+            assert got == _reference_tracks(state, back, lam_x, t), (back.format(), lam_x.format(), t)
+            outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("gauge", CLOSENESS_GAUGES, ids=lambda g: str(g.delta))
+def test_tracks_matches_reference_in_runs(gauge):
+    # every candidate a run tests, the rejected ones included
+    rejected = 0
+    for homeo in _free_homeos():
+        state = MatchState(homeo, gauge=gauge)
+        tracks = state._tracks
+        outcomes = []
+
+        def checked(back, lam_x, t):
+            got = tracks(back, lam_x, t)
+            assert got == _reference_tracks(state, back, lam_x, t), (back.format(), lam_x.format(), t)
+            outcomes.append(got[0])
+            return got
+
+        state._tracks = checked
+        for _ in range(6):
+            state.step(1)
+            state.step(2)
+        assert outcomes.count(True) == 12
+        rejected += outcomes.count(False)
+    # these runs reject candidates, and so compare rejections, at every delta but 0
+    assert (rejected > 0) == (gauge.delta > 0)
 
 
 # -- full runs --------------------------------------------------------------------

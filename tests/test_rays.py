@@ -332,11 +332,35 @@ def _index_product(name):
     }[name]()
 
 
+def _pointwise_tail(gauge, k, tail, key):
+    """The tail test run pointwise, through ``morse.neighborhood_member`` on
+    realizations, as it was before it read shared letters: a next syllable
+    in the filled neighborhood of the tail, or a tail close to it."""
+    space = FactorSpace(tail.spec)
+    filled = isinstance(key, factors.FactorElement)
+    nb = morse.Neighborhood.around_ray(gauge, k, tail.realization(k), filled=filled)
+    return morse.neighborhood_member(space, nb, key if filled else key.realization(k))
+
+
 @pytest.mark.parametrize(
     "name,max_len,stride",
     [("zz", 4, 1), ("lz3", 4, 1), ("f2l", 3, 7), ("lxl", 3, 7), ("dih", 3, 1)],
 )
-def test_comb_index_matches_pointwise_filter(name, max_len, stride):
+def test_comb_index_matches_pointwise_filter(name, max_len, stride, monkeypatch):
+    # the index and comb_neighborhood_member share one tail test, so every
+    # tail test either of them runs is held against the pointwise one
+    tail_close = rays._tail_close
+    pointwise = {}  # the reference verdict per distinct tail test
+
+    def checked(gauge, k, tail, key):
+        got = tail_close(gauge, k, tail, key)
+        question = (gauge, k, tail, key)
+        if question not in pointwise:
+            pointwise[question] = _pointwise_tail(*question)
+        assert got == pointwise[question], (tail.format(), key, k)
+        return got
+
+    monkeypatch.setattr(rays, "_tail_close", checked)
     population = comb_population(_index_product(name), max_len=max_len)
     index = CombIndex(population)
     for a in population[::stride]:
@@ -344,6 +368,9 @@ def test_comb_index_matches_pointwise_filter(name, max_len, stride):
             nb = CombNeighborhood(a, k, CANONICAL_TREE_GAUGE)
             expected = [b for b in population if comb_neighborhood_member(nb, b)]
             assert index.members(nb) == expected, (a.text(), k)
+    kinds = {(type(key).__name__, verdict) for (_g, _k, _t, key), verdict in pointwise.items()}
+    if name != "dih":  # Z/2 * Z/2 has no boundary, so no tail
+        assert kinds == {(t, v) for t in ("FactorElement", "BoundaryPoint") for v in (True, False)}
 
 
 def test_comb_index_bare_truncation_keeps_budget_error(zz):
