@@ -126,11 +126,15 @@ def iterate_elements(spec: factors.FactorSpec):
 
 
 class _Enumeration:
-    def __init__(self, spec: factors.FactorSpec, source=None):
-        self._iter = iterate_elements(spec) if source is None else iter(source)
+    """A sequence read lazily from ``source``, with a cursor before which
+    every item is matched.  Each enumeration is always asked about the
+    same match table, which only grows, so a matched item stays matched."""
+
+    def __init__(self, source, cursor: int = 0):
+        self._iter = iter(source)
         self._items: list[factors.FactorElement] = []
         self._done = False
-        self._cursor = 0  # every element before it is matched
+        self.cursor = cursor
 
     def get(self, i: int):
         while len(self._items) <= i and not self._done:
@@ -142,14 +146,13 @@ class _Enumeration:
 
     def next_unmatched(self, matched) -> factors.FactorElement | None:
         """The first element not in ``matched``; None once a finite group
-        is all matched.  Each enumeration is always asked about the same
-        match table, which only grows, so the scan resumes at the element
-        the last call returned."""
+        is all matched.  The scan resumes at the element the last call
+        returned."""
         while True:
-            x = self.get(self._cursor)
+            x = self.get(self.cursor)
             if x is None or x not in matched:
                 return x
-            self._cursor += 1
+            self.cursor += 1
 
 
 class MatchState:
@@ -183,8 +186,10 @@ class MatchState:
         self.records: list[dict] = []
         if enumerations is None:
             enumerations = (iterate_elements(self.source), iterate_elements(self.target))
-        self._enum_src = _Enumeration(self.source, enumerations[0])
-        self._enum_tgt = _Enumeration(self.target, enumerations[1])
+        self._enum_src = _Enumeration(enumerations[0])
+        self._enum_tgt = _Enumeration(enumerations[1])
+        # per image direction, its ray as read so far
+        self._image_rays: dict[factors.BoundaryPoint, _Enumeration] = {}
         self.steps_taken = 0
 
     # -- core step --------------------------------------------------------
@@ -222,20 +227,10 @@ class MatchState:
         if t > self.ray_depth:
             raise DepthBudgetExceeded(f"certification depth {t} exceeds ray budget {self.ray_depth}")
         z_img = homeo_dir.apply(cr.direction)
-        eta = z_img.vertices()  # the scan builds only the vertices it reads
-        next(eta)  # the identity is matched from the start
-        chosen = None
-        for i, cand in zip(range(1, self.index_scan + 1), eta):
-            if cand in other_matched:
-                continue
-            back = homeo_back.apply(corresponding_ray(cand.spec, cand).direction)
-            ok, worst = self._tracks(back, cr.direction, t)
-            if ok:
-                chosen = (i, cand, worst)
-                break
+        chosen = self._scan(z_img, other_matched, homeo_back, cr.direction, t)
         if chosen is None:
             raise DepthBudgetExceeded(
-                f"no admissible unmatched candidate within index budget {self.index_scan}"
+                f"budget index_scan {self.index_scan} exhausted: no admissible unmatched candidate"
             )
         i, y, worst = chosen
         record.update(
@@ -253,6 +248,31 @@ class MatchState:
         )
         self._commit(side, x, y, record, init_direction=cr.direction, target_direction=z_img)
         return record
+
+    def _scan(self, z_img, other_matched, homeo_back, lam_x, t):
+        """The first unmatched vertex of z_img's ray, at index 1 to
+        ``index_scan``, whose own ray pulled back stays close to lam_x up
+        to depth t, as (index, vertex, worst); None if there is none.
+
+        A direction's ray is read lazily, once, however many steps scan
+        it.  Its vertices are only ever checked against the one match
+        table of their factor, so the scan starts at the ray's cursor:
+        the vertices before it were matched, and still are."""
+        ray = self._image_rays.get(z_img)
+        if ray is None:
+            # the identity, at index 0, is matched from the start
+            ray = self._image_rays[z_img] = _Enumeration(z_img.vertices(), cursor=1)
+        for i in range(ray.cursor, self.index_scan + 1):
+            cand = ray.get(i)
+            if cand in other_matched:
+                if i == ray.cursor:
+                    ray.cursor += 1
+                continue
+            back = homeo_back.apply(corresponding_ray(cand.spec, cand).direction)
+            ok, worst = self._tracks(back, lam_x, t)
+            if ok:
+                return i, cand, worst
+        return None
 
     def _tracks(self, back: factors.BoundaryPoint, lam_x: factors.BoundaryPoint, t: int):
         """Whether the two rays stay close up to depth t, and the largest

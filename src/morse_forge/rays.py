@@ -37,13 +37,25 @@ class TruncatedRay:
         return len(self.vertices)
 
 
-def certify_geodesic(space, vertices) -> None:
-    e = space.identity()
-    for t, v in enumerate(vertices):
-        if space.distance(e, v) != t:
-            raise ValueError(f"vertex {t} is at distance {space.distance(e, v)}, not {t}")
+def certify_geodesic(fp: FreeProduct, vertices) -> None:
+    """Raise ValueError unless the vertices v_0, ..., v_D form a geodesic
+    from the identity.
+
+    Three tests decide it: v_0 = e, every step is an edge, and |v_D| = D.
+    Along unit steps |v_t| <= t and |v_D| <= |v_t| + (D - t), so |v_D| = D
+    forces |v_t| = t at every t.  An edge is a step whose prev^-1 cur is
+    one syllable of norm 1 (``_step``), read off the shared syllable
+    prefixes that ``realize`` builds.
+    """
+    e = fp.identity()
+    depth = len(vertices) - 1
+    for t in (0, depth):
+        d = fp.distance(e, vertices[t])
+        if d != t:
+            raise ValueError(f"vertex {t} is at distance {d}, not {t}")
     for t in range(1, len(vertices)):
-        if space.distance(vertices[t - 1], vertices[t]) != 1:
+        s = _step(vertices[t - 1].syllables, vertices[t].syllables)
+        if s is None or s.norm() != 1:
             raise ValueError(f"step {t} is not an edge")
 
 
@@ -246,7 +258,7 @@ def decompose(fp: FreeProduct, ray: TruncatedRay) -> CombRay:
 
     prov = ray.provenance
     if isinstance(prov, CombRay):
-        _validate_against(fp, observed, prov)
+        validate_against(fp, observed, prov)
         return prov
     if isinstance(prov, factors.BoundaryPoint):
         # a factor ray inside the product: all completed runs are stable
@@ -282,7 +294,10 @@ def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
     return None
 
 
-def _validate_against(fp: FreeProduct, observed, prov: CombRay) -> None:
+def validate_against(fp: FreeProduct, observed, prov: CombRay) -> None:
+    """Raise ValueError unless the runs ``observed`` off a truncated ray
+    agree with ``prov``: every stable run equals its syllable, and the
+    growing last run is a prefix of its syllable or of the tail."""
     if not observed:
         return
     stable = observed[:-1]

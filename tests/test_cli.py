@@ -615,6 +615,23 @@ def test_match_ray_budget_exit_code(tmp_path, capsys):
     assert errors == ["inconclusive: certification depth 60 exceeds ray budget 59\n", ""]
 
 
+def test_match_index_scan_budget_exit_code(tmp_path, capsys):
+    # under the identity rule round k of 20 takes the k-th vertex of its
+    # image ray, so 20 rounds need index 20 and no more: the cursor past
+    # the matched vertices must stop at the budget's edge
+    errors = []
+    for index_scan, expected in ((19, 3), (20, 0)):
+        cfg = write_config(tmp_path, budgets={"index_scan": index_scan})
+        out = tmp_path / f"rep{index_scan}"
+        args = ["--config", str(cfg), "--out", str(out), "match", "--steps", "20"]
+        code, _out, err = run_cli(args, capsys)
+        assert code == expected
+        errors.append(err)
+    assert errors == ["inconclusive: budget index_scan 19 exhausted: no admissible unmatched candidate\n", ""]
+    transcript = (out / "match-transcript.jsonl").read_text().splitlines()
+    assert max(json.loads(line).get("i", 0) for line in transcript) == 20
+
+
 _Z2_FACTOR = {"kind": "finite", "table": [[0, 1], [1, 0]], "generators": [1], "names": ["a"]}
 _LATTICE_FACTOR = {"kind": "lattice", "dim": 2}
 

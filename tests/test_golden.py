@@ -80,6 +80,16 @@ CASES["match-empty-boundary"] = (
     _config("lxl", _second("lxl"), {"rule": "identity"}),
     ["match", "--steps", "20"],
 )
+# lattices of different rank: both have empty boundaries, so only the line
+# pair runs the boundary scan
+CASES["match-cross-lattice"] = (
+    _config(
+        "lxl",
+        [{"id": "A2", "kind": "lattice", "dim": 3, "names": ["a1", "a2", "a3"]}, _second("lxl")[1]],
+        {"rule": "identity"},
+    ),
+    ["match", "--steps", "20"],
+)
 CASES["gauge-zz"] = (_config("zz"), ["gauge", "x^2 y", "--radius", "3"])
 CASES["gauge-lxl"] = (
     dict(_config("lxl"), grid=[[1, 0], [1, 1], [1, 2], [1, 4], [1, 6], [2, 1], [3, 0], [5, 0]]),

@@ -1,5 +1,6 @@
 """Boundary homeomorphisms and the element-matching pipeline."""
 
+import functools
 import itertools
 
 import pytest
@@ -186,6 +187,52 @@ def test_tracks_matches_reference_in_runs(gauge):
         rejected += outcomes.count(False)
     # these runs reject candidates, and so compare rejections, at every delta but 0
     assert (rejected > 0) == (gauge.delta > 0)
+
+
+# -- the candidate scan --------------------------------------------------------------
+
+
+def _reference_step(state, z_img, other_matched, homeo_back, lam_x, t):
+    """The scan loop that ``MatchState._scan`` replaced: every step reads
+    the image ray from index 1, past every vertex already matched."""
+    eta = z_img.vertices()
+    next(eta)  # the identity is matched from the start
+    for i, cand in zip(range(1, state.index_scan + 1), eta):
+        if cand in other_matched:
+            continue
+        back = homeo_back.apply(rays.corresponding_ray(cand.spec, cand).direction)
+        ok, worst = state._tracks(back, lam_x, t)
+        if ok:
+            return i, cand, worst
+    return None
+
+
+def _line_homeos():
+    return [
+        BoundaryHomeo(*_line_pair(), "identity"),
+        BoundaryHomeo(*_line_pair(), "lineswap"),
+        BoundaryHomeo(*_line_pair(), "perm", perm=(("x", "x^-1"),)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "homeo",
+    _line_homeos() + _free_homeos()[:3],
+    ids=["line-identity", "line-lineswap", "line-perm", "f2-swap", "f2-swap-inverse", "f2-identity"],
+)
+def test_scan_cursor_matches_reference(homeo):
+    # the F2 perm runs also reject thousands of unmatched candidates; the
+    # cursor stops at the first unmatched vertex, rejected or not
+    state = MatchState(homeo)
+    reference = MatchState(homeo)
+    reference._scan = functools.partial(_reference_step, reference)
+    for _ in range(40):
+        for side in (1, 2):
+            assert state.step(side) == reference.step(side)
+    assert state.records == reference.records and len(state.records) == 80
+    assert state.forward == reference.forward and state.backward == reference.backward
+    # the cursors moved past matched vertices, so the scans really differ
+    assert max(ray.cursor for ray in state._image_rays.values()) > 1
 
 
 # -- full runs --------------------------------------------------------------------

@@ -242,6 +242,58 @@ def test_decompose_steps_match_word_product_rule(name):
     assert outcomes["back"] == outcomes["generator"] == {False, True}
 
 
+def _reference_certify(space, vertices):
+    """The certificate that ``certify_geodesic`` replaced: the distance of
+    every vertex from e, then the length of every step."""
+    e = space.identity()
+    for t, v in enumerate(vertices):
+        if space.distance(e, v) != t:
+            raise ValueError(f"vertex {t} is at distance {space.distance(e, v)}, not {t}")
+    for t in range(1, len(vertices)):
+        if space.distance(vertices[t - 1], vertices[t]) != 1:
+            raise ValueError(f"step {t} is not an edge")
+
+
+def test_certify_refuses_each_broken_condition(zz):
+    # each path breaks one of the three conditions and meets the other two
+    cases = {
+        # every step is an edge, but the path backtracks: only |v_2| = 2 fails
+        ("e", "x", "e"): "vertex 2 is at distance 0, not 2",
+        # |v_2| = 2, but the path jumps two steps at once
+        ("e", "x^2", "x y"): "step 1 is not an edge",
+        # edges, and |v_2| = 2, from the wrong start
+        ("y x", "y", "y^2"): "vertex 0 is at distance 2, not 0",
+    }
+    for path, message in cases.items():
+        verts = tuple(zz.parse(w) for w in path)
+        with pytest.raises(ValueError, match=message):
+            rays.certify_geodesic(zz, verts)
+        with pytest.raises(ValueError):
+            _reference_certify(zz, verts)
+
+
+@pytest.mark.parametrize("name", ["zz", "lz3", "f2l"])
+def test_certify_matches_reference(name):
+    # every realized population ray, and every path that moves one of its
+    # vertices by a generator, or to a neighbour of the vertex before
+    fp = _index_product(name)
+    gens = [fp.embed(g.element) for g in fp.generators()]
+    verdicts = set()
+    for a in comb_population(fp):
+        verts = realize(a, sum(s.norm() for s in a.syllables) + 2, validate=False).vertices
+        paths = [verts]
+        for t, v in enumerate(verts):
+            for g in gens:
+                paths.append(verts[:t] + (fp.multiply(v, g),) + verts[t + 1 :])
+                if t:
+                    paths.append(verts[:t] + (fp.multiply(verts[t - 1], g),) + verts[t + 1 :])
+        for path in paths:
+            ok = _outcome(rays.certify_geodesic, fp, path) is None
+            assert ok == (_outcome(_reference_certify, fp, path) is None), [repr(v) for v in path]
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_comb_neighborhood_center_in_itself(zz):
     for a in comb_population(zz, max_len=2, max_norm=1)[:40]:
         for k in (1, 2, 3):
