@@ -5,7 +5,7 @@ from .errors import MorseForgeError
 from .factors import BoundaryPoint, FactorElement, FactorSpec, FactorSpace
 from .graph import Ball
 from .morse import CANONICAL_TREE_GAUGE, Gauge, nesting_constant, tracking_bound
-from .rays import CombNeighborhood, CombRay, TruncatedRay, corresponding_ray, standard_line
+from .rays import CombNeighborhood, CombRay, corresponding_ray, standard_line
 from .matching import BoundaryHomeo, MatchState, ProductMatching, run_matching
 from .words import FreeProduct, Word
 
@@ -26,7 +26,6 @@ __all__ = [
     "MatchState",
     "MorseForgeError",
     "ProductMatching",
-    "TruncatedRay",
     "Word",
     "corresponding_ray",
     "nesting_constant",

@@ -221,16 +221,18 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
     _write_counterexample_paths(cfg, check_id, report)
     print(json.dumps({"report": str(path), "status": report["status"]}, sort_keys=True))
     if cfg.emit_dot:
-        ball = Ball.build(fp, ball_radius, vertex_budget)
+        # the ball the check ran on, where the report names its radius
+        ball = Ball.build(fp, report["params"].get("radius", ball_radius), vertex_budget)
         (cfg.output / f"ball-r{ball.radius}.dot").write_text(ball.to_dot(), encoding="utf-8")
         _write_report(cfg, f"ball-r{ball.radius}.json", ball.to_json_dict())
     return _status_exit(report)
 
 
-def _path_capped(run, fp: FreeProduct, path_cap: int, **kwargs) -> dict:
-    """Run a check whose path enumerations are capped by the path_cap budget."""
+def _path_capped(run, first, path_cap: int, **kwargs):
+    """Run ``run(first, ...)``, whose path enumerations are capped by the
+    path_cap budget."""
     try:
-        return run(fp, path_cap=path_cap, **kwargs)
+        return run(first, path_cap=path_cap, **kwargs)
     except CapExceeded as exc:
         raise BudgetExceeded(f"budget path_cap {path_cap} exceeded: {exc.count} paths enumerated") from exc
 
@@ -288,7 +290,7 @@ def cmd_gauge(cfg: RunConfig, text: str, radius: int | None) -> int:
     ball = Ball.build(fp, r, vertex_budget=cfg.budgets["vertex_budget"])
     target = ball.index_of(word)
     path = ball.first_geodesic(0, target)
-    gauge = morse.estimate_gauge(ball, path, cfg.grid, path_cap=cfg.budgets["path_cap"])
+    gauge = _path_capped(morse.estimate_gauge, ball, cfg.budgets["path_cap"], verts=path, grid=cfg.grid)
     lines = ["lambda,eps,bound,certified_radius"]
     for (lam, eps), bound in gauge.entries:
         lines.append(f"{lam},{eps},{bound},{gauge.certified_radius}")

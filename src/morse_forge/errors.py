@@ -60,10 +60,6 @@ class GridMiss(Inconclusive):
     """A table gauge lacks a sample point required by a derived constant."""
 
 
-class RealizationCapExceeded(Inconclusive):
-    """A vertex has more realizations than the membership check allows."""
-
-
 class BallTooSmall(Inconclusive):
     """A constructed path would leave the ball."""
 

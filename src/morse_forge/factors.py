@@ -727,8 +727,8 @@ class FactorSpace:
         """A non-identity element as one syllable after the identity."""
         return self.spec.identity(), x
 
-    def geodesics(self, x, y, cap=None):
-        return geodesics(x, y, cap)
+    def geodesics(self, x, y):
+        return geodesics(x, y)
 
     def first_geodesic(self, x, y):
         return first_geodesic(x, y)

@@ -22,6 +22,10 @@ IDENTITY = "identity"
 PERM = "perm"
 LINESWAP = "lineswap"
 
+#: Rounds of both sides that ``MatchState.ensure_matched`` runs, at most,
+#: before an element it was asked about must be matched.
+EXTRA_ROUNDS = 512
+
 
 @dataclass(frozen=True)
 class BoundaryHomeo:
@@ -299,18 +303,13 @@ class MatchState:
 
     # -- access ------------------------------------------------------------
 
-    def image(self, x: factors.FactorElement) -> factors.FactorElement:
-        if x.spec == self.source:
-            return self.forward[x]
-        return self.backward[x]
-
-    def ensure_matched(self, x: factors.FactorElement, extra_rounds: int = 512):
+    def ensure_matched(self, x: factors.FactorElement):
         table = self.forward if x.spec == self.source else self.backward
         rounds = 0
         while x not in table:
-            if rounds >= extra_rounds:
+            if rounds >= EXTRA_ROUNDS:
                 raise DepthBudgetExceeded(
-                    f"element {x!r} still unmatched after {extra_rounds} extra rounds"
+                    f"element {x!r} still unmatched after {EXTRA_ROUNDS} extra rounds"
                 )
             self.step(1)
             self.step(2)
@@ -371,7 +370,7 @@ def run_matching(
     return pm.run_rounds(rounds)
 
 
-def induced_map(pm: ProductMatching, a: CombRay, extra_rounds: int = 512) -> CombRay:
+def induced_map(pm: ProductMatching, a: CombRay) -> CombRay:
     """Map a combinatorial geodesic syllable-wise through the bijections.
 
     Syllables not yet processed by the alternation trigger extra rounds;
@@ -382,7 +381,7 @@ def induced_map(pm: ProductMatching, a: CombRay, extra_rounds: int = 512) -> Com
 
     def map_syllable(s: factors.FactorElement) -> factors.FactorElement:
         state = pm.state_for(s.spec)
-        return state.ensure_matched(s, extra_rounds=extra_rounds)
+        return state.ensure_matched(s)
 
     syllables = tuple(map_syllable(s) for s in a.syllables)
     repeat = tuple(map_syllable(s) for s in a.repeat)
@@ -425,7 +424,6 @@ def check_continuity(
     l: int,
     ball_norm: int = 12,
     k_max: int = 12,
-    extra_rounds: int = 512,
 ) -> dict:
     """Search for a depth k whose filled neighborhood of z maps inside the
     depth-l filled neighborhood of the image direction.
@@ -455,7 +453,7 @@ def check_continuity(
             continue
         failures = []
         for x in members:
-            y = state.ensure_matched(x, extra_rounds=extra_rounds)
+            y = state.ensure_matched(x)
             if not filled_member(state.gauge, l, z_img, y):
                 failures.append(
                     {

@@ -19,7 +19,6 @@ from .errors import (
     CapExceeded,
     GridMiss,
     PossiblyTruncated,
-    RealizationCapExceeded,
 )
 from .graph import Ball
 
@@ -86,9 +85,6 @@ class Gauge:
             if point == (lam, eps):
                 return bound
         raise GridMiss(f"table gauge has no entry at ({lam}, {eps})")
-
-    def grid(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(p for p, _v in self.entries)
 
     def key(self) -> str:
         if self.kind == AFFINE:
@@ -442,6 +438,8 @@ def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | N
 def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | None = None) -> Gauge:
     """Empirical table gauge for a geodesic: per grid point, the maximal
     deviation over every enumerated quasi-geodesic with endpoints on it.
+    A pair of endpoints with more than ``path_cap`` of them raises
+    ``CapExceeded``.
     """
     # a path is geodesic, the (1, 0) bound, exactly when its steps are
     # edges and its ends lie as far apart as its length
@@ -468,12 +466,7 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
         worst = seen = 0
         for i, u in enumerate(verts):
             for v in verts[i:]:
-                try:
-                    seen += scan_quasi_geodesics(ball, u, v, bound, deepest, 0, path_cap)
-                except CapExceeded as exc:
-                    raise BudgetExceeded(
-                        f"more than {exc.count} quasi-geodesics at ({lam}, {eps})"
-                    ) from exc
+                seen += scan_quasi_geodesics(ball, u, v, bound, deepest, 0, path_cap)
         if seen == 0:
             raise BudgetExceeded("no admissible quasi-geodesics enumerated")
         entries[(lam, eps)] = worst  # Gauge.table makes Fractions of them
@@ -578,17 +571,14 @@ class Neighborhood:
 
     @classmethod
     def around_vertex(
-        cls, space, gauge: Gauge, depth: int, x, filled: bool = True, cap: int | None = None
+        cls, space, gauge: Gauge, depth: int, x, filled: bool = True
     ) -> "Neighborhood":
         """Center on a group element: the condition quantifies over every
         realization of it."""
         d = space.distance(space.identity(), x)
         if depth > d:
             raise ValueError(f"depth {depth} exceeds the element norm {d}")
-        try:
-            reals = space.geodesics(space.identity(), x, cap=cap)
-        except CapExceeded as exc:
-            raise RealizationCapExceeded(f"{exc.count} realizations") from exc
+        reals = space.geodesics(space.identity(), x)
         return cls(gauge, depth, tuple(tuple(r) for r in reals), filled)
 
 
@@ -603,7 +593,7 @@ def tree_close(gauge: Gauge, depth: int, shared: int) -> bool:
     return shared >= depth or 2 * (depth - shared) < rational_ceil(gauge.delta)
 
 
-def neighborhood_member(space, nbhd: Neighborhood, candidate, cap: int | None = None) -> bool:
+def neighborhood_member(space, nbhd: Neighborhood, candidate) -> bool:
     """Pointwise membership test.
 
     Vertex candidates (filled neighborhoods only) are tested through
@@ -619,10 +609,7 @@ def neighborhood_member(space, nbhd: Neighborhood, candidate, cap: int | None = 
             raise ValueError("group elements only belong to filled neighborhoods")
         if space.distance(space.identity(), candidate) < nbhd.depth:
             return False
-        try:
-            candidate_rays = [tuple(r) for r in space.geodesics(space.identity(), candidate, cap=cap)]
-        except CapExceeded as exc:
-            raise RealizationCapExceeded(f"{exc.count} realizations") from exc
+        candidate_rays = [tuple(r) for r in space.geodesics(space.identity(), candidate)]
     for eta in candidate_rays:
         if len(eta) < nbhd.depth + 1:
             raise BudgetExceeded("candidate ray is shorter than the neighborhood depth")

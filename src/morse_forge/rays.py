@@ -3,8 +3,8 @@
 A combinatorial geodesic is either an infinite alternating syllable
 sequence (truncated, optionally with a periodic continuation block) or a
 finite syllable prefix followed by a boundary direction of the next
-factor.  ``realize`` concatenates canonical factor geodesics into an
-actual vertex ray; ``decompose`` reads a vertex ray back into maximal
+factor.  ``realize`` concatenates canonical factor geodesics into a
+tuple of vertices; ``decompose`` reads such a tuple back into maximal
 same-factor runs.
 """
 
@@ -23,18 +23,6 @@ from .words import FreeProduct, Word
 
 FINITE = "finite"
 INFINITE = "infinite"
-
-
-@dataclass(frozen=True)
-class TruncatedRay:
-    """A geodesic vertex path from the basepoint, with optional provenance
-    describing how it extends past the truncation."""
-
-    vertices: tuple
-    provenance: object | None = None
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 def certify_geodesic(fp: FreeProduct, vertices) -> None:
@@ -196,8 +184,9 @@ class CombRay:
         return body
 
 
-def realize(a: CombRay, depth: int, validate: bool = True) -> TruncatedRay:
-    """Concatenate canonical per-syllable geodesics into a vertex ray.
+def realize(a: CombRay, depth: int, validate: bool = True) -> tuple[Word, ...]:
+    """Concatenate canonical per-syllable geodesics into the vertex ray
+    v_0, ..., v_depth.
 
     Factor geodesics are chosen lexicographically-first (unique in tree
     factors); the result is certified to be a geodesic unless disabled.
@@ -228,21 +217,18 @@ def realize(a: CombRay, depth: int, validate: bool = True) -> TruncatedRay:
             raise DepthExceedsContent(
                 f"combinatorial geodesic holds {len(verts) - 1} steps, {depth} requested"
             )
-    ray = TruncatedRay(tuple(verts[: depth + 1]), provenance=a)
+    ray = tuple(verts[: depth + 1])
     if validate:
-        certify_geodesic(fp, ray.vertices)
+        certify_geodesic(fp, ray)
     return ray
 
 
-def decompose(fp: FreeProduct, ray: TruncatedRay) -> CombRay:
-    """Split a vertex ray into maximal same-factor runs.
-
-    Without provenance the result is a bare truncated infinite-kind
-    object whose last run is unstable.  With provenance the observed runs
-    are validated against it and the fully typed object is returned.
-    """
+def decompose(fp: FreeProduct, vertices) -> CombRay:
+    """Split a vertex ray into maximal same-factor runs: a bare truncated
+    infinite-kind object whose last run is unstable.  ``validate_against``
+    holds the runs against the combinatorial geodesic they came from."""
     runs: list[factors.FactorElement] = []
-    for prev, cur in zip(ray.vertices, ray.vertices[1:]):
+    for prev, cur in zip(vertices, vertices[1:]):
         s = _step(prev.syllables, cur.syllables)
         if s is None or s.norm() != 1:
             raise ValueError("consecutive ray vertices must differ by one generator")
@@ -254,23 +240,7 @@ def decompose(fp: FreeProduct, ray: TruncatedRay) -> CombRay:
     if runs and runs[0].factor == fp.b.id:
         syllables.append(fp.a.identity())
     syllables.extend(runs)
-    observed = tuple(syllables)
-
-    prov = ray.provenance
-    if isinstance(prov, CombRay):
-        validate_against(fp, observed, prov)
-        return prov
-    if isinstance(prov, factors.BoundaryPoint):
-        # a factor ray inside the product: all completed runs are stable
-        if not observed:
-            return CombRay(fp, FINITE, (), tail=prov)
-        last = observed[-1]
-        if last.spec != prov.spec:
-            raise ValueError("provenance tail factor does not match the growing run")
-        if prov.realization(last.norm())[-1] != last:
-            raise ValueError("growing run is not a prefix of the provenance tail")
-        return CombRay(fp, FINITE, observed[:-1], tail=prov)
-    return CombRay(fp, INFINITE, observed, unstable_last=bool(observed))
+    return CombRay(fp, INFINITE, tuple(syllables), unstable_last=bool(syllables))
 
 
 def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
@@ -294,20 +264,21 @@ def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
     return None
 
 
-def validate_against(fp: FreeProduct, observed, prov: CombRay) -> None:
+def validate_against(fp: FreeProduct, observed, a: CombRay) -> None:
     """Raise ValueError unless the runs ``observed`` off a truncated ray
-    agree with ``prov``: every stable run equals its syllable, and the
-    growing last run is a prefix of its syllable or of the tail."""
+    agree with the combinatorial geodesic ``a`` it realizes: every stable
+    run equals its syllable, and the growing last run is a prefix of its
+    syllable or of the tail."""
     if not observed:
         return
     stable = observed[:-1]
     for i, s in enumerate(stable):
-        expected = prov.syllable_at(i + 1)
+        expected = a.syllable_at(i + 1)
         if expected != s:
-            raise ValueError(f"observed syllable {i + 1} disagrees with provenance")
+            raise ValueError(f"observed syllable {i + 1} disagrees with the source geodesic")
     last = observed[-1]
     pos = len(observed)
-    expected = prov.syllable_at(pos)
+    expected = a.syllable_at(pos)
     if expected is not None:
         ok_full = expected == last
         ok_prefix = (
@@ -315,12 +286,12 @@ def validate_against(fp: FreeProduct, observed, prov: CombRay) -> None:
             and factors.distance(last, expected) == expected.norm() - last.norm()
         )
         if not (ok_full or ok_prefix):
-            raise ValueError(f"observed syllable {pos} is not a prefix of the provenance syllable")
-    elif prov.kind == FINITE and pos == prov.stored_length + 1:
-        if prov.tail.realization(last.norm())[-1] != last:
-            raise ValueError("growing run is not a prefix of the provenance tail")
+            raise ValueError(f"observed syllable {pos} is not a prefix of the source syllable")
+    elif a.kind == FINITE and pos == a.stored_length + 1:
+        if a.tail.realization(last.norm())[-1] != last:
+            raise ValueError("growing run is not a prefix of the source tail")
     else:
-        raise ValueError("observed decomposition runs past the provenance content")
+        raise ValueError("observed decomposition runs past the source geodesic")
 
 
 @dataclass(frozen=True)

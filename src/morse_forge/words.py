@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import factors
-from .errors import CapExceeded, EmptyWord, ParseError
+from .errors import EmptyWord, ParseError
 
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
@@ -173,17 +173,10 @@ class FreeProduct:
     def step(self, w: Word, gen: ProductGenerator) -> Word:
         return self.multiply(w, self.embed(gen.element))
 
-    def geodesics(self, u: Word, v: Word, cap: int | None = None) -> list[tuple[Word, ...]]:
+    def geodesics(self, u: Word, v: Word) -> list[tuple[Word, ...]]:
         """All geodesic vertex paths u -> v, ordered syllable-lexicographically."""
         w = self.multiply(self.inverse(u), v)
-        choices = []
-        total = 1
-        for s in w.syllables:
-            segs = factors.geodesics(s.spec.identity(), s)
-            choices.append(segs)
-            total *= len(segs)
-        if cap is not None and total > cap:
-            raise CapExceeded(total)
+        choices = [factors.geodesics(s.spec.identity(), s) for s in w.syllables]
         return [self._join(u, combo) for combo in itertools.product(*choices)]
 
     def first_geodesic(self, u: Word, v: Word) -> tuple[Word, ...]:

@@ -354,7 +354,7 @@ def _ray_merge_reference(fp, depth=36, k_values=(1, 2, 3, 4), max_len=2, max_nor
     """Reference ray-merge report, taking every pair's whole profile."""
     delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
-    realized = [rays.realize(a, depth, validate=False).vertices for a in population]
+    realized = [rays.realize(a, depth, validate=False) for a in population]
     instances = 0
     failures = []
     for ai in range(len(realized)):

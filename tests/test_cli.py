@@ -181,6 +181,27 @@ def test_emit_dot(tmp_path, capsys):
     assert ball["vertex_count"] == 17 and ball["vertices"][0] == "e"
 
 
+def test_emit_dot_exports_the_ball_the_check_ran_on(tmp_path, capsys):
+    # prefix-transit runs at its own radius 5 unless --radius is given,
+    # above the config's ball_radius of 4
+    code, _out, _ = run_cli(["--out", str(tmp_path), "--emit-dot", "check", "prefix-transit"], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "check-prefix-transit.json").read_text())["params"]["radius"] == 5
+    assert sorted(p.name for p in tmp_path.glob("ball-r*")) == ["ball-r5.dot", "ball-r5.json"]
+
+
+def test_gauge_path_cap_budget_exit_code(tmp_path, capsys):
+    # one endpoint pair of x^2 y's geodesic has 20 quasi-geodesics at (2, 1)
+    errors = []
+    for path_cap, expected in ((19, 3), (20, 0)):
+        cfg = write_config(tmp_path, budgets={"path_cap": path_cap})
+        args = ["--config", str(cfg), "--out", str(tmp_path / f"rep{path_cap}"), "gauge", "x^2 y", "--radius", "3"]
+        code, _out, err = run_cli(args, capsys)
+        assert code == expected
+        errors.append(err)
+    assert errors == ["inconclusive: budget path_cap 19 exceeded: 20 paths enumerated\n", ""]
+
+
 def test_inconclusive_budget_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, budgets={"path_cap": 5})
     code, _out, err = run_cli(
@@ -280,7 +301,7 @@ def test_phi_psi_can_fail(tmp_path, capsys, monkeypatch):
 
     def corrupted(fp, ray):
         out = decompose(fp, ray)
-        if ray.provenance is None and out.stored_length >= 2:
+        if out.stored_length >= 2:
             syllables = (out.syllables[0], out.syllables[1].inverse()) + out.syllables[2:]
             return dataclasses.replace(out, syllables=syllables)
         return out
@@ -320,6 +341,18 @@ def _run_v_system(tmp_path, capsys):
     args = ["--config", str(_lz3_config(tmp_path)), "--out", str(tmp_path / "rep"), "check", "v-system"]
     code, _out, _err = run_cli(args, capsys)
     return code, json.loads((tmp_path / "rep" / "check-v-system.json").read_text())
+
+
+def test_nbhd_nesting_can_fail(tmp_path, capsys, monkeypatch):
+    # a nesting depth below l: a depth-(l - 1) neighbourhood is not inside
+    # the depth-l one
+    monkeypatch.setattr(morse, "nesting_constant", lambda l, gauge: max(1, l - 1))
+    code, _out, _err = run_cli(["--out", str(tmp_path), "check", "nbhd-nesting"], capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "check-nbhd-nesting.json").read_text())
+    assert report["status"] == "fail"
+    assert (report["instances"], report["counterexample_count"]) == (90, 18)
+    assert report["counterexamples"][0] == {"l": 2, "w": "x", "y": "x", "z": "+inf"}
 
 
 def test_v_system_property_2_can_fail(tmp_path, capsys, monkeypatch):
@@ -675,7 +708,6 @@ _INCONCLUSIVE_ERRORS = (
     errors.CapExceeded,
     errors.PossiblyTruncated,
     errors.GridMiss,
-    errors.RealizationCapExceeded,
     errors.BallTooSmall,
     errors.DepthBudgetExceeded,
 )

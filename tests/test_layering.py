@@ -94,3 +94,8 @@ def test_tracer_targets_resolve_to_plain_functions():
         fn = getattr(fn, "__func__", fn)  # a classmethod wraps its function
         assert inspect.isfunction(fn), f"{module_name}.{attr}"
         assert not inspect.isgeneratorfunction(fn), f"{module_name}.{attr}"
+
+
+def test_exports_resolve():
+    missing = [name for name in morse_forge.__all__ if not hasattr(morse_forge, name)]
+    assert missing == []

@@ -10,7 +10,6 @@ from morse_forge.rays import (
     CombIndex,
     CombNeighborhood,
     CombRay,
-    TruncatedRay,
     comb_neighborhood_member,
     comb_population,
     corresponding_ray,
@@ -112,14 +111,14 @@ def test_realize_infinite(zz):
     a = CombRay(zz, rays.INFINITE, (zz.a.make_element(1), zz.b.make_element(1)),
                 repeat=(zz.a.make_element(1), zz.b.make_element(1)))
     ray = realize(a, 4)
-    assert [zz.format(v) for v in ray.vertices] == ["e", "x", "x y", "x y x", "x y x y"]
+    assert [zz.format(v) for v in ray] == ["e", "x", "x y", "x y x", "x y x y"]
 
 
 def test_realize_finite_tail(zz):
     a = CombRay(zz, rays.FINITE, (zz.a.make_element(1), zz.b.make_element(1)),
                 tail=BoundaryPoint.line_end(zz.a, 1))
     ray = realize(a, 4)
-    assert [zz.format(v) for v in ray.vertices] == ["e", "x", "x y", "x y x", "x y x^2"]
+    assert [zz.format(v) for v in ray] == ["e", "x", "x y", "x y x", "x y x^2"]
 
 
 def test_realize_exhausted(zz):
@@ -130,30 +129,23 @@ def test_realize_exhausted(zz):
 
 def test_decompose_reads_runs(zz):
     verts = tuple(zz.parse(t) for t in ("e", "x", "x y", "x y x"))
-    a = decompose(zz, TruncatedRay(verts))
+    a = decompose(zz, verts)
     assert [s.payload for s in a.syllables] == [1, 1, 1]
     assert a.unstable_last and a.kind == rays.INFINITE
 
 
 def test_decompose_leading_second_factor(zz):
     verts = tuple(zz.parse(t) for t in ("e", "y", "y^2", "y^2 x"))
-    a = decompose(zz, TruncatedRay(verts))
+    a = decompose(zz, verts)
     assert a.syllables[0] == zz.a.identity()
     assert a.syllables[1].payload == 2
-
-
-def test_decompose_pure_factor_ray_with_tail(zz):
-    plus = BoundaryPoint.line_end(zz.a, 1)
-    verts = tuple(zz.embed(zz.a.make_element(n)) for n in range(4))
-    a = decompose(zz, TruncatedRay(verts, provenance=plus))
-    assert a.kind == rays.FINITE and a.syllables == () and a.tail == plus
 
 
 def test_roundtrip_population(zz):
     for a in comb_population(zz, max_len=3, max_norm=2):
         depth = sum(s.norm() for s in a.syllables) + 3
         ray = realize(a, depth)
-        assert decompose(zz, ray) == a
+        rays.validate_against(zz, decompose(zz, ray).syllables, a)
 
 
 def _realize_reference(a, depth):
@@ -179,7 +171,7 @@ def _realize_reference(a, depth):
 
 
 def _decompose_reference(fp, vertices):
-    """Reference ``decompose`` without provenance: each step is prev^-1 cur."""
+    """Reference ``decompose``: each step is prev^-1 cur."""
     runs = []
     for prev, cur in zip(vertices, vertices[1:]):
         q = fp.multiply(fp.inverse(prev), cur)
@@ -212,7 +204,7 @@ def test_decompose_steps_match_word_product_rule(name):
     outcomes = {}
     for a in comb_population(fp, max_len=2, max_norm=1):
         depth = sum(s.norm() for s in a.syllables) + 2
-        verts = realize(a, depth).vertices
+        verts = realize(a, depth)
         assert verts == _realize_reference(a, depth)
         for t, prev in enumerate(verts):
             ps = prev.syllables
@@ -232,7 +224,7 @@ def test_decompose_steps_match_word_product_rule(name):
                     # a one-generator step also goes on the ray, where runs merge
                     whole = kind in ("back", "generator")
                     for ray in ((prev, cur), verts[: t + 1] + (cur,))[: 1 + whole]:
-                        got = _outcome(decompose, fp, TruncatedRay(ray))
+                        got = _outcome(decompose, fp, ray)
                         assert got == _outcome(_decompose_reference, fp, ray), (kind, ray)
                         outcomes.setdefault(kind, set()).add(isinstance(got, tuple))
     assert outcomes["stationary"] == outcomes["square"] == outcomes["two appended"] == {True}
@@ -280,7 +272,7 @@ def test_certify_matches_reference(name):
     gens = [fp.embed(g.element) for g in fp.generators()]
     verdicts = set()
     for a in comb_population(fp):
-        verts = realize(a, sum(s.norm() for s in a.syllables) + 2, validate=False).vertices
+        verts = realize(a, sum(s.norm() for s in a.syllables) + 2, validate=False)
         paths = [verts]
         for t, v in enumerate(verts):
             for g in gens:
