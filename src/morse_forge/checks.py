@@ -8,7 +8,7 @@ passed silently.
 from __future__ import annotations
 
 from . import factors, matching, morse, rays
-from .errors import CapExceeded
+from .errors import BudgetExceeded, CapExceeded
 from .graph import Ball
 from .words import FreeProduct
 
@@ -109,14 +109,9 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
         # no enumerated walk is longer than max_len of the ball's diameter
         least = bound.least.upto(bound.max_len(2 * radius))
         for (u, v), weight in sorted(orbits.items()):
-            try:  # one walk per orbit of the symmetries that fix both ends
-                walks, bad = scan(bound, least, u, v, symmetries)
-                settled = not bad
-            except CapExceeded:
-                settled = False
-            if not settled:
-                # a failure or an overrun: list every failing walk, and
-                # count up to the cap, as the plain search meets them
+            # one walk per orbit of the symmetries that fix both ends
+            walks, bad = scan(bound, least, u, v, symmetries)
+            if bad:  # list every failing walk, as the plain search meets them
                 walks, bad = scan(bound, least, u, v, None)
             instances += walks
             covered += walks * weight
@@ -216,14 +211,17 @@ def _hausdorff_exceeds(dist, walk, runs, haus_bound) -> bool:
 # -- concatenation ------------------------------------------------------------
 
 
-def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, geodesic_cap: int = 64, vertex_budget: int | None = None) -> dict:
+def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, geodesic_cap: int = 64, path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
     ball = Ball.build(fp, radius, vertex_budget)
     geodesic_paths: list[tuple[int, ...]] = []
     qg_paths: list[tuple[int, ...]] = []
     for w in range(len(ball)):
-        geodesic_paths.extend(ball.enumerate_geodesics(0, w, cap=geodesic_cap))
+        try:
+            geodesic_paths.extend(ball.enumerate_geodesics(0, w, cap=geodesic_cap))
+        except CapExceeded:  # the CLI reads CapExceeded as path_cap's
+            raise BudgetExceeded(f"geodesic cap {geodesic_cap} exceeded from e to {fp.format(ball.vertex(w))}") from None
         if ball.dist[w] <= qg_norm_limit:
-            qg_paths.extend(morse.enumerate_quasi_geodesics(ball, 0, w, 1, 2))
+            qg_paths.extend(morse.enumerate_quasi_geodesics(ball, 0, w, 1, 2, path_cap))
     families = (("geodesic", 1, 0, geodesic_paths), ("qg", 1, 2, qg_paths))
     instances = 0
     failures = []

@@ -206,7 +206,9 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
             **given,
         )
     elif check_id == "concat-qg":
-        report = checks.run_concat_qg(fp, radius=ball_radius, vertex_budget=vertex_budget)
+        report = _path_capped(
+            checks.run_concat_qg, fp, budgets["path_cap"], radius=ball_radius, vertex_budget=vertex_budget
+        )
     elif check_id == "nbhd-nesting":
         report = checks.run_nbhd_nesting(fp.a)
     elif check_id == "ray-merge":

@@ -302,31 +302,8 @@ class Ball:
                 self.in_ball_row(u)[v],
                 message="geodesics between these endpoints may leave the ball",
             )
-        to_v = self.in_ball_row(v)
-        out: list[tuple[int, ...]] = []
-        count = 0
-
-        def rec(cur: int, acc: list[int]):
-            nonlocal count
-            if cur == v:
-                count += 1
-                if cap is None or count <= cap:
-                    out.append(tuple(acc))
-                return
-            d = to_v[cur]
-            for n in self.neighbors[cur]:
-                if to_v[n] == d - 1:
-                    acc.append(n)
-                    rec(n, acc)
-                    acc.pop()
-
-        try:
-            rec(u, [u])
-        finally:
-            del rec  # rec refers to itself through its cell; free the search now
-        if cap is not None and count > cap:
-            raise CapExceeded(count)
-        return out
+        # a geodesic is a walk of length d_in(u, v) without stationary steps
+        return self._walks(u, v, self.in_ball_row(v)[u], cap, stay=False)
 
     def first_geodesic(self, u: int, v: int) -> tuple[int, ...]:
         """One true geodesic u -> v (the space's lexicographically first).
@@ -349,31 +326,43 @@ class Ball:
         Walks may revisit vertices and may take stationary steps; the
         step order is "stay" first, then generators.
         """
-        to_v = self.in_ball_row(v)  # in-ball return distance prunes dead ends
-        out: list[tuple[int, ...]] = []
-        count = 0
+        return self._walks(u, v, maxlen, cap, stay=True)
 
-        def rec(cur: int, acc: list[int]):
-            nonlocal count
-            if cur == v:
-                count += 1
-                if cap is None or count <= cap:
-                    out.append(tuple(acc))
-            remaining = maxlen - (len(acc) - 1)
-            if remaining == 0:
-                return
-            for nxt in [cur] + self.neighbors[cur]:
-                if to_v[nxt] <= remaining - 1:
-                    acc.append(nxt)
-                    rec(nxt, acc)
-                    acc.pop()
+    def _walks(self, u: int, v: int, maxlen: int, cap: int | None, stay: bool) -> list[tuple[int, ...]]:
+        """Depth-first search for the walks u -> v of length <= maxlen
+        inside the ball, each listed when it reaches v and then extended.
 
-        try:
-            rec(u, [u])
-        finally:
-            del rec  # rec refers to itself through its cell; free the search now
-        if cap is not None and count > cap:
-            raise CapExceeded(count)
+        A step goes to the walk's last vertex itself first when ``stay``,
+        then to its neighbours in adjacency order, and only where the
+        in-ball distance to v leaves time to return.  The walk past ``cap``
+        stops the search with ``CapExceeded(cap + 1)``.
+        """
+        to_v = self.in_ball_row(v)
+        neighbors = self.neighbors
+        out = [(u,)] if u == v else []
+        if cap is not None and len(out) > cap:
+            raise CapExceeded(cap + 1)
+        walk = [u]
+        # one iterator over the next steps per vertex of the walk that may
+        # still be extended
+        steps = [iter([u] + neighbors[u] if stay else neighbors[u])] if maxlen else []
+        while steps:
+            left = maxlen - len(walk)  # steps left after the next one
+            for x in steps[-1]:
+                if to_v[x] <= left:
+                    walk.append(x)
+                    if x == v:
+                        if len(out) == cap:
+                            raise CapExceeded(cap + 1)
+                        out.append(tuple(walk))
+                    if left:
+                        steps.append(iter([x] + neighbors[x] if stay else neighbors[x]))
+                    else:
+                        walk.pop()
+                    break
+            else:
+                steps.pop()
+                walk.pop()
         return out
 
     # -- export -----------------------------------------------------------------

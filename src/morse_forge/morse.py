@@ -293,7 +293,9 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     carry work along shared prefixes instead of rescanning whole walks.  A
     prefix is a walk when it ends at v; it may still be extended.  A
     verdict that the symmetries preserve holds for every walk exactly when
-    it holds for every walk visited.  ``cap`` bounds the weighted count.
+    it holds for every walk visited.  ``cap`` bounds the weighted count:
+    the walk that takes it past the cap stops the search with
+    ``CapExceeded(cap + 1)``, the count the plain search stops at.
 
     The upper quasi-geodesic bound holds automatically for unit steps.  A
     step to x at index t is refused by four exact prunes, each reading only
@@ -406,7 +408,7 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
             if nxt == v:
                 count += extended
                 if cap is not None and count > cap:
-                    raise CapExceeded(count)
+                    raise CapExceeded(cap + 1)
             if t < limit:
                 frames.append((options, top, group, weight, current, chain, branch))
                 current = visit(current, walk)

@@ -97,8 +97,8 @@ class CombRay:
     the identity (it absorbs rays that start in the second factor).
     Finite kind carries a boundary direction of the factor after the last
     syllable; infinite kind may carry a periodic continuation block,
-    otherwise it is a bare truncation whose last stored syllable is
-    unstable.
+    otherwise it is a bare truncation (as ``decompose`` reads one off a
+    finite ray), whose syllable count is unknown.
     """
 
     fp: FreeProduct
@@ -106,7 +106,6 @@ class CombRay:
     syllables: tuple[factors.FactorElement, ...]
     tail: factors.BoundaryPoint | None = None
     repeat: tuple[factors.FactorElement, ...] = ()
-    unstable_last: bool = False
 
     def __post_init__(self):
         for pos, s in enumerate(self.syllables, start=1):
@@ -121,8 +120,6 @@ class CombRay:
                 raise ValueError("finite combinatorial geodesics need a tail direction")
             if self.repeat:
                 raise ValueError("finite combinatorial geodesics have no repeat block")
-            if self.unstable_last:
-                raise ValueError("finite combinatorial geodesics are fully stable")
             if self.tail.spec != self._position_spec(n + 1):
                 raise ValueError("tail factor must alternate with the last syllable")
         elif self.kind == INFINITE:
@@ -131,8 +128,6 @@ class CombRay:
             if self.repeat:
                 if len(self.repeat) % 2:
                     raise ValueError("repeat block must have even length to keep alternation")
-                if self.unstable_last:
-                    raise ValueError("a repeat block determines every syllable")
                 for j, s in enumerate(self.repeat):
                     expected = self._position_spec(n + 1 + j)
                     if s.spec != expected or s.is_identity():
@@ -149,12 +144,6 @@ class CombRay:
     def stored_length(self) -> int:
         return len(self.syllables)
 
-    @property
-    def stable_length(self) -> int:
-        if self.unstable_last:
-            return len(self.syllables) - 1
-        return len(self.syllables)
-
     def syllable_at(self, pos: int) -> factors.FactorElement | None:
         """Syllable at a 1-based position, consulting the repeat block."""
         if pos <= len(self.syllables):
@@ -162,18 +151,6 @@ class CombRay:
         if self.kind == INFINITE and self.repeat:
             return self.repeat[(pos - len(self.syllables) - 1) % len(self.repeat)]
         return None
-
-    def length_at_least(self, k: int) -> bool:
-        """Is the (possibly infinite) syllable count certifiably >= k?"""
-        if self.kind == INFINITE:
-            if self.repeat:
-                return True
-            if self.stable_length >= k:
-                return True
-            raise BudgetExceeded(
-                f"bare truncation with {self.stable_length} stable syllables cannot certify length >= {k}"
-            )
-        return len(self.syllables) >= k
 
     def text(self) -> str:
         body = " | ".join(map(repr, self.syllables)) or "e"
@@ -240,7 +217,7 @@ def decompose(fp: FreeProduct, vertices) -> CombRay:
     if runs and runs[0].factor == fp.b.id:
         syllables.append(fp.a.identity())
     syllables.extend(runs)
-    return CombRay(fp, INFINITE, tuple(syllables), unstable_last=bool(syllables))
+    return CombRay(fp, INFINITE, tuple(syllables))
 
 
 def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
@@ -314,45 +291,32 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
     centers: same syllables, then either the next syllable lies in the
     filled depth-k neighborhood of the tail direction, or the tails are
     depth-k close.  Tail tests run in the factor, on shared letters
-    (``_tail_close``).
+    (``_tail_close``).  A bare truncation, as center or candidate, is
+    refused (``_refuse_bare``).
     """
     a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
     if a.fp != b.fp:
         raise ValueError("combinatorial geodesics over different products")
+    _refuse_bare(a, b)
     if a.kind == INFINITE:
-        if not b.length_at_least(k):
-            return False
         for i in range(1, k + 1):
-            ua = a.syllable_at(i)
-            if ua is None:
-                raise BudgetExceeded(f"center holds no syllable at position {i}")
-            ub = b.syllable_at(i)
-            if ub is None:
-                raise BudgetExceeded(f"candidate holds no syllable at position {i}")
-            if ua != ub:
+            if b.syllable_at(i) != a.syllable_at(i):
                 return False
         return True
     la = a.stored_length
-    if not b.length_at_least(la):
-        return False
     for i in range(1, la + 1):
-        ub = b.syllable_at(i)
-        if ub is None:
-            raise BudgetExceeded(f"candidate holds no syllable at position {i}")
-        if ub != a.syllables[i - 1]:
+        if b.syllable_at(i) != a.syllables[i - 1]:
             return False
-    if b.kind == INFINITE or b.stored_length > la:
-        u_next = b.syllable_at(la + 1)
-        if u_next is None:
-            raise BudgetExceeded("candidate next syllable unavailable")
-        unstable_next = b.unstable_last and la + 1 == b.stored_length
-        if unstable_next and u_next.norm() < k:
-            # a growing syllable below the depth may still enter later
-            raise BudgetExceeded("candidate next syllable is unstable and too short to classify")
-        return _tail_close(gauge, k, a.tail, u_next)
-    if b.kind != FINITE:
-        raise BudgetExceeded("bare truncation of the same length cannot be classified")
-    return _tail_close(gauge, k, a.tail, b.tail)
+    longer = b.kind == INFINITE or b.stored_length > la
+    return _tail_close(gauge, k, a.tail, b.syllable_at(la + 1) if longer else b.tail)
+
+
+def _refuse_bare(*given: CombRay) -> None:
+    """Raise ``BudgetExceeded`` for a bare truncation: its syllable count,
+    which every neighborhood test reads, is not known."""
+    for r in given:
+        if r.kind == INFINITE and not r.repeat:
+            raise BudgetExceeded(f"bare truncation {r.text()} has no certain syllable count")
 
 
 def _tail_close(gauge: morse.Gauge, k: int, tail: factors.BoundaryPoint, key) -> bool:
@@ -381,10 +345,8 @@ class CombIndex:
     letters of the next syllable, or of the tail, with the center's tail.
     The buckets of depth k are built when depth k is first asked for; an
     infinite center gets the bucket itself, which callers must not modify.
-
-    Buckets hold rays whose syllable count is certain.  A bare truncation,
-    in the population or as the center, sends the query through the
-    pointwise test, so it raises ``BudgetExceeded`` just as a scan would.
+    A bare truncation, in the population or as the center, is refused as
+    ``comb_neighborhood_member`` refuses it.
     """
 
     def __init__(self, population):
@@ -392,7 +354,7 @@ class CombIndex:
         self.fp = self.population[0].fp if self.population else None
         if any(b.fp != self.fp for b in self.population):
             raise ValueError("combinatorial geodesics over different products")
-        self._bare = any(_is_bare(b) for b in self.population)
+        _refuse_bare(*self.population)
         self._buckets: dict[int, dict[tuple, list[CombRay]]] = {}
 
     def _bucket(self, key: tuple) -> list[CombRay]:
@@ -409,8 +371,7 @@ class CombIndex:
 
     def members(self, nbhd: CombNeighborhood) -> list[CombRay]:
         a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
-        if self._bare or _is_bare(a):
-            return [b for b in self.population if comb_neighborhood_member(nbhd, b)]
+        _refuse_bare(a)
         if self.population and a.fp != self.fp:
             raise ValueError("combinatorial geodesics over different products")
         if a.kind == INFINITE:
@@ -423,11 +384,6 @@ class CombIndex:
             if _tail_close(gauge, k, a.tail, key):
                 out.append(b)
         return out
-
-
-def _is_bare(a: CombRay) -> bool:
-    """A bare truncation: its syllable count cannot be certified."""
-    return a.kind == INFINITE and not a.repeat
 
 
 # -- population -----------------------------------------------------------

@@ -209,7 +209,38 @@ def test_inconclusive_budget_exit_code(tmp_path, capsys):
         capsys,
     )
     assert code == 3
-    assert "inconclusive" in err and "path_cap 5" in err
+    # the sixth walk stops the search
+    assert err == "inconclusive: budget path_cap 5 exceeded: 6 paths enumerated\n"
+
+
+def test_concat_qg_path_cap_budget_exit_code(tmp_path, capsys):
+    # Z*Z r3: some endpoint pair has 11 (1, 2)-quasi-geodesics, none more
+    messages = []
+    for path_cap, expected in ((10, 3), (11, 0)):
+        cfg = write_config(tmp_path, budgets={"path_cap": path_cap})
+        args = ["--config", str(cfg), "--out", str(tmp_path / f"rep{path_cap}"), "check", "concat-qg", "--radius", "3"]
+        code, _out, err = run_cli(args, capsys)
+        assert code == expected
+        messages.append(err)
+    assert messages == ["inconclusive: budget path_cap 10 exceeded: 11 paths enumerated\n", ""]
+
+
+def test_concat_qg_geodesic_cap_is_not_path_cap(lattice_product):
+    # e to a1^2 a2 has 3 geodesics; the overrun must not read as path_cap's
+    with pytest.raises(errors.BudgetExceeded, match="geodesic cap 2 exceeded") as exc:
+        checks.run_concat_qg(lattice_product, radius=3, geodesic_cap=2)
+    assert not isinstance(exc.value, errors.CapExceeded)
+
+
+def test_extra_rounds_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # the induced map asks for x^2, which the alternation has not reached
+    messages = []
+    for extra, expected in ((0, 3), (1, 0)):
+        monkeypatch.setattr(matching, "EXTRA_ROUNDS", extra)
+        code, _out, err = run_cli(["--out", str(tmp_path / f"rep{extra}"), "match", "--steps", "1"], capsys)
+        assert code == expected
+        messages.append(err)
+    assert messages == ["inconclusive: element x^2 still unmatched after 0 extra rounds\n", ""]
 
 
 def _plain_scans(monkeypatch):

@@ -124,7 +124,16 @@ def test_enumerate_paths_cap(zz):
     x = ball.index_of(zz.parse("x"))
     with pytest.raises(CapExceeded) as exc:
         ball.enumerate_paths(0, x, 3, cap=5)
-    assert exc.value.count == 13
+    assert exc.value.count == 6  # the walk past the cap stops the search
+
+
+def test_enumerate_geodesics_cap(lattice_product):
+    ball = Ball.build(lattice_product, 3)
+    target = ball.index_of(lattice_product.parse("a1^2 a2"))
+    assert len(ball.enumerate_geodesics(0, target)) == 3
+    with pytest.raises(CapExceeded) as exc:
+        ball.enumerate_geodesics(0, target, cap=1)
+    assert exc.value.count == 2
 
 
 def test_geodesics_are_filtered_paths(zz, lattice_product):

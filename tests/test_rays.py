@@ -122,7 +122,7 @@ def test_realize_finite_tail(zz):
 
 
 def test_realize_exhausted(zz):
-    a = CombRay(zz, rays.INFINITE, (zz.a.make_element(1),), unstable_last=True)
+    a = CombRay(zz, rays.INFINITE, (zz.a.make_element(1),))
     with pytest.raises(DepthExceedsContent):
         realize(a, 3)
 
@@ -131,7 +131,7 @@ def test_decompose_reads_runs(zz):
     verts = tuple(zz.parse(t) for t in ("e", "x", "x y", "x y x"))
     a = decompose(zz, verts)
     assert [s.payload for s in a.syllables] == [1, 1, 1]
-    assert a.unstable_last and a.kind == rays.INFINITE
+    assert a.kind == rays.INFINITE and a.repeat == ()
 
 
 def test_decompose_leading_second_factor(zz):
@@ -184,7 +184,7 @@ def _decompose_reference(fp, vertices):
             runs.append(s)
     lead = [fp.a.identity()] if runs and runs[0].factor == fp.b.id else []
     observed = tuple(lead + runs)
-    return CombRay(fp, rays.INFINITE, observed, unstable_last=bool(observed))
+    return CombRay(fp, rays.INFINITE, observed)
 
 
 def _outcome(f, *args):
@@ -342,7 +342,7 @@ def test_comb_text_forms(zz):
         (CombRay(zz, "finite", (zz.a.identity(), y), tail=a_plus), "e | y ; tail=+inf"),
         (CombRay(zz, "finite", (), tail=a_plus), "e ; tail=+inf"),
         (CombRay(zz, "infinite", (x, y), repeat=(x, y)), "x | y ; repeat=x | y"),
-        (CombRay(zz, "infinite", (x, y * y, x.inverse()), unstable_last=True), "x | y^2 | x^-1"),
+        (CombRay(zz, "infinite", (x, y * y, x.inverse())), "x | y^2 | x^-1"),
     ]
     for a, text in samples:
         assert a.text() == text
@@ -418,19 +418,23 @@ def test_comb_index_matches_pointwise_filter(name, max_len, stride, monkeypatch)
 
 
 def test_comb_index_bare_truncation_keeps_budget_error(zz):
+    # a bare truncation has no certain syllable count, so both neighborhood
+    # tests refuse it at every depth, as a member and as a center
     population = comb_population(zz, max_len=2, max_norm=1)
     x1, y1 = zz.a.make_element(1), zz.b.make_element(1)
-    bare = CombRay(zz, rays.INFINITE, (x1, y1), unstable_last=True)
+    bare = CombRay(zz, rays.INFINITE, (x1, y1))
     periodic = CombRay(zz, rays.INFINITE, (x1, y1), repeat=(x1, y1))
-    # a bare member cannot certify three syllables, nor a bare center its third
-    with pytest.raises(BudgetExceeded):
-        comb_neighborhood_member(CombNeighborhood(periodic, 3, CANONICAL_TREE_GAUGE), bare)
-    with pytest.raises(BudgetExceeded):
-        CombIndex(population + [bare]).members(CombNeighborhood(periodic, 3, CANONICAL_TREE_GAUGE))
-    with pytest.raises(BudgetExceeded):
-        CombIndex(population).members(CombNeighborhood(bare, 3, CANONICAL_TREE_GAUGE))
-    # where the pointwise test settles them, the index agrees with it
-    for center, members in ((periodic, population + [bare]), (bare, population)):
-        nb = CombNeighborhood(center, 1, CANONICAL_TREE_GAUGE)
-        expected = [b for b in members if comb_neighborhood_member(nb, b)]
-        assert CombIndex(members).members(nb) == expected
+    finite = CombRay(zz, rays.FINITE, (x1,), tail=standard_line(zz.b)[0])
+    for k in (1, 2, 3):
+        for center in (periodic, finite):
+            nb = CombNeighborhood(center, k, CANONICAL_TREE_GAUGE)
+            with pytest.raises(BudgetExceeded):
+                comb_neighborhood_member(nb, bare)
+            with pytest.raises(BudgetExceeded):
+                CombIndex(population + [bare]).members(nb)
+        nb = CombNeighborhood(bare, k, CANONICAL_TREE_GAUGE)
+        for member in (periodic, finite):
+            with pytest.raises(BudgetExceeded):
+                comb_neighborhood_member(nb, member)
+        with pytest.raises(BudgetExceeded):
+            CombIndex(population).members(nb)
