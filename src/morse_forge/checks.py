@@ -54,25 +54,6 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
 # -- projection --------------------------------------------------------------
 
 
-def ball_symmetries(ball: Ball) -> list[tuple[int, ...]]:
-    """Vertex permutations of the ball induced by factor automorphisms.
-
-    Each fixes the basepoint, preserves adjacency and both factor copies,
-    and commutes with the projection, so exhaustive claims need only be
-    checked on orbit representatives.
-    """
-    fp = ball.space
-    perms = []
-    for fa in fp.a.automorphisms():
-        for fb in fp.b.automorphisms():
-            perm = []
-            for w in ball.vertices:
-                image = fp.word(fa(s) if s.factor == fp.a.id else fb(s) for s in w.syllables)
-                perm.append(ball.index_of(image))
-            perms.append(tuple(perm))
-    return perms
-
-
 def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2, 1), (3, 0)), path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
     ball = Ball.build(fp, radius, vertex_budget)
     proj_map = [
@@ -82,15 +63,14 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     # the projection retracts onto the factor copy, so it fixes exactly the copy
     copy_a = [i for i in range(n) if proj_map[i] == i]
     dist = [ball.row(u) for u in range(n)]
-    perms = ball_symmetries(ball)
-    symmetries = morse.Symmetries(ball, perms)
+    symmetries = morse.BranchSymmetries(ball)
+    # the group moves the copy only by the A automorphisms at the root
+    images = [symmetries.image[u] for u in copy_a]
     orbits: dict[tuple[int, int], int] = {}
     for ui in range(len(copy_a)):
         for vi in range(ui, len(copy_a)):
-            u, v = copy_a[ui], copy_a[vi]
-            orbit = {tuple(sorted((p[u], p[v]))) for p in perms}
-            rep = min(orbit)
-            orbits[rep] = len(orbit)
+            orbit = {(x, y) if x <= y else (y, x) for x, y in zip(images[ui], images[vi])}
+            orbits[min(orbit)] = len(orbit)
     # d(x, pi(x)) bounds the Hausdorff distance in both directions, since
     # the projection of each walk vertex lies on the projected path
     proj_gap = [dist[i][proj_map[i]] for i in range(n)]
@@ -109,7 +89,7 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
         # no enumerated walk is longer than max_len of the ball's diameter
         least = bound.least.upto(bound.max_len(2 * radius))
         for (u, v), weight in sorted(orbits.items()):
-            # one walk per orbit of the symmetries that fix both ends
+            # one walk per orbit of the stabilizer of both ends
             walks, bad = scan(bound, least, u, v, symmetries)
             if bad:  # list every failing walk, as the plain search meets them
                 walks, bad = scan(bound, least, u, v, None)
@@ -211,15 +191,19 @@ def _hausdorff_exceeds(dist, walk, runs, haus_bound) -> bool:
 # -- concatenation ------------------------------------------------------------
 
 
-def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, geodesic_cap: int = 64, path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
+#: Geodesics from e to one vertex that ``run_concat_qg`` takes, at most.
+GEODESIC_CAP = 64
+
+
+def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
     ball = Ball.build(fp, radius, vertex_budget)
     geodesic_paths: list[tuple[int, ...]] = []
     qg_paths: list[tuple[int, ...]] = []
     for w in range(len(ball)):
         try:
-            geodesic_paths.extend(ball.enumerate_geodesics(0, w, cap=geodesic_cap))
+            geodesic_paths.extend(ball.enumerate_geodesics(0, w, cap=GEODESIC_CAP))
         except CapExceeded:  # the CLI reads CapExceeded as path_cap's
-            raise BudgetExceeded(f"geodesic cap {geodesic_cap} exceeded from e to {fp.format(ball.vertex(w))}") from None
+            raise BudgetExceeded(f"checks.GEODESIC_CAP {GEODESIC_CAP} exceeded: more geodesics from e to {fp.format(ball.vertex(w))}") from None
         if ball.dist[w] <= qg_norm_limit:
             qg_paths.extend(morse.enumerate_quasi_geodesics(ball, 0, w, 1, 2, path_cap))
     families = (("geodesic", 1, 0, geodesic_paths), ("qg", 1, 2, qg_paths))

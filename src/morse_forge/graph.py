@@ -235,13 +235,17 @@ class Ball:
         """
         return self.dist[u] + self.dist[v] + self.in_ball_row(u)[v] <= 2 * self.radius
 
+    def prefix_tree(self) -> _PrefixTree:
+        """The vertices as a tree of syllable prefixes, built on first use."""
+        if self._tree is None:
+            self._tree = _PrefixTree(self)
+        return self._tree
+
     def row(self, u: int) -> list[int]:
         """True distances from u to every vertex, from the syllable-prefix tree."""
         row = self._rows.get(u)
         if row is None:
-            if self._tree is None:
-                self._tree = _PrefixTree(self)
-            row = self._rows[u] = self._tree.row(u)
+            row = self._rows[u] = self.prefix_tree().row(u)
         return row
 
     def pair_distance(self, u: int, v: int) -> int:

@@ -131,7 +131,8 @@ def iterate_elements(spec: factors.FactorSpec):
 
 class _Enumeration:
     """A sequence read lazily from ``source``, with a cursor before which
-    every item is matched.  Each enumeration is always asked about the
+    every item is matched, or rejected under ``key`` (see
+    ``MatchState._scan``).  Each enumeration is always asked about the
     same match table, which only grows, so a matched item stays matched."""
 
     def __init__(self, source, cursor: int = 0):
@@ -139,6 +140,7 @@ class _Enumeration:
         self._items: list[factors.FactorElement] = []
         self._done = False
         self.cursor = cursor
+        self.key = None
 
     def get(self, i: int):
         while len(self._items) <= i and not self._done:
@@ -260,22 +262,25 @@ class MatchState:
 
         A direction's ray is read lazily, once, however many steps scan
         it.  Its vertices are only ever checked against the one match
-        table of their factor, so the scan starts at the ray's cursor:
-        the vertices before it were matched, and still are."""
+        table of their factor, which only grows, and a rejection depends
+        only on the vertex, lam_x and t.  So the scan starts at the ray's
+        cursor, past vertices that were matched, or rejected under the
+        same (lam_x, t); under another pair it starts again at index 1."""
         ray = self._image_rays.get(z_img)
         if ray is None:
             # the identity, at index 0, is matched from the start
             ray = self._image_rays[z_img] = _Enumeration(z_img.vertices(), cursor=1)
+        if ray.key != (lam_x, t):
+            ray.cursor, ray.key = 1, (lam_x, t)
         for i in range(ray.cursor, self.index_scan + 1):
             cand = ray.get(i)
-            if cand in other_matched:
-                if i == ray.cursor:
-                    ray.cursor += 1
-                continue
-            back = homeo_back.apply(corresponding_ray(cand.spec, cand).direction)
-            ok, worst = self._tracks(back, lam_x, t)
-            if ok:
-                return i, cand, worst
+            if cand not in other_matched:
+                back = homeo_back.apply(corresponding_ray(cand.spec, cand).direction)
+                ok, worst = self._tracks(back, lam_x, t)
+                if ok:
+                    return i, cand, worst
+            if i == ray.cursor:
+                ray.cursor += 1
         return None
 
     def _tracks(self, back: factors.BoundaryPoint, lam_x: factors.BoundaryPoint, t: int):

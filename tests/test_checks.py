@@ -22,56 +22,81 @@ _PRODUCTS = {
 }
 
 
-def test_ball_symmetries_are_automorphisms():
-    # what the reduced quasi-geodesic scan relies on: a group of graph
-    # automorphisms that keep both distance stores
-    sizes = {}
+def _branch_generators(ball):
+    """{(branch point id, i): vertex permutation} for every branch point of
+    the ball with a vertex behind it and every automorphism i of its
+    factor, built from the words: automorphism i relabels the syllable
+    that follows the branch point's vertex and leaves every other syllable
+    alone.  Ids follow ``morse.BranchSymmetries``: 0 is (e, A),
+    len(ball) is (e, B), and x != e names (x, the other factor)."""
+    fp = ball.space
+    n = len(ball)
+    behind = {}  # branch point: (its factor, the (vertex, syllable index) pairs behind it)
+    for w, word in enumerate(ball.vertices):
+        syllables = word.syllables
+        for k, s in enumerate(syllables):
+            p = ball.index_of(fp.word(syllables[:k]))
+            point = p or (0 if s.factor == fp.a.id else n)
+            behind.setdefault(point, (s.spec, []))[1].append((w, k))
+    perms = {}
+    for point, (factor, members) in behind.items():
+        for i, f in enumerate(factor.automorphisms()):
+            perm = list(range(n))
+            for w, k in members:
+                syllables = list(ball.vertex(w).syllables)
+                syllables[k] = f(syllables[k])
+                perm[w] = ball.index_of(fp.word(syllables))
+            perms[point, i] = perm
+    return perms
+
+
+def test_branch_automorphisms_are_isometries():
+    # what the reduced quasi-geodesic scan relies on: each factor
+    # automorphism at each branch point, a generator of the branch-local
+    # group, is a graph automorphism of the ball that keeps both distance
+    # stores and commutes with the projection; the tables agree with it
+    counts = {}
     for name, fp in _PRODUCTS.items():
         ball = Ball.build(fp, 3)
         n = len(ball)
-        perms = checks.ball_symmetries(ball)
-        sizes[name] = len(perms)
-        as_tuples = {tuple(p) for p in perms}
-        assert len(as_tuples) == len(perms)
-        for p in perms:
-            assert p[0] == 0
-            assert sorted(p) == list(range(n))
-            for i, row in enumerate(ball.adjacency):
-                image_neighbors = {p[j] for _s, j in row if j is not None}
-                mapped_rows = {j for _s, j in ball.adjacency[p[i]] if j is not None}
-                assert image_neighbors == mapped_rows
-            for i in range(n):
-                row, image = ball.row(i), ball.row(p[i])
-                assert [image[p[j]] for j in range(n)] == row
-                row, image = ball.in_ball_row(i), ball.in_ball_row(p[i])
-                assert [image[p[j]] for j in range(n)] == list(row)
-            for q in perms:
-                assert tuple(p[q[i]] for i in range(n)) in as_tuples
-    assert sizes == {"zz": 4, "lattice-line": 16, "free2-line": 16}
-
-
-def test_symmetries_commute_with_projection():
-    for fp in _PRODUCTS.values():
-        ball = Ball.build(fp, 3)
         proj = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
-        for p in checks.ball_symmetries(ball):
-            for i in range(len(ball)):
-                assert p[proj[i]] == proj[p[i]]
+        symmetries = morse.BranchSymmetries(ball)
+        perms = _branch_generators(ball)
+        counts[name] = len(perms)
+        for (point, i), p in perms.items():
+            assert sorted(p) == list(range(n)) and p[0] == 0
+            moved = [x for x in range(n) if p[x] != x]
+            for x in moved:
+                assert {p[y] for y in ball.neighbors[x]} == set(ball.neighbors[p[x]])
+                row, image = ball.row(x), ball.row(p[x])
+                assert [image[p[y]] for y in range(n)] == row
+                row, image = ball.in_ball_row(x), ball.in_ball_row(p[x])
+                assert [image[p[y]] for y in range(n)] == list(row)
+            for x in range(n):
+                assert p[proj[x]] == proj[p[x]]
+            for y in range(1, n):
+                if symmetries.point[y] == point:
+                    assert symmetries.image[y][i] == p[y]
+                    assert (symmetries.fix[y] >> i & 1) == (p[y] == y)
+    # e.g. lattice-line: 8 + 2 at e, then 2 behind each of the 12 lattice
+    # and 8 y-then-lattice vertices of norm <= 2, 8 behind each of the 4
+    # line and 8 lattice-then-y ones
+    assert counts == {"zz": 36, "lattice-line": 146, "free2-line": 154}
 
 
 @pytest.mark.parametrize("product, radius", [("zz", 3), ("lattice-line", 2)])
-def test_stabilizer_selects_the_permutations_fixing_both_ends(product, radius):
-    ball, proj_map, _dist, _proj_gap, perms, _pairs = _projection_setup(_PRODUCTS[product], radius)
-    groups = morse.Symmetries(ball, perms)
-    identity = tuple(range(len(ball)))
-    assert len(groups.perms) == len(perms) - 1  # all but the identity
-    assert groups.stabilizer(0, 0) == (1 << len(groups.perms)) - 1  # all fix the basepoint
-    copy_a = [x for x in range(len(ball)) if proj_map[x] == x]
-    for u in copy_a:
-        for v in copy_a:
-            key = groups.stabilizer(u, v)
-            selected = [p for i, p in enumerate(groups.perms) if key >> i & 1]
-            assert selected == [p for p in perms if p[u] == u and p[v] == v and p != identity]
+def test_stabilizer_selects_the_automorphisms_fixing_both_ends(product, radius):
+    # a bit of a branch point's mask is set exactly when that automorphism
+    # there fixes both ends; every mask starts full
+    ball = Ball.build(_PRODUCTS[product], radius)
+    symmetries = morse.BranchSymmetries(ball)
+    perms = _branch_generators(ball)
+    assert symmetries.stabilizer(()) == symmetries.full
+    for u in range(len(ball)):
+        for v in range(len(ball)):
+            masks = symmetries.stabilizer((u, v))
+            for (point, i), p in perms.items():
+                assert (masks[point] >> i & 1) == (p[u] == u and p[v] == v)
 
 
 def _projection_setup(fp, radius):
@@ -83,8 +108,8 @@ def _projection_setup(fp, radius):
     dist = [ball.row(i) for i in range(n)]
     proj_gap = [dist[i][proj_map[i]] for i in range(n)]
     copy_a = [i for i in range(n) if proj_map[i] == i]
-    symmetries = checks.ball_symmetries(ball)
-    pairs = sorted({min(tuple(sorted((p[u], p[v]))) for p in symmetries) for u in copy_a for v in copy_a})
+    symmetries = morse.BranchSymmetries(ball)
+    pairs = sorted({min(tuple(sorted(pair)) for pair in zip(symmetries.image[u], symmetries.image[v])) for u in copy_a for v in copy_a})
     return ball, proj_map, dist, proj_gap, symmetries, pairs
 
 
@@ -164,21 +189,39 @@ def test_projection_visitor_matches_reference(first, radius, line_b):
     assert reasons == {"projection lower bound", "hausdorff bound"}
 
 
-def _all_of(visitors):
-    """One scan visitor that runs several, each on its own state."""
-    visitors = tuple(visitors)
+def _both(first, second):
+    """One scan visitor that runs two, each on its own state."""
 
     def visit(states, walk):
-        return tuple(f(state, walk) for f, state in zip(visitors, states))
+        return first(states[0], walk), second(states[1], walk)
 
     return visit
 
 
 def _reference_scan(ball, u, v, bound, visit, state, symmetries=None):
     """``morse.scan_quasi_geodesics`` without its gate deadline: the search
-    pruned by in-ball reachability, the end cap and the lower bound only."""
-    groups = morse.Symmetries(ball, ()) if symmetries is None else symmetries
-    root = groups[groups.stabilizer(u, v)]
+    pruned by in-ball reachability, the end cap and the lower bound only.
+    Orbits are read off the image tables, and each step ANDs into its
+    branch point's mask the automorphisms there that map its vertex to
+    itself."""
+    masks = None if symmetries is None else symmetries.stabilizer((u, v))
+
+    def orbit(y):
+        # the prefix's stabilizer fixes y's parent, so y moves only by the
+        # automorphisms at its own branch point
+        m = masks[symmetries.point[y]]
+        return {x for i, x in enumerate(symmetries.image[y]) if m >> i & 1}
+
+    listed = {}
+
+    def options(x):
+        if masks is None:
+            return iter(ball.neighbors[x])
+        key = (x, tuple(masks[symmetries.point[y]] for y in ball.neighbors[x]))
+        if key not in listed:
+            listed[key] = [y for y in ball.neighbors[x] if min(orbit(y)) == y]
+        return iter(listed[key])
+
     end_slack = bound.max_len.upto(2 * ball.radius)
     max_len = end_slack[ball.pair_distance(u, v)]
     min_need = bound.least.upto(max_len)
@@ -187,19 +230,20 @@ def _reference_scan(ball, u, v, bound, visit, state, symmetries=None):
     row_v = ball.row(v)
     count = 1 if u == v else 0
     walk = [u]
-    options = iter(root.options[u] if max_len else ())
+    nexts = options(u) if max_len else iter(())
     top = min(max_len, end_slack[row_v[u]])
-    group = root
     weight = 1
     current = visit(state, walk)
     frames = []
     while True:
-        nxt = next(options, None)
+        nxt = next(nexts, None)
         if nxt is None:
             if not frames:
                 return count
             walk.pop()
-            options, top, group, weight, current = frames.pop()
+            nexts, top, weight, current, saved = frames.pop()
+            if saved:
+                masks[saved[0]] = saved[1]
             continue
         t = len(walk)
         limit = min(top, t + end_slack[row_v[nxt]])
@@ -211,19 +255,64 @@ def _reference_scan(ball, u, v, bound, visit, state, symmetries=None):
                 break
         else:
             walk.append(nxt)
-            extended = weight * group.size[nxt]
+            extended = weight if masks is None else weight * len(orbit(nxt))
             if nxt == v:
                 count += extended
             if t < limit:
-                frames.append((options, top, group, weight, current))
+                saved = None
+                if masks is not None:
+                    b = symmetries.point[nxt]
+                    saved = (b, masks[b])
+                    masks[b] &= sum(1 << i for i, x in enumerate(symmetries.image[nxt]) if x == nxt)
+                frames.append((nexts, top, weight, current, saved))
                 current = visit(current, walk)
                 top = limit
-                group = groups[group.child[nxt]]
                 weight = extended
-                options = iter(group.options[nxt])
+                nexts = options(nxt)
             else:
                 visit(current, walk)
                 walk.pop()
+
+
+def _canonical_forms(symmetries, generators, u, v, walks):
+    """The representatives of the walks that a scan reduced by the
+    stabilizer of u and v keeps: step by step, the generator at the next
+    vertex's branch point that maps it least is applied to the rest of the
+    walk.  Walks in search order share prefixes, so the masks, generators
+    and representative of a shared prefix are kept for the next walk."""
+    masks = symmetries.stabilizer((u, v))
+    undo = []  # per step after u: (branch point, its mask before, generator or None)
+    applied = []
+    canonical = [u]
+    least_image = {}
+    previous = ()
+    out = []
+    for walk in walks:
+        k, common = 1, min(len(walk), len(previous))
+        while k < common and walk[k] == previous[k]:
+            k += 1
+        while len(undo) >= k:
+            point, masks[point], p = undo.pop()
+            if p is not None:
+                applied.pop()
+        del canonical[k:]
+        for y in walk[k:]:
+            for p in applied:
+                y = p[y]
+            point = symmetries.point[y]
+            m = masks[point]
+            if (y, m) not in least_image:
+                least_image[y, m] = min((x, i) for i, x in enumerate(symmetries.image[y]) if m >> i & 1)
+            least, i = least_image[y, m]
+            p = generators[point, i] if least != y else None
+            if p is not None:
+                applied.append(p)
+            undo.append((point, m, p))
+            masks[point] = m & symmetries.fix[least]
+            canonical.append(least)
+        out.append(tuple(canonical))
+        previous = walk
+    return out
 
 
 _ORACLE_GRID = ((1, 0), (1, 2), (2, 1), (2, 2), (2, 3), (3, 0))
@@ -235,7 +324,7 @@ _ORACLE_GRID = ((1, 0), (1, 2), (2, 1), (2, 2), (2, 3), (3, 0))
         ("zz", 3, _ORACLE_GRID),
         ("lattice-line", 2, _ORACLE_GRID),
         # (2, 2) and (2, 3) are left out at radius 3: at (2, 2) alone the
-        # reduced scans keep 4.55 M prefixes (about 20 s), the plain ones more
+        # reduced scans keep 3.19 M prefixes (about 8 s), the plain ones more
         ("lattice-line", 3, ((1, 0), (1, 2), (2, 1), (3, 0))),
         ("free2-line", 2, _ORACLE_GRID),
     ],
@@ -243,13 +332,13 @@ _ORACLE_GRID = ((1, 0), (1, 2), (2, 1), (2, 2), (2, 3), (3, 0))
 )
 def test_reduced_scan_matches_plain_scan(product, radius, grid):
     # on every orbit representative, the scan reduced by the stabilizer of
-    # its endpoints counts the plain scan's walks, and its failing walks,
-    # closed under the stabilizer, are the plain scan's failing walks; a
+    # its endpoints counts the plain scan's walks, and its failing walks
+    # are the canonical forms of the plain scan's failing walks; a
     # Hausdorff bound of 0 and a lower bound raised by 1 make walks fail
     # for both reasons.  Each scan, reduced or plain, also meets the walks
     # and failures of the reference scan without the gate deadline, in order
-    ball, proj_map, dist, proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS[product], radius)
-    groups = morse.Symmetries(ball, symmetries)
+    ball, proj_map, dist, proj_gap, groups, pairs = _projection_setup(_PRODUCTS[product], radius)
+    generators = _branch_generators(ball)
     reasons = set()
     reduced_failures = plain_failures = 0
     for lam, eps in grid:
@@ -257,15 +346,14 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
         least = bound.least.upto(bound.max_len(2 * radius))
         settings = ((least, 0), ([x + 1 for x in least], bound.hausdorff))
         for u, v in pairs:
-            stabilizer = [p for p in symmetries if p[u] == u and p[v] == v]
             runs = []
             for group in (groups, None):
                 for scan in (morse.scan_quasi_geodesics, _reference_scan):
                     found = [[] for _ in settings]
-                    visit = _all_of(
+                    visit = _both(*(
                         checks.projection_visitor(dist, proj_map, proj_gap, v, table, haus_bound, out)
                         for (table, haus_bound), out in zip(settings, found)
-                    )
+                    ))
                     start = (checks.PROJECTION_START,) * len(settings)
                     count = scan(ball, u, v, bound, visit, start, symmetries=group)
                     runs.append((count, found))
@@ -274,8 +362,9 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
             assert (plain_count, plain) == plain_reference
             assert count == plain_count
             for mine, theirs in zip(reduced, plain):
-                closure = {(tuple(p[x] for x in walk), reason) for walk, reason in mine for p in stabilizer}
-                assert closure == set(theirs)
+                assert len(set(mine)) == len(mine)
+                canonical = _canonical_forms(groups, generators, u, v, [walk for walk, _reason in theirs])
+                assert set(mine) == set(zip(canonical, (reason for _walk, reason in theirs)))
                 reasons.update(reason for _walk, reason in theirs)
                 reduced_failures += len(mine)
                 plain_failures += len(theirs)
@@ -300,21 +389,29 @@ def _dead_prefixes(scan, ball, u, v, bound, group):
     return len(live), live.count(False)
 
 
-@pytest.mark.parametrize("product, radius, point", [("zz", 3, (2, 3)), ("free2-line", 2, (2, 2))], ids=["zz-r3", "free2-line-r2"])
-def test_no_kept_prefix_is_dead(product, radius, point):
+@pytest.mark.parametrize(
+    "product, radius, point, reduced_kept",
+    [("zz", 3, (2, 3), 63659), ("free2-line", 2, (2, 2), 18746)],
+    ids=["zz-r3", "free2-line-r2"],
+)
+def test_no_kept_prefix_is_dead(product, radius, point, reduced_kept):
     # with the gate deadline, every prefix the scan keeps leads to a walk;
-    # without it, the reference scan keeps dead ones
-    ball, _proj_map, _dist, _proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS[product], radius)
+    # without it, the reference scan keeps dead ones.  The reduced scans
+    # keep the pinned number of prefixes (the global factor automorphisms
+    # kept 125,338 on Z*Z and 20,521 on F2*Z)
+    ball, _proj_map, _dist, _proj_gap, groups, pairs = _projection_setup(_PRODUCTS[product], radius)
     bound = morse.qg_bound(*point)
-    groups = morse.Symmetries(ball, symmetries)
-    kept = reference_dead = 0
-    for u, v in pairs:
-        for group in (groups, None):
+    kept = {}
+    reference_dead = 0
+    for group in (groups, None):
+        kept[group] = 0
+        for u, v in pairs:
             count, dead = _dead_prefixes(morse.scan_quasi_geodesics, ball, u, v, bound, group)
             assert dead == 0
-            kept += count
+            kept[group] += count
             reference_dead += _dead_prefixes(_reference_scan, ball, u, v, bound, group)[1]
-    assert kept > 0 and reference_dead > 0
+    assert kept[groups] == reduced_kept < kept[None]
+    assert reference_dead > 0
 
 
 def test_projection_check_keeps_bound_tables(zz):

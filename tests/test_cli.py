@@ -225,11 +225,26 @@ def test_concat_qg_path_cap_budget_exit_code(tmp_path, capsys):
     assert messages == ["inconclusive: budget path_cap 10 exceeded: 11 paths enumerated\n", ""]
 
 
-def test_concat_qg_geodesic_cap_is_not_path_cap(lattice_product):
+def test_concat_qg_geodesic_cap_is_not_path_cap(lattice_product, monkeypatch):
     # e to a1^2 a2 has 3 geodesics; the overrun must not read as path_cap's
-    with pytest.raises(errors.BudgetExceeded, match="geodesic cap 2 exceeded") as exc:
-        checks.run_concat_qg(lattice_product, radius=3, geodesic_cap=2)
+    monkeypatch.setattr(checks, "GEODESIC_CAP", 2)
+    with pytest.raises(errors.BudgetExceeded, match="GEODESIC_CAP 2 exceeded") as exc:
+        checks.run_concat_qg(lattice_product, radius=3)
     assert not isinstance(exc.value, errors.CapExceeded)
+
+
+def test_concat_qg_geodesic_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # on Z^2 * Z at radius 3 no vertex has more than 3 geodesics from e;
+    # a1^-2 a2^-1 is the first in ball order with 3
+    cfg = write_config(tmp_path, factors=_pair(_LATTICE_FACTOR, _LATTICE_FACTOR))
+    messages = []
+    for cap, expected in ((2, 3), (3, 0)):
+        monkeypatch.setattr(checks, "GEODESIC_CAP", cap)
+        args = ["--config", str(cfg), "--out", str(tmp_path / f"rep{cap}"), "check", "concat-qg", "--radius", "3"]
+        code, _out, err = run_cli(args, capsys)
+        assert code == expected
+        messages.append(err)
+    assert messages == ["inconclusive: checks.GEODESIC_CAP 2 exceeded: more geodesics from e to a1^-2 a2^-1\n", ""]
 
 
 def test_extra_rounds_budget_exit_code(tmp_path, capsys, monkeypatch):
@@ -247,7 +262,7 @@ def _plain_scans(monkeypatch):
     """Make every quasi-geodesic scan ignore its symmetries."""
     scan = morse.scan_quasi_geodesics
 
-    def plain(ball, u, v, bound, visit, state, cap=None, symmetries=None):
+    def plain(ball, u, v, bound, visit, state, cap=None, symmetries=None, fixed=()):
         return scan(ball, u, v, bound, visit, state, cap)
 
     monkeypatch.setattr(morse, "scan_quasi_geodesics", plain)

@@ -222,7 +222,7 @@ def _line_homeos():
 )
 def test_scan_cursor_matches_reference(homeo):
     # the F2 perm runs also reject thousands of unmatched candidates; the
-    # cursor stops at the first unmatched vertex, rejected or not
+    # cursor passes them as it passes matched vertices
     state = MatchState(homeo)
     reference = MatchState(homeo)
     reference._scan = functools.partial(_reference_step, reference)
@@ -233,6 +233,43 @@ def test_scan_cursor_matches_reference(homeo):
     assert state.forward == reference.forward and state.backward == reference.backward
     # the cursors moved past matched vertices, so the scans really differ
     assert max(ray.cursor for ray in state._image_rays.values()) > 1
+
+
+@pytest.mark.parametrize("homeo", _free_homeos()[:2], ids=["f2-swap", "f2-swap-inverse"])
+def test_scan_cursor_passes_rejected_candidates(homeo):
+    # an image direction fixes lam_x and t, so a rejected vertex stays
+    # rejected and the cursor passes it: 40 rounds test 3,172 candidates,
+    # where a scan that passes only matched vertices tests 4,492, and the
+    # transcripts are the same
+    state = MatchState(homeo)
+    reference = MatchState(homeo)
+    reference._scan = functools.partial(_reference_step, reference)
+    calls = []
+    for run in (state, reference):
+        tracks = run._tracks
+        count = [0]
+
+        def counted(back, lam_x, t, tracks=tracks, count=count):
+            count[0] += 1
+            return tracks(back, lam_x, t)
+
+        run._tracks = counted
+        for _ in range(40):
+            for side in (1, 2):
+                run.step(side)
+        calls.append(count[0])
+    assert state.records == reference.records and len(state.records) == 80
+    assert calls == [3172, 4492]
+    # rejections do not carry over to another (lam_x, t): at t = 0 every
+    # unmatched vertex tracks, so each ray's first unmatched vertex is taken
+    moved = 0
+    for z_img, ray in list(state._image_rays.items()):
+        lam_x, _t = ray.key
+        tables = (state.backward, state.homeo_inverse) if z_img.spec == state.target else (state.forward, state.homeo)
+        first = _reference_step(state, z_img, *tables, lam_x, 0)
+        moved += first[0] < ray.cursor
+        assert state._scan(z_img, *tables, lam_x, 0) == first
+    assert moved > 0
 
 
 # -- full runs --------------------------------------------------------------------
