@@ -21,7 +21,6 @@ from .errors import (
     PossiblyTruncated,
 )
 from .graph import Ball
-from .words import FreeProduct
 
 AFFINE = "affine"
 TABLE = "table"
@@ -243,15 +242,13 @@ class BranchSymmetries:
     """
 
     def __init__(self, ball: Ball):
-        space = ball.space
-        # a single factor is the A copy, with nothing behind its vertices
-        specs = (space.a, space.b) if isinstance(space, FreeProduct) else (space.spec,)
+        a, b = ball.space.a, ball.space.b
         tree = ball.prefix_tree()
         n = len(ball)
-        maps = {spec.id: _automorphism_group(spec) for spec in specs}
-        full_a = (1 << len(maps[specs[0].id])) - 1
-        full_b = (1 << len(maps[specs[-1].id])) - 1 if len(specs) == 2 else 1
-        behind = {specs[0].id: full_b, specs[-1].id: full_a}  # a vertex's children, by its factor
+        maps = {spec.id: _automorphism_group(spec) for spec in (a, b)}
+        full_a = (1 << len(maps[a.id])) - 1
+        full_b = (1 << len(maps[b.id])) - 1
+        behind = {a.id: full_b, b.id: full_a}  # a vertex's children, by its factor
         ids = {s: i for i, s in enumerate(tree.syllables)}
         moved = [[ids[f(s)] for f in maps[s.factor]] for s in tree.syllables]
         child = {(tree.parent[y], tree.syllable[y]): y for y in range(1, n)}
@@ -263,7 +260,7 @@ class BranchSymmetries:
         self.point, self.fix, self.image = [0], [full_a], [[0] * full_a.bit_length()]
         for y in range(1, n):
             p, sid = tree.parent[y], tree.syllable[y]
-            self.point.append(p or (0 if tree.factor[y] == specs[0].id else n))
+            self.point.append(p or (0 if tree.factor[y] == a.id else n))
             self.fix.append(sum(1 << i for i, t in enumerate(moved[sid]) if t == sid))
             self.image.append([child[p, t] for t in moved[sid]])
         self.memo: list[dict[int, list[int]]] = [{} for _ in range(n)]
@@ -293,19 +290,18 @@ class BranchSymmetries:
         return out
 
 
-def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, state, cap: int | None = None, symmetries=None, fixed=()) -> int:
+def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, state, cap: int | None = None, symmetries=None) -> int:
     """Depth-first search over the bound's quasi-geodesic edge paths u -> v
     in the ball, one prefix per orbit of ``symmetries``; returns how many
     paths there are, orbits counted in full.
 
     ``symmetries`` is the ``BranchSymmetries`` of the ball, of which the
-    search reads the stabilizer of u, v and the ``fixed`` vertices; None
-    means the identity alone.  The search keeps only prefixes that are
-    least in their orbit, by canonical augmentation: a prefix p has the
-    pointwise stabilizer H_p of its vertices, extends only by neighbours x
-    that are least in their H_p-orbit, and gives each extension p's weight
-    times that orbit's size.  The weights of the walks it meets sum to the
-    number of walks.  H_p is one mask per branch point, and a step to x
+    search reads the stabilizer of u and v; None means the identity alone.
+    The search keeps only prefixes that are least in their orbit, by
+    canonical augmentation: a prefix p has the pointwise stabilizer H_p of
+    its vertices, extends only by neighbours x that are least in their
+    H_p-orbit, and gives each extension p's weight times that orbit's size.
+    The weights of the walks it meets sum to the number of walks.  H_p is one mask per branch point, and a step to x
     changes only the mask of x's own branch point, ANDed with x's fixing
     automorphisms; by orbit-stabilizer, x's orbit size is the ratio of
     that mask's sizes before and after.  Under the identity alone every
@@ -353,7 +349,7 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
         masks, memo, width, first = [0], [{0: ys} for ys in ball.neighbors], 0, ball.neighbors[u]
     else:
         point, fix, kids, memo, width = symmetries.point, symmetries.fix, symmetries.kids, symmetries.memo, symmetries.width
-        masks = symmetries.stabilizer((u, v, *fixed))
+        masks = symmetries.stabilizer((u, v))
         first = symmetries.options(u, masks)
     # pair constraint against the final vertex caps the total length:
     # a walk visiting x at time s must finish by s + max_len(d(x, v))
@@ -450,10 +446,8 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
                 current = visit(current, walk)
                 top = limit
                 weight = extended
-                nxt_options = memo[nxt].get(new << width | masks[kids[nxt]])
-                if nxt_options is None:
-                    nxt_options = symmetries.options(nxt, masks)
-                options = iter(nxt_options)
+                # never empty: nxt's options hold one of each orbit of its neighbours
+                options = iter(memo[nxt].get(new << width | masks[kids[nxt]]) or symmetries.options(nxt, masks))
                 here, due, _outer = chain = inner
                 branch = None
             else:
@@ -475,14 +469,11 @@ def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | N
     return out
 
 
-def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | None = None, symmetries: BranchSymmetries | None = None) -> Gauge:
+def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | None = None) -> Gauge:
     """Empirical table gauge for a geodesic: per grid point, the maximal
     deviation over every enumerated quasi-geodesic with endpoints on it.
     A pair of endpoints with more than ``path_cap`` of them raises
-    ``CapExceeded``.  The scans are reduced by the stabilizer of the
-    geodesic's vertices, which keeps every walk's deviation; a caller that
-    estimates several geodesics of one ball may pass its
-    ``BranchSymmetries``, built here otherwise.
+    ``CapExceeded``.
     """
     # a path is geodesic, the (1, 0) bound, exactly when its steps are
     # edges and its ends lie as far apart as its length
@@ -491,8 +482,6 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
     ):
         raise ValueError("estimate_gauge needs a geodesic path")
     dev_to_path = [_closest_point(ball, verts, x)[0] for x in range(len(ball))]
-    if symmetries is None:
-        symmetries = BranchSymmetries(ball)
     entries = {}
 
     def deepest(most: int, walk) -> int:
@@ -511,7 +500,7 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
         worst = seen = 0
         for i, u in enumerate(verts):
             for v in verts[i:]:
-                seen += scan_quasi_geodesics(ball, u, v, bound, deepest, 0, path_cap, symmetries, verts)
+                seen += scan_quasi_geodesics(ball, u, v, bound, deepest, 0, path_cap)
         if seen == 0:
             raise BudgetExceeded("no admissible quasi-geodesics enumerated")
         entries[(lam, eps)] = worst  # Gauge.table makes Fractions of them

@@ -262,7 +262,7 @@ def _plain_scans(monkeypatch):
     """Make every quasi-geodesic scan ignore its symmetries."""
     scan = morse.scan_quasi_geodesics
 
-    def plain(ball, u, v, bound, visit, state, cap=None, symmetries=None, fixed=()):
+    def plain(ball, u, v, bound, visit, state, cap=None, symmetries=None):
         return scan(ball, u, v, bound, visit, state, cap)
 
     monkeypatch.setattr(morse, "scan_quasi_geodesics", plain)

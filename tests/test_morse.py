@@ -256,29 +256,6 @@ def test_estimate_gauge_matches_enumerated_walks(product, word, request):
     assert {point: g.value(*point) for point in grid} == expected
 
 
-@pytest.mark.parametrize("first", [("x",), ("a", "b")], ids=["zz", "free2_line"])
-def test_estimate_gauge_reduced_matches_plain(first, monkeypatch):
-    # the scans reduced by the stabilizer of the geodesic give the plain
-    # scans' table, over the first geodesic from e to every sphere vertex,
-    # with a table shared by every geodesic or built per call
-    a = FactorSpec.integer_line("A", "x") if len(first) == 1 else FactorSpec.free_group("A", 2, names=first)
-    fp = FreeProduct(a, FactorSpec.integer_line("B", "y"))
-    ball = Ball.build(fp, 3)
-    paths = [ball.first_geodesic(0, w) for w in range(len(ball)) if ball.dist[w] == 3]
-    grid = [(1, 0), (1, 1), (1, 2), (2, 1), (3, 0), (5, 0)]  # the CLI's default grid
-    symmetries = morse.BranchSymmetries(ball)  # one table for every geodesic of the ball
-    reduced = [estimate_gauge(ball, path, grid, symmetries=symmetries) for path in paths]
-    assert reduced[:3] == [estimate_gauge(ball, path, grid) for path in paths[:3]]
-    scan = morse.scan_quasi_geodesics
-
-    def plain(ball, u, v, bound, visit, state, cap=None, symmetries=None, fixed=()):
-        return scan(ball, u, v, bound, visit, state, cap)
-
-    monkeypatch.setattr(morse, "scan_quasi_geodesics", plain)
-    assert reduced == [estimate_gauge(ball, path, grid) for path in paths]
-    assert len(paths) == {1: 36, 2: 150}[len(first)]
-
-
 def test_estimated_tree_tables_below_canonical(zz):
     ball = Ball.build(zz, 4)
     path = ball.first_geodesic(0, ball.index_of(zz.parse("x^2")))
