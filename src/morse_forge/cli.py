@@ -64,6 +64,13 @@ CHECK_IDS = (
     "phi-psi",
 )
 
+#: the ``check`` flags each check reads; a check refuses any other
+CHECK_FLAGS = {
+    "prefix-transit": ("--radius",),
+    "projection-qg": ("--radius", "--lambda", "--eps"),
+    "concat-qg": ("--radius",),
+}
+
 
 @dataclass
 class RunConfig:
@@ -77,21 +84,6 @@ class RunConfig:
     grid: list[tuple[Fraction, Fraction]]
     output: Path
     emit_dot: bool = False
-
-
-def _parse_factor(entry: dict) -> factors.FactorSpec:
-    kind = entry.get("kind")
-    fid = entry.get("id", "")
-    names = entry.get("names")
-    if kind == "line":
-        return factors.FactorSpec.integer_line(fid, names[0] if names else "x")
-    if kind == "lattice":
-        return factors.FactorSpec.integer_lattice(fid, entry["dim"], names)
-    if kind == "free":
-        return factors.FactorSpec.free_group(fid, entry["rank"], names)
-    if kind == "finite":
-        return factors.FactorSpec.finite_table(fid, entry["table"], entry["generators"], names)
-    raise ParseError(f"unknown factor kind {kind!r}")
 
 
 def _parse_homeo(entry: dict, source: factors.FactorSpec, target: factors.FactorSpec) -> matching.BoundaryHomeo:
@@ -113,12 +105,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     # the model constructors validate factors, products and homeomorphism
     # rules; their complaints about the config are usage errors
     try:
-        first = [_parse_factor(e) for e in raw["factors"]["first"]]
+        first = [factors.from_entry(e) for e in raw["factors"]["first"]]
         fp1 = FreeProduct(first[0], first[1])
         fp2 = None
         homeo_a = homeo_b = None
         if raw["factors"].get("second"):
-            second = [_parse_factor(e) for e in raw["factors"]["second"]]
+            second = [factors.from_entry(e) for e in raw["factors"]["second"]]
             fp2 = FreeProduct(second[0], second[1])
             homeo_a = _parse_homeo(raw["homeos"]["a"], fp1.a, fp2.a)
             homeo_b = _parse_homeo(raw["homeos"]["b"], fp1.b, fp2.b)
@@ -185,6 +177,10 @@ def cmd_normalize(cfg: RunConfig, text: str) -> int:
 
 
 def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> int:
+    flags = (("--radius", radius), ("--lambda", lam), ("--eps", eps))
+    unread = [f for f, v in flags if v is not None and f not in CHECK_FLAGS.get(check_id, ())]
+    if unread:
+        raise ParseError(f"check {check_id} does not read {' or '.join(unread)}")
     budgets = cfg.budgets
     fp = cfg.fp1
     ball_radius = budgets["ball_radius"] if radius is None else radius
@@ -282,6 +278,12 @@ def cmd_match(cfg: RunConfig, steps: int | None) -> int:
             sort_keys=True,
         )
     )
+    if report["status"] == "inconclusive":
+        b = cfg.budgets
+        raise BudgetExceeded(
+            f"continuity search found no depth within budgets continuity_k_max "
+            f"{b['continuity_k_max']} and continuity_ball {b['continuity_ball']}"
+        )
     return _status_exit(report)
 
 

@@ -66,7 +66,3 @@ class BallTooSmall(Inconclusive):
 
 class DepthBudgetExceeded(Inconclusive):
     """A matching step could not be certified within the truncation budget."""
-
-
-class DepthExceedsContent(MorseForgeError):
-    """A truncated combinatorial geodesic has no content at the requested depth."""

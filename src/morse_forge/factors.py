@@ -23,7 +23,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field, fields
 
-from .errors import CapExceeded, MixedFactor, NoBoundary
+from .errors import CapExceeded, MixedFactor, NoBoundary, ParseError
 
 LINE = "line"
 LATTICE = "lattice"
@@ -346,6 +346,23 @@ class _FiniteOps(_Ops):
 
 
 _OPS = {LINE: _LineOps, LATTICE: _LatticeOps, FREE: _FreeOps, FINITE: _FiniteOps}
+
+
+def from_entry(entry: dict) -> "FactorSpec":
+    """The factor a config entry describes: its ``id``, ``kind`` and
+    ``names``, and the fields of its kind (``dim``, ``rank``, or ``table``
+    and ``generators``).  Raises ParseError for an unknown kind and
+    KeyError for a missing field."""
+    kind, fid, names = entry.get("kind"), entry.get("id", ""), entry.get("names")
+    if kind == LINE:
+        return FactorSpec.integer_line(fid, names[0] if names else "x")
+    if kind == LATTICE:
+        return FactorSpec.integer_lattice(fid, entry["dim"], names)
+    if kind == FREE:
+        return FactorSpec.free_group(fid, entry["rank"], names)
+    if kind == FINITE:
+        return FactorSpec.finite_table(fid, entry["table"], entry["generators"], names)
+    raise ParseError(f"unknown factor kind {kind!r}")
 
 
 # -- factor groups and their elements ---------------------------------------------

@@ -288,9 +288,8 @@ class MatchState:
         pointwise distance read on the way, up to the first one that
         fails.  Rays sharing s steps stand 2 * max(0, t' - s) apart at step
         t', so the distances read are 0, ..., 0, 2, 4, ..."""
-        shared = factors.shared_steps(back, lam_x, t)
-        if morse.tree_close(self.gauge, t, shared):
-            return True, 2 * (t - shared)
+        if morse.factor_close(self.gauge, t, lam_x, back):
+            return True, 2 * (t - factors.shared_steps(back, lam_x, t))
         # the first failing distance: the least even one >= max(1, ceil(delta))
         close_below = morse.rational_ceil(self.delta_prime)
         return False, 2 * max(1, -(-close_below // 2))
@@ -399,23 +398,6 @@ def induced_map(pm: ProductMatching, a: CombRay) -> CombRay:
 # -- verification reports ------------------------------------------------
 
 
-def filled_member(
-    gauge: morse.Gauge,
-    k: int,
-    direction: factors.BoundaryPoint,
-    x: factors.FactorElement,
-) -> bool:
-    """Is x inside the depth-k filled neighborhood of a boundary direction?
-
-    That is: x has norm at least k and its geodesic stays close to the ray
-    up to depth k.  Factors with a boundary are trees, so the geodesic is
-    unique and closeness follows from the letters it shares with the ray
-    (``factors.shared_steps``); ``morse.neighborhood_member`` is the
-    pointwise definition it agrees with.
-    """
-    return x.norm() >= k and morse.tree_close(gauge, k, factors.shared_steps(x, direction, k))
-
-
 def check_continuity(
     state: MatchState,
     z: factors.BoundaryPoint,
@@ -441,18 +423,14 @@ def check_continuity(
     per_k = []
     found = None
     for k in range(1, k_max + 1):
-        members = [
-            x
-            for x in candidates
-            if filled_member(state.gauge, k, z, x)
-        ]
+        members = [x for x in candidates if morse.factor_close(state.gauge, k, z, x)]
         if not members:
             per_k.append({"k": k, "members": 0, "failures": [], "vacuous": True})
             continue
         failures = []
         for x in members:
             y = state.ensure_matched(x)
-            if not filled_member(state.gauge, l, z_img, y):
+            if not morse.factor_close(state.gauge, l, z_img, y):
                 failures.append(
                     {
                         "element": state.source.format_element(x),

@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import factors
 from .errors import (
     BallTooSmall,
     BudgetExceeded,
@@ -625,6 +626,23 @@ def tree_close(gauge: Gauge, depth: int, shared: int) -> bool:
     ceil(delta), as in ``neighborhood_member``.
     """
     return shared >= depth or 2 * (depth - shared) < rational_ceil(gauge.delta)
+
+
+def factor_close(gauge: Gauge, depth: int, center, member) -> bool:
+    """Whether ``member`` lies in the depth-``depth`` neighborhood of the
+    geodesic from the identity toward ``center``, in one factor.
+
+    Each of the two is a factor element or a boundary direction.  An
+    element member is tested in the filled neighborhood, so its norm must
+    reach the depth; a direction member is tested as its ray.  The line
+    and free groups, the factors with a boundary, are trees, so closeness
+    follows from the steps the two geodesics share
+    (``factors.shared_steps``).  ``neighborhood_member`` is the pointwise
+    definition it agrees with.
+    """
+    if isinstance(member, factors.FactorElement) and member.norm() < depth:
+        return False
+    return tree_close(gauge, depth, factors.shared_steps(member, center, depth))
 
 
 def neighborhood_member(space, nbhd: Neighborhood, candidate) -> bool:

@@ -1,11 +1,10 @@
 """Truncated geodesic rays and the combinatorial boundary of a free product.
 
 A combinatorial geodesic is either an infinite alternating syllable
-sequence (truncated, optionally with a periodic continuation block) or a
-finite syllable prefix followed by a boundary direction of the next
-factor.  ``realize`` concatenates canonical factor geodesics into a
-tuple of vertices; ``decompose`` reads such a tuple back into maximal
-same-factor runs.
+sequence (a syllable prefix, then a periodic block) or a finite syllable
+prefix followed by a boundary direction of the next factor.  ``realize``
+concatenates canonical factor geodesics into a tuple of vertices;
+``decompose`` reads such a tuple back into its maximal same-factor runs.
 """
 
 from __future__ import annotations
@@ -14,11 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import factors, morse
-from .errors import (
-    BudgetExceeded,
-    DepthExceedsContent,
-    NoLine,
-)
+from .errors import NoLine
 from .words import FreeProduct, Word
 
 FINITE = "finite"
@@ -96,9 +91,8 @@ class CombRay:
     factor, even positions to the second.  Only the first syllable may be
     the identity (it absorbs rays that start in the second factor).
     Finite kind carries a boundary direction of the factor after the last
-    syllable; infinite kind may carry a periodic continuation block,
-    otherwise it is a bare truncation (as ``decompose`` reads one off a
-    finite ray), whose syllable count is unknown.
+    syllable; infinite kind carries the periodic block that continues its
+    syllables.
     """
 
     fp: FreeProduct
@@ -125,13 +119,14 @@ class CombRay:
         elif self.kind == INFINITE:
             if self.tail is not None:
                 raise ValueError("infinite combinatorial geodesics have no tail")
-            if self.repeat:
-                if len(self.repeat) % 2:
-                    raise ValueError("repeat block must have even length to keep alternation")
-                for j, s in enumerate(self.repeat):
-                    expected = self._position_spec(n + 1 + j)
-                    if s.spec != expected or s.is_identity():
-                        raise ValueError("repeat block must alternate non-trivial syllables")
+            if not self.repeat:
+                raise ValueError("infinite combinatorial geodesics need a repeat block")
+            if len(self.repeat) % 2:
+                raise ValueError("repeat block must have even length to keep alternation")
+            for j, s in enumerate(self.repeat):
+                expected = self._position_spec(n + 1 + j)
+                if s.spec != expected or s.is_identity():
+                    raise ValueError("repeat block must alternate non-trivial syllables")
         else:
             raise ValueError(f"unknown combinatorial kind {self.kind!r}")
 
@@ -148,7 +143,7 @@ class CombRay:
         """Syllable at a 1-based position, consulting the repeat block."""
         if pos <= len(self.syllables):
             return self.syllables[pos - 1]
-        if self.kind == INFINITE and self.repeat:
+        if self.kind == INFINITE:
             return self.repeat[(pos - len(self.syllables) - 1) % len(self.repeat)]
         return None
 
@@ -156,9 +151,7 @@ class CombRay:
         body = " | ".join(map(repr, self.syllables)) or "e"
         if self.kind == FINITE:
             return f"{body} ; tail={self.tail.format()}"
-        if self.repeat:
-            return f"{body} ; repeat={' | '.join(map(repr, self.repeat))}"
-        return body
+        return f"{body} ; repeat={' | '.join(map(repr, self.repeat))}"
 
 
 def realize(a: CombRay, depth: int, validate: bool = True) -> tuple[Word, ...]:
@@ -168,42 +161,50 @@ def realize(a: CombRay, depth: int, validate: bool = True) -> tuple[Word, ...]:
     Factor geodesics are chosen lexicographically-first (unique in tree
     factors); the result is certified to be a geodesic unless disabled.
     """
-    fp = a.fp
+    syllables = a.syllables
+    if a.kind == INFINITE:
+        syllables = itertools.chain(syllables, itertools.cycle(a.repeat))
+    verts = spell(a.fp, syllables, depth)
+    if len(verts) <= depth:
+        # the finite kind's syllables ran out; its last vertex is the
+        # product of them all, and the tail's factor alternates with it
+        base = verts[-1].syllables
+        for elt in a.tail.realization(depth - len(verts) + 1)[1:]:
+            verts.append(Word(base + (elt,)))
+    ray = tuple(verts)
+    if validate:
+        certify_geodesic(a.fp, ray)
+    return ray
+
+
+def spell(fp: FreeProduct, syllables, depth: int) -> list[Word]:
+    """The vertices v_0, ..., v_n of the canonical per-syllable geodesics
+    of alternating ``syllables``, one after the other: n is ``depth`` or
+    the syllables' total norm, whichever is smaller.  A leading identity
+    syllable adds no vertex."""
     verts: list[Word] = [fp.identity()]
-    # the syllables before the current one; a's factors alternate, so each
-    # vertex is this prefix and one more syllable, already reduced
+    # the syllables before the current one; they alternate, so each vertex
+    # is this prefix and one more syllable, already reduced
     base: tuple[factors.FactorElement, ...] = ()
-    pos = 0
-    while len(verts) <= depth:
-        pos += 1
-        s = a.syllable_at(pos)
-        if s is None:
+    for s in syllables:
+        if len(verts) > depth:
             break
-        seg = factors.first_geodesic(s.spec.identity(), s)
-        for elt in seg[1:]:
+        for elt in factors.first_geodesic(s.spec.identity(), s)[1:]:
             if len(verts) > depth:
                 break
             verts.append(Word(base + (elt,)))
         if not s.is_identity():
             base += (s,)
-    if len(verts) <= depth:
-        if a.kind == FINITE:
-            for elt in a.tail.realization(depth - len(verts) + 1)[1:]:
-                verts.append(Word(base + (elt,)))
-        else:
-            raise DepthExceedsContent(
-                f"combinatorial geodesic holds {len(verts) - 1} steps, {depth} requested"
-            )
-    ray = tuple(verts[: depth + 1])
-    if validate:
-        certify_geodesic(fp, ray)
-    return ray
+    return verts
 
 
-def decompose(fp: FreeProduct, vertices) -> CombRay:
-    """Split a vertex ray into maximal same-factor runs: a bare truncated
-    infinite-kind object whose last run is unstable.  ``validate_against``
-    holds the runs against the combinatorial geodesic they came from."""
+def decompose(fp: FreeProduct, vertices) -> tuple[factors.FactorElement, ...]:
+    """Split a vertex ray into its maximal same-factor runs, the last of
+    which may still grow.  A leading identity of the first factor keeps
+    the 1-based syllable positions when the ray starts in the second.
+    Raises ValueError unless each step is one generator and no run
+    cancels.  ``validate_against`` holds the runs against the
+    combinatorial geodesic they came from."""
     runs: list[factors.FactorElement] = []
     for prev, cur in zip(vertices, vertices[1:]):
         s = _step(prev.syllables, cur.syllables)
@@ -211,13 +212,13 @@ def decompose(fp: FreeProduct, vertices) -> CombRay:
             raise ValueError("consecutive ray vertices must differ by one generator")
         if runs and runs[-1].factor == s.factor:
             runs[-1] = runs[-1] * s
+            if runs[-1].is_identity():
+                raise ValueError("a run cancels")
         else:
             runs.append(s)
-    syllables: list[factors.FactorElement] = []
     if runs and runs[0].factor == fp.b.id:
-        syllables.append(fp.a.identity())
-    syllables.extend(runs)
-    return CombRay(fp, INFINITE, tuple(syllables))
+        runs.insert(0, fp.a.identity())
+    return tuple(runs)
 
 
 def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
@@ -290,14 +291,11 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
     Infinite centers: prefix agreement on the first k syllables.  Finite
     centers: same syllables, then either the next syllable lies in the
     filled depth-k neighborhood of the tail direction, or the tails are
-    depth-k close.  Tail tests run in the factor, on shared letters
-    (``_tail_close``).  A bare truncation, as center or candidate, is
-    refused (``_refuse_bare``).
+    depth-k close (``morse.factor_close``).
     """
     a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
     if a.fp != b.fp:
         raise ValueError("combinatorial geodesics over different products")
-    _refuse_bare(a, b)
     if a.kind == INFINITE:
         for i in range(1, k + 1):
             if b.syllable_at(i) != a.syllable_at(i):
@@ -307,30 +305,15 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
     for i in range(1, la + 1):
         if b.syllable_at(i) != a.syllables[i - 1]:
             return False
-    longer = b.kind == INFINITE or b.stored_length > la
-    return _tail_close(gauge, k, a.tail, b.syllable_at(la + 1) if longer else b.tail)
+    return morse.factor_close(gauge, k, a.tail, _tail_key(b, la))
 
 
-def _refuse_bare(*given: CombRay) -> None:
-    """Raise ``BudgetExceeded`` for a bare truncation: its syllable count,
-    which every neighborhood test reads, is not known."""
-    for r in given:
-        if r.kind == INFINITE and not r.repeat:
-            raise BudgetExceeded(f"bare truncation {r.text()} has no certain syllable count")
-
-
-def _tail_close(gauge: morse.Gauge, k: int, tail: factors.BoundaryPoint, key) -> bool:
-    """The tail test of a finite center whose tail direction is ``tail``.
-
-    ``key`` is a longer ray's next syllable, which must lie in the filled
-    depth-k neighborhood of ``tail`` (norm at least k, and close), or the
-    tail of a ray of the center's length, which must be depth-k close.
-    Closeness is read off the letters the two share, as in
-    ``matching.filled_member``.
-    """
-    if isinstance(key, factors.FactorElement) and key.norm() < k:
-        return False
-    return morse.tree_close(gauge, k, factors.shared_steps(key, tail, k))
+def _tail_key(b: CombRay, la: int):
+    """What a finite center of ``la`` syllables holds against its tail:
+    b's next syllable when b is longer, otherwise b's own tail."""
+    if b.kind == INFINITE or b.stored_length > la:
+        return b.syllable_at(la + 1)
+    return b.tail
 
 
 class CombIndex:
@@ -341,12 +324,9 @@ class CombIndex:
     comb_neighborhood_member(nbhd, b)]``, in population order.  An
     infinite center's members are the bucket of its first k syllables; a
     finite center's are the bucket of its stored syllables, filtered by the
-    tail test that ``comb_neighborhood_member`` runs too: the shared
-    letters of the next syllable, or of the tail, with the center's tail.
-    The buckets of depth k are built when depth k is first asked for; an
-    infinite center gets the bucket itself, which callers must not modify.
-    A bare truncation, in the population or as the center, is refused as
-    ``comb_neighborhood_member`` refuses it.
+    tail test that ``comb_neighborhood_member`` runs too.  The buckets of
+    depth k are built when depth k is first asked for; an infinite center
+    gets the bucket itself, which callers must not modify.
     """
 
     def __init__(self, population):
@@ -354,7 +334,6 @@ class CombIndex:
         self.fp = self.population[0].fp if self.population else None
         if any(b.fp != self.fp for b in self.population):
             raise ValueError("combinatorial geodesics over different products")
-        _refuse_bare(*self.population)
         self._buckets: dict[int, dict[tuple, list[CombRay]]] = {}
 
     def _bucket(self, key: tuple) -> list[CombRay]:
@@ -371,19 +350,14 @@ class CombIndex:
 
     def members(self, nbhd: CombNeighborhood) -> list[CombRay]:
         a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
-        _refuse_bare(a)
         if self.population and a.fp != self.fp:
             raise ValueError("combinatorial geodesics over different products")
         if a.kind == INFINITE:
             return self._bucket(tuple(a.syllable_at(i) for i in range(1, k + 1)))
         la = a.stored_length
-        out = []
-        for b in self._bucket(a.syllables):
-            longer = b.kind == INFINITE or b.stored_length > la
-            key = b.syllable_at(la + 1) if longer else b.tail
-            if _tail_close(gauge, k, a.tail, key):
-                out.append(b)
-        return out
+        return [
+            b for b in self._bucket(a.syllables) if morse.factor_close(gauge, k, a.tail, _tail_key(b, la))
+        ]
 
 
 # -- population -----------------------------------------------------------

@@ -90,6 +90,23 @@ def test_check_phi_psi(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (["phi-psi", "--radius", "3"], "--radius"),
+        (["prefix-transit", "--radius", "2", "--lambda", "2", "--eps", "1"], "--lambda or --eps"),
+        (["concat-qg", "--lambda", "1", "--eps", "0"], "--lambda or --eps"),
+    ],
+    ids=["radius", "lambda", "eps"],
+)
+def test_check_refuses_unread_flag(tmp_path, capsys, args, flags):
+    # a flag the check would ignore is a usage error, before any report
+    code, out, err = run_cli(["--out", str(tmp_path), "check"] + args, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: check {args[0]} does not read {flags}\n"
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_match_default_config(tmp_path, capsys):
     code, out, _ = run_cli(["--out", str(tmp_path), "match", "--steps", "5"], capsys)
     assert code == 0
@@ -342,14 +359,13 @@ def test_concat_qg_can_fail(tmp_path, capsys, monkeypatch):
 
 
 def test_phi_psi_can_fail(tmp_path, capsys, monkeypatch):
-    # a decomposition that inverts the second syllable of every bare ray
+    # a decomposition that inverts the second run of every ray
     decompose = rays.decompose
 
     def corrupted(fp, ray):
         out = decompose(fp, ray)
-        if out.stored_length >= 2:
-            syllables = (out.syllables[0], out.syllables[1].inverse()) + out.syllables[2:]
-            return dataclasses.replace(out, syllables=syllables)
+        if len(out) >= 2:
+            return (out[0], out[1].inverse()) + out[2:]
         return out
 
     monkeypatch.setattr(rays, "decompose", corrupted)
@@ -521,7 +537,9 @@ def test_match_continuity_can_fail(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(matching.ProductMatching, "run_rounds", swapping)
     code, report = _run_match(tmp_path, capsys, 20)
-    assert code == 1 and report["status"] == "fail"
+    # a finite ball cannot refute continuity, so an unsettled search is
+    # inconclusive, not a counterexample
+    assert code == 3 and report["status"] == "inconclusive"
     pair = report["pairs"]["A"]
     assert pair["bijectivity"]["ok"] and not pair["duality"]["failures"]
     # depths 1 and 2 hold any two points of norm >= l; at depth 3 the ends split
@@ -531,6 +549,48 @@ def test_match_continuity_can_fail(tmp_path, capsys, monkeypatch):
         "-inf|l=3": {"status": "inconclusive", "found_k": None},
     }
     assert all(e["status"] == "verified" for e in report["pairs"]["B"]["continuity"].values())
+
+
+def test_match_continuity_budget_exit_code(tmp_path, capsys):
+    # at depth 1 only, the search for l = 2 and 3 runs out: no element of
+    # norm >= 1 near an end stays near its image at depth 2
+    cfg = write_config(tmp_path, budgets={"continuity_k_max": 1})
+    args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "match", "--steps", "5"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 3 and json.loads(out)["status"] == "inconclusive"
+    assert err.count("\n") == 1 and err.startswith("inconclusive: ")
+    assert "continuity_k_max 1" in err and "continuity_ball 12" in err
+    report = json.loads((tmp_path / "rep" / "match-report.json").read_text())
+    assert report["status"] == "inconclusive"
+    unsettled = {
+        (name, key): entry["status"]
+        for name, pair in report["pairs"].items()
+        for key, entry in pair["continuity"].items()
+        if entry["status"] != "verified"
+    }
+    assert unsettled == {
+        (name, f"{end}|l={l}"): "inconclusive" for name in "AB" for end in ("+inf", "-inf") for l in (2, 3)
+    }
+
+
+def test_match_counterexample_outranks_continuity_budget(tmp_path, capsys, monkeypatch):
+    # the same run with pair A's fifth step dropping its backward entry: a
+    # bijectivity failure exits 1 even where continuity ran out
+    commit = matching.MatchState._commit
+
+    def dropping(self, side, x, y, record, **directions):
+        commit(self, side, x, y, record, **directions)
+        if self.source.id == "A1" and record["seq"] == 5:
+            del self.backward[y if side == 1 else x]
+
+    monkeypatch.setattr(matching.MatchState, "_commit", dropping)
+    cfg = write_config(tmp_path, budgets={"continuity_k_max": 1})
+    args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "match", "--steps", "5"]
+    code, _out, err = run_cli(args, capsys)
+    assert code == 1 and err == ""
+    report = json.loads((tmp_path / "rep" / "match-report.json").read_text())
+    assert report["status"] == "fail" and not report["pairs"]["A"]["bijectivity"]["ok"]
+    assert report["pairs"]["A"]["continuity"]["+inf|l=2"]["status"] == "inconclusive"
 
 
 def test_match_transcript_names_gauge(tmp_path, capsys):
@@ -669,6 +729,24 @@ def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):
     assert "boundaries" in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"id": "A1", "kind": "torus"}, "unknown factor kind 'torus'"),
+        ({"id": "A1"}, "unknown factor kind None"),
+        ({"id": "A1", "kind": "lattice"}, "'dim'"),
+        ({"id": "A1", "kind": "free"}, "'rank'"),
+        ({"id": "A1", "kind": "finite", "generators": [1]}, "'table'"),
+    ],
+    ids=["unknown", "no-kind", "no-dim", "no-rank", "no-table"],
+)
+def test_factor_entry_errors_are_usage_errors(tmp_path, capsys, entry, message):
+    first = [entry, {"id": "B1", "kind": "line", "names": ["y"]}]
+    cfg = write_config(tmp_path, factors={"first": first, "second": []})
+    code, _out, err = run_cli(["--config", str(cfg), "normalize", "y"], capsys)
+    assert code == 2 and err == f"error: {message}\n"
+
+
 def test_concat_ball_too_small_exit_code(tmp_path, capsys, monkeypatch):
     # a joining geodesic that leaves the ball exhausts the ball_radius budget
     def truncated(ball, u, v):
@@ -764,7 +842,6 @@ _USAGE_ERRORS = (
     errors.NoLine,
     errors.EmptyWord,
     errors.ParseError,
-    errors.DepthExceedsContent,
 )
 
 

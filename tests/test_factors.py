@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from morse_forge import FactorSpec, FactorSpace
-from morse_forge import factors, matching, morse
+from morse_forge import factors, morse
 from morse_forge.errors import CapExceeded, MixedFactor, NoBoundary
 from morse_forge.factors import BoundaryPoint
 from morse_forge.graph import Ball
@@ -307,10 +307,6 @@ def _element_orbits(spec, elements):
     return reps
 
 
-def _kernel_close(gauge, k, u, v):
-    return morse.tree_close(gauge, k, factors.shared_steps(u, v, k))
-
-
 # (factor, largest element norm, largest |prefix| + |block|).  The line
 # meets every element of norm <= 6 with every direction of size <= 4.  The
 # free groups cover the same ranges in two slices each, long elements
@@ -344,7 +340,7 @@ def test_filled_member_matches_pointwise(name, max_norm, size):
                     if y not in pointwise:
                         pointwise[y] = morse.neighborhood_member(space, nb, geodesic[y])
                     expected = pointwise[y]
-                assert matching.filled_member(gauge, k, z, x) == expected, (
+                assert morse.factor_close(gauge, k, z, x) == expected, (
                     z.format(), x, k, gauge.delta,
                 )
 
@@ -363,7 +359,7 @@ def test_element_centered_closeness_matches_pointwise(name, max_norm, size):
             nb = morse.Neighborhood.around_vertex(space, gauge, k, x, filled=False)
             for z, ray in rays:
                 expected = morse.neighborhood_member(space, nb, ray[: k + 1])
-                assert _kernel_close(gauge, k, x, z) == expected, (z.format(), x, k, gauge.delta)
+                assert morse.factor_close(gauge, k, x, z) == expected, (z.format(), x, k, gauge.delta)
 
 
 @pytest.mark.parametrize("name,center_size,size", [("line", 4, 4), ("f2", 3, 3), ("f3", 2, 3)])
@@ -377,7 +373,7 @@ def test_direction_closeness_matches_pointwise(name, center_size, size):
             nb = morse.Neighborhood.around_ray(gauge, k, z.realization(k), filled=False)
             for w, ray in rays:
                 expected = morse.neighborhood_member(space, nb, ray[: k + 1])
-                assert _kernel_close(gauge, k, w, z) == expected, (z.format(), w.format(), k, gauge.delta)
+                assert morse.factor_close(gauge, k, z, w) == expected, (z.format(), w.format(), k, gauge.delta)
 
 
 def test_shared_steps_counts_common_letters(free2, line_a):

@@ -11,7 +11,9 @@ through ``Ball``'s public methods and its ``neighbors`` lists (``row``,
 ``adjacency`` rows, and keep no per-ball cache of their own: no module
 holds one in a ``weakref`` table.  The checks and the ball decide
 quasi-geodesic verdicts through ``morse``'s int bound, so they do no
-rational arithmetic of their own.
+rational arithmetic of their own.  Closeness between factor geodesics is
+decided in ``morse`` alone: other modules call ``morse.factor_close``,
+never ``tree_close``.
 """
 
 import importlib
@@ -33,6 +35,7 @@ BALL_PRIVATE = re.compile(r"\bball\._|\._(bfs|true_row)")
 ADJACENCY = re.compile(r"\.adjacency\b")
 WEAKREF = re.compile(r"^\s*(import|from)\s+weakref\b")
 RATIONAL = re.compile(r"\b(Fraction|fractions)\b")
+TREE_CLOSE = re.compile(r"\btree_close\b")
 
 
 def _hits(pattern, paths):
@@ -74,6 +77,10 @@ def test_no_module_imports_weakref():
 
 def test_checks_and_graph_do_no_rational_arithmetic():
     assert _hits(RATIONAL, [SRC / "checks.py", SRC / "graph.py"]) == []
+
+
+def test_only_morse_calls_tree_close():
+    assert _hits(TREE_CLOSE, [p for p in SRC.glob("*.py") if p.name != "morse.py"]) == []
 
 
 def test_tracer_targets_resolve_to_plain_functions():
