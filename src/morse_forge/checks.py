@@ -31,17 +31,39 @@ def _report(check: str, params: dict, instances: int, failures: list, extra: dic
 
 
 def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
+    """Every walk e -> w of length <= |w| + slack in the ball passes each
+    syllable prefix of w.
+
+    The walks are counted, not listed: ``instances`` sums
+    ``Ball.walk_counts``, and ``path_cap`` binds each target's count as it
+    binds ``enumerate_paths``.  Target w fails exactly when, for some
+    required p, the ball minus p still joins e to w within |w| + slack
+    (never for p = e or p = w); only failing targets have their walks
+    listed.
+    """
     ball = Ball.build(fp, radius, vertex_budget)
+    limit = [d + slack for d in ball.dist]
+    counts = ball.walk_counts(0, max(limit))
     instances = 0
-    failures = []
+    required: dict[int, set[int]] = {}
+    targets_of: dict[int, list[int]] = {}  # required vertex -> its targets
     for w in range(1, len(ball)):
-        word = ball.vertex(w)
-        required = {ball.index_of(p) for p in fp.prefix_vertices(word)}
-        paths = ball.enumerate_paths(0, w, ball.dist[w] + slack, cap=path_cap)
-        for p in paths:
-            instances += 1
-            if not required <= set(p):
-                failures.append({"w": fp.format(word), "path": list(p)})
+        required[w] = {ball.index_of(p) for p in fp.prefix_vertices(ball.vertex(w))}
+        walks = sum(counts[t][w] for t in range(limit[w] + 1))
+        if path_cap is not None and walks > path_cap:
+            raise CapExceeded(path_cap + 1)
+        instances += walks
+        for p in required[w]:
+            targets_of.setdefault(p, []).append(w)
+    failing = set()
+    for p, targets in targets_of.items():
+        within = ball.avoiding_row(0, p, max(limit[w] for w in targets))
+        failing.update(w for w in targets if within[w] is not None and within[w] <= limit[w])
+    failures = []
+    for w in sorted(failing):
+        for path in ball.enumerate_paths(0, w, limit[w], cap=path_cap):
+            if not required[w] <= set(path):
+                failures.append({"w": fp.format(ball.vertex(w)), "path": list(path)})
     return _report(
         "prefix-transit",
         {"radius": radius, "slack": slack},

@@ -351,8 +351,10 @@ _OPS = {LINE: _LineOps, LATTICE: _LatticeOps, FREE: _FreeOps, FINITE: _FiniteOps
 def from_entry(entry: dict) -> "FactorSpec":
     """The factor a config entry describes: its ``id``, ``kind`` and
     ``names``, and the fields of its kind (``dim``, ``rank``, or ``table``
-    and ``generators``).  Raises ParseError for an unknown kind and
-    KeyError for a missing field."""
+    and ``generators``).  Raises ParseError for an entry that is not an
+    object or names an unknown kind, and KeyError for a missing field."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"factor entry {entry!r} is not an object")
     kind, fid, names = entry.get("kind"), entry.get("id", ""), entry.get("names")
     if kind == LINE:
         return FactorSpec.integer_line(fid, names[0] if names else "x")

@@ -226,6 +226,54 @@ class Ball:
             row = self._in_ball_rows[src] = bytes(out) if 2 * self.radius < 256 else out
         return row
 
+    def avoiding_row(self, src: int, avoid: int, maxlen: int) -> list[int | None]:
+        """Distances from src along paths inside the ball that never visit
+        ``avoid``, up to maxlen; None where no such path is that short.
+
+        Stationary steps pad a shorter path, so a walk of length <= L from
+        src to v avoiding ``avoid`` exists exactly when the entry is <= L.
+        """
+        out: list[int | None] = [None] * len(self.vertices)
+        if src == avoid:
+            return out
+        neighbors = self.neighbors
+        out[avoid] = -1  # marked seen for the search, cleared below
+        out[src] = 0
+        frontier = [src]
+        for level in range(1, maxlen + 1):
+            nxt = []
+            for v in frontier:
+                for n in neighbors[v]:
+                    if out[n] is None:
+                        out[n] = level
+                        nxt.append(n)
+            if not nxt:
+                break
+            frontier = nxt
+        out[avoid] = None
+        return out
+
+    def walk_counts(self, u: int, maxlen: int) -> list[list[int]]:
+        """counts[t][v]: the walks u -> v of length t <= maxlen inside the
+        ball, stationary steps included, each counted as often as
+        ``enumerate_paths`` lists it (a neighbour reached by two
+        generators twice).  So the walks of length <= L to v that
+        ``enumerate_paths`` lists number sum(counts[t][v] for t <= L).
+        """
+        neighbors = self.neighbors
+        row = [0] * len(neighbors)
+        row[u] = 1
+        counts = [row]
+        for _ in range(maxlen):
+            nxt = row[:]  # the stationary step
+            for x, c in enumerate(row):
+                if c:
+                    for y in neighbors[x]:
+                        nxt[y] += c
+            row = nxt
+            counts.append(row)
+        return counts
+
     def certified(self, u: int, v: int) -> bool:
         """True when every true geodesic u -> v stays inside the ball.
 
@@ -312,8 +360,14 @@ class Ball:
     def first_geodesic(self, u: int, v: int) -> tuple[int, ...]:
         """One true geodesic u -> v (the space's lexicographically first).
 
-        Raises when that geodesic does not stay inside the ball.
+        Raises when that geodesic does not stay inside the ball.  Between
+        equal or adjacent vertices the geodesic is unique and inside the
+        ball, so it is returned without building words.
         """
+        if u == v:
+            return (u,)
+        if v in self.neighbors[u]:
+            return (u, v)
         words = self.space.first_geodesic(self.vertices[u], self.vertices[v])
         try:
             return tuple(self.index[w] for w in words)

@@ -428,6 +428,68 @@ def test_projection_check_keeps_bound_tables(zz):
     assert morse.qg_bound(2, 1).least.items == least
 
 
+def _prefix_transit_reference(fp, radius, slack=2):
+    """The check as a list of every walk: (instances, counterexamples)."""
+    ball = Ball.build(fp, radius)
+    instances = 0
+    failures = []
+    for w in range(1, len(ball)):
+        word = ball.vertex(w)
+        required = {ball.index_of(p) for p in fp.prefix_vertices(word)}
+        for p in ball.enumerate_paths(0, w, ball.dist[w] + slack):
+            instances += 1
+            if not required <= set(p):
+                failures.append({"w": fp.format(word), "path": list(p)})
+    return instances, failures
+
+
+def _stricter_prefix_vertices(prefix_vertices):
+    """Claims too strong for some targets: a two-syllable word must also
+    pass the first generator of the factor it does not start in.  Every
+    word also names e and itself, which every walk to it passes."""
+
+    def stricter(fp, w):
+        required = prefix_vertices(fp, w) + [fp.identity(), w]
+        if len(w.syllables) == 2:
+            gen = next(g for g in fp.generators() if g.factor != w.syllables[0].factor)
+            required.append(fp.embed(gen.element))
+        return required
+
+    return stricter
+
+
+_Z3_FACTOR = FactorSpec.finite_table("B", [[(i + j) % 3 for j in range(3)] for i in range(3)], [1, 2], names=["s", "t"])
+_Z2_TABLE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "fp, radius",
+    [
+        (_PRODUCTS["zz"], 4),
+        (_PRODUCTS["lattice-line"], 3),
+        (FreeProduct(FactorSpec.finite_table("A", _Z2_TABLE, [1], names=["a"]), FactorSpec.finite_table("B", _Z2_TABLE, [1], names=["b"])), 5),
+        (_PRODUCTS["free2-line"], 3),
+        (FreeProduct(FactorSpec.integer_line("A", "x"), _Z3_FACTOR), 4),
+    ],
+    ids=["zz-r4", "lattice-line-r3", "dih-r5", "free2-line-r3", "line-z3-r4"],
+)
+@pytest.mark.parametrize("strict", [False, True], ids=["claim", "stricter"])
+@pytest.mark.parametrize("slack", [0, 2])
+def test_prefix_transit_counts_match_listing_reference(fp, radius, strict, slack, monkeypatch):
+    # counted walks and cut reachability against listing every walk; a
+    # stricter claim also compares the listing of failing targets, and at
+    # slack 0 its shortest walks missing a vertex are just long enough
+    if strict:
+        monkeypatch.setattr(words.FreeProduct, "prefix_vertices", _stricter_prefix_vertices(words.FreeProduct.prefix_vertices))
+    report = checks.run_prefix_transit(fp, radius=radius, slack=slack)
+    instances, failures = _prefix_transit_reference(fp, radius, slack)
+    assert report["instances"] == instances > 0
+    assert report["counterexample_count"] == len(failures)
+    assert report["counterexamples"] == failures[:10]
+    assert report["status"] == ("fail" if failures else "pass")
+    assert bool(failures) == strict
+
+
 def test_nbhd_nesting_free_factor(free2):
     report = checks.run_nbhd_nesting(free2)
     assert report["status"] == "pass"

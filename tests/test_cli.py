@@ -230,6 +230,22 @@ def test_inconclusive_budget_exit_code(tmp_path, capsys):
     assert err == "inconclusive: budget path_cap 5 exceeded: 6 paths enumerated\n"
 
 
+def test_prefix_transit_path_cap_budget_exit_code(tmp_path, capsys):
+    # the walks are counted, yet the cap binds each target's count as the
+    # listing did: the largest count passes, one less exits 3
+    fp = load_config(None).fp1
+    ball = graph.Ball.build(fp, 4)
+    most = max(len(ball.enumerate_paths(0, w, ball.dist[w] + 2)) for w in range(1, len(ball)))
+    messages = []
+    for path_cap, expected in ((most - 1, 3), (most, 0)):
+        cfg = write_config(tmp_path, budgets={"path_cap": path_cap})
+        args = ["--config", str(cfg), "--out", str(tmp_path / f"rep{path_cap}"), "check", "prefix-transit", "--radius", "4"]
+        code, _out, err = run_cli(args, capsys)
+        assert code == expected
+        messages.append(err)
+    assert messages == [f"inconclusive: budget path_cap {most - 1} exceeded: {most} paths enumerated\n", ""]
+
+
 def test_concat_qg_path_cap_budget_exit_code(tmp_path, capsys):
     # Z*Z r3: some endpoint pair has 11 (1, 2)-quasi-geodesics, none more
     messages = []
@@ -737,8 +753,9 @@ def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):
         ({"id": "A1", "kind": "lattice"}, "'dim'"),
         ({"id": "A1", "kind": "free"}, "'rank'"),
         ({"id": "A1", "kind": "finite", "generators": [1]}, "'table'"),
+        ("line", "factor entry 'line' is not an object"),
     ],
-    ids=["unknown", "no-kind", "no-dim", "no-rank", "no-table"],
+    ids=["unknown", "no-kind", "no-dim", "no-rank", "no-table", "not-an-object"],
 )
 def test_factor_entry_errors_are_usage_errors(tmp_path, capsys, entry, message):
     first = [entry, {"id": "B1", "kind": "line", "names": ["y"]}]
