@@ -86,7 +86,17 @@ class RunConfig:
     emit_dot: bool = False
 
 
-def _parse_homeo(entry: dict, source: factors.FactorSpec, target: factors.FactorSpec) -> matching.BoundaryHomeo:
+def _parse_product(raw: dict, side: str) -> FreeProduct:
+    entries = raw["factors"][side]
+    if not isinstance(entries, list) or len(entries) != 2:
+        raise ParseError(f"factors.{side} must list two factor entries")
+    return FreeProduct(*(factors.from_entry(e) for e in entries))
+
+
+def _parse_homeo(raw: dict, side: str, source: factors.FactorSpec, target: factors.FactorSpec) -> matching.BoundaryHomeo:
+    entry = raw["homeos"][side]
+    if not isinstance(entry, dict):
+        raise ParseError(f"homeos.{side} must be an object")
     rule = entry.get("rule", "identity")
     perm = tuple(sorted((k, v) for k, v in entry.get("map", {}).items()))
     return matching.BoundaryHomeo(source, target, rule, perm=perm)
@@ -105,20 +115,18 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     # the model constructors validate factors, products and homeomorphism
     # rules; their complaints about the config are usage errors
     try:
-        first = [factors.from_entry(e) for e in raw["factors"]["first"]]
-        fp1 = FreeProduct(first[0], first[1])
+        fp1 = _parse_product(raw, "first")
         fp2 = None
         homeo_a = homeo_b = None
         if raw["factors"].get("second"):
-            second = [factors.from_entry(e) for e in raw["factors"]["second"]]
-            fp2 = FreeProduct(second[0], second[1])
-            homeo_a = _parse_homeo(raw["homeos"]["a"], fp1.a, fp2.a)
-            homeo_b = _parse_homeo(raw["homeos"]["b"], fp1.b, fp2.b)
+            fp2 = _parse_product(raw, "second")
+            homeo_a = _parse_homeo(raw, "a", fp1.a, fp2.a)
+            homeo_b = _parse_homeo(raw, "b", fp1.b, fp2.b)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"invalid factors or homeos: {exc}") from exc
     budgets = raw["budgets"]
-    if any(type(v) is not int or v <= 0 for v in budgets.values()):
-        raise ParseError("budgets must be positive integers")
+    if not isinstance(budgets, dict) or any(type(v) is not int or v <= 0 for v in budgets.values()):
+        raise ParseError("budgets must be an object of positive integers")
     try:
         grid = [(Fraction(l), Fraction(e)) for l, e in raw["grid"]]
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -127,6 +135,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ParseError("grid entries need lambda >= 1 and eps >= 0")
     if (Fraction(5), Fraction(0)) not in grid or (Fraction(3), Fraction(0)) not in grid:
         raise ParseError("grid must contain the probe points (5,0) and (3,0)")
+    if not isinstance(raw.get("output", "reports"), str):
+        raise ParseError("output must be a string")
     return RunConfig(
         fp1=fp1,
         fp2=fp2,

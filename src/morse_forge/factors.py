@@ -551,10 +551,6 @@ def distance(x: FactorElement, y: FactorElement) -> int:
     return (x.inverse() * y).norm()
 
 
-def step(x: FactorElement, gen: Generator) -> FactorElement:
-    return multiply(x, x.spec.generator_element(gen))
-
-
 def geodesics(x: FactorElement, y: FactorElement, cap: int | None = None):
     """All geodesic vertex paths from x to y, in generator-index order.
 
@@ -725,26 +721,43 @@ def _letter_stream(u):
 
 
 @dataclass(frozen=True)
+class ProductGenerator:
+    """A generator of a space: its symbol, its factor's id and its element."""
+
+    symbol: str
+    factor: str
+    element: FactorElement
+
+
+@functools.lru_cache(maxsize=None)
+def _space_generators(spec: FactorSpec) -> tuple[ProductGenerator, ...]:
+    return tuple(ProductGenerator(g.symbol, spec.id, spec.generator_element(g)) for g in spec.generators())
+
+
+@dataclass(frozen=True)
 class FactorSpace:
-    """Adapter giving a factor group the shared metric-space interface."""
+    """Adapter giving a factor group the shared metric-space interface.
+
+    Its generators are those of a product, so a ball reads both alike; a
+    non-identity element is one syllable after the identity.
+    """
 
     spec: FactorSpec
 
     def identity(self) -> FactorElement:
         return self.spec.identity()
 
-    def generators(self):
-        return self.spec.generators()
+    def generators(self) -> tuple[ProductGenerator, ...]:
+        return _space_generators(self.spec)
 
-    def step(self, x: FactorElement, gen: Generator) -> FactorElement:
-        return step(x, gen)
+    def step(self, x: FactorElement, gen: ProductGenerator) -> FactorElement:
+        return x * gen.element
+
+    def join(self, prefix: FactorElement, syllable: FactorElement) -> FactorElement:
+        return syllable
 
     def distance(self, x: FactorElement, y: FactorElement) -> int:
         return distance(x, y)
-
-    def split_last(self, x: FactorElement) -> tuple[FactorElement, FactorElement]:
-        """A non-identity element as one syllable after the identity."""
-        return self.spec.identity(), x
 
     def geodesics(self, x, y):
         return geodesics(x, y)

@@ -1,10 +1,13 @@
 """Finite balls of a Cayley graph with exhaustive enumeration.
 
 A ball is built by BFS over any "space": an object exposing
-``identity() / generators() / step() / split_last() / first_geodesic() /
-sort_key() / format()``.  Both a free product and a single factor
-qualify, so the same machinery serves as the brute-force oracle for
-either metric.
+``identity() / generators() / join() / first_geodesic() / sort_key() /
+format()``.  Its generators carry their factor's id and element, and
+``join(prefix, syllable)`` appends a syllable of the other factor.  Both a
+free product and a single factor qualify (a single factor's prefix is
+always the identity), so the same machinery serves as the brute-force
+oracle for either metric.  ``spheres`` also reads ``step()``, which only
+``FactorSpace`` has: it enumerates a factor group lazily.
 
 A walk is a tuple of vertex indices; a step may be stationary.  Stationary
 steps keep index sets intact under projection and make the path count
@@ -13,10 +16,13 @@ the right discrete analogue of a reparametrizable curve.
 A ``Ball`` owns every table of its graph; no other module keeps one.
 ``adjacency`` lists each vertex's (generator symbol, neighbour index, or
 None outside the ball) and ``neighbors`` its in-ball neighbours, in the
-same order.  Three stores fill one entry per source or target on first
-use and are freed with the ball: ``row`` (true distances), ``in_ball_row``
-(distances along paths inside the ball) and ``gates`` (nearest cut
-vertices toward a target).
+same order.  The syllable tree is built with the ball: ``parent`` and
+``last`` give each vertex but e its syllable prefix's index and its last
+syllable, and ``child`` maps each such pair back to the vertex.  Three
+stores fill one entry per source or target on first use and are freed
+with the ball: ``row`` (true distances), ``in_ball_row`` (distances along
+paths inside the ball) and ``gates`` (nearest cut vertices toward a
+target).
 """
 
 from __future__ import annotations
@@ -64,24 +70,15 @@ class _PrefixTree:
     def __init__(self, ball: "Ball"):
         n = len(ball)
         self.norm = ball.dist
-        self.parent = [0] * n
+        self.parent = ball.parent
         self.children: list[list[int]] = [[] for _ in range(n)]
-        self.syllable = [0] * n  # id of the last syllable
-        self.factor = [""] * n  # factor of the last syllable
-        self.syllables: list[factors.FactorElement] = []
-        self._factor_distance: dict[tuple[int, int], int] = {}
-        ids: dict[factors.FactorElement, int] = {}
         for i in range(1, n):
-            prefix, last = ball.space.split_last(ball.vertices[i])
-            p = ball.index[prefix]
-            self.parent[i] = p
-            self.children[p].append(i)
-            sid = ids.get(last)
-            if sid is None:
-                sid = ids[last] = len(self.syllables)
-                self.syllables.append(last)
-            self.syllable[i] = sid
-            self.factor[i] = last.factor
+            self.children[ball.parent[i]].append(i)
+        self.factor = [""] + [s.factor for s in ball.last[1:]]  # of the last syllable
+        ids: dict[factors.FactorElement, int] = {}
+        self.syllable = [0] + [ids.setdefault(s, len(ids)) for s in ball.last[1:]]  # its id
+        self.syllables = list(ids)
+        self._factor_distance: dict[tuple[int, int], int] = {}
         # preorder positions: every subtree is one slice [start, stop)
         self.start = [0] * n
         self.stop = [0] * n
@@ -149,45 +146,75 @@ class Ball:
     ball.
     """
 
-    def __init__(self, space, radius, vertices, index, dist, adjacency, neighbors):
+    def __init__(self, space, radius, vertices, index, dist, parent, last, child, adjacency):
         self.space = space
         self.radius = radius
         self.vertices = vertices
         self.index = index
         self.dist = dist
+        self.parent = parent
+        self.last = last
+        self.child = child
         self.adjacency = adjacency
-        self.neighbors = neighbors
+        self.neighbors = [[w for _s, w in row if w is not None] for row in adjacency]
+        self._tree = _PrefixTree(self)
         self._rows: dict[int, list[int]] = {}
         self._in_ball_rows: dict[int, bytes | list[int]] = {}
         self._gates: dict[int, list[int]] = {}
-        self._tree: _PrefixTree | None = None
 
     @classmethod
     def build(cls, space, radius: int, vertex_budget: int | None = None) -> "Ball":
+        """The ball by BFS, sphere by sphere, each sphere in ``sort_key``
+        order, with each vertex found as its syllable prefix and last
+        syllable: the key (parent, last), which ``child`` maps to the vertex
+        (e's key is (0, None)).
+
+        A step by a generator of another factor than the last syllable's
+        (or from e) appends a syllable.  One within that factor multiplies
+        the last syllable, and goes back to the prefix when the product
+        cancels.  So each (vertex, generator) step is taken once, with at
+        most one factor product, and a vertex's word is joined once.
+        """
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        gens = space.generators()
         e = space.identity()
-        verts = [e]
-        index = {e: 0}
-        dist = [0]
-        # the range comes first, so the sphere past the radius is never built
-        for level, sphere in zip(range(1, radius + 1), spheres(space)):
-            if vertex_budget is not None and len(verts) + len(sphere) > vertex_budget:
-                raise BudgetExceeded(
-                    f"budget vertex_budget {vertex_budget} exceeded: "
-                    f"the ball needs at least {len(verts) + len(sphere)} vertices"
-                )
-            for w in sphere:
-                index[w] = len(verts)
-                verts.append(w)
-                dist.append(level)
-        adjacency = []
-        neighbors = []
-        for v in verts:
-            row = tuple((gen.symbol, index.get(space.step(v, gen))) for gen in space.generators())
-            adjacency.append(row)
-            neighbors.append([w for _s, w in row if w is not None])
-        return cls(space, radius, verts, index, dist, tuple(adjacency), neighbors)
+        verts, index, dist, parent, last = [e], {e: 0}, [0], [0], [None]
+        child: dict[tuple[int, factors.FactorElement | None], int] = {(0, None): 0}
+        adjacency: list[tuple] = []
+        sphere = range(1)
+        for level in range(radius + 1):
+            steps = []  # per vertex of the sphere, the key of each step
+            for v in sphere:
+                s, p = last[v], parent[v]
+                row = []
+                for gen in gens:
+                    if s is None or gen.factor != s.factor:
+                        row.append((v, gen.element))
+                    else:
+                        m = s * gen.element
+                        row.append((parent[p], last[p]) if m.is_identity() else (p, m))
+                steps.append(row)
+            start = len(verts)
+            if level < radius:
+                new = {key for row in steps for key in row if key not in child}
+                if vertex_budget is not None and start + len(new) > vertex_budget:
+                    raise BudgetExceeded(
+                        f"budget vertex_budget {vertex_budget} exceeded: "
+                        f"the ball needs at least {start + len(new)} vertices"
+                    )
+                words = {space.join(verts[p], s): (p, s) for p, s in new}
+                for w in sorted(words, key=space.sort_key):
+                    p, s = words[w]
+                    child[p, s] = index[w] = len(verts)
+                    verts.append(w)
+                    dist.append(level + 1)
+                    parent.append(p)
+                    last.append(s)
+            # a key outside the ball stays unfound
+            adjacency += (tuple((gen.symbol, child.get(key)) for gen, key in zip(gens, row)) for row in steps)
+            sphere = range(start, len(verts))
+        return cls(space, radius, verts, index, dist, parent, last, child, tuple(adjacency))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -212,23 +239,14 @@ class Ball:
         """
         row = self._in_ball_rows.get(src)
         if row is None:
-            out: list[int | None] = [None] * len(self.vertices)
-            out[src] = 0
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for n in self.neighbors[v]:
-                        if out[n] is None:
-                            out[n] = out[v] + 1
-                            nxt.append(n)
-                frontier = nxt
-            row = self._in_ball_rows[src] = bytes(out) if 2 * self.radius < 256 else out
+            row = self.avoiding_row(src, None, 2 * self.radius)
+            row = self._in_ball_rows[src] = bytes(row) if 2 * self.radius < 256 else row
         return row
 
-    def avoiding_row(self, src: int, avoid: int, maxlen: int) -> list[int | None]:
+    def avoiding_row(self, src: int, avoid: int | None, maxlen: int) -> list[int | None]:
         """Distances from src along paths inside the ball that never visit
-        ``avoid``, up to maxlen; None where no such path is that short.
+        ``avoid`` (None avoids nothing), up to maxlen; None where no such
+        path is that short.
 
         Stationary steps pad a shorter path, so a walk of length <= L from
         src to v avoiding ``avoid`` exists exactly when the entry is <= L.
@@ -237,7 +255,8 @@ class Ball:
         if src == avoid:
             return out
         neighbors = self.neighbors
-        out[avoid] = -1  # marked seen for the search, cleared below
+        if avoid is not None:
+            out[avoid] = -1  # marked seen for the search, cleared below
         out[src] = 0
         frontier = [src]
         for level in range(1, maxlen + 1):
@@ -250,7 +269,8 @@ class Ball:
             if not nxt:
                 break
             frontier = nxt
-        out[avoid] = None
+        if avoid is not None:
+            out[avoid] = None
         return out
 
     def walk_counts(self, u: int, maxlen: int) -> list[list[int]]:
@@ -283,17 +303,11 @@ class Ball:
         """
         return self.dist[u] + self.dist[v] + self.in_ball_row(u)[v] <= 2 * self.radius
 
-    def prefix_tree(self) -> _PrefixTree:
-        """The vertices as a tree of syllable prefixes, built on first use."""
-        if self._tree is None:
-            self._tree = _PrefixTree(self)
-        return self._tree
-
     def row(self, u: int) -> list[int]:
         """True distances from u to every vertex, from the syllable-prefix tree."""
         row = self._rows.get(u)
         if row is None:
-            row = self._rows[u] = self.prefix_tree().row(u)
+            row = self._rows[u] = self._tree.row(u)
         return row
 
     def pair_distance(self, u: int, v: int) -> int:

@@ -231,7 +231,7 @@ class MatchState:
         cr = corresponding_ray(init_spec, x)
         t = morse.nesting_constant(cr.merge_depth, self.gauge)
         if t > self.ray_depth:
-            raise DepthBudgetExceeded(f"certification depth {t} exceeds ray budget {self.ray_depth}")
+            raise DepthBudgetExceeded(f"budget ray_depth {self.ray_depth} exceeded: certification needs depth {t}")
         z_img = homeo_dir.apply(cr.direction)
         chosen = self._scan(z_img, other_matched, homeo_back, cr.direction, t)
         if chosen is None:

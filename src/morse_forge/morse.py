@@ -244,26 +244,27 @@ class BranchSymmetries:
 
     def __init__(self, ball: Ball):
         a, b = ball.space.a, ball.space.b
-        tree = ball.prefix_tree()
+        parent, last, child = ball.parent, ball.last, ball.child
         n = len(ball)
         maps = {spec.id: _automorphism_group(spec) for spec in (a, b)}
         full_a = (1 << len(maps[a.id])) - 1
         full_b = (1 << len(maps[b.id])) - 1
         behind = {a.id: full_b, b.id: full_a}  # a vertex's children, by its factor
-        ids = {s: i for i, s in enumerate(tree.syllables)}
-        moved = [[ids[f(s)] for f in maps[s.factor]] for s in tree.syllables]
-        child = {(tree.parent[y], tree.syllable[y]): y for y in range(1, n)}
         self.neighbors = ball.neighbors
-        self.parent = tree.parent
-        self.full = [full_a] + [behind[tree.factor[x]] for x in range(1, n)] + [full_b]
+        self.parent = parent
+        self.full = [full_a] + [behind[s.factor] for s in last[1:]] + [full_b]
         self.kids = [n] + list(range(1, n))
         self.width = max(full_a, full_b).bit_length()
         self.point, self.fix, self.image = [0], [full_a], [[0] * full_a.bit_length()]
+        relabelled = {}  # each syllable's images under its factor's maps
         for y in range(1, n):
-            p, sid = tree.parent[y], tree.syllable[y]
-            self.point.append(p or (0 if tree.factor[y] == a.id else n))
-            self.fix.append(sum(1 << i for i, t in enumerate(moved[sid]) if t == sid))
-            self.image.append([child[p, t] for t in moved[sid]])
+            p, s = parent[y], last[y]
+            if s not in relabelled:
+                relabelled[s] = [f(s) for f in maps[s.factor]]
+            image = [child[p, t] for t in relabelled[s]]
+            self.point.append(p or (0 if s.factor == a.id else n))
+            self.fix.append(sum(1 << i for i, x in enumerate(image) if x == y))
+            self.image.append(image)
         self.memo: list[dict[int, list[int]]] = [{} for _ in range(n)]
 
     def stabilizer(self, vertices) -> list[int]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import factors
 from .errors import EmptyWord, ParseError
@@ -43,13 +42,6 @@ class Word:
         if not self.syllables:
             return "e"
         return " ".join(s.spec.format_element(s) for s in self.syllables)
-
-
-@dataclass(frozen=True)
-class ProductGenerator:
-    symbol: str
-    factor: str
-    element: factors.FactorElement
 
 
 @dataclass(frozen=True)
@@ -163,27 +155,25 @@ class FreeProduct:
 
     # -- space interface ----------------------------------------------------
 
-    def generators(self) -> tuple[ProductGenerator, ...]:
-        return _product_generators(self)
+    def generators(self) -> tuple[factors.ProductGenerator, ...]:
+        return factors.FactorSpace(self.a).generators() + factors.FactorSpace(self.b).generators()
 
-    def split_last(self, w: Word) -> tuple[Word, factors.FactorElement]:
-        """A non-identity word as its syllable prefix and its last syllable."""
-        return Word(w.syllables[:-1]), w.syllables[-1]
-
-    def step(self, w: Word, gen: ProductGenerator) -> Word:
-        return self.multiply(w, self.embed(gen.element))
+    def join(self, prefix: Word, syllable: factors.FactorElement) -> Word:
+        """The word of a syllable prefix followed by one more syllable of
+        the other factor."""
+        return Word(prefix.syllables + (syllable,))
 
     def geodesics(self, u: Word, v: Word) -> list[tuple[Word, ...]]:
         """All geodesic vertex paths u -> v, ordered syllable-lexicographically."""
         w = self.multiply(self.inverse(u), v)
         choices = [factors.geodesics(s.spec.identity(), s) for s in w.syllables]
-        return [self._join(u, combo) for combo in itertools.product(*choices)]
+        return [self._path(u, combo) for combo in itertools.product(*choices)]
 
     def first_geodesic(self, u: Word, v: Word) -> tuple[Word, ...]:
         w = self.multiply(self.inverse(u), v)
-        return self._join(u, [factors.first_geodesic(s.spec.identity(), s) for s in w.syllables])
+        return self._path(u, [factors.first_geodesic(s.spec.identity(), s) for s in w.syllables])
 
-    def _join(self, u: Word, segments) -> tuple[Word, ...]:
+    def _path(self, u: Word, segments) -> tuple[Word, ...]:
         """The vertex path from u along factor geodesics from the identity,
         one per syllable, each translated to where the previous one ends."""
         verts = [u]
@@ -237,12 +227,3 @@ def _norm_key(key) -> tuple:
         else:
             out.append((part,))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _product_generators(fp: FreeProduct) -> tuple[ProductGenerator, ...]:
-    gens = []
-    for spec in (fp.a, fp.b):
-        for g in spec.generators():
-            gens.append(ProductGenerator(g.symbol, spec.id, spec.generator_element(g)))
-    return tuple(gens)

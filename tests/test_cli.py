@@ -764,6 +764,29 @@ def test_factor_entry_errors_are_usage_errors(tmp_path, capsys, entry, message):
     assert code == 2 and err == f"error: {message}\n"
 
 
+LINE_C = {"id": "C1", "kind": "line", "names": ["z"]}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"factors": {"first": [DEFAULT_CONFIG["factors"]["first"][0]]}}, "factors.first must list two factor entries"),
+        ({"factors": {"first": DEFAULT_CONFIG["factors"]["first"] + [LINE_C]}}, "factors.first must list two factor entries"),
+        ({"factors": {"first": DEFAULT_CONFIG["factors"]["first"][0]}}, "factors.first must list two factor entries"),
+        ({"factors": {"second": [DEFAULT_CONFIG["factors"]["second"][0]]}}, "factors.second must list two factor entries"),
+        ({"budgets": [4, 20]}, "budgets must be an object of positive integers"),
+        ({"homeos": {"a": "identity"}}, "homeos.a must be an object"),
+        ({"homeos": {"b": ["lineswap"]}}, "homeos.b must be an object"),
+        ({"output": 5}, "output must be a string"),
+    ],
+    ids=["first-one", "first-three", "first-object", "second-one", "budgets-list", "homeo-a-text", "homeo-b-list", "output-number"],
+)
+def test_malformed_config_shapes_are_usage_errors(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    code, _out, err = run_cli(["--config", str(cfg), "normalize", "x"], capsys)
+    assert code == 2 and err == f"error: {message}\n"
+
+
 def test_concat_ball_too_small_exit_code(tmp_path, capsys, monkeypatch):
     # a joining geodesic that leaves the ball exhausts the ball_radius budget
     def truncated(ball, u, v):
@@ -786,7 +809,7 @@ def test_match_ray_budget_exit_code(tmp_path, capsys):
         code, _out, err = run_cli(args, capsys)
         assert code == expected
         errors.append(err)
-    assert errors == ["inconclusive: certification depth 60 exceeds ray budget 59\n", ""]
+    assert errors == ["inconclusive: budget ray_depth 59 exceeded: certification needs depth 60\n", ""]
 
 
 def test_match_index_scan_budget_exit_code(tmp_path, capsys):

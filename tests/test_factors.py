@@ -130,7 +130,7 @@ def test_geodesics_cap(lattice2):
 
 
 def _reference_geodesics(x, y):
-    """The search on elements: try every generator with step, keep it when
+    """The search on elements: try every generator's step, keep it when
     distance drops by one."""
     paths = []
 
@@ -138,8 +138,8 @@ def _reference_geodesics(x, y):
         if remaining == 0:
             paths.append(tuple(acc))
             return
-        for gen in x.spec.generators():
-            nxt = factors.step(cur, gen)
+        for gen in FactorSpace(x.spec).generators():
+            nxt = cur * gen.element
             if factors.distance(nxt, y) == remaining - 1:
                 rec(nxt, acc + [nxt], remaining - 1)
 

@@ -43,6 +43,78 @@ def test_ball_budget(zz):
         Ball.build(zz, 4, vertex_budget=50)
 
 
+def word_level_ball(space, radius, step):
+    """The ball built from whole vertices: spheres by ``step``, each in
+    ``sort_key`` order, then every vertex's steps looked up in the index."""
+    verts, dist = [space.identity()], [0]
+    seen, frontier = set(verts), verts
+    for level in range(1, radius + 1):
+        new = {step(v, gen) for v in frontier for gen in space.generators()} - seen
+        if not new:
+            break
+        frontier = sorted(new, key=space.sort_key)
+        seen |= new
+        verts += frontier
+        dist += [level] * len(frontier)
+    index = {w: i for i, w in enumerate(verts)}
+    adjacency = tuple(
+        tuple((gen.symbol, index.get(step(v, gen))) for gen in space.generators()) for v in verts
+    )
+    return verts, index, dist, adjacency
+
+
+def _oracle_spaces():
+    line_a, line_b = FactorSpec.integer_line("A", "x"), FactorSpec.integer_line("B", "y")
+    lattice = FactorSpec.integer_lattice("A", 2)
+    free = FactorSpec.free_group("A", 2, names=("p", "q"))
+    z2 = [FactorSpec.finite_table(i, [[0, 1], [1, 0]], [1], names=[n]) for i, n in (("A", "a"), ("B", "b"))]
+    z3 = FactorSpec.finite_table("B", [[(i + j) % 3 for j in range(3)] for i in range(3)], [1, 2], names=("s", "s_inv"))
+    z6 = FactorSpec.finite_table("A", [[(i + j) % 6 for j in range(6)] for i in range(6)], [1, 5], names=("s", "s_inv"))
+    return {
+        "zz-r5": (FreeProduct(line_a, line_b), 5),
+        "lattice-line-r3": (FreeProduct(lattice, line_b), 3),
+        "f2-line-r3": (FreeProduct(free, line_b), 3),
+        "z2z2-r5": (FreeProduct(*z2), 5),
+        "z-z3-r4": (FreeProduct(line_a, z3), 4),
+        "line-r5": (FactorSpace(line_a), 5),
+        "lattice-r4": (FactorSpace(lattice), 4),
+        "f2-r3": (FactorSpace(free), 3),
+        "z6-r5": (FactorSpace(z6), 5),  # past its last sphere, at radius 3
+    }
+
+
+@pytest.mark.parametrize("case", list(_oracle_spaces()))
+def test_build_matches_word_level_construction(case):
+    space, radius = _oracle_spaces()[case]
+    if isinstance(space, FreeProduct):
+        def step(w, gen):
+            return space.multiply(w, space.embed(gen.element))
+
+        def split(w):  # a word as its syllable prefix's index and last syllable
+            return index[space.word(w.syllables[:-1])], w.syllables[-1]
+    else:
+        step = space.step
+
+        def split(x):  # one syllable after the identity
+            return 0, x
+    verts, index, dist, adjacency = word_level_ball(space, radius, step)
+    ball = Ball.build(space, radius)
+    assert ball.vertices == verts
+    assert ball.index == index
+    assert ball.dist == dist
+    assert ball.adjacency == adjacency
+    assert (ball.parent[0], ball.last[0]) == (0, None)
+    assert [(ball.parent[i], ball.last[i]) for i in range(1, len(ball))] == [split(w) for w in verts[1:]]
+    assert ball.child == {(ball.parent[i], ball.last[i]): i for i in range(len(ball))}
+
+
+def test_vertex_budget_edge(zz):
+    assert len(Ball.build(zz, 5, vertex_budget=485)) == 485
+    with pytest.raises(BudgetExceeded) as exc:
+        Ball.build(zz, 5, vertex_budget=484)
+    assert str(exc.value) == "budget vertex_budget 484 exceeded: the ball needs at least 485 vertices"
+
+
 def test_ball_distances_certified(zz):
     ball = Ball.build(zz, 4)
     x = ball.index_of(zz.parse("x"))

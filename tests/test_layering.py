@@ -13,7 +13,9 @@ holds one in a ``weakref`` table.  The checks and the ball decide
 quasi-geodesic verdicts through ``morse``'s int bound, so they do no
 rational arithmetic of their own.  Closeness between factor geodesics is
 decided in ``morse`` alone: other modules call ``morse.factor_close``,
-never ``tree_close``.
+never ``tree_close``.  A ball reads its space through one named protocol,
+which both ``FreeProduct`` and ``FactorSpace`` define; a vertex's syllable
+prefix comes from the ball's own tables, never from the space.
 """
 
 import importlib
@@ -23,6 +25,7 @@ import re
 from pathlib import Path
 
 import morse_forge
+from morse_forge import FactorSpace, FreeProduct, graph
 
 SRC = Path(morse_forge.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -36,6 +39,11 @@ ADJACENCY = re.compile(r"\.adjacency\b")
 WEAKREF = re.compile(r"^\s*(import|from)\s+weakref\b")
 RATIONAL = re.compile(r"\b(Fraction|fractions)\b")
 TREE_CLOSE = re.compile(r"\btree_close\b")
+SPACE_READ = re.compile(r"\bspace\.(\w+)")
+SPLIT_LAST = re.compile(r"\bsplit_last\b")
+
+#: what a ball reads of its space
+BALL_SPACE = {"identity", "generators", "join", "first_geodesic", "sort_key", "format"}
 
 
 def _hits(pattern, paths):
@@ -81,6 +89,16 @@ def test_checks_and_graph_do_no_rational_arithmetic():
 
 def test_only_morse_calls_tree_close():
     assert _hits(TREE_CLOSE, [p for p in SRC.glob("*.py") if p.name != "morse.py"]) == []
+
+
+def test_ball_reads_one_space_protocol():
+    assert set(SPACE_READ.findall(inspect.getsource(graph.Ball))) == BALL_SPACE
+    for space in (FreeProduct, FactorSpace):
+        assert all(inspect.isfunction(space.__dict__.get(name)) for name in BALL_SPACE), space
+    # the factor enumeration alone steps, and only a single factor
+    assert set(SPACE_READ.findall((SRC / "graph.py").read_text(encoding="utf-8"))) == BALL_SPACE | {"step"}
+    assert "space.step" in inspect.getsource(graph.spheres) and inspect.isfunction(FactorSpace.step)
+    assert _hits(SPLIT_LAST, sorted(SRC.glob("*.py"))) == []
 
 
 def test_tracer_targets_resolve_to_plain_functions():
