@@ -351,7 +351,7 @@ def run_ray_merge(fp: FreeProduct, depth: int = 36, k_values=(1, 2, 3, 4), max_l
     changes no count and no verdict."""
     delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)  # distances are ints
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
-    realized = [rays.realize(a, depth, validate=False) for a in population]
+    realized = [rays.realize(a, depth) for a in population]
     ks = [k for k in k_values if depth >= 6 * k]
     instances = 0
     failures = []
@@ -384,24 +384,17 @@ def _deep_witnesses(a: rays.CombRay, j: int) -> list[rays.CombRay]:
     next_spec = fp.a if tail_spec == fp.b else fp.b
     if next_spec.has_boundary():
         for end in rays.standard_line(next_spec):
-            out.append(rays.CombRay(fp, rays.FINITE, a.syllables + (deep,), tail=end))
+            out.append(rays.CombRay(fp, a.syllables + (deep,), tail=end))
     first = next_spec.power(0, 1)
     second = tail_spec.power(0, 1)
-    out.append(
-        rays.CombRay(
-            fp,
-            rays.INFINITE,
-            a.syllables + (deep,),
-            repeat=(first, second),
-        )
-    )
+    out.append(rays.CombRay(fp, a.syllables + (deep,), repeat=(first, second)))
     return out
 
 
 def _extend_infinite(b: rays.CombRay) -> rays.CombRay:
     nxt = b.repeat[0]
     rotated = b.repeat[1:] + b.repeat[:1]
-    return rays.CombRay(b.fp, rays.INFINITE, b.syllables + (nxt,), repeat=rotated)
+    return rays.CombRay(b.fp, b.syllables + (nxt,), repeat=rotated)
 
 
 def run_v_system(
@@ -445,7 +438,7 @@ def run_v_system(
     # property 3, infinite centers: j = i + 1 and k = j
     sample = population[::sample_stride]
     for a in sample:
-        if a.kind != rays.INFINITE:
+        if not a.repeat:
             continue
         for i in i_values:
             j = i + 1
@@ -459,14 +452,14 @@ def run_v_system(
     # property 3, finite centers: j from the nesting constant
     deep_checked = 0
     for a in sample:
-        if a.kind != rays.FINITE:
+        if a.tail is None:
             continue
         for i in i_values:
             j = morse.nesting_constant(i, gauge)
             candidates = rays.CombIndex([a] + _deep_witnesses(a, j))
             for b in members(a, j, candidates):
-                k = j if b.kind == rays.FINITE else a.stored_length + 1
-                inner = [b] + (_deep_witnesses(b, j) if b.kind == rays.FINITE else [_extend_infinite(b)])
+                k = j if b.tail is not None else a.stored_length + 1
+                inner = [b] + (_deep_witnesses(b, j) if b.tail is not None else [_extend_infinite(b)])
                 for c in members(b, k, rays.CombIndex(inner)):
                     instances += 1
                     deep_checked += 1
@@ -486,20 +479,26 @@ def run_v_system(
 # -- round trip -------------------------------------------------------------------
 
 
-def run_phi_psi(fp: FreeProduct, max_len: int = 4, max_norm: int = 2, tail_depth: int = 4) -> dict:
-    population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm)
+#: phi-psi's population: rays of at most 4 syllables of norm at most 2,
+#: each realized 4 steps past its syllables
+PHI_PSI_MAX_LEN = 4
+PHI_PSI_MAX_NORM = 2
+PHI_PSI_TAIL_DEPTH = 4
+
+
+def run_phi_psi(fp: FreeProduct) -> dict:
+    population = rays.comb_population(fp, max_len=PHI_PSI_MAX_LEN, max_norm=PHI_PSI_MAX_NORM)
     instances = 0
     failures = []
     for a in population:
-        stored = sum(s.norm() for s in a.syllables)
-        depth = stored + tail_depth
+        depth = sum(s.norm() for s in a.syllables) + PHI_PSI_TAIL_DEPTH
         ray = rays.realize(a, depth)
         instances += 1
-        # the runs are read once, off the ray, and held against a; that
-        # covers every stable syllable
+        # the runs are read once, off the ray, by the certificate that it is
+        # a geodesic, and held against a; that covers every stable syllable
         try:
-            observed = rays.decompose(fp, ray)
-            rays.validate_against(fp, observed, a)
+            observed = rays.certify_geodesic(fp, ray)
+            rays.validate_against(observed, a)
         except ValueError as exc:
             failures.append({"a": a.text(), "reason": f"decompose: {exc}"})
             continue
@@ -507,7 +506,7 @@ def run_phi_psi(fp: FreeProduct, max_len: int = 4, max_norm: int = 2, tail_depth
             failures.append({"a": a.text(), "reason": "rebuild differs"})
     return _report(
         "phi-psi",
-        {"max_len": max_len, "max_norm": max_norm, "tail_depth": tail_depth},
+        {"max_len": PHI_PSI_MAX_LEN, "max_norm": PHI_PSI_MAX_NORM, "tail_depth": PHI_PSI_TAIL_DEPTH},
         instances,
         failures,
     )
@@ -516,10 +515,20 @@ def run_phi_psi(fp: FreeProduct, max_len: int = 4, max_norm: int = 2, tail_depth
 # -- matching reports ----------------------------------------------------------------
 
 
-def duality_report(state: matching.MatchState, k_values=(1, 2, 3)) -> dict:
+#: The depths k of duality and l of induced containment and continuity
+#: that a match report checks.
+MATCH_DEPTHS = (1, 2, 3)
+#: The induced-containment population, and the stride of its sample of
+#: infinite rays.
+CONTAINMENT_MAX_LEN = 3
+CONTAINMENT_MAX_NORM = 2
+CONTAINMENT_STRIDE = 7
+
+
+def duality_report(state: matching.MatchState) -> dict:
     gauge = state.gauge
     shift = morse.rational_ceil(4 * gauge.delta)
-    thresholds = [(k, morse.tracking_bound(gauge, k + shift)) for k in k_values]
+    thresholds = [(k, morse.tracking_bound(gauge, k + shift)) for k in MATCH_DEPTHS]
     checked = 0
     vacuous = 0
     failures = []
@@ -571,10 +580,10 @@ def bijectivity_report(state: matching.MatchState) -> dict:
     }
 
 
-def induced_containment_report(pm: matching.ProductMatching, l_values=(1, 2, 3), max_len: int = 3, max_norm: int = 2, sample_stride: int = 7) -> dict:
-    population = rays.comb_population(pm.fp1, max_len=max_len, max_norm=max_norm)
+def induced_containment_report(pm: matching.ProductMatching) -> dict:
+    population = rays.comb_population(pm.fp1, max_len=CONTAINMENT_MAX_LEN, max_norm=CONTAINMENT_MAX_NORM)
     index = rays.CombIndex(population)
-    infinite_sample = [a for a in population if a.kind == rays.INFINITE][::sample_stride]
+    infinite_sample = [a for a in population if a.repeat][::CONTAINMENT_STRIDE]
     gauge = pm.a.gauge
     instances = 0
     failures = []
@@ -590,7 +599,7 @@ def induced_containment_report(pm: matching.ProductMatching, l_values=(1, 2, 3),
 
     for a in infinite_sample:
         image_a = image(a)
-        for l in l_values:
+        for l in MATCH_DEPTHS:
             image_nbhd = rays.CombNeighborhood(image_a, l, gauge)
             for b in index.members(rays.CombNeighborhood(a, l, gauge)):
                 instances += 1
@@ -599,14 +608,7 @@ def induced_containment_report(pm: matching.ProductMatching, l_values=(1, 2, 3),
     return {"instances": instances, "sampled": len(infinite_sample), "failures": failures}
 
 
-def match_report(
-    pm: matching.ProductMatching,
-    duality_ks=(1, 2, 3),
-    containment_ls=(1, 2, 3),
-    continuity_ls=(1, 2, 3),
-    continuity_ball: int = 12,
-    continuity_k_max: int = 12,
-) -> dict:
+def match_report(pm: matching.ProductMatching, continuity_ball: int = 12, continuity_k_max: int = 12) -> dict:
     report: dict = {"pairs": {}}
     ok = True
     # a finite ball cannot refute continuity: an element leaves V_k(z) once
@@ -615,7 +617,7 @@ def match_report(
     settled = True
     for name, state in (("A", pm.a), ("B", pm.b)):
         bij = bijectivity_report(state)
-        dual = duality_report(state, duality_ks)
+        dual = duality_report(state)
         transcripts_ok = all(
             rec.get("certified", True) for rec in state.records if rec.get("branch") == "boundary"
         )
@@ -627,7 +629,7 @@ def match_report(
         if state.source.has_boundary():
             cont = {}
             for z in rays.standard_line(state.source):
-                for l in continuity_ls:
+                for l in MATCH_DEPTHS:
                     r = matching.check_continuity(
                         state, z, l, ball_norm=continuity_ball, k_max=continuity_k_max
                     )
@@ -641,7 +643,7 @@ def match_report(
         report["pairs"][name] = entry
         if not (bij["ok"] and transcripts_ok and not dual["failures"]):
             ok = False
-    containment = induced_containment_report(pm, containment_ls)
+    containment = induced_containment_report(pm)
     report["induced_containment"] = {
         "instances": containment["instances"],
         "failures": containment["failures"][:10],

@@ -48,13 +48,6 @@ class BudgetExceeded(Inconclusive):
 class PossiblyTruncated(Inconclusive):
     """The ball cannot certify that a distance or path family is fully inside it."""
 
-    def __init__(self, in_ball_distance=None, message: str = ""):
-        self.in_ball_distance = in_ball_distance
-        super().__init__(
-            message
-            or f"value {in_ball_distance} observed inside the ball cannot be certified exact"
-        )
-
 
 class GridMiss(Inconclusive):
     """A table gauge lacks a sample point required by a derived constant."""

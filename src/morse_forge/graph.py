@@ -364,10 +364,7 @@ class Ball:
     def enumerate_geodesics(self, u: int, v: int, cap: int | None = None) -> list[tuple[int, ...]]:
         """All geodesic paths u -> v, in deterministic generator order."""
         if not self.certified(u, v):
-            raise PossiblyTruncated(
-                self.in_ball_row(u)[v],
-                message="geodesics between these endpoints may leave the ball",
-            )
+            raise PossiblyTruncated("geodesics between these endpoints may leave the ball")
         # a geodesic is a walk of length d_in(u, v) without stationary steps
         return self._walks(u, v, self.in_ball_row(v)[u], cap, stay=False)
 
@@ -386,9 +383,7 @@ class Ball:
         try:
             return tuple(self.index[w] for w in words)
         except KeyError:
-            raise PossiblyTruncated(
-                message="the first geodesic between these endpoints leaves the ball"
-            ) from None
+            raise PossiblyTruncated("the first geodesic between these endpoints leaves the ball") from None
 
     def enumerate_paths(
         self, u: int, v: int, maxlen: int, cap: int | None = None

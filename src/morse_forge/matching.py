@@ -392,7 +392,7 @@ def induced_map(pm: ProductMatching, a: CombRay) -> CombRay:
     tail = None
     if a.tail is not None:
         tail = pm.state_for(a.tail.spec).homeo.apply(a.tail)
-    return CombRay(pm.fp2, a.kind, syllables, tail=tail, repeat=repeat)
+    return CombRay(pm.fp2, syllables, tail=tail, repeat=repeat)
 
 
 # -- verification reports ------------------------------------------------

@@ -23,9 +23,6 @@ from .errors import (
 )
 from .graph import Ball
 
-AFFINE = "affine"
-TABLE = "table"
-
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -39,34 +36,31 @@ def rational_ceil(x: Fraction) -> int:
 class Gauge:
     """A deviation bound, either affine in (lam, eps) or a finite table.
 
-    Table gauges record the ball radius at which their entries were
-    certified; claims made with them are scoped to that radius.
+    An affine gauge has ``coeffs``; a table gauge has none, only
+    ``entries``.  Table gauges record the ball radius at which their
+    entries were certified; claims made with them are scoped to that
+    radius.
     """
 
-    kind: str
     coeffs: tuple[Fraction, Fraction, Fraction] | None = None
     entries: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...] = ()
     certified_radius: int | None = None
 
     def __post_init__(self):
-        if self.kind == AFFINE:
-            if self.coeffs is None or any(c < 0 for c in self.coeffs):
-                raise ValueError("affine gauges need non-negative coefficients")
-        elif self.kind == TABLE:
-            for (lam, eps), bound in self.entries:
-                if lam < 1 or eps < 0 or bound < 0:
-                    raise ValueError("table entries need lam >= 1, eps >= 0, bound >= 0")
-            # monotone in both arguments wherever comparable
-            for (p1, b1) in self.entries:
-                for (p2, b2) in self.entries:
-                    if p1[0] <= p2[0] and p1[1] <= p2[1] and b1 > b2:
-                        raise ValueError(f"table not monotone between {p1} and {p2}")
-        else:
-            raise ValueError(f"unknown gauge kind {self.kind!r}")
+        if self.coeffs is not None and any(c < 0 for c in self.coeffs):
+            raise ValueError("affine gauges need non-negative coefficients")
+        for (lam, eps), bound in self.entries:
+            if lam < 1 or eps < 0 or bound < 0:
+                raise ValueError("table entries need lam >= 1, eps >= 0, bound >= 0")
+        # monotone in both arguments wherever comparable
+        for (p1, b1) in self.entries:
+            for (p2, b2) in self.entries:
+                if p1[0] <= p2[0] and p1[1] <= p2[1] and b1 > b2:
+                    raise ValueError(f"table not monotone between {p1} and {p2}")
 
     @classmethod
     def affine(cls, a, b, c) -> "Gauge":
-        return cls(AFFINE, coeffs=(_frac(a), _frac(b), _frac(c)))
+        return cls(coeffs=(_frac(a), _frac(b), _frac(c)))
 
     @classmethod
     def table(cls, entries, certified_radius: int | None = None) -> "Gauge":
@@ -75,11 +69,11 @@ class Gauge:
         normalized = tuple(
             sorted(((_frac(l), _frac(e)), _frac(v)) for (l, e), v in entries)
         )
-        return cls(TABLE, entries=normalized, certified_radius=certified_radius)
+        return cls(entries=normalized, certified_radius=certified_radius)
 
     def value(self, lam, eps) -> Fraction:
         lam, eps = _frac(lam), _frac(eps)
-        if self.kind == AFFINE:
+        if self.coeffs is not None:
             a, b, c = self.coeffs
             return a * lam + b * eps + c
         for point, bound in self.entries:
@@ -88,7 +82,7 @@ class Gauge:
         raise GridMiss(f"table gauge has no entry at ({lam}, {eps})")
 
     def key(self) -> str:
-        if self.kind == AFFINE:
+        if self.coeffs is not None:
             a, b, c = self.coeffs
             return f"affine:{a}:{b}:{c}"
         body = ",".join(f"({l},{e})={v}" for (l, e), v in self.entries)

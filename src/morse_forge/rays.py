@@ -16,19 +16,15 @@ from . import factors, morse
 from .errors import NoLine
 from .words import FreeProduct, Word
 
-FINITE = "finite"
-INFINITE = "infinite"
 
-
-def certify_geodesic(fp: FreeProduct, vertices) -> None:
-    """Raise ValueError unless the vertices v_0, ..., v_D form a geodesic
-    from the identity.
+def certify_geodesic(fp: FreeProduct, vertices) -> tuple[factors.FactorElement, ...]:
+    """The runs of the vertices v_0, ..., v_D (``decompose``); raise
+    ValueError unless they form a geodesic from the identity.
 
     Three tests decide it: v_0 = e, every step is an edge, and |v_D| = D.
     Along unit steps |v_t| <= t and |v_D| <= |v_t| + (D - t), so |v_D| = D
-    forces |v_t| = t at every t.  An edge is a step whose prev^-1 cur is
-    one syllable of norm 1 (``_step``), read off the shared syllable
-    prefixes that ``realize`` builds.
+    forces |v_t| = t at every t.  The edges are tested by the one
+    ``decompose`` pass that reads the runs.
     """
     e = fp.identity()
     depth = len(vertices) - 1
@@ -36,10 +32,7 @@ def certify_geodesic(fp: FreeProduct, vertices) -> None:
         d = fp.distance(e, vertices[t])
         if d != t:
             raise ValueError(f"vertex {t} is at distance {d}, not {t}")
-    for t in range(1, len(vertices)):
-        s = _step(vertices[t - 1].syllables, vertices[t].syllables)
-        if s is None or s.norm() != 1:
-            raise ValueError(f"step {t} is not an edge")
+    return decompose(fp, vertices)
 
 
 def standard_line(spec: factors.FactorSpec):
@@ -90,13 +83,12 @@ class CombRay:
     Syllable positions are 1-based; odd positions belong to the first
     factor, even positions to the second.  Only the first syllable may be
     the identity (it absorbs rays that start in the second factor).
-    Finite kind carries a boundary direction of the factor after the last
-    syllable; infinite kind carries the periodic block that continues its
-    syllables.
+    A finite one carries the ``tail``, a boundary direction of the factor
+    after the last syllable; an infinite one carries the periodic
+    ``repeat`` block that continues its syllables.
     """
 
     fp: FreeProduct
-    kind: str
     syllables: tuple[factors.FactorElement, ...]
     tail: factors.BoundaryPoint | None = None
     repeat: tuple[factors.FactorElement, ...] = ()
@@ -109,26 +101,16 @@ class CombRay:
             if s.is_identity() and pos != 1:
                 raise ValueError("only the first syllable may be the identity")
         n = len(self.syllables)
-        if self.kind == FINITE:
-            if self.tail is None:
-                raise ValueError("finite combinatorial geodesics need a tail direction")
-            if self.repeat:
-                raise ValueError("finite combinatorial geodesics have no repeat block")
-            if self.tail.spec != self._position_spec(n + 1):
-                raise ValueError("tail factor must alternate with the last syllable")
-        elif self.kind == INFINITE:
-            if self.tail is not None:
-                raise ValueError("infinite combinatorial geodesics have no tail")
-            if not self.repeat:
-                raise ValueError("infinite combinatorial geodesics need a repeat block")
-            if len(self.repeat) % 2:
-                raise ValueError("repeat block must have even length to keep alternation")
-            for j, s in enumerate(self.repeat):
-                expected = self._position_spec(n + 1 + j)
-                if s.spec != expected or s.is_identity():
-                    raise ValueError("repeat block must alternate non-trivial syllables")
-        else:
-            raise ValueError(f"unknown combinatorial kind {self.kind!r}")
+        if (self.tail is None) == (not self.repeat):
+            raise ValueError("a combinatorial geodesic needs exactly one of a tail and a repeat block")
+        if self.tail is not None and self.tail.spec != self._position_spec(n + 1):
+            raise ValueError("tail factor must alternate with the last syllable")
+        if len(self.repeat) % 2:
+            raise ValueError("repeat block must have even length to keep alternation")
+        for j, s in enumerate(self.repeat):
+            expected = self._position_spec(n + 1 + j)
+            if s.spec != expected or s.is_identity():
+                raise ValueError("repeat block must alternate non-trivial syllables")
 
     def _position_spec(self, pos: int) -> factors.FactorSpec:
         return self.fp.a if pos % 2 else self.fp.b
@@ -143,38 +125,33 @@ class CombRay:
         """Syllable at a 1-based position, consulting the repeat block."""
         if pos <= len(self.syllables):
             return self.syllables[pos - 1]
-        if self.kind == INFINITE:
+        if self.repeat:
             return self.repeat[(pos - len(self.syllables) - 1) % len(self.repeat)]
         return None
 
     def text(self) -> str:
         body = " | ".join(map(repr, self.syllables)) or "e"
-        if self.kind == FINITE:
+        if self.tail is not None:
             return f"{body} ; tail={self.tail.format()}"
         return f"{body} ; repeat={' | '.join(map(repr, self.repeat))}"
 
 
-def realize(a: CombRay, depth: int, validate: bool = True) -> tuple[Word, ...]:
+def realize(a: CombRay, depth: int) -> tuple[Word, ...]:
     """Concatenate canonical per-syllable geodesics into the vertex ray
     v_0, ..., v_depth.
 
     Factor geodesics are chosen lexicographically-first (unique in tree
-    factors); the result is certified to be a geodesic unless disabled.
+    factors).  The ray is spelled, not certified: ``certify_geodesic``
+    tests it.
     """
-    syllables = a.syllables
-    if a.kind == INFINITE:
-        syllables = itertools.chain(syllables, itertools.cycle(a.repeat))
-    verts = spell(a.fp, syllables, depth)
+    verts = spell(a.fp, itertools.chain(a.syllables, itertools.cycle(a.repeat)), depth)
     if len(verts) <= depth:
-        # the finite kind's syllables ran out; its last vertex is the
-        # product of them all, and the tail's factor alternates with it
+        # a finite ray's syllables ran out; its last vertex is the product
+        # of them all, and the tail's factor alternates with it
         base = verts[-1].syllables
         for elt in a.tail.realization(depth - len(verts) + 1)[1:]:
             verts.append(Word(base + (elt,)))
-    ray = tuple(verts)
-    if validate:
-        certify_geodesic(a.fp, ray)
-    return ray
+    return tuple(verts)
 
 
 def spell(fp: FreeProduct, syllables, depth: int) -> list[Word]:
@@ -202,14 +179,15 @@ def decompose(fp: FreeProduct, vertices) -> tuple[factors.FactorElement, ...]:
     """Split a vertex ray into its maximal same-factor runs, the last of
     which may still grow.  A leading identity of the first factor keeps
     the 1-based syllable positions when the ray starts in the second.
-    Raises ValueError unless each step is one generator and no run
-    cancels.  ``validate_against`` holds the runs against the
-    combinatorial geodesic they came from."""
+    Raises ValueError unless each step is an edge (prev^-1 cur is one
+    syllable of norm 1, ``_step``) and no run cancels.
+    ``validate_against`` holds the runs against the combinatorial
+    geodesic they came from."""
     runs: list[factors.FactorElement] = []
-    for prev, cur in zip(vertices, vertices[1:]):
-        s = _step(prev.syllables, cur.syllables)
+    for t in range(1, len(vertices)):
+        s = _step(vertices[t - 1].syllables, vertices[t].syllables)
         if s is None or s.norm() != 1:
-            raise ValueError("consecutive ray vertices must differ by one generator")
+            raise ValueError(f"step {t} is not an edge")
         if runs and runs[-1].factor == s.factor:
             runs[-1] = runs[-1] * s
             if runs[-1].is_identity():
@@ -242,7 +220,7 @@ def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
     return None
 
 
-def validate_against(fp: FreeProduct, observed, a: CombRay) -> None:
+def validate_against(observed, a: CombRay) -> None:
     """Raise ValueError unless the runs ``observed`` off a truncated ray
     agree with the combinatorial geodesic ``a`` it realizes: every stable
     run equals its syllable, and the growing last run is a prefix of its
@@ -265,7 +243,7 @@ def validate_against(fp: FreeProduct, observed, a: CombRay) -> None:
         )
         if not (ok_full or ok_prefix):
             raise ValueError(f"observed syllable {pos} is not a prefix of the source syllable")
-    elif a.kind == FINITE and pos == a.stored_length + 1:
+    elif a.tail is not None and pos == a.stored_length + 1:
         if a.tail.realization(last.norm())[-1] != last:
             raise ValueError("growing run is not a prefix of the source tail")
     else:
@@ -296,7 +274,7 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
     a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
     if a.fp != b.fp:
         raise ValueError("combinatorial geodesics over different products")
-    if a.kind == INFINITE:
+    if a.repeat:
         for i in range(1, k + 1):
             if b.syllable_at(i) != a.syllable_at(i):
                 return False
@@ -311,7 +289,7 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
 def _tail_key(b: CombRay, la: int):
     """What a finite center of ``la`` syllables holds against its tail:
     b's next syllable when b is longer, otherwise b's own tail."""
-    if b.kind == INFINITE or b.stored_length > la:
+    if b.repeat or b.stored_length > la:
         return b.syllable_at(la + 1)
     return b.tail
 
@@ -343,7 +321,7 @@ class CombIndex:
         if table is None:
             table = self._buckets[k] = {}
             for b in self.population:
-                if b.kind == INFINITE or b.stored_length >= k:
+                if b.repeat or b.stored_length >= k:
                     prefix = tuple(b.syllable_at(i) for i in range(1, k + 1))
                     table.setdefault(prefix, []).append(b)
         return table.get(key, [])
@@ -352,7 +330,7 @@ class CombIndex:
         a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
         if self.population and a.fp != self.fp:
             raise ValueError("combinatorial geodesics over different products")
-        if a.kind == INFINITE:
+        if a.repeat:
             return self._bucket(tuple(a.syllable_at(i) for i in range(1, k + 1)))
         la = a.stored_length
         return [
@@ -370,8 +348,8 @@ def comb_population(
     max_infinite_prefix: int = 2,
 ) -> list[CombRay]:
     """Deterministic population of combinatorial geodesics for exhaustive
-    checks: all finite kinds up to the given syllable count and norms,
-    plus periodic infinite kinds with a block of two norm-one syllables."""
+    checks: all finite ones up to the given syllable count and norms,
+    plus periodic infinite ones with a block of two norm-one syllables."""
 
     def elements(spec, include_identity):
         out = [spec.identity()] if include_identity else []
@@ -399,12 +377,12 @@ def comb_population(
         if tail_spec.has_boundary():
             for combo in prefixes(n):
                 for tail in standard_line(tail_spec):
-                    population.append(CombRay(fp, FINITE, combo, tail=tail))
+                    population.append(CombRay(fp, combo, tail=tail))
     for n in range(0, max_infinite_prefix + 1):
         first = [x for x in elements(spec_at(n + 1), False) if x.norm() <= 1]
         second = [x for x in elements(spec_at(n + 2), False) if x.norm() <= 1]
         blocks = list(itertools.product(first, second))
         for combo in prefixes(n):
             for block in blocks:
-                population.append(CombRay(fp, INFINITE, combo, repeat=block))
+                population.append(CombRay(fp, combo, repeat=block))
     return population

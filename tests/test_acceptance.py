@@ -79,7 +79,7 @@ def test_criterion_4_closed_form_constants():
 
 
 def test_criterion_5_round_trip():
-    report = checks.run_phi_psi(_zz(), max_len=4, max_norm=2, tail_depth=4)
+    report = checks.run_phi_psi(_zz())
     ok = report["status"] == "pass"
     _verdict(5, ok, f"{report['instances']} combinatorial geodesics round-tripped, 0 failures")
 

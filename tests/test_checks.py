@@ -519,7 +519,7 @@ def _ray_merge_reference(fp, depth=36, k_values=(1, 2, 3, 4), max_len=2, max_nor
     """Reference ray-merge report, taking every pair's whole profile."""
     delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
-    realized = [rays.realize(a, depth, validate=False) for a in population]
+    realized = [rays.realize(a, depth) for a in population]
     instances = 0
     failures = []
     for ai in range(len(realized)):
@@ -617,7 +617,7 @@ def test_duality_nonvacuous_long_run():
     for _ in range(100):
         state.step(1)
         state.step(2)
-    rep = checks.duality_report(state, k_values=(1, 2, 3))
+    rep = checks.duality_report(state)
     assert rep["checked"] > 0
     assert not rep["failures"]
 

@@ -392,6 +392,26 @@ def test_phi_psi_can_fail(tmp_path, capsys, monkeypatch):
     assert (report["instances"], report["counterexample_count"]) == (956, 954)
 
 
+def test_phi_psi_records_a_broken_certificate(tmp_path, capsys, monkeypatch):
+    # a spelling that steps back to e at vertex 2 of every ray longer than
+    # 3: the certificate refuses those rays, and the check records them
+    # (the rays spelled shorter fail their rebuild instead)
+    spell = rays.spell
+
+    def stepping_back(fp, syllables, depth):
+        verts = spell(fp, syllables, depth)
+        if len(verts) > 3:
+            verts[2] = verts[0]
+        return verts
+
+    monkeypatch.setattr(rays, "spell", stepping_back)
+    code, _out, _err = run_cli(["--out", str(tmp_path), "check", "phi-psi"], capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "check-phi-psi.json").read_text())
+    assert report["status"] == "fail"
+    assert (report["instances"], report["counterexample_count"]) == (956, 956)
+
+
 def test_vertex_budget_binds_on_check_balls(tmp_path, capsys):
     # Z*Z at radius 10 has 118,097 vertices; the budget stops the ball early
     cfg = write_config(tmp_path, budgets={"vertex_budget": 1000})
@@ -790,7 +810,7 @@ def test_malformed_config_shapes_are_usage_errors(tmp_path, capsys, overrides, m
 def test_concat_ball_too_small_exit_code(tmp_path, capsys, monkeypatch):
     # a joining geodesic that leaves the ball exhausts the ball_radius budget
     def truncated(ball, u, v):
-        raise PossiblyTruncated(message="the first geodesic between these endpoints leaves the ball")
+        raise PossiblyTruncated("the first geodesic between these endpoints leaves the ball")
 
     monkeypatch.setattr(graph.Ball, "first_geodesic", truncated)
     cfg = write_config(tmp_path, budgets={"ball_radius": 2})

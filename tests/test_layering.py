@@ -15,7 +15,9 @@ rational arithmetic of their own.  Closeness between factor geodesics is
 decided in ``morse`` alone: other modules call ``morse.factor_close``,
 never ``tree_close``.  A ball reads its space through one named protocol,
 which both ``FreeProduct`` and ``FactorSpace`` define; a vertex's syllable
-prefix comes from the ball's own tables, never from the space.
+prefix comes from the ball's own tables, never from the space.  A
+combinatorial geodesic or a gauge carries no kind tag: its data say
+whether it is finite or affine.
 """
 
 import importlib
@@ -25,7 +27,7 @@ import re
 from pathlib import Path
 
 import morse_forge
-from morse_forge import FactorSpace, FreeProduct, graph
+from morse_forge import FactorSpace, FreeProduct, graph, matching
 
 SRC = Path(morse_forge.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -41,6 +43,7 @@ RATIONAL = re.compile(r"\b(Fraction|fractions)\b")
 TREE_CLOSE = re.compile(r"\btree_close\b")
 SPACE_READ = re.compile(r"\bspace\.(\w+)")
 SPLIT_LAST = re.compile(r"\bsplit_last\b")
+KIND_TAG = re.compile(r"\.kind\b|^\s*kind\s*[:=]|\b(FINITE|INFINITE|AFFINE|TABLE)\b")
 
 #: what a ball reads of its space
 BALL_SPACE = {"identity", "generators", "join", "first_geodesic", "sort_key", "format"}
@@ -89,6 +92,16 @@ def test_checks_and_graph_do_no_rational_arithmetic():
 
 def test_only_morse_calls_tree_close():
     assert _hits(TREE_CLOSE, [p for p in SRC.glob("*.py") if p.name != "morse.py"]) == []
+
+
+def test_rays_and_gauges_carry_no_kind_tag():
+    # a ray with a tail is finite and one with a repeat block infinite; a
+    # gauge with coefficients is affine.  Of these modules, only BoundaryHomeo
+    # compares factor kinds, as it validates a configured rule
+    lines, start = inspect.getsourcelines(matching.BoundaryHomeo.__post_init__)
+    validation = {f"matching.py:{start + i}: {line.strip()}" for i, line in enumerate(lines)}
+    hits = _hits(KIND_TAG, [SRC / f"{name}.py" for name in ("rays", "checks", "morse", "matching")])
+    assert [h for h in hits if h not in validation] == []
 
 
 def test_ball_reads_one_space_protocol():

@@ -313,12 +313,12 @@ def test_induced_map_lookup_and_tail_flip():
     hb = BoundaryHomeo(fp1.b, fp2.b, "identity")
     pm = run_matching(fp1, fp2, ha, hb, rounds=3)
     x1 = fp1.a.make_element(1)
-    a = rays.CombRay(fp1, rays.FINITE, (x1,), tail=BoundaryPoint.line_end(fp1.b, 1))
+    a = rays.CombRay(fp1, (x1,), tail=BoundaryPoint.line_end(fp1.b, 1))
     img = induced_map(pm, a)
     assert img.fp == fp2
     assert img.syllables == (fp2.a.make_element(-1),)
     assert img.tail.sign == 1  # second-factor homeomorphism is the identity
-    b = rays.CombRay(fp1, rays.FINITE, (), tail=BoundaryPoint.line_end(fp1.a, 1))
+    b = rays.CombRay(fp1, (), tail=BoundaryPoint.line_end(fp1.a, 1))
     assert induced_map(pm, b).tail.sign == -1  # first-factor tail flips
 
 
@@ -326,7 +326,7 @@ def test_induced_map_extends_on_demand():
     fp1, fp2 = _zz_pair()
     pm = run_matching(fp1, fp2, *_homeos(fp1, fp2), rounds=1)
     deep = fp1.a.make_element(9)
-    a = rays.CombRay(fp1, rays.FINITE, (deep,), tail=BoundaryPoint.line_end(fp1.b, 1))
+    a = rays.CombRay(fp1, (deep,), tail=BoundaryPoint.line_end(fp1.b, 1))
     img = induced_map(pm, a)
     assert img.syllables[0] == fp2.a.make_element(9)
     # rounds were appended, so the alternation invariant still holds
@@ -339,9 +339,9 @@ def test_induced_map_truncated_infinite():
     fp1, fp2 = _zz_pair()
     pm = run_matching(fp1, fp2, *_homeos(fp1, fp2), rounds=2)
     x1, y1 = fp1.a.make_element(1), fp1.b.make_element(1)
-    a = rays.CombRay(fp1, rays.INFINITE, (x1, y1), repeat=(x1, y1))
+    a = rays.CombRay(fp1, (x1, y1), repeat=(x1, y1))
     img = induced_map(pm, a)
-    assert img.kind == rays.INFINITE and len(img.syllables) == 2 and len(img.repeat) == 2
+    assert img.tail is None and len(img.syllables) == 2 and len(img.repeat) == 2
 
 
 def test_free_factor_targets_lie_on_image_rays():

@@ -108,14 +108,14 @@ def test_corresponding_ray_tracks_realizations(line_a, free2):
 
 
 def test_realize_infinite(zz):
-    a = CombRay(zz, rays.INFINITE, (zz.a.make_element(1), zz.b.make_element(1)),
+    a = CombRay(zz, (zz.a.make_element(1), zz.b.make_element(1)),
                 repeat=(zz.a.make_element(1), zz.b.make_element(1)))
     ray = realize(a, 4)
     assert [zz.format(v) for v in ray] == ["e", "x", "x y", "x y x", "x y x y"]
 
 
 def test_realize_finite_tail(zz):
-    a = CombRay(zz, rays.FINITE, (zz.a.make_element(1), zz.b.make_element(1)),
+    a = CombRay(zz, (zz.a.make_element(1), zz.b.make_element(1)),
                 tail=BoundaryPoint.line_end(zz.a, 1))
     ray = realize(a, 4)
     assert [zz.format(v) for v in ray] == ["e", "x", "x y", "x y x", "x y x^2"]
@@ -124,7 +124,7 @@ def test_realize_finite_tail(zz):
 def test_infinite_needs_repeat_block(zz):
     # a combinatorial geodesic is whole: its syllables never run out
     with pytest.raises(ValueError, match="repeat block"):
-        CombRay(zz, rays.INFINITE, (zz.a.make_element(1), zz.b.make_element(1)))
+        CombRay(zz, (zz.a.make_element(1), zz.b.make_element(1)))
 
 
 def test_decompose_reads_runs(zz):
@@ -144,7 +144,7 @@ def test_roundtrip_population(zz):
     for a in comb_population(zz, max_len=3, max_norm=2):
         depth = sum(s.norm() for s in a.syllables) + 3
         ray = realize(a, depth)
-        rays.validate_against(zz, decompose(zz, ray), a)
+        rays.validate_against(rays.certify_geodesic(zz, ray), a)
 
 
 def _realize_reference(a, depth):
@@ -163,7 +163,7 @@ def _realize_reference(a, depth):
                 break
             verts.append(fp.multiply(base, fp.embed(elt)))
         base = fp.multiply(base, fp.embed(s))
-    if len(verts) <= depth and a.kind == rays.FINITE:
+    if len(verts) <= depth and a.tail is not None:
         for elt in a.tail.realization(depth - len(verts) + 1)[1:]:
             verts.append(fp.multiply(base, fp.embed(elt)))
     return tuple(verts[: depth + 1])
@@ -172,10 +172,10 @@ def _realize_reference(a, depth):
 def _decompose_reference(fp, vertices):
     """Reference ``decompose``: each step is prev^-1 cur."""
     runs = []
-    for prev, cur in zip(vertices, vertices[1:]):
-        q = fp.multiply(fp.inverse(prev), cur)
+    for t in range(1, len(vertices)):
+        q = fp.multiply(fp.inverse(vertices[t - 1]), vertices[t])
         if len(q.syllables) != 1 or q.syllables[0].norm() != 1:
-            raise ValueError("consecutive ray vertices must differ by one generator")
+            raise ValueError(f"step {t} is not an edge")
         s = q.syllables[0]
         if runs and runs[-1].factor == s.factor:
             runs[-1] = runs[-1] * s
@@ -273,7 +273,7 @@ def test_certify_matches_reference(name):
     gens = [fp.embed(g.element) for g in fp.generators()]
     verdicts = set()
     for a in comb_population(fp):
-        verts = realize(a, sum(s.norm() for s in a.syllables) + 2, validate=False)
+        verts = realize(a, sum(s.norm() for s in a.syllables) + 2)
         paths = [verts]
         for t, v in enumerate(verts):
             for g in gens:
@@ -281,7 +281,7 @@ def test_certify_matches_reference(name):
                 if t:
                     paths.append(verts[:t] + (fp.multiply(verts[t - 1], g),) + verts[t + 1 :])
         for path in paths:
-            ok = _outcome(rays.certify_geodesic, fp, path) is None
+            ok = _outcome(rays.certify_geodesic, fp, path)[:1] != ("raises",)
             assert ok == (_outcome(_reference_certify, fp, path) is None), [repr(v) for v in path]
             verdicts.add(ok)
     assert verdicts == {True, False}
@@ -296,8 +296,8 @@ def test_comb_neighborhood_center_in_itself(zz):
 
 def test_comb_neighborhood_infinite_prefix_agreement(zz):
     x1, y1 = zz.a.make_element(1), zz.b.make_element(1)
-    a = CombRay(zz, rays.INFINITE, (x1, y1), repeat=(x1, y1))
-    b = CombRay(zz, rays.INFINITE, (x1, y1, zz.a.make_element(-2)), repeat=(y1, x1))
+    a = CombRay(zz, (x1, y1), repeat=(x1, y1))
+    b = CombRay(zz, (x1, y1, zz.a.make_element(-2)), repeat=(y1, x1))
     nb = CombNeighborhood(a, 2, CANONICAL_TREE_GAUGE)
     assert comb_neighborhood_member(nb, b)
     assert not comb_neighborhood_member(CombNeighborhood(a, 3, CANONICAL_TREE_GAUGE), b)
@@ -307,8 +307,8 @@ def test_comb_neighborhood_opposite_tails_split(zz):
     x1 = zz.a.make_element(1)
     plus = BoundaryPoint.line_end(zz.b, 1)
     minus = BoundaryPoint.line_end(zz.b, -1)
-    a = CombRay(zz, rays.FINITE, (x1,), tail=plus)
-    b = CombRay(zz, rays.FINITE, (x1,), tail=minus)
+    a = CombRay(zz, (x1,), tail=plus)
+    b = CombRay(zz, (x1,), tail=minus)
     assert comb_neighborhood_member(CombNeighborhood(a, 2, CANONICAL_TREE_GAUGE), b)
     assert not comb_neighborhood_member(CombNeighborhood(a, 3, CANONICAL_TREE_GAUGE), b)
 
@@ -317,11 +317,11 @@ def test_comb_neighborhood_next_syllable_depth(zz):
     # a longer candidate needs its next syllable deep along the tail ray
     x1 = zz.a.make_element(1)
     plus = BoundaryPoint.line_end(zz.b, 1)
-    a = CombRay(zz, rays.FINITE, (x1,), tail=plus)
+    a = CombRay(zz, (x1,), tail=plus)
     k = 3
-    good = CombRay(zz, rays.FINITE, (x1, zz.b.make_element(k)), tail=BoundaryPoint.line_end(zz.a, 1))
-    shallow = CombRay(zz, rays.FINITE, (x1, zz.b.make_element(2)), tail=BoundaryPoint.line_end(zz.a, 1))
-    wrong_side = CombRay(zz, rays.FINITE, (x1, zz.b.make_element(-k)), tail=BoundaryPoint.line_end(zz.a, 1))
+    good = CombRay(zz, (x1, zz.b.make_element(k)), tail=BoundaryPoint.line_end(zz.a, 1))
+    shallow = CombRay(zz, (x1, zz.b.make_element(2)), tail=BoundaryPoint.line_end(zz.a, 1))
+    wrong_side = CombRay(zz, (x1, zz.b.make_element(-k)), tail=BoundaryPoint.line_end(zz.a, 1))
     nb = CombNeighborhood(a, k, CANONICAL_TREE_GAUGE)
     assert comb_neighborhood_member(nb, good)
     assert not comb_neighborhood_member(nb, shallow)
@@ -338,11 +338,11 @@ def test_comb_text_forms(zz):
     x, y = zz.a.power(0, 1), zz.b.power(0, 1)
     a_plus, b_minus = standard_line(zz.a)[0], standard_line(zz.b)[1]
     samples = [
-        (CombRay(zz, "finite", (x, y), tail=a_plus), "x | y ; tail=+inf"),
-        (CombRay(zz, "finite", (x * x, y.inverse(), x), tail=b_minus), "x^2 | y^-1 | x ; tail=-inf"),
-        (CombRay(zz, "finite", (zz.a.identity(), y), tail=a_plus), "e | y ; tail=+inf"),
-        (CombRay(zz, "finite", (), tail=a_plus), "e ; tail=+inf"),
-        (CombRay(zz, "infinite", (x, y), repeat=(x, y)), "x | y ; repeat=x | y"),
+        (CombRay(zz, (x, y), tail=a_plus), "x | y ; tail=+inf"),
+        (CombRay(zz, (x * x, y.inverse(), x), tail=b_minus), "x^2 | y^-1 | x ; tail=-inf"),
+        (CombRay(zz, (zz.a.identity(), y), tail=a_plus), "e | y ; tail=+inf"),
+        (CombRay(zz, (), tail=a_plus), "e ; tail=+inf"),
+        (CombRay(zz, (x, y), repeat=(x, y)), "x | y ; repeat=x | y"),
     ]
     for a, text in samples:
         assert a.text() == text
@@ -351,7 +351,7 @@ def test_comb_text_forms(zz):
 def test_comb_text_free_tail(free2):
     fp = rays.FreeProduct(free2, FactorSpec.integer_line("B", "t"))
     tail = BoundaryPoint.make(free2, ((1, 1),), ((0, 1),))
-    a = CombRay(fp, "finite", (free2.power(0, 1), fp.b.power(0, 1)), tail=tail)
+    a = CombRay(fp, (free2.power(0, 1), fp.b.power(0, 1)), tail=tail)
     assert a.tail.prefix == ((1, 1),) and a.tail.block == ((0, 1),)
     assert a.text() == "x | t ; tail=y~x"
 
