@@ -196,6 +196,8 @@ class MatchState:
         self._enum_tgt = _Enumeration(enumerations[1])
         # per image direction, its ray as read so far
         self._image_rays: dict[factors.BoundaryPoint, _Enumeration] = {}
+        # per direction of either factor, its image (``image``)
+        self._images: dict[factors.BoundaryPoint, factors.BoundaryPoint] = {}
         self.steps_taken = 0
 
     # -- core step --------------------------------------------------------
@@ -210,11 +212,9 @@ class MatchState:
         if side == 1:
             init_spec, init_enum, init_matched = self.source, self._enum_src, self.forward
             other_enum, other_matched = self._enum_tgt, self.backward
-            homeo_dir, homeo_back = self.homeo, self.homeo_inverse
         else:
             init_spec, init_enum, init_matched = self.target, self._enum_tgt, self.backward
             other_enum, other_matched = self._enum_src, self.forward
-            homeo_dir, homeo_back = self.homeo_inverse, self.homeo
         x = init_enum.next_unmatched(init_matched)
         if x is None:
             return {}
@@ -232,8 +232,8 @@ class MatchState:
         t = morse.nesting_constant(cr.merge_depth, self.gauge)
         if t > self.ray_depth:
             raise DepthBudgetExceeded(f"budget ray_depth {self.ray_depth} exceeded: certification needs depth {t}")
-        z_img = homeo_dir.apply(cr.direction)
-        chosen = self._scan(z_img, other_matched, homeo_back, cr.direction, t)
+        z_img = self.image(cr.direction)
+        chosen = self._scan(z_img, other_matched, cr.direction, t)
         if chosen is None:
             raise DepthBudgetExceeded(
                 f"budget index_scan {self.index_scan} exhausted: no admissible unmatched candidate"
@@ -255,7 +255,7 @@ class MatchState:
         self._commit(side, x, y, record, init_direction=cr.direction, target_direction=z_img)
         return record
 
-    def _scan(self, z_img, other_matched, homeo_back, lam_x, t):
+    def _scan(self, z_img, other_matched, lam_x, t):
         """The first unmatched vertex of z_img's ray, at index 1 to
         ``index_scan``, whose own ray pulled back stays close to lam_x up
         to depth t, as (index, vertex, worst); None if there is none.
@@ -275,13 +275,23 @@ class MatchState:
         for i in range(ray.cursor, self.index_scan + 1):
             cand = ray.get(i)
             if cand not in other_matched:
-                back = homeo_back.apply(corresponding_ray(cand.spec, cand).direction)
+                back = self.image(corresponding_ray(cand.spec, cand).direction)
                 ok, worst = self._tracks(back, lam_x, t)
                 if ok:
                     return i, cand, worst
             if i == ray.cursor:
                 ray.cursor += 1
         return None
+
+    def image(self, z: factors.BoundaryPoint) -> factors.BoundaryPoint:
+        """The image of a source direction under the homeo, or of a target
+        direction under its inverse.  The two factors' ids differ, so z's
+        factor says which; each direction is mapped once per state."""
+        img = self._images.get(z)
+        if img is None:
+            homeo = self.homeo if z.spec == self.source else self.homeo_inverse
+            img = self._images[z] = homeo.apply(z)
+        return img
 
     def _tracks(self, back: factors.BoundaryPoint, lam_x: factors.BoundaryPoint, t: int):
         """Whether the two rays stay close up to depth t, and the largest
@@ -391,7 +401,7 @@ def induced_map(pm: ProductMatching, a: CombRay) -> CombRay:
     repeat = tuple(map_syllable(s) for s in a.repeat)
     tail = None
     if a.tail is not None:
-        tail = pm.state_for(a.tail.spec).homeo.apply(a.tail)
+        tail = pm.state_for(a.tail.spec).image(a.tail)
     return CombRay(pm.fp2, syllables, tail=tail, repeat=repeat)
 
 
@@ -414,7 +424,7 @@ def check_continuity(
     """
     if z.spec != state.source:
         raise ValueError("direction does not belong to the source factor")
-    z_img = state.homeo.apply(z)
+    z_img = state.image(z)
     candidates = []
     for x in iterate_elements(state.source):
         if x.norm() > ball_norm:

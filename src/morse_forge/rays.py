@@ -130,35 +130,74 @@ class CombRay:
         return None
 
     def text(self) -> str:
+        """A text that tells apart any two rays of one product.  A line's
+        directions print as bare signs, and an empty syllable tuple prints
+        as ``e`` like a leading identity, so the tail names its factor."""
         body = " | ".join(map(repr, self.syllables)) or "e"
         if self.tail is not None:
-            return f"{body} ; tail={self.tail.format()}"
+            return f"{body} ; tail={self.tail.spec.id}:{self.tail.format()}"
         return f"{body} ; repeat={' | '.join(map(repr, self.repeat))}"
 
 
-def realize(a: CombRay, depth: int) -> tuple[Word, ...]:
+class Spellings:
+    """The pure factor-level spellings of one run, each made once and read
+    from this table after: the canonical factor geodesic of a syllable, and
+    a tail direction's realization of a given length.
+
+    A table lives as long as the run that makes it (``check phi-psi`` makes
+    one); a call given none spells with a fresh one.  Its values are
+    tuples, so a caller that edits the list a spelling returns cannot
+    change a later ray.
+    """
+
+    def __init__(self):
+        self._syllables: dict[factors.FactorElement, tuple[factors.FactorElement, ...]] = {}
+        self._tails: dict[tuple[factors.BoundaryPoint, int], tuple[factors.FactorElement, ...]] = {}
+
+    def syllable(self, s: factors.FactorElement) -> tuple[factors.FactorElement, ...]:
+        """The vertices after the identity on the canonical geodesic to s."""
+        path = self._syllables.get(s)
+        if path is None:
+            path = self._syllables[s] = factors.first_geodesic(s.spec.identity(), s)[1:]
+        return path
+
+    def tail(self, z: factors.BoundaryPoint, depth: int) -> tuple[factors.FactorElement, ...]:
+        """``z.realization(depth)``."""
+        key = (z, depth)
+        ray = self._tails.get(key)
+        if ray is None:
+            ray = self._tails[key] = z.realization(depth)
+        return ray
+
+
+def realize(a: CombRay, depth: int, table: Spellings | None = None) -> tuple[Word, ...]:
     """Concatenate canonical per-syllable geodesics into the vertex ray
     v_0, ..., v_depth.
 
     Factor geodesics are chosen lexicographically-first (unique in tree
-    factors).  The ray is spelled, not certified: ``certify_geodesic``
-    tests it.
+    factors) and read from ``table``.  The ray is spelled, not certified:
+    ``certify_geodesic`` tests it.
     """
-    verts = spell(a.fp, itertools.chain(a.syllables, itertools.cycle(a.repeat)), depth)
+    if table is None:
+        table = Spellings()
+    verts = spell(a.fp, itertools.chain(a.syllables, itertools.cycle(a.repeat)), depth, table)
     if len(verts) <= depth:
         # a finite ray's syllables ran out; its last vertex is the product
         # of them all, and the tail's factor alternates with it
         base = verts[-1].syllables
-        for elt in a.tail.realization(depth - len(verts) + 1)[1:]:
+        for elt in table.tail(a.tail, depth - len(verts) + 1)[1:]:
             verts.append(Word(base + (elt,)))
     return tuple(verts)
 
 
-def spell(fp: FreeProduct, syllables, depth: int) -> list[Word]:
+def spell(fp: FreeProduct, syllables, depth: int, table: Spellings | None = None) -> list[Word]:
     """The vertices v_0, ..., v_n of the canonical per-syllable geodesics
     of alternating ``syllables``, one after the other: n is ``depth`` or
     the syllables' total norm, whichever is smaller.  A leading identity
-    syllable adds no vertex."""
+    syllable adds no vertex.  Each syllable's geodesic is read from
+    ``table``."""
+    if table is None:
+        table = Spellings()
     verts: list[Word] = [fp.identity()]
     # the syllables before the current one; they alternate, so each vertex
     # is this prefix and one more syllable, already reduced
@@ -166,7 +205,7 @@ def spell(fp: FreeProduct, syllables, depth: int) -> list[Word]:
     for s in syllables:
         if len(verts) > depth:
             break
-        for elt in factors.first_geodesic(s.spec.identity(), s)[1:]:
+        for elt in table.syllable(s):
             if len(verts) > depth:
                 break
             verts.append(Word(base + (elt,)))
@@ -220,11 +259,11 @@ def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
     return None
 
 
-def validate_against(observed, a: CombRay) -> None:
+def validate_against(observed, a: CombRay, table: Spellings | None = None) -> None:
     """Raise ValueError unless the runs ``observed`` off a truncated ray
     agree with the combinatorial geodesic ``a`` it realizes: every stable
     run equals its syllable, and the growing last run is a prefix of its
-    syllable or of the tail."""
+    syllable or of the tail, whose realization is read from ``table``."""
     if not observed:
         return
     stable = observed[:-1]
@@ -244,7 +283,7 @@ def validate_against(observed, a: CombRay) -> None:
         if not (ok_full or ok_prefix):
             raise ValueError(f"observed syllable {pos} is not a prefix of the source syllable")
     elif a.tail is not None and pos == a.stored_length + 1:
-        if a.tail.realization(last.norm())[-1] != last:
+        if (table or Spellings()).tail(a.tail, last.norm())[-1] != last:
             raise ValueError("growing run is not a prefix of the source tail")
     else:
         raise ValueError("observed decomposition runs past the source geodesic")

@@ -395,11 +395,12 @@ def test_phi_psi_can_fail(tmp_path, capsys, monkeypatch):
 def test_phi_psi_records_a_broken_certificate(tmp_path, capsys, monkeypatch):
     # a spelling that steps back to e at vertex 2 of every ray longer than
     # 3: the certificate refuses those rays, and the check records them
-    # (the rays spelled shorter fail their rebuild instead)
+    # (the rays spelled shorter fail their rebuild instead); the list it
+    # edits is its own, so the run's table of spellings stays intact
     spell = rays.spell
 
-    def stepping_back(fp, syllables, depth):
-        verts = spell(fp, syllables, depth)
+    def stepping_back(fp, syllables, depth, table=None):
+        verts = spell(fp, syllables, depth, table)
         if len(verts) > 3:
             verts[2] = verts[0]
         return verts
@@ -456,7 +457,7 @@ def test_nbhd_nesting_can_fail(tmp_path, capsys, monkeypatch):
 def test_v_system_property_2_can_fail(tmp_path, capsys, monkeypatch):
     # drop one ray from V_1 of one center but keep it in V_2: not nested
     members = rays.CombIndex.members
-    a_text, b_text = "e ; tail=+inf", "e ; tail=-inf"
+    a_text, b_text = "e ; tail=A1:+inf", "e ; tail=A1:-inf"
 
     def non_nested(self, nbhd):
         out = members(self, nbhd)
@@ -473,7 +474,7 @@ def test_v_system_property_2_can_fail(tmp_path, capsys, monkeypatch):
 def test_v_system_property_3_can_fail(tmp_path, capsys, monkeypatch):
     # reject one (a, i, c) that the infinite-center scan of property 3 reaches
     member = rays.comb_neighborhood_member
-    a_text, c_text = "e ; repeat=t | x^-1", "e | t ; tail=+inf"
+    a_text, c_text = "e ; repeat=t | x^-1", "e | t ; tail=A1:+inf"
 
     def rejecting(nbhd, b):
         if nbhd.k == 1 and nbhd.center.text() == a_text and b.text() == c_text:
@@ -491,7 +492,7 @@ def test_induced_containment_can_fail(tmp_path, capsys, monkeypatch):
     # one ray's image gets a different second syllable, so it leaves the
     # depth-2 neighborhood of its center's image
     induced_map = matching.induced_map
-    a_text, b_text = "e ; repeat=y^-1 | x^-1", "e | y^-1 | x ; tail=+inf"
+    a_text, b_text = "e ; repeat=y^-1 | x^-1", "e | y^-1 | x ; tail=B1:+inf"
 
     def corrupted(pm, a, *args, **kwargs):
         image = induced_map(pm, a, *args, **kwargs)

@@ -17,7 +17,9 @@ never ``tree_close``.  A ball reads its space through one named protocol,
 which both ``FreeProduct`` and ``FactorSpace`` define; a vertex's syllable
 prefix comes from the ball's own tables, never from the space.  A
 combinatorial geodesic or a gauge carries no kind tag: its data say
-whether it is finite or affine.
+whether it is finite or affine.  The rays, the checks and the matching
+memoize through tables that one run makes, never through ``functools``,
+whose caches would outlive the run.
 """
 
 import importlib
@@ -44,6 +46,7 @@ TREE_CLOSE = re.compile(r"\btree_close\b")
 SPACE_READ = re.compile(r"\bspace\.(\w+)")
 SPLIT_LAST = re.compile(r"\bsplit_last\b")
 KIND_TAG = re.compile(r"\.kind\b|^\s*kind\s*[:=]|\b(FINITE|INFINITE|AFFINE|TABLE)\b")
+MEMO = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|^\s*@cache\b|\bimport\b.*\bcache\b")
 
 #: what a ball reads of its space
 BALL_SPACE = {"identity", "generators", "join", "first_geodesic", "sort_key", "format"}
@@ -102,6 +105,12 @@ def test_rays_and_gauges_carry_no_kind_tag():
     validation = {f"matching.py:{start + i}: {line.strip()}" for i, line in enumerate(lines)}
     hits = _hits(KIND_TAG, [SRC / f"{name}.py" for name in ("rays", "checks", "morse", "matching")])
     assert [h for h in hits if h not in validation] == []
+
+
+def test_rays_checks_and_matching_keep_no_process_cache():
+    # ``rays.Spellings`` and ``MatchState``'s direction images live for one
+    # run; a functools cache would carry them into the next
+    assert _hits(MEMO, [SRC / f"{name}.py" for name in ("rays", "checks", "matching")]) == []
 
 
 def test_ball_reads_one_space_protocol():

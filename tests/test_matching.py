@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from morse_forge import FactorSpec, FreeProduct
-from morse_forge import factors, matching, morse, rays
+from morse_forge import checks, factors, matching, morse, rays
 from morse_forge.factors import BoundaryPoint
 from morse_forge.matching import (
     BoundaryHomeo,
@@ -192,9 +192,11 @@ def test_tracks_matches_reference_in_runs(gauge):
 # -- the candidate scan --------------------------------------------------------------
 
 
-def _reference_step(state, z_img, other_matched, homeo_back, lam_x, t):
+def _reference_step(state, z_img, other_matched, lam_x, t):
     """The scan loop that ``MatchState._scan`` replaced: every step reads
-    the image ray from index 1, past every vertex already matched."""
+    the image ray from index 1, past every vertex already matched, and
+    maps each candidate's direction afresh."""
+    homeo_back = state.homeo if z_img.spec == state.source else state.homeo_inverse
     eta = z_img.vertices()
     next(eta)  # the identity is matched from the start
     for i, cand in zip(range(1, state.index_scan + 1), eta):
@@ -265,10 +267,10 @@ def test_scan_cursor_passes_rejected_candidates(homeo):
     moved = 0
     for z_img, ray in list(state._image_rays.items()):
         lam_x, _t = ray.key
-        tables = (state.backward, state.homeo_inverse) if z_img.spec == state.target else (state.forward, state.homeo)
-        first = _reference_step(state, z_img, *tables, lam_x, 0)
+        matched = state.backward if z_img.spec == state.target else state.forward
+        first = _reference_step(state, z_img, matched, lam_x, 0)
         moved += first[0] < ray.cursor
-        assert state._scan(z_img, *tables, lam_x, 0) == first
+        assert state._scan(z_img, matched, lam_x, 0) == first
     assert moved > 0
 
 
@@ -342,6 +344,23 @@ def test_induced_map_truncated_infinite():
     a = rays.CombRay(fp1, (x1, y1), repeat=(x1, y1))
     img = induced_map(pm, a)
     assert img.tail is None and len(img.syllables) == 2 and len(img.repeat) == 2
+
+
+@pytest.mark.parametrize(
+    "rule, perm", [("identity", ()), ("lineswap", ()), ("perm", (("x", "x^-1"),))], ids=["identity", "lineswap", "perm"]
+)
+def test_direction_images_are_the_homeo_images(rule, perm):
+    # the run of ``match --steps 100``: matching, then the report, whose
+    # induced map and continuity search read the tables too
+    fp1, fp2 = _zz_pair()
+    pm = run_matching(fp1, fp2, *_homeos(fp1, fp2, rule, perm), rounds=100)
+    checks.match_report(pm)
+    for state in (pm.a, pm.b):
+        images = state._images
+        assert {z.spec for z in images} == {state.source, state.target}
+        for z, img in images.items():
+            homeo = state.homeo if z.spec == state.source else state.homeo_inverse
+            assert img == homeo.apply(z)
 
 
 def test_free_factor_targets_lie_on_image_rays():

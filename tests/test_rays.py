@@ -3,7 +3,7 @@
 import pytest
 
 from morse_forge import CANONICAL_TREE_GAUGE, FactorSpec, FactorSpace, FreeProduct
-from morse_forge import factors, morse, rays
+from morse_forge import checks, factors, morse, rays
 from morse_forge.errors import NoLine
 from morse_forge.factors import BoundaryPoint
 from morse_forge.rays import (
@@ -145,6 +145,44 @@ def test_roundtrip_population(zz):
         depth = sum(s.norm() for s in a.syllables) + 3
         ray = realize(a, depth)
         rays.validate_against(rays.certify_geodesic(zz, ray), a)
+
+
+def _phi_psi_population(fp):
+    population = comb_population(fp, max_len=checks.PHI_PSI_MAX_LEN, max_norm=checks.PHI_PSI_MAX_NORM)
+    return [(a, sum(s.norm() for s in a.syllables) + checks.PHI_PSI_TAIL_DEPTH) for a in population]
+
+
+@pytest.mark.parametrize("name", ["zz", "lz3", "f2l"])
+def test_shared_spellings_match_fresh_ones(name):
+    # phi-psi's run reads one table; each call here also gets a fresh one.
+    # Each ray is read at phi-psi's depth and one step further, so the table
+    # holds tails of two lengths, and its runs are validated against their
+    # own ray and against the ray before it, so both verdicts are compared
+    fp = _index_product(name)
+    shared = rays.Spellings()
+    population = _phi_psi_population(fp)
+    verdicts = set()
+    for (a, depth), (prev, _depth) in zip(population, population[-1:] + population[:-1]):
+        for d in (depth, depth + 1):
+            ray = realize(a, d, shared)
+            assert ray == realize(a, d, rays.Spellings())
+            runs = rays.certify_geodesic(fp, ray)
+            assert rays.spell(fp, runs, d, shared) == rays.spell(fp, runs, d, rays.Spellings())
+            for b in (a, prev):
+                verdict = _outcome(rays.validate_against, runs, b, shared)
+                assert verdict == _outcome(rays.validate_against, runs, b, rays.Spellings())
+                verdicts.add(verdict is None)
+    assert verdicts == {True, False}
+
+
+def test_spellings_are_tuples(zz):
+    # a caller that edits the list ``spell`` returns leaves the table alone
+    table = rays.Spellings()
+    x2 = zz.a.make_element(2)
+    verts = rays.spell(zz, (x2,), 2, table)
+    verts[1] = verts[0]
+    assert isinstance(table.syllable(x2), tuple) and isinstance(table.tail(standard_line(zz.a)[0], 2), tuple)
+    assert rays.spell(zz, (x2,), 2, table) == rays.spell(zz, (x2,), 2)
 
 
 def _realize_reference(a, depth):
@@ -338,14 +376,28 @@ def test_comb_text_forms(zz):
     x, y = zz.a.power(0, 1), zz.b.power(0, 1)
     a_plus, b_minus = standard_line(zz.a)[0], standard_line(zz.b)[1]
     samples = [
-        (CombRay(zz, (x, y), tail=a_plus), "x | y ; tail=+inf"),
-        (CombRay(zz, (x * x, y.inverse(), x), tail=b_minus), "x^2 | y^-1 | x ; tail=-inf"),
-        (CombRay(zz, (zz.a.identity(), y), tail=a_plus), "e | y ; tail=+inf"),
-        (CombRay(zz, (), tail=a_plus), "e ; tail=+inf"),
+        (CombRay(zz, (x, y), tail=a_plus), "x | y ; tail=A:+inf"),
+        (CombRay(zz, (x * x, y.inverse(), x), tail=b_minus), "x^2 | y^-1 | x ; tail=B:-inf"),
+        (CombRay(zz, (zz.a.identity(), y), tail=a_plus), "e | y ; tail=A:+inf"),
+        (CombRay(zz, (), tail=a_plus), "e ; tail=A:+inf"),
+        (CombRay(zz, (zz.a.identity(),), tail=standard_line(zz.b)[0]), "e ; tail=B:+inf"),
         (CombRay(zz, (x, y), repeat=(x, y)), "x | y ; repeat=x | y"),
     ]
     for a, text in samples:
         assert a.text() == text
+
+
+@pytest.mark.parametrize("name", ["zz", "lz3", "f2l"])
+def test_comb_text_tells_rays_apart(name):
+    # the containment population of a match report and phi-psi's population
+    fp = _index_product(name)
+    containment = comb_population(fp, max_len=checks.CONTAINMENT_MAX_LEN, max_norm=checks.CONTAINMENT_MAX_NORM)
+    phi_psi = [a for a, _depth in _phi_psi_population(fp)]
+    for population in (containment, phi_psi):
+        assert len(set(population)) == len(population)
+        assert len({a.text() for a in population}) == len(population)
+    if name == "zz":
+        assert (len(containment), len(phi_psi)) == (316, 956)
 
 
 def test_comb_text_free_tail(free2):
@@ -353,7 +405,7 @@ def test_comb_text_free_tail(free2):
     tail = BoundaryPoint.make(free2, ((1, 1),), ((0, 1),))
     a = CombRay(fp, (free2.power(0, 1), fp.b.power(0, 1)), tail=tail)
     assert a.tail.prefix == ((1, 1),) and a.tail.block == ((0, 1),)
-    assert a.text() == "x | t ; tail=y~x"
+    assert a.text() == "x | t ; tail=A:y~x"
 
 
 # -- the syllable-prefix index ----------------------------------------------------
