@@ -5,7 +5,7 @@ from .errors import MorseForgeError
 from .factors import BoundaryPoint, FactorElement, FactorSpec, FactorSpace
 from .graph import Ball
 from .morse import CANONICAL_TREE_GAUGE, Gauge, nesting_constant, tracking_bound
-from .rays import CombNeighborhood, CombRay, corresponding_ray, standard_line
+from .rays import CombRay, corresponding_ray, standard_line
 from .matching import BoundaryHomeo, MatchState, ProductMatching, run_matching
 from .words import FreeProduct, Word
 
@@ -16,7 +16,6 @@ __all__ = [
     "BoundaryHomeo",
     "BoundaryPoint",
     "CANONICAL_TREE_GAUGE",
-    "CombNeighborhood",
     "CombRay",
     "FactorElement",
     "FactorSpace",

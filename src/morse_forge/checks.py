@@ -351,7 +351,8 @@ def run_ray_merge(fp: FreeProduct, depth: int = 36, k_values=(1, 2, 3, 4), max_l
     changes no count and no verdict."""
     delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)  # distances are ints
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
-    realized = [rays.realize(a, depth) for a in population]
+    table = rays.Spellings()
+    realized = [rays.realize(a, depth, table) for a in population]
     ks = [k for k in k_values if depth >= 6 * k]
     instances = 0
     failures = []
@@ -411,23 +412,17 @@ def run_v_system(
     failures = []
     instances = 0
 
-    def member(center, k, b) -> bool:
-        return rays.comb_neighborhood_member(rays.CombNeighborhood(center, k, gauge), b)
-
-    def members(center, k, within: rays.CombIndex = index) -> list[rays.CombRay]:
-        return within.members(rays.CombNeighborhood(center, k, gauge))
-
     # property 1: a in V_k(a) for all k
     for a in population:
         for k in range(1, max_k + 1):
             instances += 1
-            if not member(a, k, a):
+            if not rays.comb_neighborhood_member(a, k, gauge, a):
                 failures.append({"property": 1, "a": a.text(), "k": k})
     # property 2: V_max(i,j)(a) inside V_i(a) and V_j(a), one instance per
     # (b, i, j); only the deeper neighborhood's members can break it
     pairs = [(i, j) for i in i_values for j in i_values]
     for a in population:
-        inside = {k: members(a, k) for k in set(i_values)}
+        inside = {k: index.members(a, k, gauge) for k in set(i_values)}
         inside_ids = {k: {id(b) for b in bs} for k, bs in inside.items()}
         instances += len(population) * len(pairs)
         for i, j in pairs:
@@ -442,10 +437,10 @@ def run_v_system(
             continue
         for i in i_values:
             j = i + 1
-            for b in members(a, j):
-                for c in members(b, j):
+            for b in index.members(a, j, gauge):
+                for c in index.members(b, j, gauge):
                     instances += 1
-                    if not member(a, i, c):
+                    if not rays.comb_neighborhood_member(a, i, gauge, c):
                         failures.append(
                             {"property": 3, "a": a.text(), "b": b.text(), "c": c.text(), "i": i}
                         )
@@ -456,14 +451,13 @@ def run_v_system(
             continue
         for i in i_values:
             j = morse.nesting_constant(i, gauge)
-            candidates = rays.CombIndex([a] + _deep_witnesses(a, j))
-            for b in members(a, j, candidates):
-                k = j if b.tail is not None else a.stored_length + 1
+            for b in rays.neighbors(a, j, gauge, [a] + _deep_witnesses(a, j)):
+                k = j if b.tail is not None else len(a.syllables) + 1
                 inner = [b] + (_deep_witnesses(b, j) if b.tail is not None else [_extend_infinite(b)])
-                for c in members(b, k, rays.CombIndex(inner)):
+                for c in rays.neighbors(b, k, gauge, inner):
                     instances += 1
                     deep_checked += 1
-                    if not member(a, i, c):
+                    if not rays.comb_neighborhood_member(a, i, gauge, c):
                         failures.append(
                             {"property": 3, "a": a.text(), "b": b.text(), "c": c.text(), "i": i}
                         )
@@ -539,11 +533,8 @@ def duality_report(state: matching.MatchState) -> dict:
     checked = 0
     vacuous = 0
     failures = []
-    elements = sorted(state.meta, key=lambda x: (x.spec.id, x.sort_key()))
-    for x in elements:
-        direction = state.meta[x]["direction"]
-        if direction is None:
-            continue
+    for x in sorted(state.directions, key=lambda x: (x.spec.id, x.sort_key())):
+        direction = state.directions[x]
         for k, threshold in thresholds:
             if x.norm() < threshold:
                 vacuous += 1
@@ -607,10 +598,9 @@ def induced_containment_report(pm: matching.ProductMatching) -> dict:
     for a in infinite_sample:
         image_a = image(a)
         for l in MATCH_DEPTHS:
-            image_nbhd = rays.CombNeighborhood(image_a, l, gauge)
-            for b in index.members(rays.CombNeighborhood(a, l, gauge)):
+            for b in index.members(a, l, gauge):
                 instances += 1
-                if not rays.comb_neighborhood_member(image_nbhd, image(b)):
+                if not rays.comb_neighborhood_member(image_a, l, gauge, image(b)):
                     failures.append({"a": a.text(), "b": b.text(), "l": l})
     return {"instances": instances, "sampled": len(infinite_sample), "failures": failures}
 
@@ -637,14 +627,11 @@ def match_report(pm: matching.ProductMatching, continuity_ball: int = 12, contin
             cont = {}
             for z in rays.standard_line(state.source):
                 for l in MATCH_DEPTHS:
-                    r = matching.check_continuity(
+                    status, k = matching.check_continuity(
                         state, z, l, ball_norm=continuity_ball, k_max=continuity_k_max
                     )
-                    cont[f"{z.format()}|l={l}"] = {
-                        "status": r["status"],
-                        "found_k": r["found"]["k"] if r["found"] else None,
-                    }
-                    if r["status"] != "verified":
+                    cont[f"{z.format()}|l={l}"] = {"status": status, "found_k": k}
+                    if status != "verified":
                         settled = False
             entry["continuity"] = cont
         report["pairs"][name] = entry

@@ -98,7 +98,10 @@ def _parse_homeo(raw: dict, side: str, source: factors.FactorSpec, target: facto
     if not isinstance(entry, dict):
         raise ParseError(f"homeos.{side} must be an object")
     rule = entry.get("rule", "identity")
-    perm = tuple(sorted((k, v) for k, v in entry.get("map", {}).items()))
+    letters = entry.get("map", {})
+    if not isinstance(letters, dict) or not all(isinstance(v, str) for v in letters.values()):
+        raise ParseError(f"homeos.{side}.map must be an object of generator names")
+    perm = tuple(sorted(letters.items()))
     return matching.BoundaryHomeo(source, target, rule, perm=perm)
 
 

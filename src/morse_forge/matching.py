@@ -182,13 +182,14 @@ class MatchState:
         self.source = homeo.source
         self.target = homeo.target
         self.gauge = gauge
-        self.delta_prime = gauge.delta
         self.ray_depth = ray_depth
         self.index_scan = index_scan
         e_src, e_tgt = self.source.identity(), self.target.identity()
         self.forward: dict[factors.FactorElement, factors.FactorElement] = {e_src: e_tgt}
         self.backward: dict[factors.FactorElement, factors.FactorElement] = {e_tgt: e_src}
-        self.meta: dict[factors.FactorElement, dict] = {}
+        # per element matched on a boundary step, the direction it was
+        # matched along: its corresponding ray's, or the image it was found on
+        self.directions: dict[factors.FactorElement, factors.BoundaryPoint] = {}
         self.records: list[dict] = []
         if enumerations is None:
             enumerations = (iterate_elements(self.source), iterate_elements(self.target))
@@ -226,14 +227,14 @@ class MatchState:
         if not init_spec.has_boundary():
             y = other_enum.next_unmatched(other_matched)
             record.update({"branch": "empty_boundary", "target": y.spec.format_element(y)})
-            self._commit(side, x, y, record, init_direction=None, target_direction=None)
+            self._commit(side, x, y, record)
             return record
-        cr = corresponding_ray(init_spec, x)
-        t = morse.nesting_constant(cr.merge_depth, self.gauge)
+        merge_depth, direction = corresponding_ray(init_spec, x)
+        t = morse.nesting_constant(merge_depth, self.gauge)
         if t > self.ray_depth:
             raise DepthBudgetExceeded(f"budget ray_depth {self.ray_depth} exceeded: certification needs depth {t}")
-        z_img = self.image(cr.direction)
-        chosen = self._scan(z_img, other_matched, cr.direction, t)
+        z_img = self.image(direction)
+        chosen = self._scan(z_img, other_matched, direction, t)
         if chosen is None:
             raise DepthBudgetExceeded(
                 f"budget index_scan {self.index_scan} exhausted: no admissible unmatched candidate"
@@ -245,14 +246,15 @@ class MatchState:
                 "target": y.spec.format_element(y),
                 "i": i,
                 "T": t,
-                "t1": cr.merge_depth,
+                "t1": merge_depth,
                 "gauge": self.gauge.key(),
-                "delta_prime": str(self.delta_prime),
+                "delta_prime": str(self.gauge.delta),
                 "max_pointwise": worst,
                 "certified": True,
             }
         )
-        self._commit(side, x, y, record, init_direction=cr.direction, target_direction=z_img)
+        self.directions[x], self.directions[y] = direction, z_img
+        self._commit(side, x, y, record)
         return record
 
     def _scan(self, z_img, other_matched, lam_x, t):
@@ -275,7 +277,7 @@ class MatchState:
         for i in range(ray.cursor, self.index_scan + 1):
             cand = ray.get(i)
             if cand not in other_matched:
-                back = self.image(corresponding_ray(cand.spec, cand).direction)
+                back = self.image(corresponding_ray(cand.spec, cand)[1])
                 ok, worst = self._tracks(back, lam_x, t)
                 if ok:
                     return i, cand, worst
@@ -301,18 +303,13 @@ class MatchState:
         if morse.factor_close(self.gauge, t, lam_x, back):
             return True, 2 * (t - factors.shared_steps(back, lam_x, t))
         # the first failing distance: the least even one >= max(1, ceil(delta))
-        close_below = morse.rational_ceil(self.delta_prime)
+        close_below = morse.rational_ceil(self.gauge.delta)
         return False, 2 * max(1, -(-close_below // 2))
 
-    def _commit(self, side, x, y, record, init_direction, target_direction):
-        if side == 1:
-            src, tgt = x, y
-        else:
-            src, tgt = y, x
+    def _commit(self, side, x, y, record):
+        src, tgt = (x, y) if side == 1 else (y, x)
         self.forward[src] = tgt
         self.backward[tgt] = src
-        self.meta[x] = {"role": "initiator", "direction": init_direction, "record": record}
-        self.meta[y] = {"role": "target", "direction": target_direction, "record": record}
         self.records.append(record)
 
     # -- access ------------------------------------------------------------
@@ -414,13 +411,15 @@ def check_continuity(
     l: int,
     ball_norm: int = 12,
     k_max: int = 12,
-) -> dict:
+) -> tuple[str, int | None]:
     """Search for a depth k whose filled neighborhood of z maps inside the
-    depth-l filled neighborhood of the image direction.
+    depth-l filled neighborhood of the image direction, among the ball
+    elements of norm at most ``ball_norm``.
 
-    The report lists, per k, the ball elements of the source neighborhood
-    and whether each image landed; the smallest non-vacuously verified k
-    wins.  A failed search is inconclusive, never "verified".
+    Returns ``("verified", k)`` for the smallest k with members that all
+    land.  A failed search is never "verified": it is ``"vacuous"`` when no
+    depth up to ``k_max`` had a member, otherwise ``"inconclusive"``; its k
+    is None.
     """
     if z.spec != state.source:
         raise ValueError("direction does not belong to the source factor")
@@ -430,45 +429,13 @@ def check_continuity(
         if x.norm() > ball_norm:
             break
         candidates.append(x)
-    per_k = []
-    found = None
+    status = "vacuous"
     for k in range(1, k_max + 1):
         members = [x for x in candidates if morse.factor_close(state.gauge, k, z, x)]
         if not members:
-            per_k.append({"k": k, "members": 0, "failures": [], "vacuous": True})
             continue
-        failures = []
-        for x in members:
-            y = state.ensure_matched(x)
-            if not morse.factor_close(state.gauge, l, z_img, y):
-                failures.append(
-                    {
-                        "element": state.source.format_element(x),
-                        "image": state.target.format_element(y),
-                    }
-                )
-        per_k.append(
-            {"k": k, "members": len(members), "failures": failures, "vacuous": False}
-        )
-        if not failures:
-            found = {
-                "k": k,
-                "members": [state.source.format_element(x) for x in members],
-            }
-            break
-    if found is not None:
-        status = "verified"
-    elif all(entry["vacuous"] for entry in per_k):
-        status = "vacuous"
-    else:
         status = "inconclusive"
-    return {
-        "z": z.format(),
-        "image_z": z_img.format(),
-        "l": l,
-        "ball_norm": ball_norm,
-        "k_max": k_max,
-        "status": status,
-        "found": found,
-        "per_k": per_k,
-    }
+        # every member is matched, past the first whose image fails too
+        if all([morse.factor_close(state.gauge, l, z_img, state.ensure_matched(x)) for x in members]):
+            return "verified", k
+    return status, None

@@ -46,26 +46,14 @@ def standard_line(spec: factors.FactorSpec):
     )
 
 
-@dataclass(frozen=True)
-class CorrespondingRay:
-    """The ray read off the translated standard line of an element.
+def corresponding_ray(spec: factors.FactorSpec, x: factors.FactorElement) -> tuple[int, factors.BoundaryPoint]:
+    """The ray corresponding to x along the standard line, as its merge
+    depth and its direction.
 
-    Its vertex at ``merge_depth`` is the closest point of the translated
-    line to the basepoint; past it the ray runs along the line itself,
-    and it passes through the owning element at parameter ``norm``.
-    """
-
-    spec: factors.FactorSpec
-    merge_depth: int
-    direction: factors.BoundaryPoint
-
-
-def corresponding_ray(spec: factors.FactorSpec, x: factors.FactorElement) -> CorrespondingRay:
-    """Construct the ray corresponding to x along the standard line.
-
-    The translated line is x * (first-generator line); its closest point
-    to the basepoint is found exactly, and the ray is oriented so that x
-    sits at a non-negative parameter.
+    The translated line is x * (first-generator line); its vertex at the
+    merge depth is the closest point of the translated line to the
+    basepoint, found exactly.  Past it the ray runs along the line itself,
+    oriented so that it passes through x at parameter ``x.norm()``.
     """
     if not spec.has_boundary():
         raise NoLine(f"factor {spec.id!r} has no line through the basepoint")
@@ -73,7 +61,7 @@ def corresponding_ray(spec: factors.FactorSpec, x: factors.FactorElement) -> Cor
         raise ValueError("element does not belong to the factor")
     base, a = spec.split_first_power(x)
     direction = factors.BoundaryPoint.make(spec, spec.letters(base), ((0, 1 if a >= 0 else -1),))
-    return CorrespondingRay(spec=spec, merge_depth=base.norm(), direction=direction)
+    return base.norm(), direction
 
 
 @dataclass(frozen=True)
@@ -117,10 +105,6 @@ class CombRay:
 
     # -- syllable access -------------------------------------------------
 
-    @property
-    def stored_length(self) -> int:
-        return len(self.syllables)
-
     def syllable_at(self, pos: int) -> factors.FactorElement | None:
         """Syllable at a 1-based position, consulting the repeat block."""
         if pos <= len(self.syllables):
@@ -144,10 +128,9 @@ class Spellings:
     from this table after: the canonical factor geodesic of a syllable, and
     a tail direction's realization of a given length.
 
-    A table lives as long as the run that makes it (``check phi-psi`` makes
-    one); a call given none spells with a fresh one.  Its values are
-    tuples, so a caller that edits the list a spelling returns cannot
-    change a later ray.
+    A table lives as long as the run that makes it (``check phi-psi`` and
+    ``check ray-merge`` make one each).  Its values are tuples, so a caller
+    that edits the list a spelling returns cannot change a later ray.
     """
 
     def __init__(self):
@@ -170,7 +153,7 @@ class Spellings:
         return ray
 
 
-def realize(a: CombRay, depth: int, table: Spellings | None = None) -> tuple[Word, ...]:
+def realize(a: CombRay, depth: int, table: Spellings) -> tuple[Word, ...]:
     """Concatenate canonical per-syllable geodesics into the vertex ray
     v_0, ..., v_depth.
 
@@ -178,8 +161,6 @@ def realize(a: CombRay, depth: int, table: Spellings | None = None) -> tuple[Wor
     factors) and read from ``table``.  The ray is spelled, not certified:
     ``certify_geodesic`` tests it.
     """
-    if table is None:
-        table = Spellings()
     verts = spell(a.fp, itertools.chain(a.syllables, itertools.cycle(a.repeat)), depth, table)
     if len(verts) <= depth:
         # a finite ray's syllables ran out; its last vertex is the product
@@ -190,14 +171,12 @@ def realize(a: CombRay, depth: int, table: Spellings | None = None) -> tuple[Wor
     return tuple(verts)
 
 
-def spell(fp: FreeProduct, syllables, depth: int, table: Spellings | None = None) -> list[Word]:
+def spell(fp: FreeProduct, syllables, depth: int, table: Spellings) -> list[Word]:
     """The vertices v_0, ..., v_n of the canonical per-syllable geodesics
     of alternating ``syllables``, one after the other: n is ``depth`` or
     the syllables' total norm, whichever is smaller.  A leading identity
     syllable adds no vertex.  Each syllable's geodesic is read from
     ``table``."""
-    if table is None:
-        table = Spellings()
     verts: list[Word] = [fp.identity()]
     # the syllables before the current one; they alternate, so each vertex
     # is this prefix and one more syllable, already reduced
@@ -259,7 +238,7 @@ def _step(p: tuple, c: tuple) -> factors.FactorElement | None:
     return None
 
 
-def validate_against(observed, a: CombRay, table: Spellings | None = None) -> None:
+def validate_against(observed, a: CombRay, table: Spellings) -> None:
     """Raise ValueError unless the runs ``observed`` off a truncated ray
     agree with the combinatorial geodesic ``a`` it realizes: every stable
     run equals its syllable, and the growing last run is a prefix of its
@@ -282,43 +261,41 @@ def validate_against(observed, a: CombRay, table: Spellings | None = None) -> No
         )
         if not (ok_full or ok_prefix):
             raise ValueError(f"observed syllable {pos} is not a prefix of the source syllable")
-    elif a.tail is not None and pos == a.stored_length + 1:
-        if (table or Spellings()).tail(a.tail, last.norm())[-1] != last:
+    elif a.tail is not None and pos == len(a.syllables) + 1:
+        if table.tail(a.tail, last.norm())[-1] != last:
             raise ValueError("growing run is not a prefix of the source tail")
     else:
         raise ValueError("observed decomposition runs past the source geodesic")
 
 
-@dataclass(frozen=True)
-class CombNeighborhood:
-    """Fundamental-system neighborhood of a combinatorial geodesic."""
-
-    center: CombRay
-    k: int
-    gauge: morse.Gauge
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
-def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
-    """Exact evaluation of the neighborhood definition.
+def comb_neighborhood_member(a: CombRay, k: int, gauge: morse.Gauge, b: CombRay) -> bool:
+    """Whether b lies in the depth-k neighborhood of a, by its definition.
 
     Infinite centers: prefix agreement on the first k syllables.  Finite
     centers: same syllables, then either the next syllable lies in the
     filled depth-k neighborhood of the tail direction, or the tails are
     depth-k close (``morse.factor_close``).
     """
-    a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
     if a.fp != b.fp:
         raise ValueError("combinatorial geodesics over different products")
+    return _member(a, k, gauge, b)
+
+
+def neighbors(a: CombRay, k: int, gauge: morse.Gauge, candidates) -> list[CombRay]:
+    """The candidates in the depth-k neighborhood of a, in order, by the
+    test of ``comb_neighborhood_member``: for a few candidates, too few
+    for a ``CombIndex`` to pay."""
+    return [b for b in candidates if _member(a, k, gauge, b)]
+
+
+def _member(a: CombRay, k: int, gauge: morse.Gauge, b: CombRay) -> bool:
+    """``comb_neighborhood_member`` of two rays over one product."""
     if a.repeat:
         for i in range(1, k + 1):
             if b.syllable_at(i) != a.syllable_at(i):
                 return False
         return True
-    la = a.stored_length
+    la = len(a.syllables)
     for i in range(1, la + 1):
         if b.syllable_at(i) != a.syllables[i - 1]:
             return False
@@ -328,7 +305,7 @@ def comb_neighborhood_member(nbhd: CombNeighborhood, b: CombRay) -> bool:
 def _tail_key(b: CombRay, la: int):
     """What a finite center of ``la`` syllables holds against its tail:
     b's next syllable when b is longer, otherwise b's own tail."""
-    if b.repeat or b.stored_length > la:
+    if b.repeat or len(b.syllables) > la:
         return b.syllable_at(la + 1)
     return b.tail
 
@@ -337,8 +314,8 @@ class CombIndex:
     """A population of combinatorial geodesics bucketed by their first k
     syllables, to list every member of a neighborhood in one step.
 
-    ``members(nbhd)`` equals ``[b for b in population if
-    comb_neighborhood_member(nbhd, b)]``, in population order.  An
+    ``members(a, k, gauge)`` equals ``[b for b in population if
+    comb_neighborhood_member(a, k, gauge, b)]``, in population order.  An
     infinite center's members are the bucket of its first k syllables; a
     finite center's are the bucket of its stored syllables, filtered by the
     tail test that ``comb_neighborhood_member`` runs too.  The buckets of
@@ -360,18 +337,17 @@ class CombIndex:
         if table is None:
             table = self._buckets[k] = {}
             for b in self.population:
-                if b.repeat or b.stored_length >= k:
+                if b.repeat or len(b.syllables) >= k:
                     prefix = tuple(b.syllable_at(i) for i in range(1, k + 1))
                     table.setdefault(prefix, []).append(b)
         return table.get(key, [])
 
-    def members(self, nbhd: CombNeighborhood) -> list[CombRay]:
-        a, k, gauge = nbhd.center, nbhd.k, nbhd.gauge
+    def members(self, a: CombRay, k: int, gauge: morse.Gauge) -> list[CombRay]:
         if self.population and a.fp != self.fp:
             raise ValueError("combinatorial geodesics over different products")
         if a.repeat:
             return self._bucket(tuple(a.syllable_at(i) for i in range(1, k + 1)))
-        la = a.stored_length
+        la = len(a.syllables)
         return [
             b for b in self._bucket(a.syllables) if morse.factor_close(gauge, k, a.tail, _tail_key(b, la))
         ]

@@ -519,7 +519,7 @@ def _ray_merge_reference(fp, depth=36, k_values=(1, 2, 3, 4), max_len=2, max_nor
     """Reference ray-merge report, taking every pair's whole profile."""
     delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
-    realized = [rays.realize(a, depth) for a in population]
+    realized = [rays.realize(a, depth, rays.Spellings()) for a in population]
     instances = 0
     failures = []
     for ai in range(len(realized)):
@@ -676,14 +676,15 @@ def test_transfer_table_stability():
             state.step(1)
             state.step(2)
         table = {point: 0 for point in grid}
+        # the targets in a2, each found by a side-1 step
+        targets = {rec["target"] for rec in state.records if rec["side"] == 1}
         seen = 0
-        for x, info in state.meta.items():
-            if info["role"] != "target" or x.spec != a2:
+        for x, direction in state.directions.items():
+            if x.spec != a2 or a2.format_element(x) not in targets:
                 continue
             seen += 1
-            src_dir = state.meta[state.backward[x]]["direction"]
-            src_table = ray_table(a1, src_dir)
-            tgt_table = ray_table(a2, info["direction"])
+            src_table = ray_table(a1, state.directions[state.backward[x]])
+            tgt_table = ray_table(a2, direction)
             for point in grid:
                 assert tgt_table.value(*point) <= max(src_table.value(*point), table[point])
                 table[point] = max(table[point], tgt_table.value(*point))

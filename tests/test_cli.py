@@ -399,7 +399,7 @@ def test_phi_psi_records_a_broken_certificate(tmp_path, capsys, monkeypatch):
     # edits is its own, so the run's table of spellings stays intact
     spell = rays.spell
 
-    def stepping_back(fp, syllables, depth, table=None):
+    def stepping_back(fp, syllables, depth, table):
         verts = spell(fp, syllables, depth, table)
         if len(verts) > 3:
             verts[2] = verts[0]
@@ -459,9 +459,9 @@ def test_v_system_property_2_can_fail(tmp_path, capsys, monkeypatch):
     members = rays.CombIndex.members
     a_text, b_text = "e ; tail=A1:+inf", "e ; tail=A1:-inf"
 
-    def non_nested(self, nbhd):
-        out = members(self, nbhd)
-        if nbhd.k == 1 and nbhd.center.text() == a_text:
+    def non_nested(self, a, k, gauge):
+        out = members(self, a, k, gauge)
+        if k == 1 and a.text() == a_text:
             out = [b for b in out if b.text() != b_text]
         return out
 
@@ -476,10 +476,10 @@ def test_v_system_property_3_can_fail(tmp_path, capsys, monkeypatch):
     member = rays.comb_neighborhood_member
     a_text, c_text = "e ; repeat=t | x^-1", "e | t ; tail=A1:+inf"
 
-    def rejecting(nbhd, b):
-        if nbhd.k == 1 and nbhd.center.text() == a_text and b.text() == c_text:
+    def rejecting(a, k, gauge, b):
+        if k == 1 and a.text() == a_text and b.text() == c_text:
             return False
-        return member(nbhd, b)
+        return member(a, k, gauge, b)
 
     monkeypatch.setattr(rays, "comb_neighborhood_member", rejecting)
     code, report = _run_v_system(tmp_path, capsys)
@@ -518,8 +518,8 @@ def test_match_bijectivity_can_fail(tmp_path, capsys, monkeypatch):
     # pair A's fifth step (x^3 to x^3) records its pair forward but not backward
     commit = matching.MatchState._commit
 
-    def dropping(self, side, x, y, record, **directions):
-        commit(self, side, x, y, record, **directions)
+    def dropping(self, side, x, y, record):
+        commit(self, side, x, y, record)
         if self.source.id == "A1" and record["seq"] == 5:
             del self.backward[y if side == 1 else x]
 
@@ -543,10 +543,10 @@ def test_match_duality_can_fail(tmp_path, capsys, monkeypatch):
     # elements of norm >= 90 only, which 100 steps reach and 20 do not
     commit = matching.MatchState._commit
 
-    def misdirecting(self, side, x, y, record, init_direction, target_direction):
+    def misdirecting(self, side, x, y, record):
+        commit(self, side, x, y, record)
         if self.source.id == "A1" and side == 1 and record["initiator"] == "x^95":
-            init_direction = factors.BoundaryPoint.line_end(x.spec, -1)
-        commit(self, side, x, y, record, init_direction=init_direction, target_direction=target_direction)
+            self.directions[x] = factors.BoundaryPoint.line_end(x.spec, -1)
 
     monkeypatch.setattr(matching.MatchState, "_commit", misdirecting)
     code, report = _run_match(tmp_path, capsys, 100)
@@ -615,8 +615,8 @@ def test_match_counterexample_outranks_continuity_budget(tmp_path, capsys, monke
     # bijectivity failure exits 1 even where continuity ran out
     commit = matching.MatchState._commit
 
-    def dropping(self, side, x, y, record, **directions):
-        commit(self, side, x, y, record, **directions)
+    def dropping(self, side, x, y, record):
+        commit(self, side, x, y, record)
         if self.source.id == "A1" and record["seq"] == 5:
             del self.backward[y if side == 1 else x]
 
@@ -798,9 +798,14 @@ LINE_C = {"id": "C1", "kind": "line", "names": ["z"]}
         ({"budgets": [4, 20]}, "budgets must be an object of positive integers"),
         ({"homeos": {"a": "identity"}}, "homeos.a must be an object"),
         ({"homeos": {"b": ["lineswap"]}}, "homeos.b must be an object"),
+        ({"homeos": {"a": {"rule": "perm", "map": [1, 2]}}}, "homeos.a.map must be an object of generator names"),
+        ({"homeos": {"b": {"rule": "perm", "map": {"y": 5}}}}, "homeos.b.map must be an object of generator names"),
         ({"output": 5}, "output must be a string"),
     ],
-    ids=["first-one", "first-three", "first-object", "second-one", "budgets-list", "homeo-a-text", "homeo-b-list", "output-number"],
+    ids=[
+        "first-one", "first-three", "first-object", "second-one", "budgets-list",
+        "homeo-a-text", "homeo-b-list", "homeo-map-list", "homeo-map-number", "output-number",
+    ],
 )
 def test_malformed_config_shapes_are_usage_errors(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)

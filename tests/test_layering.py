@@ -19,7 +19,10 @@ prefix comes from the ball's own tables, never from the space.  A
 combinatorial geodesic or a gauge carries no kind tag: its data say
 whether it is finite or affine.  The rays, the checks and the matching
 memoize through tables that one run makes, never through ``functools``,
-whose caches would outlive the run.
+whose caches would outlive the run.  Boundary verdicts take plain
+values: no record carries a neighbourhood's center, depth and gauge, a
+corresponding ray, or a matched element's role, and every spelling reads
+a table its caller made.
 """
 
 import importlib
@@ -29,7 +32,7 @@ import re
 from pathlib import Path
 
 import morse_forge
-from morse_forge import FactorSpace, FreeProduct, graph, matching
+from morse_forge import FactorSpace, FactorSpec, FreeProduct, graph, matching, rays
 
 SRC = Path(morse_forge.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -146,3 +149,15 @@ def test_tracer_targets_resolve_to_plain_functions():
 def test_exports_resolve():
     missing = [name for name in morse_forge.__all__ if not hasattr(morse_forge, name)]
     assert missing == []
+
+
+def test_boundary_verdicts_take_plain_values():
+    assert not hasattr(rays, "CombNeighborhood") and not hasattr(rays, "CorrespondingRay")
+    assert not hasattr(rays.CombRay, "stored_length")
+    lines = [FactorSpec.integer_line(name, "x") for name in ("A1", "A2")]
+    state = matching.MatchState(matching.BoundaryHomeo(*lines, "identity"))
+    state.step(1)
+    assert not hasattr(state, "meta") and not hasattr(state, "delta_prime")
+    for fn in (rays.realize, rays.spell, rays.validate_against):
+        table = inspect.signature(fn).parameters["table"]
+        assert table.default is inspect.Parameter.empty, fn.__name__

@@ -129,7 +129,7 @@ def _reference_tracks(state, back, lam_x, t):
     """The pointwise loop that ``MatchState._tracks`` replaced: distances
     between the two realizations, up to the first one that fails."""
     xi = back.realization(t)
-    close_below = morse.rational_ceil(state.delta_prime)  # distances are ints
+    close_below = morse.rational_ceil(state.gauge.delta)  # distances are ints
     worst = 0
     for a, b in zip(xi, lam_x.realization(t)):
         d = factors.distance(a, b)
@@ -202,7 +202,7 @@ def _reference_step(state, z_img, other_matched, lam_x, t):
     for i, cand in zip(range(1, state.index_scan + 1), eta):
         if cand in other_matched:
             continue
-        back = homeo_back.apply(rays.corresponding_ray(cand.spec, cand).direction)
+        back = homeo_back.apply(rays.corresponding_ray(cand.spec, cand)[1])
         ok, worst = state._tracks(back, lam_x, t)
         if ok:
             return i, cand, worst
@@ -293,20 +293,21 @@ def test_run_matching_bijectivity():
             assert state.backward[y] == x
 
 
-def test_match_meta_roles():
+def test_match_directions_and_roles():
     a1, a2 = _line_pair()
     state = MatchState(BoundaryHomeo(a1, a2, "lineswap"))
-    state.step(1)
+    rec = state.step(1)
     x = a1.make_element(1)
     y = a2.make_element(-1)
-    gx, gy = state.meta[x], state.meta[y]
-    assert gx["role"] == "initiator" and gx["direction"].sign == 1
-    assert gy["role"] == "target" and gy["direction"].sign == -1
+    # a side-1 step: x of the source initiates, and y of the target is found
+    assert (rec["side"], rec["initiator"], rec["target"]) == (1, "x", "x^-1")
+    assert state.forward[x] == y
+    assert state.directions[x].sign == 1 and state.directions[y].sign == -1
     # the target lies on a realization of its matched direction
-    assert y in gy["direction"].realization(2)
+    assert y in state.directions[y].realization(2)
     # the identity is matched from the start and carries no direction
-    assert a1.identity() not in state.meta and state.forward[a1.identity()] == a2.identity()
-    assert a1.make_element(7) not in state.meta
+    assert a1.identity() not in state.directions and state.forward[a1.identity()] == a2.identity()
+    assert a1.make_element(7) not in state.directions
 
 
 def test_induced_map_lookup_and_tail_flip():
@@ -363,6 +364,13 @@ def test_direction_images_are_the_homeo_images(rule, perm):
             assert img == homeo.apply(z)
 
 
+def _is_target(state, x):
+    """Whether x was found on an image ray, not the initiator of its step:
+    a step from side 1 finds its target in the target factor."""
+    side = 1 if x.spec == state.target else 2
+    return any(rec["side"] == side and rec["target"] == x.spec.format_element(x) for rec in state.records)
+
+
 def test_free_factor_targets_lie_on_image_rays():
     fp1 = FreeProduct(FactorSpec.free_group("A1", 2, names=("x", "y")), FactorSpec.integer_line("B1", "t"))
     fp2 = FreeProduct(FactorSpec.free_group("A2", 2, names=("x", "y")), FactorSpec.integer_line("B2", "t"))
@@ -371,11 +379,11 @@ def test_free_factor_targets_lie_on_image_rays():
     pm = run_matching(fp1, fp2, ha, hb, rounds=5)
     checked = 0
     for state in (pm.a, pm.b):
-        for x, info in state.meta.items():
-            if info["role"] != "target":
+        for x, direction in state.directions.items():
+            if not _is_target(state, x):
                 continue
             checked += 1
-            ray = info["direction"].realization(x.norm())
+            ray = direction.realization(x.norm())
             assert ray[x.norm()] == x
     assert checked >= 10
 
@@ -386,19 +394,19 @@ def test_free_factor_targets_lie_on_image_rays():
 def test_check_continuity_identity_line():
     a1, a2 = _line_pair()
     state = MatchState(BoundaryHomeo(a1, a2, "identity"))
+    z = BoundaryPoint.line_end(a1, 1)
     for l in (1, 2, 3):
-        r = check_continuity(state, BoundaryPoint.line_end(a1, 1), l)
-        assert r["status"] == "verified"
-        assert r["found"]["k"] == l
-        assert r["found"]["members"]
+        assert check_continuity(state, z, l) == ("verified", l)
+        # the depth found has members in the norm-12 ball
+        assert any(morse.factor_close(state.gauge, l, z, a1.make_element(n)) for n in range(-12, 13))
 
 
 def test_check_continuity_lineswap():
     a1, a2 = _line_pair()
     state = MatchState(BoundaryHomeo(a1, a2, "lineswap"))
-    r = check_continuity(state, BoundaryPoint.line_end(a1, 1), 3)
-    assert r["status"] == "verified"
-    assert r["image_z"] == "-inf"
+    z = BoundaryPoint.line_end(a1, 1)
+    assert check_continuity(state, z, 3)[0] == "verified"
+    assert state.image(z).format() == "-inf"
 
 
 def test_check_continuity_inconclusive_flags_vacuous_depths():
@@ -406,10 +414,14 @@ def test_check_continuity_inconclusive_flags_vacuous_depths():
     state = MatchState(BoundaryHomeo(a1, a2, "identity"))
     # images cannot reach depth 5 inside a norm-4 ball, and depths above the
     # ball norm have no members at all
-    r = check_continuity(state, BoundaryPoint.line_end(a1, 1), 5, ball_norm=4, k_max=6)
-    assert r["status"] == "inconclusive"
-    assert any(entry["vacuous"] for entry in r["per_k"])
-    assert any(entry["failures"] for entry in r["per_k"])
+    z = BoundaryPoint.line_end(a1, 1)
+    ball = [a1.make_element(n) for n in range(-4, 5)]
+    assert check_continuity(state, z, 5, ball_norm=4, k_max=6) == ("inconclusive", None)
+    assert not any(morse.factor_close(state.gauge, k, z, x) for k in (5, 6) for x in ball)
+    # a depth with members whose images all fail: the search is not vacuous
+    assert any(morse.factor_close(state.gauge, 4, z, x) for x in ball)
+    # a ball of the identity alone has no members at any depth
+    assert check_continuity(state, z, 5, ball_norm=0, k_max=6) == ("vacuous", None)
 
 
 def test_index_scan_reads_the_image_ray_lazily():

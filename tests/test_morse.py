@@ -395,7 +395,7 @@ def test_ray_merge_shadow(zz):
     delta = CANONICAL_TREE_GAUGE.delta
     pop = rays_mod.comb_population(zz, max_len=2, max_norm=1, max_infinite_prefix=1)
     depth = 24
-    realized = [rays_mod.realize(a, depth) for a in pop]
+    realized = [rays_mod.realize(a, depth, rays_mod.Spellings()) for a in pop]
     tested = 0
     for av in realized:
         for bv in realized:

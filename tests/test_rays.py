@@ -8,12 +8,12 @@ from morse_forge.errors import NoLine
 from morse_forge.factors import BoundaryPoint
 from morse_forge.rays import (
     CombIndex,
-    CombNeighborhood,
     CombRay,
     comb_neighborhood_member,
     comb_population,
     corresponding_ray,
     decompose,
+    Spellings,
     realize,
     standard_line,
 )
@@ -36,35 +36,35 @@ def test_standard_line_refused(lattice2):
 
 def test_corresponding_ray_line_positive(line_a):
     x = line_a.make_element(5)
-    cr = corresponding_ray(line_a, x)
-    assert [v.payload for v in cr.direction.realization(3)] == [0, 1, 2, 3]
+    merge_depth, direction = corresponding_ray(line_a, x)
+    assert [v.payload for v in direction.realization(3)] == [0, 1, 2, 3]
     # x sits at index |a| + merge_depth, for x = base * (first generator)^a
-    assert cr.merge_depth == 0 and cr.direction.realization(5)[5] == x
+    assert merge_depth == 0 and direction.realization(5)[5] == x
 
 
 def test_corresponding_ray_line_negative(line_a):
-    cr = corresponding_ray(line_a, line_a.make_element(-5))
-    assert [v.payload for v in cr.direction.realization(3)] == [0, -1, -2, -3]
+    merge_depth, direction = corresponding_ray(line_a, line_a.make_element(-5))
+    assert [v.payload for v in direction.realization(3)] == [0, -1, -2, -3]
 
 
 def test_corresponding_ray_free(free2):
     x = free2.make_element(((1, 1), (0, 2)))  # y x^2
-    cr = corresponding_ray(free2, x)
-    assert cr.merge_depth == 1
-    ray = cr.direction.realization(4)
+    merge_depth, direction = corresponding_ray(free2, x)
+    assert merge_depth == 1
+    ray = direction.realization(4)
     # the ray reaches the line's closest point y at merge_depth, x two steps on
-    assert ray[cr.merge_depth].payload == ((1, 1),)
-    assert ray[cr.merge_depth + 2] == x
+    assert ray[merge_depth].payload == ((1, 1),)
+    assert ray[merge_depth + 2] == x
     assert [free2.format_element(v) for v in ray] == ["e", "y", "y x", "y x^2", "y x^3"]
 
 
 def test_corresponding_ray_mirrors(free2):
     x = free2.make_element(((1, 1), (0, -3)))  # y x^-3
-    cr = corresponding_ray(free2, x)
-    assert cr.direction.block == ((0, -1),)
+    merge_depth, direction = corresponding_ray(free2, x)
+    assert direction.block == ((0, -1),)
     # the ray passes through x at its norm, three steps past merge_depth
-    assert cr.merge_depth + 3 == x.norm()
-    assert cr.direction.realization(5)[4] == x
+    assert merge_depth + 3 == x.norm()
+    assert direction.realization(5)[4] == x
 
 
 def test_corresponding_ray_passes_through_element(line_a, free2):
@@ -74,8 +74,8 @@ def test_corresponding_ray_passes_through_element(line_a, free2):
     ):
         for p in payloads:
             x = spec.make_element(p)
-            cr = corresponding_ray(spec, x)
-            ray = cr.direction.realization(x.norm())
+            merge_depth, direction = corresponding_ray(spec, x)
+            ray = direction.realization(x.norm())
             assert ray[x.norm()] == x
 
 
@@ -97,8 +97,8 @@ def test_corresponding_ray_tracks_realizations(line_a, free2):
     ):
         for x in elems:
             assert x.norm() >= bound
-            cr = corresponding_ray(spec, x)
-            lam = cr.direction.realization(t)
+            merge_depth, direction = corresponding_ray(spec, x)
+            lam = direction.realization(t)
             for eta in factors.geodesics(spec.identity(), x, cap=4):
                 tested += 1
                 for s in range(t + 1):
@@ -110,14 +110,14 @@ def test_corresponding_ray_tracks_realizations(line_a, free2):
 def test_realize_infinite(zz):
     a = CombRay(zz, (zz.a.make_element(1), zz.b.make_element(1)),
                 repeat=(zz.a.make_element(1), zz.b.make_element(1)))
-    ray = realize(a, 4)
+    ray = realize(a, 4, Spellings())
     assert [zz.format(v) for v in ray] == ["e", "x", "x y", "x y x", "x y x y"]
 
 
 def test_realize_finite_tail(zz):
     a = CombRay(zz, (zz.a.make_element(1), zz.b.make_element(1)),
                 tail=BoundaryPoint.line_end(zz.a, 1))
-    ray = realize(a, 4)
+    ray = realize(a, 4, Spellings())
     assert [zz.format(v) for v in ray] == ["e", "x", "x y", "x y x", "x y x^2"]
 
 
@@ -143,8 +143,8 @@ def test_decompose_leading_second_factor(zz):
 def test_roundtrip_population(zz):
     for a in comb_population(zz, max_len=3, max_norm=2):
         depth = sum(s.norm() for s in a.syllables) + 3
-        ray = realize(a, depth)
-        rays.validate_against(rays.certify_geodesic(zz, ray), a)
+        ray = realize(a, depth, Spellings())
+        rays.validate_against(rays.certify_geodesic(zz, ray), a, Spellings())
 
 
 def _phi_psi_population(fp):
@@ -159,30 +159,30 @@ def test_shared_spellings_match_fresh_ones(name):
     # holds tails of two lengths, and its runs are validated against their
     # own ray and against the ray before it, so both verdicts are compared
     fp = _index_product(name)
-    shared = rays.Spellings()
+    shared = Spellings()
     population = _phi_psi_population(fp)
     verdicts = set()
     for (a, depth), (prev, _depth) in zip(population, population[-1:] + population[:-1]):
         for d in (depth, depth + 1):
             ray = realize(a, d, shared)
-            assert ray == realize(a, d, rays.Spellings())
+            assert ray == realize(a, d, Spellings())
             runs = rays.certify_geodesic(fp, ray)
-            assert rays.spell(fp, runs, d, shared) == rays.spell(fp, runs, d, rays.Spellings())
+            assert rays.spell(fp, runs, d, shared) == rays.spell(fp, runs, d, Spellings())
             for b in (a, prev):
                 verdict = _outcome(rays.validate_against, runs, b, shared)
-                assert verdict == _outcome(rays.validate_against, runs, b, rays.Spellings())
+                assert verdict == _outcome(rays.validate_against, runs, b, Spellings())
                 verdicts.add(verdict is None)
     assert verdicts == {True, False}
 
 
 def test_spellings_are_tuples(zz):
     # a caller that edits the list ``spell`` returns leaves the table alone
-    table = rays.Spellings()
+    table = Spellings()
     x2 = zz.a.make_element(2)
     verts = rays.spell(zz, (x2,), 2, table)
     verts[1] = verts[0]
     assert isinstance(table.syllable(x2), tuple) and isinstance(table.tail(standard_line(zz.a)[0], 2), tuple)
-    assert rays.spell(zz, (x2,), 2, table) == rays.spell(zz, (x2,), 2)
+    assert rays.spell(zz, (x2,), 2, table) == rays.spell(zz, (x2,), 2, Spellings())
 
 
 def _realize_reference(a, depth):
@@ -242,7 +242,7 @@ def test_decompose_steps_match_word_product_rule(name):
     outcomes = {}
     for a in comb_population(fp, max_len=2, max_norm=1):
         depth = sum(s.norm() for s in a.syllables) + 2
-        verts = realize(a, depth)
+        verts = realize(a, depth, Spellings())
         assert verts == _realize_reference(a, depth)
         for t, prev in enumerate(verts):
             ps = prev.syllables
@@ -311,7 +311,7 @@ def test_certify_matches_reference(name):
     gens = [fp.embed(g.element) for g in fp.generators()]
     verdicts = set()
     for a in comb_population(fp):
-        verts = realize(a, sum(s.norm() for s in a.syllables) + 2)
+        verts = realize(a, sum(s.norm() for s in a.syllables) + 2, Spellings())
         paths = [verts]
         for t, v in enumerate(verts):
             for g in gens:
@@ -328,17 +328,15 @@ def test_certify_matches_reference(name):
 def test_comb_neighborhood_center_in_itself(zz):
     for a in comb_population(zz, max_len=2, max_norm=1)[:40]:
         for k in (1, 2, 3):
-            nb = CombNeighborhood(a, k, CANONICAL_TREE_GAUGE)
-            assert comb_neighborhood_member(nb, a)
+            assert comb_neighborhood_member(a, k, CANONICAL_TREE_GAUGE, a)
 
 
 def test_comb_neighborhood_infinite_prefix_agreement(zz):
     x1, y1 = zz.a.make_element(1), zz.b.make_element(1)
     a = CombRay(zz, (x1, y1), repeat=(x1, y1))
     b = CombRay(zz, (x1, y1, zz.a.make_element(-2)), repeat=(y1, x1))
-    nb = CombNeighborhood(a, 2, CANONICAL_TREE_GAUGE)
-    assert comb_neighborhood_member(nb, b)
-    assert not comb_neighborhood_member(CombNeighborhood(a, 3, CANONICAL_TREE_GAUGE), b)
+    assert comb_neighborhood_member(a, 2, CANONICAL_TREE_GAUGE, b)
+    assert not comb_neighborhood_member(a, 3, CANONICAL_TREE_GAUGE, b)
 
 
 def test_comb_neighborhood_opposite_tails_split(zz):
@@ -347,8 +345,8 @@ def test_comb_neighborhood_opposite_tails_split(zz):
     minus = BoundaryPoint.line_end(zz.b, -1)
     a = CombRay(zz, (x1,), tail=plus)
     b = CombRay(zz, (x1,), tail=minus)
-    assert comb_neighborhood_member(CombNeighborhood(a, 2, CANONICAL_TREE_GAUGE), b)
-    assert not comb_neighborhood_member(CombNeighborhood(a, 3, CANONICAL_TREE_GAUGE), b)
+    assert comb_neighborhood_member(a, 2, CANONICAL_TREE_GAUGE, b)
+    assert not comb_neighborhood_member(a, 3, CANONICAL_TREE_GAUGE, b)
 
 
 def test_comb_neighborhood_next_syllable_depth(zz):
@@ -360,10 +358,9 @@ def test_comb_neighborhood_next_syllable_depth(zz):
     good = CombRay(zz, (x1, zz.b.make_element(k)), tail=BoundaryPoint.line_end(zz.a, 1))
     shallow = CombRay(zz, (x1, zz.b.make_element(2)), tail=BoundaryPoint.line_end(zz.a, 1))
     wrong_side = CombRay(zz, (x1, zz.b.make_element(-k)), tail=BoundaryPoint.line_end(zz.a, 1))
-    nb = CombNeighborhood(a, k, CANONICAL_TREE_GAUGE)
-    assert comb_neighborhood_member(nb, good)
-    assert not comb_neighborhood_member(nb, shallow)
-    assert not comb_neighborhood_member(nb, wrong_side)
+    assert comb_neighborhood_member(a, k, CANONICAL_TREE_GAUGE, good)
+    assert not comb_neighborhood_member(a, k, CANONICAL_TREE_GAUGE, shallow)
+    assert not comb_neighborhood_member(a, k, CANONICAL_TREE_GAUGE, wrong_side)
 
 
 def test_population_is_deterministic(zz):
@@ -462,9 +459,21 @@ def test_comb_index_matches_pointwise_filter(name, max_len, stride, monkeypatch)
     index = CombIndex(population)
     for a in population[::stride]:
         for k in range(1, 6):
-            nb = CombNeighborhood(a, k, CANONICAL_TREE_GAUGE)
-            expected = [b for b in population if comb_neighborhood_member(nb, b)]
-            assert index.members(nb) == expected, (a.text(), k)
+            expected = [b for b in population if comb_neighborhood_member(a, k, CANONICAL_TREE_GAUGE, b)]
+            assert index.members(a, k, CANONICAL_TREE_GAUGE) == expected, (a.text(), k)
     kinds = {(type(key).__name__, verdict) for (_g, _k, _t, key), verdict in pointwise.items()}
     if name != "dih":  # Z/2 * Z/2 has no boundary, so no tail
         assert kinds == {(t, v) for t in ("FactorElement", "BoundaryPoint") for v in (True, False)}
+
+
+@pytest.mark.parametrize("name", ["zz", "lz3", "f2l"])
+def test_neighbors_filter_by_the_member_test(name):
+    # the filter that v-system's finite centers run on a few candidates
+    population = comb_population(_index_product(name), max_len=2, max_norm=1)
+    sizes = set()
+    for a in population:
+        for k in (1, 2, 3):
+            got = rays.neighbors(a, k, CANONICAL_TREE_GAUGE, population)
+            assert got == [b for b in population if comb_neighborhood_member(a, k, CANONICAL_TREE_GAUGE, b)]
+            sizes.add(len(got) < len(population))
+    assert sizes == {True}
