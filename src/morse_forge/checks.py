@@ -36,33 +36,33 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
 
     The walks are counted, not listed: ``instances`` sums
     ``Ball.walk_counts``, and ``path_cap`` binds each target's count as it
-    binds ``enumerate_paths``.  Target w fails exactly when, for some
-    required p, the ball minus p still joins e to w within |w| + slack
-    (never for p = e or p = w); only failing targets have their walks
-    listed.
+    binds ``enumerate_paths``.  Following w's gates toward e
+    (``Ball.gates(0)``) meets every vertex that all in-ball walks e -> w
+    pass, so a target whose required vertices lie on that chain passes
+    at any length.  Only the other targets have their walks listed, and
+    the listing decides them.
     """
     ball = Ball.build(fp, radius, vertex_budget)
+    gate = ball.gates(0)
     limit = [d + slack for d in ball.dist]
     counts = ball.walk_counts(0, max(limit))
     instances = 0
-    required: dict[int, set[int]] = {}
-    targets_of: dict[int, list[int]] = {}  # required vertex -> its targets
+    failures = []
     for w in range(1, len(ball)):
-        required[w] = {ball.index_of(p) for p in fp.prefix_vertices(ball.vertex(w))}
         walks = sum(counts[t][w] for t in range(limit[w] + 1))
         if path_cap is not None and walks > path_cap:
             raise CapExceeded(path_cap + 1)
         instances += walks
-        for p in required[w]:
-            targets_of.setdefault(p, []).append(w)
-    failing = set()
-    for p, targets in targets_of.items():
-        within = ball.avoiding_row(0, p, max(limit[w] for w in targets))
-        failing.update(w for w in targets if within[w] is not None and within[w] <= limit[w])
-    failures = []
-    for w in sorted(failing):
+        required = {ball.index_of(p) for p in fp.prefix_vertices(ball.vertex(w))}
+        chain = {w}
+        x = w
+        while x:
+            x = gate[x]
+            chain.add(x)
+        if required <= chain:
+            continue
         for path in ball.enumerate_paths(0, w, limit[w], cap=path_cap):
-            if not required[w] <= set(path):
+            if not required <= set(path):
                 failures.append({"w": fp.format(ball.vertex(w)), "path": list(path)})
     return _report(
         "prefix-transit",
@@ -270,24 +270,30 @@ def _branched_directions(spec: factors.FactorSpec, depths) -> list[factors.Bound
     return out
 
 
-def run_nbhd_nesting(spec: factors.FactorSpec, gauge: morse.Gauge = morse.CANONICAL_TREE_GAUGE, l_values=(1, 2, 3), pad: int = 2) -> dict:
+#: The depths l whose nesting ``run_nbhd_nesting`` checks, and how many
+#: depths past the nesting constant k it takes its points from.
+NESTING_DEPTHS = (1, 2, 3)
+NESTING_PAD = 2
+
+
+def run_nbhd_nesting(spec: factors.FactorSpec, gauge: morse.Gauge = morse.CANONICAL_TREE_GAUGE) -> dict:
     space = factors.FactorSpace(spec)
     plus, minus = rays.standard_line(spec)
     instances = 0
     failures = []
     checked_pairs = 0
     for z in (plus, minus):
-        for l in l_values:
+        for l in NESTING_DEPTHS:
             k = morse.nesting_constant(l, gauge)
             ys = []
-            for depth in range(k, k + pad + 1):
+            for depth in range(k, k + NESTING_PAD + 1):
                 ys.append(z.realization(depth)[-1])
                 for d in _branched_directions(spec, [depth - 1]):
                     ys.append(d.realization(depth)[-1])
             center_k = morse.Neighborhood.around_ray(gauge, k, z.realization(k), filled=True)
             ys = [y for y in ys if morse.neighborhood_member(space, center_k, y)]
             directions = [plus, minus] + _branched_directions(spec, [k - 1, k, k + 1])
-            elements = [z.realization(d)[-1] for d in range(k, k + pad + 1)]
+            elements = [z.realization(d)[-1] for d in range(k, k + NESTING_PAD + 1)]
             target = morse.Neighborhood.around_ray(gauge, l, z.realization(l), filled=True)
             for y in ys:
                 checked_pairs += 1
@@ -307,7 +313,7 @@ def run_nbhd_nesting(spec: factors.FactorSpec, gauge: morse.Gauge = morse.CANONI
                             failures.append({"z": z.format(), "l": l, "y": repr(y), "w": repr(w)})
     return _report(
         "nbhd-nesting",
-        {"factor": spec.id, "l_values": list(l_values)},
+        {"factor": spec.id, "l_values": list(NESTING_DEPTHS)},
         instances,
         failures,
         {"members_checked": checked_pairs},
@@ -398,13 +404,16 @@ def _extend_infinite(b: rays.CombRay) -> rays.CombRay:
     return rays.CombRay(b.fp, b.syllables + (nxt,), repeat=rotated)
 
 
+#: The stride of ``run_v_system``'s sample of centers for property 3.
+V_SYSTEM_STRIDE = 21
+
+
 def run_v_system(
     fp: FreeProduct,
     gauge: morse.Gauge = morse.CANONICAL_TREE_GAUGE,
     i_values=(1, 2, 3),
     max_len: int = 4,
     max_norm: int = 2,
-    sample_stride: int = 21,
 ) -> dict:
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm)
     index = rays.CombIndex(population)
@@ -431,7 +440,7 @@ def run_v_system(
                 if id(b) not in shallow:
                     failures.append({"property": 2, "a": a.text(), "b": b.text()})
     # property 3, infinite centers: j = i + 1 and k = j
-    sample = population[::sample_stride]
+    sample = population[::V_SYSTEM_STRIDE]
     for a in sample:
         if not a.repeat:
             continue

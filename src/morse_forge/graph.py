@@ -239,39 +239,21 @@ class Ball:
         """
         row = self._in_ball_rows.get(src)
         if row is None:
-            row = self.avoiding_row(src, None, 2 * self.radius)
+            neighbors = self.neighbors
+            row = [-1] * len(neighbors)
+            row[src] = 0
+            frontier, level = [src], 0
+            while frontier:
+                level += 1
+                nxt = []
+                for v in frontier:
+                    for n in neighbors[v]:
+                        if row[n] < 0:
+                            row[n] = level
+                            nxt.append(n)
+                frontier = nxt
             row = self._in_ball_rows[src] = bytes(row) if 2 * self.radius < 256 else row
         return row
-
-    def avoiding_row(self, src: int, avoid: int | None, maxlen: int) -> list[int | None]:
-        """Distances from src along paths inside the ball that never visit
-        ``avoid`` (None avoids nothing), up to maxlen; None where no such
-        path is that short.
-
-        Stationary steps pad a shorter path, so a walk of length <= L from
-        src to v avoiding ``avoid`` exists exactly when the entry is <= L.
-        """
-        out: list[int | None] = [None] * len(self.vertices)
-        if src == avoid:
-            return out
-        neighbors = self.neighbors
-        if avoid is not None:
-            out[avoid] = -1  # marked seen for the search, cleared below
-        out[src] = 0
-        frontier = [src]
-        for level in range(1, maxlen + 1):
-            nxt = []
-            for v in frontier:
-                for n in neighbors[v]:
-                    if out[n] is None:
-                        out[n] = level
-                        nxt.append(n)
-            if not nxt:
-                break
-            frontier = nxt
-        if avoid is not None:
-            out[avoid] = None
-        return out
 
     def walk_counts(self, u: int, maxlen: int) -> list[list[int]]:
         """counts[t][v]: the walks u -> v of length t <= maxlen inside the

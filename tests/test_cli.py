@@ -950,3 +950,33 @@ def test_prefix_transit_can_fail(tmp_path, capsys, monkeypatch):
     assert graph.Ball.build(fp, 2).index_of(fp.parse("a1")) not in first
     rows = (tmp_path / "check-prefix-transit-paths.csv").read_text().splitlines()
     assert rows[0] == ",".join(str(x) for x in first)
+
+
+def test_prefix_transit_slack_can_fail(tmp_path, capsys, monkeypatch):
+    # on Z^2 * Z, a1^2 made to require a1 as well: a1 is off its gate chain,
+    # and the shortest walks around it take |a1^2| + 2 = 4 steps, so the
+    # default slack 2 lists them and slack 1 does not reach them
+    prefix_vertices = words.FreeProduct.prefix_vertices
+
+    def stricter(fp, w):
+        required = prefix_vertices(fp, w)
+        if w == fp.parse("a1^2"):
+            required.append(fp.parse("a1"))
+        return required
+
+    monkeypatch.setattr(words.FreeProduct, "prefix_vertices", stricter)
+    cfg = write_config(tmp_path, factors=_pair(_LATTICE_FACTOR, _LATTICE_FACTOR))
+    args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "check", "prefix-transit", "--radius", "3"]
+    code, _out, _err = run_cli(args, capsys)
+    assert code == 1
+    report = json.loads((tmp_path / "rep" / "check-prefix-transit.json").read_text())
+    # around a1 through a2 and through a2^-1
+    assert report["status"] == "fail" and report["counterexample_count"] == 2
+    fp = load_config(str(cfg)).fp1
+    ball = graph.Ball.build(fp, 3)
+    a1 = ball.index_of(fp.parse("a1"))
+    cexs = report["counterexamples"]
+    assert all(c["w"] == "a1^2" and a1 not in c["path"] and len(c["path"]) == 5 for c in cexs)
+    rows = (tmp_path / "rep" / "check-prefix-transit-paths.csv").read_text().splitlines()
+    assert rows[0] == ",".join(str(x) for x in cexs[0]["path"])
+    assert checks.run_prefix_transit(fp, radius=3, slack=1)["status"] == "pass"

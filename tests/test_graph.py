@@ -201,19 +201,6 @@ def test_walk_counts_match_dp_oracle(zz, dihedral, lattice_product):
                 assert total == walk_count_oracle(ball, 0, v, maxlen)
 
 
-def test_avoiding_row_decides_walks_that_miss_a_vertex(dihedral, lattice_product):
-    # a walk e -> v of length <= L missing p exists iff the row reads <= L
-    for fp in (dihedral, lattice_product):
-        ball = Ball.build(fp, 2)
-        for p in range(1, len(ball)):
-            row = ball.avoiding_row(0, p, 4)
-            for v in range(len(ball)):
-                for maxlen in range(5):
-                    walks = ball.enumerate_paths(0, v, maxlen)
-                    missing = v != p and any(p not in walk for walk in walks)
-                    assert missing == (row[v] is not None and row[v] <= maxlen)
-
-
 def test_first_geodesic_shortcut_matches_space(zz, lattice_product, line_a):
     # equal and adjacent endpoints skip the words; the path must not change
     z3 = FactorSpec.finite_table("C", [[(i + j) % 3 for j in range(3)] for i in range(3)], [1, 2], names=("s", "s_inv"))

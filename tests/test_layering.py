@@ -22,7 +22,8 @@ memoize through tables that one run makes, never through ``functools``,
 whose caches would outlive the run.  Boundary verdicts take plain
 values: no record carries a neighbourhood's center, depth and gauge, a
 corresponding ray, or a matched element's role, and every spelling reads
-a table its caller made.
+a table its caller made.  A ball keeps one cut-vertex table, ``gates``:
+prefix-transit reads it and runs no search that avoids a vertex.
 """
 
 import importlib
@@ -32,7 +33,7 @@ import re
 from pathlib import Path
 
 import morse_forge
-from morse_forge import FactorSpace, FactorSpec, FreeProduct, graph, matching, rays
+from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, graph, matching, rays
 
 SRC = Path(morse_forge.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -49,6 +50,7 @@ TREE_CLOSE = re.compile(r"\btree_close\b")
 SPACE_READ = re.compile(r"\bspace\.(\w+)")
 SPLIT_LAST = re.compile(r"\bsplit_last\b")
 KIND_TAG = re.compile(r"\.kind\b|^\s*kind\s*[:=]|\b(FINITE|INFINITE|AFFINE|TABLE)\b")
+AVOIDING_ROW = re.compile(r"\bavoiding_row\b")
 MEMO = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|^\s*@cache\b|\bimport\b.*\bcache\b")
 
 #: what a ball reads of its space
@@ -161,3 +163,10 @@ def test_boundary_verdicts_take_plain_values():
     for fn in (rays.realize, rays.spell, rays.validate_against):
         table = inspect.signature(fn).parameters["table"]
         assert table.default is inspect.Parameter.empty, fn.__name__
+
+
+def test_prefix_transit_reads_the_cut_vertex_table():
+    assert not hasattr(graph.Ball, "avoiding_row")
+    assert _hits(AVOIDING_ROW, sorted(SRC.glob("*.py"))) == []
+    source = inspect.getsource(checks.run_prefix_transit)
+    assert "gates(0)" in source and "avoid" not in source

@@ -131,7 +131,8 @@ def test_integer_bound_matches_fraction_definitions(lam, eps):
 
 def _brute_force_gates(ball, v):
     """Each vertex's nearest gate toward v: delete each other vertex c in
-    turn, search from v, and take the closest c that cuts x off."""
+    turn, search from v, and take the closest c that cuts x off.  Also the
+    vertices that each c cuts off."""
     n = len(ball)
     cut_off = {}
     for c in range(n):
@@ -151,7 +152,7 @@ def _brute_force_gates(ball, v):
         behind = sorted((d_in[c], c) for c, lost in cut_off.items() if x in lost)
         assert len({d for d, _c in behind}) == len(behind)  # the gates of x form a chain
         gates.append(behind[0][1] if behind else v)
-    return gates
+    return gates, cut_off
 
 
 @pytest.mark.parametrize(
@@ -167,13 +168,21 @@ def test_nearest_gates_match_brute_force(product, radius, request, line_b):
     # the targets of the projection check: the copy of the first factor
     copy = [x for x, w in enumerate(ball.vertices) if ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) == x]
     cut_vertices = set()
+    assert copy[0] == 0  # the root that prefix-transit reads
     for v in copy:
         gates = ball.gates(v)
-        assert gates == _brute_force_gates(ball, v)
+        expected, cut_off = _brute_force_gates(ball, v)
+        assert gates == expected
         to_v = ball.in_ball_row(v)
         for x, g in enumerate(gates):
             # every path x -> v passes the gate, so the distances add up
             assert ball.in_ball_row(x)[g] == to_v[x] - to_v[g]
+            # and following the gates from x meets every vertex that cuts x off
+            chain = set()
+            while g != v:
+                chain.add(g)
+                g = gates[g]
+            assert chain == {c for c, lost in cut_off.items() if x in lost}
         cut_vertices.update(g for g in gates if g != v)
     assert cut_vertices
 
