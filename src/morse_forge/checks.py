@@ -7,6 +7,8 @@ passed silently.
 
 from __future__ import annotations
 
+import itertools
+
 from . import factors, matching, morse, rays
 from .errors import BudgetExceeded, CapExceeded
 from .graph import Ball
@@ -135,8 +137,19 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
 
 
 #: State of the empty prefix for ``projection_visitor``: no projected runs,
-#: no broken lower bound, largest d(x, pi(x)) so far 0.
-PROJECTION_START = (0, False, 0)
+#: no run value (-1 is no vertex), a deadline that the empty prefix meets,
+#: largest d(x, pi(x)) so far 0.
+PROJECTION_START = (0, -1, 0, 0)
+
+
+def projection_slack(least) -> list[int]:
+    """slack[d] for every d < len(least): the widest index gap g with
+    least[g] <= d, or 0 if there is none.  ``least`` is left as it is."""
+    widest = [0] * len(least)
+    for g, d in enumerate(least):
+        if d < len(widest):
+            widest[d] = g
+    return list(itertools.accumulate(widest, max))
 
 
 def projection_visitor(dist, proj_map, proj_gap, v, least, haus_bound, failures):
@@ -147,49 +160,47 @@ def projection_visitor(dist, proj_map, proj_gap, v, least, haus_bound, failures)
     ``failures`` as (walk, reason) in search order.
 
     The projected path is kept as runs of constant value, (value, start)
-    pairs in one list shared by the whole search; a prefix's state holds
-    its run count, so a visit first cuts the list back to its parent's
-    runs.  Inside a run only the index span matters, and across runs the
-    widest index gap binds, since ``least`` never decreases.  So a run's
-    span is checked on each extension and its constraints against the
-    earlier runs once, when it closes or the walk ends; a prefix that
-    breaks one stays broken in every extension.
+    pairs in one list shared by the whole search.  Since ``least`` never
+    decreases, a run k that starts at s_k and reaches index t breaks the
+    bound against an earlier run i exactly when least[t - s_i] >
+    d(p_i, p_k), that is when t > s_i + slack[d(p_i, p_k)]
+    (``projection_slack``), and within itself when t > s_k + slack[0].
+    So each run gets one deadline when it opens, the least of these, and
+    every later visit of the run only compares its index with it.  A
+    prefix's state holds its run count, its run's value and deadline;
+    opening a run cuts the list back to its parent's runs.  A prefix past
+    its deadline stays broken in every extension: it opens no more runs,
+    so its deadline stays behind.
     """
     runs: list[tuple[int, int]] = []
-
-    def closes_badly(t: int) -> bool:
-        # the last run ends at index t: compare it with every earlier run
-        last = len(runs) - 1
-        row = dist[runs[last][0]]
-        for i in range(last):
-            value, start = runs[i]
-            if row[value] < least[t - start]:
-                return True
-        return False
+    slack = projection_slack(least)
+    within = slack[0]
 
     def visit(state, walk):
-        nruns, broken, worst = state
+        nruns, here, due, worst = state
         t = len(walk) - 1
         x = walk[t]
         if proj_gap[x] > worst:
             worst = proj_gap[x]
-        if not broken:
-            del runs[nruns:]
+        if t <= due + 1:  # the parent met its deadline
             p = proj_map[x]
-            if nruns and runs[-1][0] == p:
-                broken = least[t - runs[-1][1]] > 0
-            else:
-                broken = nruns > 0 and closes_badly(t - 1)
+            if p != here:
+                del runs[nruns:]
+                due = t + within
+                row = dist[p]
+                for value, start in runs:
+                    latest = start + slack[row[value]]
+                    if latest < due:
+                        due = latest
                 runs.append((p, t))
                 nruns += 1
-            if x == v and not broken:
-                broken = closes_badly(t)
+                here = p
         if x == v:
-            if broken:
+            if t > due:
                 failures.append((tuple(walk), "projection lower bound"))
-            elif worst > haus_bound and _hausdorff_exceeds(dist, walk, runs, haus_bound):
+            elif worst > haus_bound and _hausdorff_exceeds(dist, walk, runs[:nruns], haus_bound):
                 failures.append((tuple(walk), "hausdorff bound"))
-        return nruns, broken, worst
+        return nruns, here, due, worst
 
     return visit
 

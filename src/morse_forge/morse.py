@@ -165,10 +165,11 @@ class QGBound:
         self.max_len = _Table(lambda d: p * (d * s + r) // (q * s))
         # how far, in Hausdorff distance, a quasi-geodesic's projection may lie
         self.hausdorff = (self.lam * self.lam * self.eps + self.eps + 1) // 1
+        self._gap_scale, self._off_scale = q, 3 * p
 
     def separated(self, gap: int, off: int) -> bool:
         """The concatenation hypothesis |t - t'| >= 3 lam (d_p + d_q)."""
-        return self.lam.denominator * gap >= 3 * self.lam.numerator * off
+        return self._gap_scale * gap >= self._off_scale * off
 
     @functools.cached_property
     def concatenated(self) -> "QGBound":

@@ -195,6 +195,116 @@ def test_projection_visitor_matches_reference(first, radius, line_b):
     assert reasons == {"projection lower bound", "hausdorff bound"}
 
 
+def test_projection_visitor_matches_reference_at_odd_slack():
+    # the ball graphs are bipartite, so a projected run that leaves the
+    # copy and comes back spans an even gap; the tables above all allow an
+    # even gap at distance 0.  Under the (1, 1) and (3, 1) lower bounds
+    # (gaps 1 and 3), a deadline one index late passes runs of gap 2 and 4
+    # that break the bound
+    ball, proj_map, dist, proj_gap, _symmetries, pairs = _projection_setup(_PRODUCTS["zz"], 3)
+    bound = morse.qg_bound(2, 2)
+    real = bound.least.upto(bound.max_len(6))
+    broken = 0
+    for point, slack in (((1, 1), 1), ((3, 1), 3)):
+        least = morse.qg_bound(*point).least.upto(len(real))
+        assert checks.projection_slack(least)[0] == slack
+        for u, v in pairs:
+            walks = morse.enumerate_quasi_geodesics(ball, u, v, 2, 2)
+            expected = []
+            for walk in walks:
+                reason = _projection_violation(dist, [proj_map[x] for x in walk], walk, least, bound.hausdorff)
+                if reason:
+                    expected.append((walk, reason))
+            found = []
+            visit = checks.projection_visitor(dist, proj_map, proj_gap, v, least, bound.hausdorff, found)
+            assert morse.scan_quasi_geodesics(ball, u, v, bound, visit, checks.PROJECTION_START) == len(walks)
+            assert found == expected
+            broken += len(found)
+    assert broken > 0
+
+
+def test_projection_visitor_reads_only_the_walks_own_runs():
+    # the run list is cut back only when a run opens, so after the sibling
+    # walk 0-1-3 opens a run at the far vertex 3, the walk 0-1-2, which
+    # only continues its run, still finds that run in the list.  Its own
+    # runs, valued 0 and 2, lie within 1 of the walk; vertex 3 lies 5 away
+    dist = [[0, 1, 2, 5], [1, 0, 2, 5], [2, 2, 0, 5], [5, 5, 5, 0]]
+    proj_map = [0, 2, 2, 3]
+    proj_gap = [dist[x][proj_map[x]] for x in range(4)]
+    least = [0] * 6
+    walk = (0, 1, 2)
+    assert _projection_violation(dist, [proj_map[x] for x in walk], walk, least, 1) is None
+    found = []
+    visit = checks.projection_visitor(dist, proj_map, proj_gap, 2, least, 1, found)
+    state = visit(visit(checks.PROJECTION_START, [0]), [0, 1])
+    visit(state, [0, 1, 3])
+    visit(state, list(walk))
+    assert found == []
+
+
+def test_projection_slack_is_the_widest_gap_allowed():
+    # under a real bound, least(g) <= d exactly when g <= max_len(d), so
+    # the slack table is max_len up to the ball's diameter; on any table
+    # it is the widest gap g with least[g] <= d, else 0.  Checked on the
+    # default grid and the benchmark's projection bounds, on those tables
+    # raised by 1, and on the (1, 0) and (2, 0) tables the visitor test uses
+    from morse_forge.cli import DEFAULT_CONFIG
+
+    points = {tuple(point) for point in DEFAULT_CONFIG["grid"]} | {(1, 0), (2, 2), (2, 3), (3, 0)}
+    for radius in (2, 3, 4):
+        for lam, eps in sorted(points):
+            bound = morse.qg_bound(lam, eps)
+            real = list(bound.least.upto(bound.max_len(2 * radius)))
+            tables = [real, [x + 1 for x in real]]
+            tables += [list(morse.qg_bound(*point).least.upto(len(real))) for point in ((1, 0), (2, 0))]
+            for least in tables:
+                kept = list(least)
+                slack = checks.projection_slack(least)
+                assert least == kept
+                assert len(slack) == len(least)
+                for d, widest in enumerate(slack):
+                    assert widest == max((g for g, need in enumerate(least) if need <= d), default=0)
+            slack = checks.projection_slack(real)
+            assert slack[: 2 * radius + 1] == bound.max_len.upto(2 * radius)[: 2 * radius + 1]
+
+
+class _CountingRows(list):
+    """Distance rows that count how often a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_projection_visitor_reads_one_row_per_run():
+    # each projected run's deadline is taken once, when the run opens, so
+    # the visitor reads at most one distance row per opening.  On Z*Z
+    # radius 3 at (2, 3), under the real bound, the 16 orbit pairs open
+    # 38,565 runs; checking each run against the earlier ones again as it
+    # closes and as its walk ends would read 60,720 rows
+    ball, proj_map, dist, proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS["zz"], 3)
+    rows = _CountingRows(dist)
+    bound = morse.qg_bound(2, 3)
+    least = bound.least.upto(bound.max_len(6))
+    openings = 0
+    for u, v in pairs:
+        failures = []
+        visit = checks.projection_visitor(rows, proj_map, proj_gap, v, least, bound.hausdorff, failures)
+
+        def counted(state, walk):
+            nonlocal openings
+            if len(walk) == 1 or proj_map[walk[-1]] != proj_map[walk[-2]]:
+                openings += 1
+            return visit(state, walk)
+
+        morse.scan_quasi_geodesics(ball, u, v, bound, counted, checks.PROJECTION_START, symmetries=symmetries)
+        assert failures == []
+    assert len(pairs) == 16
+    assert 0 < rows.reads <= openings == 38565
+
+
 def _both(first, second):
     """One scan visitor that runs two, each on its own state."""
 
