@@ -37,8 +37,8 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
     syllable prefix of w.
 
     The walks are counted, not listed: ``instances`` sums
-    ``Ball.walk_counts``, and ``path_cap`` binds each target's count as it
-    binds ``enumerate_paths``.  Following w's gates toward e
+    ``Ball.walk_counts``, and ``path_cap`` binds each target's count, so
+    it binds before any listing.  Following w's gates toward e
     (``Ball.gates(0)``) meets every vertex that all in-ball walks e -> w
     pass, so a target whose required vertices lie on that chain passes
     at any length.  Only the other targets have their walks listed, and
@@ -53,7 +53,7 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
     for w in range(1, len(ball)):
         walks = sum(counts[t][w] for t in range(limit[w] + 1))
         if path_cap is not None and walks > path_cap:
-            raise CapExceeded(path_cap + 1)
+            raise CapExceeded(path_cap)
         instances += walks
         required = {ball.index_of(p) for p in fp.prefix_vertices(ball.vertex(w))}
         chain = {w}
@@ -63,7 +63,7 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
             chain.add(x)
         if required <= chain:
             continue
-        for path in ball.enumerate_paths(0, w, limit[w], cap=path_cap):
+        for path in ball.enumerate_paths(0, w, limit[w]):
             if not required <= set(path):
                 failures.append({"w": fp.format(ball.vertex(w)), "path": list(path)})
     return _report(
@@ -95,8 +95,8 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
         for vi in range(ui, len(copy_a)):
             orbit = {(x, y) if x <= y else (y, x) for x, y in zip(images[ui], images[vi])}
             orbits[min(orbit)] = len(orbit)
-    # d(x, pi(x)) bounds the Hausdorff distance in both directions, since
-    # the projection of each walk vertex lies on the projected path
+    # the largest d(x, pi(x)) over a walk is the Hausdorff distance between
+    # the walk and its projection (see projection_visitor)
     proj_gap = [dist[i][proj_map[i]] for i in range(n)]
     instances = 0
     covered = 0
@@ -171,6 +171,13 @@ def projection_visitor(dist, proj_map, proj_gap, v, least, haus_bound, failures)
     opening a run cuts the list back to its parent's runs.  A prefix past
     its deadline stays broken in every extension: it opens no more runs,
     so its deadline stays behind.
+
+    The Hausdorff distance between a walk and its projected values is
+    the largest d(x, pi(x)) over the walk, the state's ``worst``.  In a
+    free product a vertex x reaches the factor copy only through pi(x), a
+    cut vertex, so d(x, pi(x)) is x's distance to the copy and to the
+    projected values; and each projected value pi(x) lies d(x, pi(x))
+    from the walk vertex x.
     """
     runs: list[tuple[int, int]] = []
     slack = projection_slack(least)
@@ -198,33 +205,18 @@ def projection_visitor(dist, proj_map, proj_gap, v, least, haus_bound, failures)
         if x == v:
             if t > due:
                 failures.append((tuple(walk), "projection lower bound"))
-            elif worst > haus_bound and _hausdorff_exceeds(dist, walk, runs[:nruns], haus_bound):
+            elif worst > haus_bound:
                 failures.append((tuple(walk), "hausdorff bound"))
         return nruns, here, due, worst
 
     return visit
 
 
-def _hausdorff_exceeds(dist, walk, runs, haus_bound) -> bool:
-    """Whether the walk and the values of its projected runs lie farther
-    than haus_bound apart in Hausdorff distance."""
-    proj_set = {value for value, _start in runs}
-    for x in walk:
-        row = dist[x]
-        if min(row[p] for p in proj_set) > haus_bound:
-            return True
-    walk_set = set(walk)
-    for p in proj_set:
-        row = dist[p]
-        if min(row[x] for x in walk_set) > haus_bound:
-            return True
-    return False
-
-
 # -- concatenation ------------------------------------------------------------
 
 
-#: Geodesics from e to one vertex that ``run_concat_qg`` takes, at most.
+#: The most geodesics from e to one vertex that ``run_concat_qg`` takes;
+#: it refuses a vertex with more.
 GEODESIC_CAP = 64
 
 
@@ -233,10 +225,10 @@ def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, path
     geodesic_paths: list[tuple[int, ...]] = []
     qg_paths: list[tuple[int, ...]] = []
     for w in range(len(ball)):
-        try:
-            geodesic_paths.extend(ball.enumerate_geodesics(0, w, cap=GEODESIC_CAP))
-        except CapExceeded:  # the CLI reads CapExceeded as path_cap's
-            raise BudgetExceeded(f"checks.GEODESIC_CAP {GEODESIC_CAP} exceeded: more geodesics from e to {fp.format(ball.vertex(w))}") from None
+        geodesics = ball.enumerate_geodesics(0, w)
+        if len(geodesics) > GEODESIC_CAP:
+            raise BudgetExceeded(f"checks.GEODESIC_CAP {GEODESIC_CAP} exceeded: more geodesics from e to {fp.format(ball.vertex(w))}")
+        geodesic_paths.extend(geodesics)
         if ball.dist[w] <= qg_norm_limit:
             qg_paths.extend(morse.enumerate_quasi_geodesics(ball, 0, w, 1, 2, path_cap))
     families = (("geodesic", 1, 0, geodesic_paths), ("qg", 1, 2, qg_paths))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import checks, factors, matching, morse
-from .errors import BudgetExceeded, CapExceeded, Inconclusive, MorseForgeError, ParseError
+from .errors import BudgetExceeded, Inconclusive, MorseForgeError, ParseError
 from .graph import Ball
 from .words import FreeProduct
 
@@ -54,21 +54,15 @@ DEFAULT_CONFIG = {
     "output": "reports",
 }
 
-CHECK_IDS = (
-    "prefix-transit",
-    "projection-qg",
-    "concat-qg",
-    "nbhd-nesting",
-    "ray-merge",
-    "v-system",
-    "phi-psi",
-)
-
-#: the ``check`` flags each check reads; a check refuses any other
+#: every check id, with the ``check`` flags it reads; a check refuses any other
 CHECK_FLAGS = {
     "prefix-transit": ("--radius",),
     "projection-qg": ("--radius", "--lambda", "--eps"),
     "concat-qg": ("--radius",),
+    "nbhd-nesting": (),
+    "ray-merge": (),
+    "v-system": (),
+    "phi-psi": (),
 }
 
 
@@ -191,43 +185,31 @@ def cmd_normalize(cfg: RunConfig, text: str) -> int:
 
 def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> int:
     flags = (("--radius", radius), ("--lambda", lam), ("--eps", eps))
-    unread = [f for f, v in flags if v is not None and f not in CHECK_FLAGS.get(check_id, ())]
+    unread = [f for f, v in flags if v is not None and f not in CHECK_FLAGS[check_id]]
     if unread:
         raise ParseError(f"check {check_id} does not read {' or '.join(unread)}")
     budgets = cfg.budgets
     fp = cfg.fp1
     ball_radius = budgets["ball_radius"] if radius is None else radius
     vertex_budget = budgets["vertex_budget"]
+    capped = {"path_cap": budgets["path_cap"], "vertex_budget": vertex_budget}
     # flags that are not given leave the check's own defaults in force
     if check_id == "prefix-transit":
         given = {} if radius is None else {"radius": radius}
-        report = _path_capped(
-            checks.run_prefix_transit, fp, budgets["path_cap"], vertex_budget=vertex_budget, **given
-        )
+        report = checks.run_prefix_transit(fp, **capped, **given)
     elif check_id == "projection-qg":
         given = {} if lam is None else {"grid": [(lam, eps)]}
-        report = _path_capped(
-            checks.run_projection_qg,
-            fp,
-            budgets["path_cap"],
-            radius=ball_radius,
-            vertex_budget=vertex_budget,
-            **given,
-        )
+        report = checks.run_projection_qg(fp, radius=ball_radius, **capped, **given)
     elif check_id == "concat-qg":
-        report = _path_capped(
-            checks.run_concat_qg, fp, budgets["path_cap"], radius=ball_radius, vertex_budget=vertex_budget
-        )
+        report = checks.run_concat_qg(fp, radius=ball_radius, **capped)
     elif check_id == "nbhd-nesting":
         report = checks.run_nbhd_nesting(fp.a)
     elif check_id == "ray-merge":
         report = checks.run_ray_merge(fp)
     elif check_id == "v-system":
         report = checks.run_v_system(fp)
-    elif check_id == "phi-psi":
+    else:  # phi-psi, the last id of CHECK_FLAGS, which refused any other
         report = checks.run_phi_psi(fp)
-    else:
-        raise ParseError(f"unknown check id {check_id!r}")
     path = _write_report(cfg, f"check-{check_id}.json", report)
     _write_counterexample_paths(cfg, check_id, report)
     print(json.dumps({"report": str(path), "status": report["status"]}, sort_keys=True))
@@ -237,15 +219,6 @@ def cmd_check(cfg: RunConfig, check_id: str, radius: int | None, lam, eps) -> in
         (cfg.output / f"ball-r{ball.radius}.dot").write_text(ball.to_dot(), encoding="utf-8")
         _write_report(cfg, f"ball-r{ball.radius}.json", ball.to_json_dict())
     return _status_exit(report)
-
-
-def _path_capped(run, first, path_cap: int, **kwargs):
-    """Run ``run(first, ...)``, whose path enumerations are capped by the
-    path_cap budget."""
-    try:
-        return run(first, path_cap=path_cap, **kwargs)
-    except CapExceeded as exc:
-        raise BudgetExceeded(f"budget path_cap {path_cap} exceeded: {exc.count} paths enumerated") from exc
 
 
 def _write_counterexample_paths(cfg: RunConfig, check_id: str, report: dict) -> None:
@@ -307,7 +280,7 @@ def cmd_gauge(cfg: RunConfig, text: str, radius: int | None) -> int:
     ball = Ball.build(fp, r, vertex_budget=cfg.budgets["vertex_budget"])
     target = ball.index_of(word)
     path = ball.first_geodesic(0, target)
-    gauge = _path_capped(morse.estimate_gauge, ball, cfg.budgets["path_cap"], verts=path, grid=cfg.grid)
+    gauge = morse.estimate_gauge(ball, path, cfg.grid, cfg.budgets["path_cap"])
     lines = ["lambda,eps,bound,certified_radius"]
     for (lam, eps), bound in gauge.entries:
         lines.append(f"{lam},{eps},{bound},{gauge.certified_radius}")
@@ -345,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("word", nargs="?", default="")
 
     p_check = sub.add_parser("check", help="run an exhaustive property check")
-    p_check.add_argument("id", choices=CHECK_IDS)
+    p_check.add_argument("id", choices=CHECK_FLAGS)
     p_check.add_argument("--radius", type=_int_at_least(0))
     p_check.add_argument("--lambda", dest="lam", type=_int_at_least(1))
     p_check.add_argument("--eps", type=_int_at_least(0))

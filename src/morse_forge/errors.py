@@ -34,11 +34,10 @@ class Inconclusive(MorseForgeError):
 
 
 class CapExceeded(Inconclusive):
-    """An enumeration produced more results than the caller allowed."""
+    """A path search met more paths than the path_cap budget allows."""
 
-    def __init__(self, count: int, message: str = ""):
-        self.count = count
-        super().__init__(message or f"enumeration produced {count} results, above the cap")
+    def __init__(self, cap: int):
+        super().__init__(f"budget path_cap {cap} exceeded: {cap + 1} paths enumerated")
 
 
 class BudgetExceeded(Inconclusive):

@@ -23,7 +23,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field, fields
 
-from .errors import CapExceeded, MixedFactor, NoBoundary, ParseError
+from .errors import MixedFactor, NoBoundary, ParseError
 
 LINE = "line"
 LATTICE = "lattice"
@@ -551,7 +551,7 @@ def distance(x: FactorElement, y: FactorElement) -> int:
     return (x.inverse() * y).norm()
 
 
-def geodesics(x: FactorElement, y: FactorElement, cap: int | None = None):
+def geodesics(x: FactorElement, y: FactorElement):
     """All geodesic vertex paths from x to y, in generator-index order.
 
     The search runs on payloads and carries the residual r = cur^-1 y:
@@ -562,7 +562,6 @@ def geodesics(x: FactorElement, y: FactorElement, cap: int | None = None):
     ops = spec.ops
     mul, norm, moves = ops.multiply, ops.norm, ops.moves
     paths: list[tuple[FactorElement, ...]] = []
-    count = 0
     path: list = []  # payloads from x to the current vertex
     r = mul(ops.inverse(x.payload), y.payload)
     stack = [(0, x.payload, r, norm(r))]  # (depth, vertex, residual, remaining)
@@ -571,9 +570,7 @@ def geodesics(x: FactorElement, y: FactorElement, cap: int | None = None):
         del path[depth:]
         path.append(cur)
         if remaining == 0:
-            count += 1
-            if cap is None or count <= cap:
-                paths.append(tuple(FactorElement(spec, p) for p in path))
+            paths.append(tuple(FactorElement(spec, p) for p in path))
             continue
         below = remaining - 1
         children = []
@@ -582,8 +579,6 @@ def geodesics(x: FactorElement, y: FactorElement, cap: int | None = None):
             if norm(rest) == below:
                 children.append((depth + 1, mul(cur, g), rest, below))
         stack.extend(reversed(children))  # the first generator is searched first
-    if cap is not None and count > cap:
-        raise CapExceeded(count)
     return paths
 
 

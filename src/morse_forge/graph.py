@@ -28,7 +28,7 @@ target).
 from __future__ import annotations
 
 from . import factors
-from .errors import BudgetExceeded, CapExceeded, PossiblyTruncated
+from .errors import BudgetExceeded, PossiblyTruncated
 
 
 def spheres(space):
@@ -343,12 +343,12 @@ class Ball:
 
     # -- enumeration --------------------------------------------------------
 
-    def enumerate_geodesics(self, u: int, v: int, cap: int | None = None) -> list[tuple[int, ...]]:
+    def enumerate_geodesics(self, u: int, v: int) -> list[tuple[int, ...]]:
         """All geodesic paths u -> v, in deterministic generator order."""
         if not self.certified(u, v):
             raise PossiblyTruncated("geodesics between these endpoints may leave the ball")
         # a geodesic is a walk of length d_in(u, v) without stationary steps
-        return self._walks(u, v, self.in_ball_row(v)[u], cap, stay=False)
+        return self._walks(u, v, self.in_ball_row(v)[u], stay=False)
 
     def first_geodesic(self, u: int, v: int) -> tuple[int, ...]:
         """One true geodesic u -> v (the space's lexicographically first).
@@ -367,30 +367,25 @@ class Ball:
         except KeyError:
             raise PossiblyTruncated("the first geodesic between these endpoints leaves the ball") from None
 
-    def enumerate_paths(
-        self, u: int, v: int, maxlen: int, cap: int | None = None
-    ) -> list[tuple[int, ...]]:
+    def enumerate_paths(self, u: int, v: int, maxlen: int) -> list[tuple[int, ...]]:
         """All walks u -> v of length <= maxlen inside the ball.
 
         Walks may revisit vertices and may take stationary steps; the
         step order is "stay" first, then generators.
         """
-        return self._walks(u, v, maxlen, cap, stay=True)
+        return self._walks(u, v, maxlen, stay=True)
 
-    def _walks(self, u: int, v: int, maxlen: int, cap: int | None, stay: bool) -> list[tuple[int, ...]]:
+    def _walks(self, u: int, v: int, maxlen: int, stay: bool) -> list[tuple[int, ...]]:
         """Depth-first search for the walks u -> v of length <= maxlen
         inside the ball, each listed when it reaches v and then extended.
 
         A step goes to the walk's last vertex itself first when ``stay``,
         then to its neighbours in adjacency order, and only where the
-        in-ball distance to v leaves time to return.  The walk past ``cap``
-        stops the search with ``CapExceeded(cap + 1)``.
+        in-ball distance to v leaves time to return.
         """
         to_v = self.in_ball_row(v)
         neighbors = self.neighbors
         out = [(u,)] if u == v else []
-        if cap is not None and len(out) > cap:
-            raise CapExceeded(cap + 1)
         walk = [u]
         # one iterator over the next steps per vertex of the walk that may
         # still be extended
@@ -401,8 +396,6 @@ class Ball:
                 if to_v[x] <= left:
                     walk.append(x)
                     if x == v:
-                        if len(out) == cap:
-                            raise CapExceeded(cap + 1)
                         out.append(tuple(walk))
                     if left:
                         steps.append(iter([x] + neighbors[x] if stay else neighbors[x]))

@@ -297,14 +297,8 @@ class MatchState:
 
     def _tracks(self, back: factors.BoundaryPoint, lam_x: factors.BoundaryPoint, t: int):
         """Whether the two rays stay close up to depth t, and the largest
-        pointwise distance read on the way, up to the first one that
-        fails.  Rays sharing s steps stand 2 * max(0, t' - s) apart at step
-        t', so the distances read are 0, ..., 0, 2, 4, ..."""
-        if morse.factor_close(self.gauge, t, lam_x, back):
-            return True, 2 * (t - factors.shared_steps(back, lam_x, t))
-        # the first failing distance: the least even one >= max(1, ceil(delta))
-        close_below = morse.rational_ceil(self.gauge.delta)
-        return False, 2 * max(1, -(-close_below // 2))
+        pointwise distance read on the way (``morse.ray_tracking``)."""
+        return morse.ray_tracking(self.gauge, t, lam_x, back)
 
     def _commit(self, side, x, y, record):
         src, tgt = (x, y) if side == 1 else (y, x)

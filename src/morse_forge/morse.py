@@ -311,9 +311,10 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
     carry work along shared prefixes instead of rescanning whole walks.  A
     prefix is a walk when it ends at v; it may still be extended.  A
     verdict that the symmetries preserve holds for every walk exactly when
-    it holds for every walk visited.  ``cap`` bounds the weighted count:
-    the walk that takes it past the cap stops the search with
-    ``CapExceeded(cap + 1)``, the count the plain search stops at.
+    it holds for every walk visited.  ``cap`` is the path_cap budget on
+    the weighted count: the walk that takes it past the cap stops the
+    search with ``CapExceeded(cap)``, at the count the plain search stops
+    at.
 
     The upper quasi-geodesic bound holds automatically for unit steps.  A
     step to x at index t is refused by four exact prunes, each reading only
@@ -436,7 +437,7 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
             if nxt == v:
                 count += extended
                 if cap is not None and count > cap:
-                    raise CapExceeded(cap + 1)
+                    raise CapExceeded(cap)
             if t < limit:
                 frames.append((options, top, weight, current, chain, branch, b, old))
                 masks[b] = new
@@ -470,7 +471,8 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
     """Empirical table gauge for a geodesic: per grid point, the maximal
     deviation over every enumerated quasi-geodesic with endpoints on it.
     A pair of endpoints with more than ``path_cap`` of them raises
-    ``CapExceeded``.
+    ``CapExceeded``.  Every pair (u, u) has its trivial walk, so each grid
+    point's maximum is taken over at least one walk.
     """
     # a path is geodesic, the (1, 0) bound, exactly when its steps are
     # edges and its ends lie as far apart as its length
@@ -494,12 +496,10 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
 
     for lam, eps in grid:
         bound = qg_bound(lam, eps)
-        worst = seen = 0
+        worst = 0
         for i, u in enumerate(verts):
             for v in verts[i:]:
-                seen += scan_quasi_geodesics(ball, u, v, bound, deepest, 0, path_cap)
-        if seen == 0:
-            raise BudgetExceeded("no admissible quasi-geodesics enumerated")
+                scan_quasi_geodesics(ball, u, v, bound, deepest, 0, path_cap)
         entries[(lam, eps)] = worst  # Gauge.table makes Fractions of them
     return Gauge.table(entries, certified_radius=ball.radius)
 
@@ -639,6 +639,21 @@ def factor_close(gauge: Gauge, depth: int, center, member) -> bool:
     if isinstance(member, factors.FactorElement) and member.norm() < depth:
         return False
     return tree_close(gauge, depth, factors.shared_steps(member, center, depth))
+
+
+def ray_tracking(gauge: Gauge, depth: int, center, member) -> tuple[bool, int]:
+    """``factor_close`` for two boundary directions, with the largest
+    pointwise distance between their rays read on the way, up to the
+    first one that fails.
+
+    Rays sharing s steps stand 2 * max(0, t - s) apart at step t, so the
+    distances read are 0, ..., 0, 2, 4, ...; the first failing one is the
+    least even distance >= max(1, ceil(delta)).
+    """
+    shared = factors.shared_steps(member, center, depth)
+    if tree_close(gauge, depth, shared):
+        return True, 2 * (depth - shared)
+    return False, 2 * max(1, -(-rational_ceil(gauge.delta) // 2))
 
 
 def neighborhood_member(space, nbhd: Neighborhood, candidate) -> bool:

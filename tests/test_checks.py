@@ -159,15 +159,19 @@ def _projection_violation(dist, proj, walk, least, haus_bound):
         (FactorSpec.integer_line("A", "x"), 3),
         (FactorSpec.integer_lattice("A", 2), 2),
         (FactorSpec.free_group("A", 2, names=("a", "b")), 2),
+        (FactorSpec.finite_table("A", [[(i + j) % 3 for j in range(3)] for i in range(3)], [1, 2], names=("s", "s_inv")), 3),
     ],
-    ids=["zz-r3", "lattice-line-r2", "free2-line-r2"],
+    ids=["zz-r3", "lattice-line-r2", "free2-line-r2", "z3-line-r3"],
 )
 def test_projection_visitor_matches_reference(first, radius, line_b):
     # the fused verdict against the whole-walk reference, on every walk of
     # the enumeration, under the real bound, under the (1, 0) lower bound
     # (most walks fail it), under Hausdorff bound 0, and under the (2, 0)
     # lower bound, which some projections break only between runs before
-    # their last one
+    # their last one.  The reference measures the Hausdorff distance both
+    # ways over the whole walk; the visitor reads only the largest
+    # d(x, pi(x)), and the finite first factor Z/3 puts a triangle in the
+    # copy that the walk projects to
     fp = FreeProduct(first, line_b)
     ball, proj_map, dist, proj_gap, _symmetries, pairs = _projection_setup(fp, radius)
     reasons = set()
@@ -221,25 +225,6 @@ def test_projection_visitor_matches_reference_at_odd_slack():
             assert found == expected
             broken += len(found)
     assert broken > 0
-
-
-def test_projection_visitor_reads_only_the_walks_own_runs():
-    # the run list is cut back only when a run opens, so after the sibling
-    # walk 0-1-3 opens a run at the far vertex 3, the walk 0-1-2, which
-    # only continues its run, still finds that run in the list.  Its own
-    # runs, valued 0 and 2, lie within 1 of the walk; vertex 3 lies 5 away
-    dist = [[0, 1, 2, 5], [1, 0, 2, 5], [2, 2, 0, 5], [5, 5, 5, 0]]
-    proj_map = [0, 2, 2, 3]
-    proj_gap = [dist[x][proj_map[x]] for x in range(4)]
-    least = [0] * 6
-    walk = (0, 1, 2)
-    assert _projection_violation(dist, [proj_map[x] for x in walk], walk, least, 1) is None
-    found = []
-    visit = checks.projection_visitor(dist, proj_map, proj_gap, 2, least, 1, found)
-    state = visit(visit(checks.PROJECTION_START, [0]), [0, 1])
-    visit(state, [0, 1, 3])
-    visit(state, list(walk))
-    assert found == []
 
 
 def test_projection_slack_is_the_widest_gap_allowed():

@@ -588,15 +588,13 @@ def test_match_continuity_can_fail(tmp_path, capsys, monkeypatch):
     assert all(e["status"] == "verified" for e in report["pairs"]["B"]["continuity"].values())
 
 
-def test_match_continuity_budget_exit_code(tmp_path, capsys):
-    # at depth 1 only, the search for l = 2 and 3 runs out: no element of
-    # norm >= 1 near an end stays near its image at depth 2
-    cfg = write_config(tmp_path, budgets={"continuity_k_max": 1})
+def _continuity_budget_exit(tmp_path, capsys, budgets, named):
+    cfg = write_config(tmp_path, budgets=budgets)
     args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "match", "--steps", "5"]
     code, out, err = run_cli(args, capsys)
     assert code == 3 and json.loads(out)["status"] == "inconclusive"
     assert err.count("\n") == 1 and err.startswith("inconclusive: ")
-    assert "continuity_k_max 1" in err and "continuity_ball 12" in err
+    assert err.endswith(f"within budgets {named}\n")
     report = json.loads((tmp_path / "rep" / "match-report.json").read_text())
     assert report["status"] == "inconclusive"
     unsettled = {
@@ -608,6 +606,21 @@ def test_match_continuity_budget_exit_code(tmp_path, capsys):
     assert unsettled == {
         (name, f"{end}|l={l}"): "inconclusive" for name in "AB" for end in ("+inf", "-inf") for l in (2, 3)
     }
+
+
+def test_match_continuity_budget_exit_code(tmp_path, capsys):
+    # at depth 1 only, the search for l = 2 and 3 runs out: no element of
+    # norm >= 1 near an end stays near its image at depth 2
+    budgets = {"continuity_k_max": 1}
+    _continuity_budget_exit(tmp_path, capsys, budgets, "continuity_k_max 1 and continuity_ball 12")
+
+
+def test_match_continuity_ball_budget_exit_code(tmp_path, capsys):
+    # among the elements of norm <= 1, only x and x^-1 lie near an end, at
+    # depth 1, and their images have norm 1 < l = 2 and 3; no deeper
+    # member exists, so the same searches run out
+    budgets = {"continuity_ball": 1}
+    _continuity_budget_exit(tmp_path, capsys, budgets, "continuity_k_max 12 and continuity_ball 1")
 
 
 def test_match_counterexample_outranks_continuity_budget(tmp_path, capsys, monkeypatch):

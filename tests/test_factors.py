@@ -7,7 +7,7 @@ import pytest
 
 from morse_forge import FactorSpec, FactorSpace
 from morse_forge import factors, morse
-from morse_forge.errors import CapExceeded, MixedFactor, NoBoundary
+from morse_forge.errors import MixedFactor, NoBoundary
 from morse_forge.factors import BoundaryPoint
 from morse_forge.graph import Ball
 from morse_forge.matching import iterate_elements
@@ -115,18 +115,10 @@ def test_geodesics_properties(lattice2, z6):
         ball = Ball.build(FactorSpace(spec), 3)
         e = spec.identity()
         for x in ball.vertices:
-            for path in factors.geodesics(e, x, cap=64):
+            for path in factors.geodesics(e, x):
                 assert len(path) - 1 == factors.distance(e, x)
                 for a, b in zip(path, path[1:]):
                     assert factors.distance(a, b) == 1
-
-
-def test_geodesics_cap(lattice2):
-    e = lattice2.make_element((0, 0))
-    target = lattice2.make_element((2, 2))
-    with pytest.raises(CapExceeded) as exc:
-        factors.geodesics(e, target, cap=3)
-    assert exc.value.count == 6
 
 
 def _reference_geodesics(x, y):
@@ -156,11 +148,6 @@ def test_payload_search_matches_element_search(line_a, lattice2, free2, z6):
                 want = _reference_geodesics(x, y)
                 assert factors.geodesics(x, y) == want
                 assert factors.first_geodesic(x, y) == want[0]
-                assert factors.geodesics(x, y, cap=len(want)) == want
-                if len(want) > 1:
-                    with pytest.raises(CapExceeded) as exc:
-                        factors.geodesics(x, y, cap=len(want) - 1)
-                    assert exc.value.count == len(want)
 
 
 def test_ray_walker_gives_every_realization(line_a, free2):

@@ -12,24 +12,30 @@ through ``Ball``'s public methods and its ``neighbors`` lists (``row``,
 holds one in a ``weakref`` table.  The checks and the ball decide
 quasi-geodesic verdicts through ``morse``'s int bound, so they do no
 rational arithmetic of their own.  Closeness between factor geodesics is
-decided in ``morse`` alone: other modules call ``morse.factor_close``,
-never ``tree_close``.  A ball reads its space through one named protocol,
-which both ``FreeProduct`` and ``FactorSpace`` define; a vertex's syllable
-prefix comes from the ball's own tables, never from the space.  A
-combinatorial geodesic or a gauge carries no kind tag: its data say
-whether it is finite or affine.  The rays, the checks and the matching
+decided in ``morse`` alone: other modules call ``morse.factor_close`` or
+``morse.ray_tracking``, never ``tree_close``, and only ``morse`` reads how
+many steps two factor geodesics share.  A ball reads its space through
+one named protocol, which both ``FreeProduct`` and ``FactorSpace``
+define; a vertex's syllable prefix comes from the ball's own tables,
+never from the space.  A combinatorial geodesic or a gauge carries no
+kind tag: its data say whether it is finite or affine.  The rays, the checks and the matching
 memoize through tables that one run makes, never through ``functools``,
 whose caches would outlive the run.  Boundary verdicts take plain
 values: no record carries a neighbourhood's center, depth and gauge, a
 corresponding ray, or a matched element's role, and every spelling reads
 a table its caller made.  A ball keeps one cut-vertex table, ``gates``:
-prefix-transit reads it and runs no search that avoids a vertex.
+prefix-transit reads it and runs no search that avoids a vertex.  The
+path_cap budget names itself where it binds: ``CapExceeded`` is raised
+by the quasi-geodesic scan and by prefix-transit's walk count, and no
+module catches it to say what it means.
 """
 
 import importlib
 import importlib.util
 import inspect
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import morse_forge
@@ -47,6 +53,9 @@ ADJACENCY = re.compile(r"\.adjacency\b")
 WEAKREF = re.compile(r"^\s*(import|from)\s+weakref\b")
 RATIONAL = re.compile(r"\b(Fraction|fractions)\b")
 TREE_CLOSE = re.compile(r"\btree_close\b")
+SHARED_STEPS = re.compile(r"\bshared_steps\b")
+CATCH_CAP = re.compile(r"\bexcept\b.*\bCapExceeded\b")
+RAISE_CAP = re.compile(r"\braise\s+(\w+\.)*CapExceeded\b")
 SPACE_READ = re.compile(r"\bspace\.(\w+)")
 SPLIT_LAST = re.compile(r"\bsplit_last\b")
 KIND_TAG = re.compile(r"\.kind\b|^\s*kind\s*[:=]|\b(FINITE|INFINITE|AFFINE|TABLE)\b")
@@ -100,6 +109,29 @@ def test_checks_and_graph_do_no_rational_arithmetic():
 
 def test_only_morse_calls_tree_close():
     assert _hits(TREE_CLOSE, [p for p in SRC.glob("*.py") if p.name != "morse.py"]) == []
+
+
+def test_only_morse_reads_shared_steps():
+    # the tree distance 2 * (t - shared) between factor rays is morse's
+    assert _hits(SHARED_STEPS, [p for p in OTHERS if p.name != "morse.py"]) == []
+    assert "shared_steps" in inspect.getsource(morse_forge.morse)
+
+
+def test_path_cap_names_itself_where_it_binds():
+    sources = sorted(SRC.glob("*.py"))
+    assert _hits(CATCH_CAP, sources) == []
+    raisers = {hit.split(":")[0] for hit in _hits(RAISE_CAP, sources)}
+    assert raisers == {"morse.py", "checks.py"}
+    # a comment that says what the CLI does with an exception is a relabel
+    # waiting to happen; cli.py alone speaks for the CLI
+    comments = [
+        f"{p.name}:{tok.start[0]}: {tok.string}"
+        for p in sources
+        if p.name != "cli.py"
+        for tok in tokenize.generate_tokens(io.StringIO(p.read_text(encoding="utf-8")).readline)
+        if tok.type == tokenize.COMMENT and re.search(r"\bCLI\b", tok.string)
+    ]
+    assert comments == []
 
 
 def test_rays_and_gauges_carry_no_kind_tag():

@@ -306,7 +306,7 @@ def test_concat_hypothesis_instances_verify(zz, lattice_product):
         for w in range(len(ball)):
             if ball.dist[w] < 3:
                 continue
-            for gamma in ball.enumerate_geodesics(0, w, cap=8):
+            for gamma in ball.enumerate_geodesics(0, w):
                 near = sorted(set(gamma))
                 for p in near:
                     for q in near:

@@ -99,7 +99,7 @@ def test_corresponding_ray_tracks_realizations(line_a, free2):
             assert x.norm() >= bound
             merge_depth, direction = corresponding_ray(spec, x)
             lam = direction.realization(t)
-            for eta in factors.geodesics(spec.identity(), x, cap=4):
+            for eta in factors.geodesics(spec.identity(), x):
                 tested += 1
                 for s in range(t + 1):
                     d = factors.distance(lam[s], eta[s])

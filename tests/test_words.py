@@ -104,7 +104,7 @@ def test_prefix_vertices_are_the_product_level_forced_set(zz, lattice_product):
         ball = Ball.build(fp, 4)
         for idx in range(1, len(ball)):
             w = ball.vertex(idx)
-            geods = ball.enumerate_geodesics(0, idx, cap=512)
+            geods = ball.enumerate_geodesics(0, idx)
             forced = set(geods[0])
             for p in geods[1:]:
                 forced &= set(p)
