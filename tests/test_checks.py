@@ -107,7 +107,9 @@ def test_stabilizer_selects_the_automorphisms_fixing_both_ends(product, radius):
 
 def _projection_setup(fp, radius):
     """The ball, the projection tables and the orbit representatives of
-    endpoint pairs, as ``checks.run_projection_qg`` builds them."""
+    endpoint pairs, as ``checks.run_projection_qg`` builds them, except
+    that ``dist`` holds every row: the check builds the copy's rows only,
+    which are all the visitor reads, and the references read the others."""
     ball = Ball.build(fp, radius)
     n = len(ball)
     proj_map = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
@@ -473,6 +475,47 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
     assert reduced_failures < plain_failures
 
 
+@pytest.mark.parametrize("product, radius", [("zz", 3), ("lattice-line", 2), ("free2-line", 2)], ids=["zz-r3", "lattice-line-r2", "free2-line-r2"])
+def test_reversed_scan_matches_forward_scan(product, radius):
+    # what run_projection_qg's far-first scan rests on: reversal maps the
+    # walks u -> v onto the walks v -> u, and the projection verdicts do
+    # not depend on the direction.  On every orbit representative, the
+    # reduced scan v -> u counts the walks of the reduced scan u -> v, and
+    # its failing walks, reversed, have the forward failing walks as their
+    # canonical forms, with the same reasons; under the real bound, a
+    # Hausdorff bound of 0 and a lower bound raised by 1
+    ball, proj_map, dist, proj_gap, groups, pairs = _projection_setup(_PRODUCTS[product], radius)
+    generators = _branch_generators(ball)
+    reasons = set()
+    for lam, eps in _ORACLE_GRID:
+        bound = morse.qg_bound(lam, eps)
+        least = bound.least.upto(bound.max_len(2 * radius))
+        settings = ((least, bound.hausdorff), (least, 0), ([x + 1 for x in least], bound.hausdorff))
+        for u, v in pairs:
+            scans = []
+            for a, b in ((u, v), (v, u)):
+                found = [[] for _ in settings]
+                first, second, third = (
+                    checks.projection_visitor(dist, proj_map, proj_gap, b, table, haus_bound, out)
+                    for (table, haus_bound), out in zip(settings, found)
+                )
+
+                def visit(states, walk):
+                    return first(states[0], walk), second(states[1], walk), third(states[2], walk)
+
+                count = morse.scan_quasi_geodesics(ball, a, b, bound, visit, (checks.PROJECTION_START,) * 3, symmetries=groups)
+                scans.append((count, found))
+            (count, forward), (back_count, backward) = scans
+            assert back_count == count
+            # sorted, the walks share the longest prefixes
+            walks = sorted({walk[::-1] for theirs in backward for walk, _reason in theirs})
+            canonical = dict(zip(walks, _canonical_forms(groups, generators, u, v, walks)))
+            for mine, theirs in zip(forward, backward):
+                assert sorted((canonical[walk[::-1]], reason) for walk, reason in theirs) == sorted(mine)
+                reasons.update(reason for _walk, reason in mine)
+    assert reasons == {"projection lower bound", "hausdorff bound"}
+
+
 def _dead_prefixes(scan, ball, u, v, bound, group):
     """(kept, dead): how many prefixes the scan keeps, and how many of
     them lead to no walk."""
@@ -513,6 +556,28 @@ def test_no_kept_prefix_is_dead(product, radius, point, reduced_kept):
             reference_dead += _dead_prefixes(_reference_scan, ball, u, v, bound, group)[1]
     assert kept[groups] == reduced_kept < kept[None]
     assert reference_dead > 0
+
+
+@pytest.mark.parametrize(
+    "product, radius, point, far_first_kept",
+    [("zz", 3, (2, 3), 58079), ("free2-line", 2, (2, 2), 17171)],
+    ids=["zz-r3", "free2-line-r2"],
+)
+def test_far_first_scan_keeps_no_dead_prefix(product, radius, point, far_first_kept):
+    # run_projection_qg scans each pair from its end farther from e, as
+    # (v, u) when |v| > |u|.  The reduced scans then keep the pinned number
+    # of prefixes, every one of which leads to a walk; from u they keep
+    # 63,659 on Z*Z and 18,746 on F2*Z (test_no_kept_prefix_is_dead)
+    ball, _proj_map, _dist, _proj_gap, groups, pairs = _projection_setup(_PRODUCTS[product], radius)
+    bound = morse.qg_bound(*point)
+    kept = 0
+    for u, v in pairs:
+        if ball.dist[v] > ball.dist[u]:
+            u, v = v, u
+        count, dead = _dead_prefixes(morse.scan_quasi_geodesics, ball, u, v, bound, groups)
+        assert dead == 0
+        kept += count
+    assert kept == far_first_kept
 
 
 def test_projection_check_keeps_bound_tables(zz):

@@ -364,6 +364,39 @@ def test_projection_lower_bound_can_fail(tmp_path, capsys, monkeypatch):
     assert _written(tmp_path / "reduced") == _written(tmp_path / "plain")
 
 
+def test_projection_builds_only_the_rows_it_reads(tmp_path, capsys, monkeypatch):
+    # on Z^2 * Z at radius 3 and (1, 0) the check builds the distance rows
+    # of 25 of the ball's 143 vertices: the copy's, which the visitor
+    # reads, and those the scans' walks can reach.  A run with every row
+    # built with the ball writes the same files
+    line = {"id": "B1", "kind": "line", "names": ["y"]}
+    cfg = write_config(tmp_path, factors={"first": [dict(_LATTICE_FACTOR, id="A1"), line], "second": None})
+    args = ["--config", str(cfg), "check", "projection-qg", "--radius", "3", "--lambda", "1", "--eps", "0"]
+    built = set()
+    row = graph.Ball.row
+
+    def counted(self, u):
+        built.add(u)
+        return row(self, u)
+
+    monkeypatch.setattr(graph.Ball, "row", counted)
+    assert run_cli(["--out", str(tmp_path / "lazy")] + args, capsys)[0] == 0
+    assert len(built) == 25
+    build = graph.Ball.build.__func__
+
+    def every_row(cls, *args, **kwargs):
+        ball = build(cls, *args, **kwargs)
+        for u in range(len(ball)):
+            ball.row(u)
+        return ball
+
+    monkeypatch.setattr(graph.Ball, "build", classmethod(every_row))
+    built.clear()
+    assert run_cli(["--out", str(tmp_path / "eager")] + args, capsys)[0] == 0
+    assert len(built) == 143
+    assert _written(tmp_path / "lazy") == _written(tmp_path / "eager")
+
+
 def test_concat_qg_can_fail(tmp_path, capsys, monkeypatch):
     # joins held to (1, 0) instead of (3 lam, eps + 1): some join is too long
     monkeypatch.setattr(morse.QGBound, "concatenated", property(lambda self: morse.qg_bound(1, 0)))
@@ -452,6 +485,18 @@ def test_nbhd_nesting_can_fail(tmp_path, capsys, monkeypatch):
     assert report["status"] == "fail"
     assert (report["instances"], report["counterexample_count"]) == (90, 18)
     assert report["counterexamples"][0] == {"l": 2, "w": "x", "y": "x", "z": "+inf"}
+
+
+def test_nbhd_nesting_refuses_a_factor_without_a_line(tmp_path, capsys):
+    # Z^2 * Z and Z/2 * Z/2: the first factor has no line through the
+    # basepoint to nest neighbourhoods around, so the check writes nothing
+    line = {"id": "B1", "kind": "line", "names": ["y"]}
+    for first in ([dict(_LATTICE_FACTOR, id="A1"), line], [dict(_Z2_FACTOR, id="A1"), dict(_Z2_FACTOR, id="B1", names=["b"])]):
+        cfg = write_config(tmp_path, factors={"first": first, "second": None})
+        out = tmp_path / "rep"
+        result = run_cli(["--config", str(cfg), "--out", str(out), "check", "nbhd-nesting"], capsys)
+        assert result == (2, "", "error: factor 'A1' has no line through the basepoint\n")
+        assert not out.exists()
 
 
 def test_v_system_property_2_can_fail(tmp_path, capsys, monkeypatch):
