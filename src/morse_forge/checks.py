@@ -248,18 +248,10 @@ def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, path
         for gamma in paths:
             if len(gamma) < 2:
                 continue
-            for p, q, cert in morse.separated_concatenations(ball, gamma, lam, eps):
-                instances += 1
-                if not (cert.hypothesis_held and cert.verified):
-                    failures.append(
-                        {
-                            "family": name,
-                            "gamma": list(gamma),
-                            "p": p,
-                            "q": q,
-                            "certificate": cert.to_json_dict(),
-                        }
-                    )
+            joins, failed = morse.separated_concatenations(ball, gamma, lam, eps)
+            instances += joins
+            for p, q, cert in failed:
+                failures.append({"family": name, "gamma": list(gamma), "p": p, "q": q, "certificate": cert})
     return _report(
         "concat-qg",
         {"radius": radius, "families": ["geodesic (1,0)", f"qg (1,2) norm<={qg_norm_limit}"]},
@@ -303,26 +295,25 @@ def run_nbhd_nesting(spec: factors.FactorSpec, gauge: morse.Gauge = morse.CANONI
                 ys.append(z.realization(depth)[-1])
                 for d in _branched_directions(spec, [depth - 1]):
                     ys.append(d.realization(depth)[-1])
-            center_k = morse.Neighborhood.around_ray(gauge, k, z.realization(k), filled=True)
-            ys = [y for y in ys if morse.neighborhood_member(space, center_k, y)]
+            center_k = (z.realization(k),)
+            ys = [y for y in ys if morse.neighborhood_member(space, gauge, k, center_k, y)]
             directions = [plus, minus] + _branched_directions(spec, [k - 1, k, k + 1])
             elements = [z.realization(d)[-1] for d in range(k, k + NESTING_PAD + 1)]
-            target = morse.Neighborhood.around_ray(gauge, l, z.realization(l), filled=True)
+            target = (z.realization(l),)
             for y in ys:
                 checked_pairs += 1
-                inner_rays = morse.Neighborhood.around_vertex(space, gauge, k, y, filled=False)
-                inner_filled = morse.Neighborhood.around_vertex(space, gauge, k, y, filled=True)
+                inner = space.geodesics(space.identity(), y)  # every realization of y
                 for w in directions:
-                    if morse.neighborhood_member(space, inner_rays, w.realization(k)):
+                    if morse.neighborhood_member(space, gauge, k, inner, w.realization(k)):
                         instances += 1
-                        if not morse.neighborhood_member(space, target, w.realization(l)):
+                        if not morse.neighborhood_member(space, gauge, l, target, w.realization(l)):
                             failures.append({"z": z.format(), "l": l, "y": repr(y), "w": w.format()})
                 for w in elements:
                     if w.norm() < k:
                         continue
-                    if morse.neighborhood_member(space, inner_filled, w):
+                    if morse.neighborhood_member(space, gauge, k, inner, w):
                         instances += 1
-                        if not morse.neighborhood_member(space, target, w):
+                        if not morse.neighborhood_member(space, gauge, l, target, w):
                             failures.append({"z": z.format(), "l": l, "y": repr(y), "w": repr(w)})
     return _report(
         "nbhd-nesting",

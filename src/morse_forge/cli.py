@@ -104,6 +104,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ParseError("config must be a JSON object")
         _merge(raw, loaded)
     if overrides:
         _merge(raw, overrides)

@@ -352,12 +352,15 @@ def from_entry(entry: dict) -> "FactorSpec":
     """The factor a config entry describes: its ``id``, ``kind`` and
     ``names``, and the fields of its kind (``dim``, ``rank``, or ``table``
     and ``generators``).  Raises ParseError for an entry that is not an
-    object or names an unknown kind, and KeyError for a missing field."""
+    object, has ``names`` that are not a list of strings or names an
+    unknown kind, and KeyError for a missing field."""
     if not isinstance(entry, dict):
         raise ParseError(f"factor entry {entry!r} is not an object")
     kind, fid, names = entry.get("kind"), entry.get("id", ""), entry.get("names")
+    if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ParseError(f"factor {fid!r} names must be a list of strings")
     if kind == LINE:
-        return FactorSpec.integer_line(fid, names[0] if names else "x")
+        return FactorSpec(id=fid, kind=LINE, names=tuple(names or ("x",)))
     if kind == LATTICE:
         return FactorSpec.integer_lattice(fid, entry["dim"], names)
     if kind == FREE:

@@ -515,23 +515,26 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
 # -- concatenation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcatCertificate:
-    lam: Fraction
-    eps: Fraction
-    closest_to_p: int
-    closest_to_q: int
-    hypothesis_held: bool
-    out_lam: Fraction
-    out_eps: Fraction
-    verified: bool
+def _certificate(bound: QGBound, tp: int, tq: int, hypothesis: bool, verified: bool) -> dict:
+    """A join's report entry: the closest points of p and q, whether the
+    separation hypothesis held, and whether the join verified at the
+    bound's ``concatenated`` pair."""
+    out = bound.concatenated
+    return {
+        "lam": str(bound.lam),
+        "eps": str(bound.eps),
+        "closest_to_p": tp,
+        "closest_to_q": tq,
+        "hypothesis_held": hypothesis,
+        "out_lam": str(out.lam),
+        "out_eps": str(out.eps),
+        "verified": verified,
+    }
 
-    def to_json_dict(self) -> dict:
-        return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
 
-
-def _join(ball: Ball, walk: tuple[int, ...], p: int, q: int, closest: dict, bound: QGBound):
-    (dp, t), (dq, t2) = closest[p], closest[q]
+def _join(ball: Ball, walk: tuple[int, ...], p: int, t: int, q: int, t2: int, bound: QGBound) -> tuple[tuple[int, ...], bool]:
+    """The walk p -> walk[t] -> walk[t2] -> q, and whether it holds the
+    bound's ``concatenated`` pair."""
     try:
         alpha = ball.first_geodesic(p, walk[t])
         beta = ball.first_geodesic(walk[t2], q)
@@ -541,84 +544,47 @@ def _join(ball: Ball, walk: tuple[int, ...], p: int, q: int, closest: dict, boun
         ) from exc
     middle = walk[t : t2 + 1] if t <= t2 else walk[t2 : t + 1][::-1]
     combined = alpha + middle[1:] + beta[1:]
-    out = bound.concatenated
-    hypothesis = bound.separated(abs(t - t2), dp + dq)
-    verified = _holds(ball, combined, out)
-    cert = ConcatCertificate(bound.lam, bound.eps, t, t2, hypothesis, out.lam, out.eps, verified)
-    return combined, cert
+    return combined, _holds(ball, combined, bound.concatenated)
 
 
-def concat_quasi_geodesic(ball: Ball, p: int, q: int, walk: tuple[int, ...], lam, eps):
+def concat_quasi_geodesic(ball: Ball, p: int, q: int, walk: tuple[int, ...], lam, eps) -> tuple[tuple[int, ...], dict]:
     """Join p and q to a quasi-geodesic walk through its closest points.
 
-    Returns the joined walk and a certificate of whether the separation
-    hypothesis held and whether the result verified at (3 lam, eps + 1).
+    Returns the joined walk and its certificate, the dict
+    ``separated_concatenations`` reports a failing join with.
     """
-    closest = {x: _closest_point(ball, walk, x) for x in (p, q)}
-    return _join(ball, walk, p, q, closest, qg_bound(lam, eps))
+    bound = qg_bound(lam, eps)
+    (dp, tp), (dq, tq) = _closest_point(ball, walk, p), _closest_point(ball, walk, q)
+    combined, verified = _join(ball, walk, p, tp, q, tq, bound)
+    return combined, _certificate(bound, tp, tq, bound.separated(abs(tp - tq), dp + dq), verified)
 
 
-def separated_concatenations(ball: Ball, gamma: tuple[int, ...], lam, eps) -> list:
-    """(p, q, certificate), in sorted order, for every pair of vertices near
-    gamma that meets the separation hypothesis, joined as in
-    ``concat_quasi_geodesic``.  Near means on gamma, or one step off it when
-    floor(|gamma| / (3 lam)) >= 1, the hypothesis for a gap of |gamma| and
-    an offset of 1.  Each vertex's closest point is found once.
+def separated_concatenations(ball: Ball, gamma: tuple[int, ...], lam, eps) -> tuple[int, list]:
+    """How many pairs of vertices near gamma meet the separation
+    hypothesis, and (p, q, certificate), in sorted order, for each of them
+    whose join, as in ``concat_quasi_geodesic``, fails to verify.  Near
+    means on gamma, or one step off it when floor(|gamma| / (3 lam)) >= 1,
+    the hypothesis for a gap of |gamma| and an offset of 1.  Each vertex's
+    closest point is found once.
     """
     bound = qg_bound(lam, eps)
     near = set(gamma)
     if bound.separated(len(gamma) - 1, 1):
         for g in gamma:
             near.update(ball.neighbors[g])
-    closest = {x: _closest_point(ball, gamma, x) for x in sorted(near)}
-    joined = []
-    for p, (dp, tp) in closest.items():
-        for q, (dq, tq) in closest.items():
+    closest = [(x, *_closest_point(ball, gamma, x)) for x in sorted(near)]
+    joins = 0
+    failed = []
+    for p, dp, tp in closest:
+        for q, dq, tq in closest:
             if bound.separated(abs(tp - tq), dp + dq):
-                joined.append((p, q, _join(ball, gamma, p, q, closest, bound)[1]))
-    return joined
+                joins += 1
+                if not _join(ball, gamma, p, tp, q, tq, bound)[1]:
+                    failed.append((p, q, _certificate(bound, tp, tq, True, False)))
+    return joins, failed
 
 
 # -- neighborhoods -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """A gauge-and-depth neighborhood around one or several center
-    realizations.  With several centers the pointwise condition must hold
-    against all of them; filled neighborhoods also admit group elements
-    as candidates.
-    """
-
-    gauge: Gauge
-    depth: int
-    centers: tuple[tuple, ...]
-    filled: bool = False
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if not self.centers:
-            raise ValueError("need at least one center realization")
-        for c in self.centers:
-            if len(c) < self.depth + 1:
-                raise ValueError("center realizations must reach the depth")
-
-    @classmethod
-    def around_ray(cls, gauge: Gauge, depth: int, ray, filled: bool = False) -> "Neighborhood":
-        return cls(gauge, depth, (tuple(ray),), filled)
-
-    @classmethod
-    def around_vertex(
-        cls, space, gauge: Gauge, depth: int, x, filled: bool = True
-    ) -> "Neighborhood":
-        """Center on a group element: the condition quantifies over every
-        realization of it."""
-        d = space.distance(space.identity(), x)
-        if depth > d:
-            raise ValueError(f"depth {depth} exceeds the element norm {d}")
-        reals = space.geodesics(space.identity(), x)
-        return cls(gauge, depth, tuple(tuple(r) for r in reals), filled)
 
 
 def tree_close(gauge: Gauge, depth: int, shared: int) -> bool:
@@ -664,35 +630,34 @@ def ray_tracking(gauge: Gauge, depth: int, center, member) -> tuple[bool, int]:
     return False, 2 * max(1, -(-rational_ceil(gauge.delta) // 2))
 
 
-def neighborhood_member(space, nbhd: Neighborhood, candidate) -> bool:
-    """Pointwise membership test.
+def neighborhood_member(space, gauge: Gauge, depth: int, centers, candidate) -> bool:
+    """Pointwise membership in the depth-``depth`` neighborhood around
+    ``centers``, one or several center realizations, each reaching the
+    depth; the condition must hold against all of them.
 
-    Vertex candidates (filled neighborhoods only) are tested through
-    their realizations: some realization must stay within the closeness
-    threshold of all center realizations up to the depth.  Exactly
-    coinciding points count as close even when the threshold is zero.
+    A sequence candidate is tested as a ray.  An element candidate is
+    tested in the filled neighborhood, through its realizations: it must
+    reach the depth, and some realization must stay within the closeness
+    threshold of every center up to the depth.  Exactly coinciding points
+    count as close even when the threshold is zero.
     """
-    delta = rational_ceil(nbhd.gauge.delta)  # for an int d, d >= delta iff d >= ceil(delta)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if not centers:
+        raise ValueError("need at least one center realization")
+    if any(len(xi) < depth + 1 for xi in centers):
+        raise ValueError("center realizations must reach the depth")
+    # for an int d, d < delta iff d < ceil(delta); coinciding points pass at 0
+    threshold = max(1, rational_ceil(gauge.delta))
     if isinstance(candidate, (tuple, list)):
-        candidate_rays = [tuple(candidate)]
+        candidate_rays = [candidate]
     else:
-        if not nbhd.filled:
-            raise ValueError("group elements only belong to filled neighborhoods")
-        if space.distance(space.identity(), candidate) < nbhd.depth:
+        if space.distance(space.identity(), candidate) < depth:
             return False
-        candidate_rays = [tuple(r) for r in space.geodesics(space.identity(), candidate)]
+        candidate_rays = space.geodesics(space.identity(), candidate)
     for eta in candidate_rays:
-        if len(eta) < nbhd.depth + 1:
+        if len(eta) < depth + 1:
             raise BudgetExceeded("candidate ray is shorter than the neighborhood depth")
-        ok = True
-        for xi in nbhd.centers:
-            for t in range(nbhd.depth + 1):
-                d = space.distance(eta[t], xi[t])
-                if d != 0 and d >= delta:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(space.distance(eta[t], xi[t]) < threshold for xi in centers for t in range(depth + 1)):
             return True
     return False

@@ -403,7 +403,17 @@ def test_concat_qg_can_fail(tmp_path, capsys, monkeypatch):
     code, _out, _err = run_cli(["--out", str(tmp_path), "check", "concat-qg", "--radius", "3"], capsys)
     assert code == 1
     report = json.loads((tmp_path / "check-concat-qg.json").read_text())
-    assert report["status"] == "fail" and report["counterexample_count"] > 0
+    assert report["status"] == "fail" and report["counterexample_count"] == 1824
+    assert report["counterexamples"][0]["certificate"] == {
+        "closest_to_p": 0,
+        "closest_to_q": 3,
+        "eps": "2",
+        "hypothesis_held": True,
+        "lam": "1",
+        "out_eps": "0",
+        "out_lam": "1",
+        "verified": False,
+    }
     assert (tmp_path / "check-concat-qg-paths.csv").read_text().strip()
 
 
@@ -810,6 +820,13 @@ def test_out_of_range_grid_is_usage_error(tmp_path, capsys, point):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("body", [[1, 2], "text"], ids=["list", "string"])
+def test_config_not_an_object_is_usage_error(tmp_path, capsys, body):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(body), encoding="utf-8")
+    assert run_cli(["--config", str(cfg), "normalize", "x"], capsys) == (2, "", "error: config must be a JSON object\n")
+
+
 def test_config_accepts_unread_fields(tmp_path, capsys):
     # configs written for other tools may carry a seed and extra budgets
     cfg = write_config(tmp_path, seed="x", budgets={"path_maxlen": 40, "realization_cap": 64})
@@ -833,8 +850,11 @@ def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):
         ({"id": "A1", "kind": "free"}, "'rank'"),
         ({"id": "A1", "kind": "finite", "generators": [1]}, "'table'"),
         ("line", "factor entry 'line' is not an object"),
+        ({"id": "A1", "kind": "line", "names": ["x", "z"]}, "invalid factors or homeos: the integer line has exactly one base generator"),
+        ({"id": "A1", "kind": "lattice", "dim": 2, "names": "ab"}, "factor 'A1' names must be a list of strings"),
+        ({"id": "A1", "kind": "free", "rank": 1, "names": [1]}, "factor 'A1' names must be a list of strings"),
     ],
-    ids=["unknown", "no-kind", "no-dim", "no-rank", "no-table", "not-an-object"],
+    ids=["unknown", "no-kind", "no-dim", "no-rank", "no-table", "not-an-object", "line-two-names", "names-text", "names-number"],
 )
 def test_factor_entry_errors_are_usage_errors(tmp_path, capsys, entry, message):
     first = [entry, {"id": "B1", "kind": "line", "names": ["y"]}]

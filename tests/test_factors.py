@@ -314,18 +314,18 @@ def test_filled_member_matches_pointwise(name, max_norm, size):
         (geodesic[x],) = factors.geodesics(e, x)  # a tree: one geodesic each
     for z in _direction_orbits(spec, directions(spec, size)):
         for gauge, k in itertools.product(CLOSENESS_GAUGES, ORACLE_DEPTHS):
-            nb = morse.Neighborhood.around_ray(gauge, k, z.realization(k), filled=True)
+            center = (z.realization(k),)
             # an element reaching the depth is read through its one geodesic
             # up to the depth: the verdict of that geodesic's vertex y at the
             # depth, tested as a ray; a shorter one is tested as it is
             pointwise = {}
             for x in elements:
                 if x.norm() < k:
-                    expected = morse.neighborhood_member(space, nb, x)
+                    expected = morse.neighborhood_member(space, gauge, k, center, x)
                 else:
                     y = geodesic[x][k]
                     if y not in pointwise:
-                        pointwise[y] = morse.neighborhood_member(space, nb, geodesic[y])
+                        pointwise[y] = morse.neighborhood_member(space, gauge, k, center, geodesic[y])
                     expected = pointwise[y]
                 assert morse.factor_close(gauge, k, z, x) == expected, (
                     z.format(), x, k, gauge.delta,
@@ -343,9 +343,9 @@ def test_element_centered_closeness_matches_pointwise(name, max_norm, size):
         for gauge, k in itertools.product(CLOSENESS_GAUGES, ORACLE_DEPTHS):
             if k > x.norm():
                 continue
-            nb = morse.Neighborhood.around_vertex(space, gauge, k, x, filled=False)
+            reals = space.geodesics(space.identity(), x)
             for z, ray in rays:
-                expected = morse.neighborhood_member(space, nb, ray[: k + 1])
+                expected = morse.neighborhood_member(space, gauge, k, reals, ray[: k + 1])
                 assert morse.factor_close(gauge, k, x, z) == expected, (z.format(), x, k, gauge.delta)
 
 
@@ -357,9 +357,9 @@ def test_direction_closeness_matches_pointwise(name, center_size, size):
     rays = [(w, w.realization(max(ORACLE_DEPTHS))) for w in directions(spec, size)]
     for z in _direction_orbits(spec, directions(spec, center_size)):
         for gauge, k in itertools.product(CLOSENESS_GAUGES, ORACLE_DEPTHS):
-            nb = morse.Neighborhood.around_ray(gauge, k, z.realization(k), filled=False)
+            center = (z.realization(k),)
             for w, ray in rays:
-                expected = morse.neighborhood_member(space, nb, ray[: k + 1])
+                expected = morse.neighborhood_member(space, gauge, k, center, ray[: k + 1])
                 assert morse.factor_close(gauge, k, z, w) == expected, (z.format(), w.format(), k, gauge.delta)
 
 

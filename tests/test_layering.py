@@ -21,7 +21,8 @@ never from the space.  A combinatorial geodesic or a gauge carries no
 kind tag: its data say whether it is finite or affine.  The rays, the checks and the matching
 memoize through tables that one run makes, never through ``functools``,
 whose caches would outlive the run.  Boundary verdicts take plain
-values: no record carries a neighbourhood's center, depth and gauge, a
+values in ``rays`` and ``morse`` alike: no record carries a
+neighbourhood's center, depth and gauge, a join's certificate, a
 corresponding ray, or a matched element's role, and every spelling reads
 a table its caller made.  A ball keeps one cut-vertex table, ``gates``:
 prefix-transit reads it and runs no search that avoids a vertex.  The
@@ -39,7 +40,7 @@ import tokenize
 from pathlib import Path
 
 import morse_forge
-from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, graph, matching, rays
+from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, graph, matching, morse, rays
 
 SRC = Path(morse_forge.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -187,6 +188,12 @@ def test_exports_resolve():
 
 def test_boundary_verdicts_take_plain_values():
     assert not hasattr(rays, "CombNeighborhood") and not hasattr(rays, "CorrespondingRay")
+    # a neighbourhood is its gauge, depth and centers, a join's certificate a dict
+    assert not hasattr(morse, "Neighborhood") and not hasattr(morse, "ConcatCertificate")
+    params = list(inspect.signature(morse.neighborhood_member).parameters)
+    assert params == ["space", "gauge", "depth", "centers", "candidate"]
+    (rule,) = [s for s in re.split(r"(?<=\.)\s+", " ".join(__doc__.split())) if s.startswith("Boundary verdicts")]
+    assert "``rays``" in rule and "``morse``" in rule
     assert not hasattr(rays.CombRay, "stored_length")
     lines = [FactorSpec.integer_line(name, "x") for name in ("A1", "A2")]
     state = matching.MatchState(matching.BoundaryHomeo(*lines, "identity"))

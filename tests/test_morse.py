@@ -10,7 +10,6 @@ from morse_forge import morse
 from morse_forge.errors import BallTooSmall, GridMiss
 from morse_forge.graph import Ball
 from morse_forge.morse import (
-    Neighborhood,
     concat_quasi_geodesic,
     estimate_gauge,
     enumerate_quasi_geodesics,
@@ -282,7 +281,7 @@ def test_concat_trivial_endpoints(zz):
     path = ball.first_geodesic(0, ball.index_of(zz.parse("x^3")))
     out, cert = concat_quasi_geodesic(ball, path[0], path[-1], path, 1, 0)
     assert out == path
-    assert cert.hypothesis_held and cert.verified
+    assert cert["hypothesis_held"] and cert["verified"]
 
 
 def test_concat_spec_instance(zz):
@@ -291,10 +290,16 @@ def test_concat_spec_instance(zz):
     p = ball.index_of(zz.parse("x^-2 y"))
     q = ball.index_of(zz.parse("x^2 y"))
     out, cert = concat_quasi_geodesic(ball, p, q, gamma, 1, 0)
-    assert cert.closest_to_p == 1 and cert.closest_to_q == 5
-    assert not cert.hypothesis_held  # separation 4 < 3*(1+1)
-    assert cert.verified  # still a (3, 1) quasi-geodesic
-    assert cert.out_lam == 3 and cert.out_eps == 1
+    assert cert == {
+        "lam": "1",
+        "eps": "0",
+        "closest_to_p": 1,
+        "closest_to_q": 5,
+        "hypothesis_held": False,  # separation 4 < 3*(1+1)
+        "out_lam": "3",
+        "out_eps": "1",
+        "verified": True,  # still a (3, 1) quasi-geodesic
+    }
     assert out[0] == p and out[-1] == q
 
 
@@ -311,9 +316,9 @@ def test_concat_hypothesis_instances_verify(zz, lattice_product):
                 for p in near:
                     for q in near:
                         out, cert = concat_quasi_geodesic(ball, p, q, gamma, 1, 0)
-                        if cert.hypothesis_held:
+                        if cert["hypothesis_held"]:
                             held += 1
-                            assert cert.verified
+                            assert cert["verified"]
         assert held > 0
 
 
@@ -338,8 +343,7 @@ def _line_space():
 def test_center_is_member():
     space = _line_space()
     ray = [space.spec.make_element(i) for i in range(5)]
-    nb = Neighborhood.around_ray(CANONICAL_TREE_GAUGE, 4, ray)
-    assert neighborhood_member(space, nb, ray)
+    assert neighborhood_member(space, CANONICAL_TREE_GAUGE, 4, (ray,), ray)
 
 
 def test_divergent_ray_excluded_for_small_delta(zz):
@@ -347,27 +351,31 @@ def test_divergent_ray_excluded_for_small_delta(zz):
     assert ball_gauge.delta == 1
     center = [zz.parse(t) for t in ("e", "x", "x^2", "x^3")]
     cand = [zz.parse(t) for t in ("e", "x", "x^2", "x^2 y")]
-    nb = Neighborhood.around_ray(ball_gauge, 3, center)
-    assert not neighborhood_member(zz, nb, cand)
-    assert neighborhood_member(zz, Neighborhood.around_ray(CANONICAL_TREE_GAUGE, 3, center), cand)
+    assert not neighborhood_member(zz, ball_gauge, 3, (center,), cand)
+    assert neighborhood_member(zz, CANONICAL_TREE_GAUGE, 3, (center,), cand)
 
 
 def test_zero_gauge_admits_only_the_center():
     space = _line_space()
     ray = [space.spec.make_element(i) for i in range(4)]
     other = [space.spec.make_element(-i) for i in range(4)]
-    nb = Neighborhood.around_ray(Gauge.affine(0, 0, 0), 3, ray)
-    assert neighborhood_member(space, nb, ray)
-    assert not neighborhood_member(space, nb, other)
+    zero = Gauge.affine(0, 0, 0)
+    assert neighborhood_member(space, zero, 3, (ray,), ray)
+    assert not neighborhood_member(space, zero, 3, (ray,), other)
 
 
-def test_vertex_membership_needs_filled(lattice_product):
-    x = lattice_product.parse("a1 a2")
-    nb = Neighborhood.around_ray(
-        CANONICAL_TREE_GAUGE, 2, lattice_product.first_geodesic(lattice_product.identity(), x)
-    )
-    with pytest.raises(ValueError):
-        neighborhood_member(lattice_product, nb, x)
+def test_neighborhood_guards(lattice_product):
+    # a depth of at least 1 and one or more centers, each reaching it; an
+    # element is tested in the filled neighborhood, so one short of the
+    # depth is no member
+    fp = lattice_product
+    x = fp.parse("a1 a2")
+    center = fp.first_geodesic(fp.identity(), x)
+    for depth, centers in ((0, (center,)), (2, ()), (3, (center,))):
+        with pytest.raises(ValueError):
+            neighborhood_member(fp, CANONICAL_TREE_GAUGE, depth, centers, x)
+    assert neighborhood_member(fp, CANONICAL_TREE_GAUGE, 2, (center,), x)
+    assert not neighborhood_member(fp, CANONICAL_TREE_GAUGE, 2, (center,), fp.parse("a1"))
 
 
 def test_vertex_center_quantifies_all_realizations(lattice_product):
@@ -380,18 +388,15 @@ def test_vertex_center_quantifies_all_realizations(lattice_product):
     delta4 = morse.rational_ceil(4 * gauge.delta)
     deep_depth = depth + delta4
     assert fp.norm(x) == deep_depth
-    centered = Neighborhood.around_vertex(fp, gauge, depth, x, filled=True)
     reals = fp.geodesics(fp.identity(), x)
     assert len(reals) == 23
     candidates = [x, fp.parse("a1^23"), fp.parse("y a1^22")]
     memberships = 0
     for xi in reals:
-        single = Neighborhood.around_ray(gauge, depth, xi, filled=True)
-        deep = Neighborhood.around_ray(gauge, deep_depth, xi, filled=True)
         for cand in candidates:
-            in_deep = neighborhood_member(fp, deep, cand)
-            in_centered = neighborhood_member(fp, centered, cand)
-            in_single = neighborhood_member(fp, single, cand)
+            in_deep = neighborhood_member(fp, gauge, deep_depth, (xi,), cand)
+            in_centered = neighborhood_member(fp, gauge, depth, reals, cand)
+            in_single = neighborhood_member(fp, gauge, depth, (xi,), cand)
             memberships += in_deep
             assert (not in_deep or in_centered) and (not in_centered or in_single)
     assert memberships > 0

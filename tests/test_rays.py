@@ -430,9 +430,8 @@ def _pointwise_tail(gauge, k, tail, key):
     realizations, as it was before it read shared letters: a next syllable
     in the filled neighborhood of the tail, or a tail close to it."""
     space = FactorSpace(tail.spec)
-    filled = isinstance(key, factors.FactorElement)
-    nb = morse.Neighborhood.around_ray(gauge, k, tail.realization(k), filled=filled)
-    return morse.neighborhood_member(space, nb, key if filled else key.realization(k))
+    member = key if isinstance(key, factors.FactorElement) else key.realization(k)
+    return morse.neighborhood_member(space, gauge, k, (tail.realization(k),), member)
 
 
 @pytest.mark.parametrize(
