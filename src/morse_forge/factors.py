@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import MixedFactor, NoBoundary, ParseError
 
@@ -36,6 +36,40 @@ Letter = tuple[int, int]
 _FINITE_ASSOC_LIMIT = 64  # full associativity check is cubic in the order
 
 _DEFAULT_FREE_NAMES = ("x", "y", "z", "w")
+
+
+class Value:
+    """Equality and hashing for a frozen dataclass declared with
+    ``eq=False``, by the fields that its ``_key`` reads.
+
+    ``__eq__`` tests identity first: most comparisons on the hot paths
+    meet one object twice.  The hash is computed on first use and kept in
+    the ``_hash`` slot, outside the fields, so it takes no part in equality
+    or ``repr``; the classes with many instances (``FactorElement``,
+    ``Word``) also keep their fields in slots.  ``_trusted(**fields)``
+    builds an instance without ``__post_init__``.  Public constructors
+    check every invariant; a caller that guarantees them by construction
+    uses ``_trusted`` and says why at the call.
+    """
+
+    __slots__ = ("_hash",)
+
+    @classmethod
+    def _trusted(cls, **fields):
+        self = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is self.__class__ and self._key(self) == other._key(other))
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def _reduce_runs(runs) -> tuple[tuple[int, int], ...]:
@@ -352,13 +386,18 @@ def from_entry(entry: dict) -> "FactorSpec":
     """The factor a config entry describes: its ``id``, ``kind`` and
     ``names``, and the fields of its kind (``dim``, ``rank``, or ``table``
     and ``generators``).  Raises ParseError for an entry that is not an
-    object, has ``names`` that are not a list of strings or names an
-    unknown kind, and KeyError for a missing field."""
+    object, has an ``id`` that is not a string, has ``names`` that are not
+    a non-empty list of strings or names an unknown kind, and KeyError for
+    a missing field."""
     if not isinstance(entry, dict):
         raise ParseError(f"factor entry {entry!r} is not an object")
     kind, fid, names = entry.get("kind"), entry.get("id", ""), entry.get("names")
+    if not isinstance(fid, str):
+        raise ParseError(f"factor id {fid!r} must be a string")
     if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ParseError(f"factor {fid!r} names must be a list of strings")
+    if names == []:
+        raise ParseError(f"factor {fid!r} names must not be empty")
     if kind == LINE:
         return FactorSpec(id=fid, kind=LINE, names=tuple(names or ("x",)))
     if kind == LATTICE:
@@ -373,18 +412,19 @@ def from_entry(entry: dict) -> "FactorSpec":
 # -- factor groups and their elements ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+@dataclass(frozen=True, eq=False)
+class FactorSpec(Value):
     """A factor group: identifier, kind and kind-specific data.
 
     ``names`` lists the base generator names; the full generating set is
     closed under formal inversion.  For the finite kind, ``table`` is a
     full multiplication table over element indices and ``gen_elems``
     lists the generating element indices (closed under inversion).
-    ``ops`` holds the kind's operations; it is derived from the other
-    fields and takes no part in equality or hashing.  The tuple of compared
-    fields and its hash are computed once, since every dict or set
-    operation on an element hashes its spec and a finite table is large.
+    ``ops`` holds the kind's operations and ``_line_ends`` the directions
+    of ``line_ends`` once they are made, so they live as long as the spec
+    (a run's config, not the process).  Neither takes part in equality or
+    hashing; the hash is computed once, since every dict or set operation
+    on an element hashes its spec and a finite table is large.
     """
 
     id: str
@@ -395,8 +435,8 @@ class FactorSpec:
     table: tuple[tuple[int, ...], ...] = ()
     gen_elems: tuple[int, ...] = ()
     ops: object = field(default=None, init=False, repr=False, compare=False)
-    _key: tuple = field(default=(), init=False, repr=False, compare=False)
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _line_ends: tuple = field(default=(), init=False, repr=False, compare=False)
+    _key = operator.attrgetter("id", "kind", "names", "dim", "rank", "table", "gen_elems")
 
     def __post_init__(self):
         if not self.id:
@@ -411,20 +451,6 @@ class FactorSpec:
         # (g, g^-1) payloads in generator order, for searches on payloads
         ops.moves = tuple((p, ops.inverse(p)) for p in ops.steps.values())
         object.__setattr__(self, "ops", ops)
-        key = tuple(getattr(self, f.name) for f in fields(self) if f.compare)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other) -> bool:
-        # every element operation compares specs; most compare one object
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # -- constructors ---------------------------------------------------
 
@@ -482,6 +508,14 @@ class FactorSpec:
     def has_boundary(self) -> bool:
         return self.ops.has_boundary
 
+    def line_ends(self) -> tuple["BoundaryPoint", "BoundaryPoint"]:
+        """The ends of the line of the first generator, +1 first, made once
+        per spec."""
+        if not self._line_ends:
+            ends = (BoundaryPoint.line_end(self, 1), BoundaryPoint.line_end(self, -1))
+            object.__setattr__(self, "_line_ends", ends)
+        return self._line_ends
+
     def automorphisms(self):
         """Element maps of the label-preserving automorphisms: signed
         coordinate permutations for lattices, signed generator permutations
@@ -508,12 +542,23 @@ class FactorSpec:
         return self.ops.format(x.payload)
 
 
-@dataclass(frozen=True)
-class FactorElement:
-    """An element of a factor group in canonical form."""
+@dataclass(frozen=True, eq=False, slots=True)
+class FactorElement(Value):
+    """An element of a factor group in canonical form.  Its constructor
+    checks nothing: ``FactorSpec.make_element`` is the door, and inside
+    this module every payload comes from the kind's ops."""
 
     spec: FactorSpec
     payload: object
+    _key = operator.attrgetter("spec", "payload")
+
+    def __eq__(self, other):
+        # ``Value.__eq__`` with the fields read directly: the hottest comparison
+        return self is other or (
+            other.__class__ is FactorElement and self.payload == other.payload and self.spec == other.spec
+        )
+
+    __hash__ = Value.__hash__
 
     @property
     def factor(self) -> str:
@@ -619,8 +664,8 @@ def _canonical(prefix, block) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
     return tuple(prefix), tuple(block[:root])
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+@dataclass(frozen=True, eq=False)
+class BoundaryPoint(Value):
     """An eventually periodic boundary direction of a factor group.
 
     Stored as (prefix, repeating block) over signed generator letters, in
@@ -631,6 +676,7 @@ class BoundaryPoint:
     spec: FactorSpec
     prefix: tuple[Letter, ...]
     block: tuple[Letter, ...]
+    _key = operator.attrgetter("spec", "prefix", "block")
 
     def __post_init__(self):
         if not self.spec.has_boundary():
@@ -727,11 +773,6 @@ class ProductGenerator:
     element: FactorElement
 
 
-@functools.lru_cache(maxsize=None)
-def _space_generators(spec: FactorSpec) -> tuple[ProductGenerator, ...]:
-    return tuple(ProductGenerator(g.symbol, spec.id, spec.generator_element(g)) for g in spec.generators())
-
-
 @dataclass(frozen=True)
 class FactorSpace:
     """Adapter giving a factor group the shared metric-space interface.
@@ -746,7 +787,8 @@ class FactorSpace:
         return self.spec.identity()
 
     def generators(self) -> tuple[ProductGenerator, ...]:
-        return _space_generators(self.spec)
+        spec = self.spec
+        return tuple(ProductGenerator(g.symbol, spec.id, spec.generator_element(g)) for g in spec.generators())
 
     def step(self, x: FactorElement, gen: ProductGenerator) -> FactorElement:
         return x * gen.element

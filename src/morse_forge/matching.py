@@ -393,7 +393,10 @@ def induced_map(pm: ProductMatching, a: CombRay) -> CombRay:
     tail = None
     if a.tail is not None:
         tail = pm.state_for(a.tail.spec).image(a.tail)
-    return CombRay(pm.fp2, syllables, tail=tail, repeat=repeat)
+    # each matching is a bijection fixing e (``checks.bijectivity_report``
+    # checks this in the same match report), so a's syllables keep their
+    # positions' factors and only the first may be the identity
+    return CombRay._trusted(fp=pm.fp2, syllables=syllables, tail=tail, repeat=repeat)
 
 
 # -- verification reports ------------------------------------------------

@@ -10,6 +10,7 @@ concatenates canonical factor geodesics into a tuple of vertices;
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import factors, morse
@@ -37,13 +38,10 @@ def certify_geodesic(fp: FreeProduct, vertices) -> tuple[factors.FactorElement, 
 
 def standard_line(spec: factors.FactorSpec):
     """The canonical bi-infinite geodesic through the basepoint: powers of
-    the first generator.  Returns its two ends."""
+    the first generator.  Returns its two ends, which the spec keeps."""
     if not spec.has_boundary():
         raise NoLine(f"factor {spec.id!r} has no line through the basepoint")
-    return (
-        factors.BoundaryPoint.line_end(spec, 1),
-        factors.BoundaryPoint.line_end(spec, -1),
-    )
+    return spec.line_ends()
 
 
 def corresponding_ray(spec: factors.FactorSpec, x: factors.FactorElement) -> tuple[int, factors.BoundaryPoint]:
@@ -53,19 +51,22 @@ def corresponding_ray(spec: factors.FactorSpec, x: factors.FactorElement) -> tup
     The translated line is x * (first-generator line); its vertex at the
     merge depth is the closest point of the translated line to the
     basepoint, found exactly.  Past it the ray runs along the line itself,
-    oriented so that it passes through x at parameter ``x.norm()``.
+    oriented so that it passes through x at parameter ``x.norm()``.  When
+    the merge depth is 0, as for every element of a line, the direction is
+    an end of the standard line, and the spec's own object is returned.
     """
     if not spec.has_boundary():
         raise NoLine(f"factor {spec.id!r} has no line through the basepoint")
     if x.spec != spec:
         raise ValueError("element does not belong to the factor")
     base, a = spec.split_first_power(x)
-    direction = factors.BoundaryPoint.make(spec, spec.letters(base), ((0, 1 if a >= 0 else -1),))
-    return base.norm(), direction
+    if base.is_identity():
+        return 0, standard_line(spec)[a < 0]
+    return base.norm(), factors.BoundaryPoint.make(spec, spec.letters(base), ((0, 1 if a >= 0 else -1),))
 
 
-@dataclass(frozen=True)
-class CombRay:
+@dataclass(frozen=True, eq=False)
+class CombRay(factors.Value):
     """A combinatorial geodesic over a free product.
 
     Syllable positions are 1-based; odd positions belong to the first
@@ -80,6 +81,8 @@ class CombRay:
     syllables: tuple[factors.FactorElement, ...]
     tail: factors.BoundaryPoint | None = None
     repeat: tuple[factors.FactorElement, ...] = ()
+    _key = operator.attrgetter("fp", "syllables", "tail", "repeat")
+    _head = ()  # an infinite ray's longest head read so far
 
     def __post_init__(self):
         for pos, s in enumerate(self.syllables, start=1):
@@ -112,6 +115,15 @@ class CombRay:
         if self.repeat:
             return self.repeat[(pos - len(self.syllables) - 1) % len(self.repeat)]
         return None
+
+    def head(self, k: int) -> tuple[factors.FactorElement, ...]:
+        """The syllables at positions 1 to k, or a finite ray's all if it
+        has fewer; an infinite ray keeps the longest head it was asked for."""
+        if not self.repeat:
+            return self.syllables[:k]
+        if len(self._head) < k:
+            object.__setattr__(self, "_head", tuple(map(self.syllable_at, range(1, k + 1))))
+        return self._head[:k]
 
     def text(self) -> str:
         """A text that tells apart any two rays of one product.  A line's
@@ -167,7 +179,7 @@ def realize(a: CombRay, depth: int, table: Spellings) -> tuple[Word, ...]:
         # of them all, and the tail's factor alternates with it
         base = verts[-1].syllables
         for elt in table.tail(a.tail, depth - len(verts) + 1)[1:]:
-            verts.append(Word(base + (elt,)))
+            verts.append(Word._trusted(syllables=base + (elt,)))
     return tuple(verts)
 
 
@@ -187,7 +199,7 @@ def spell(fp: FreeProduct, syllables, depth: int, table: Spellings) -> list[Word
         for elt in table.syllable(s):
             if len(verts) > depth:
                 break
-            verts.append(Word(base + (elt,)))
+            verts.append(Word._trusted(syllables=base + (elt,)))
         if not s.is_identity():
             base += (s,)
     return verts
@@ -291,15 +303,9 @@ def neighbors(a: CombRay, k: int, gauge: morse.Gauge, candidates) -> list[CombRa
 def _member(a: CombRay, k: int, gauge: morse.Gauge, b: CombRay) -> bool:
     """``comb_neighborhood_member`` of two rays over one product."""
     if a.repeat:
-        for i in range(1, k + 1):
-            if b.syllable_at(i) != a.syllable_at(i):
-                return False
-        return True
+        return b.head(k) == a.head(k)
     la = len(a.syllables)
-    for i in range(1, la + 1):
-        if b.syllable_at(i) != a.syllables[i - 1]:
-            return False
-    return morse.factor_close(gauge, k, a.tail, _tail_key(b, la))
+    return b.head(la) == a.syllables and morse.factor_close(gauge, k, a.tail, _tail_key(b, la))
 
 
 def _tail_key(b: CombRay, la: int):
@@ -338,15 +344,14 @@ class CombIndex:
             table = self._buckets[k] = {}
             for b in self.population:
                 if b.repeat or len(b.syllables) >= k:
-                    prefix = tuple(b.syllable_at(i) for i in range(1, k + 1))
-                    table.setdefault(prefix, []).append(b)
+                    table.setdefault(b.head(k), []).append(b)
         return table.get(key, [])
 
     def members(self, a: CombRay, k: int, gauge: morse.Gauge) -> list[CombRay]:
         if self.population and a.fp != self.fp:
             raise ValueError("combinatorial geodesics over different products")
         if a.repeat:
-            return self._bucket(tuple(a.syllable_at(i) for i in range(1, k + 1)))
+            return self._bucket(a.head(k))
         la = len(a.syllables)
         return [
             b for b in self._bucket(a.syllables) if morse.factor_close(gauge, k, a.tail, _tail_key(b, la))
@@ -386,18 +391,20 @@ def comb_population(
         pools = [elements(spec_at(pos), include_identity=(pos == 1)) for pos in range(1, n + 1)]
         return [c for c in itertools.product(*pools) if not any(s.is_identity() for s in c[1:])]
 
+    # each position's syllables come from its factor, only the first may be
+    # the identity, and tails and blocks continue the alternation
     population: list[CombRay] = []
     for n in range(0, max_len + 1):
         tail_spec = spec_at(n + 1)
         if tail_spec.has_boundary():
             for combo in prefixes(n):
                 for tail in standard_line(tail_spec):
-                    population.append(CombRay(fp, combo, tail=tail))
+                    population.append(CombRay._trusted(fp=fp, syllables=combo, tail=tail))
     for n in range(0, max_infinite_prefix + 1):
         first = [x for x in elements(spec_at(n + 1), False) if x.norm() <= 1]
         second = [x for x in elements(spec_at(n + 2), False) if x.norm() <= 1]
         blocks = list(itertools.product(first, second))
         for combo in prefixes(n):
             for block in blocks:
-                population.append(CombRay(fp, combo, repeat=block))
+                population.append(CombRay._trusted(fp=fp, syllables=combo, repeat=block))
     return population

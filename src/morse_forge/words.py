@@ -10,6 +10,7 @@ is what makes every operation here exact.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -19,11 +20,18 @@ from .errors import EmptyWord, ParseError
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
-class Word:
+@dataclass(frozen=True, eq=False, slots=True)
+class Word(factors.Value):
     """A free-product element as its alternating reduced syllable sequence."""
 
     syllables: tuple[factors.FactorElement, ...]
+    _key = operator.attrgetter("syllables")
+
+    def __eq__(self, other):
+        # ``Value.__eq__`` with the field read directly, as vertices compare often
+        return self is other or (other.__class__ is Word and self.syllables == other.syllables)
+
+    __hash__ = factors.Value.__hash__
 
     def __post_init__(self):
         for i, s in enumerate(self.syllables):
@@ -90,10 +98,13 @@ class FreeProduct:
                     out.append(merged)
             else:
                 out.append(s)
-        return Word(tuple(out))
+        # u and v are reduced; a same-factor product replaces the last
+        # syllable, or drops it when it cancels, so the result is reduced too
+        return Word._trusted(syllables=tuple(out))
 
     def inverse(self, u: Word) -> Word:
-        return Word(tuple(s.inverse() for s in reversed(u.syllables)))
+        # the inverses of alternating non-trivial syllables, reversed
+        return Word._trusted(syllables=tuple(s.inverse() for s in reversed(u.syllables)))
 
     def syllable_length(self, w: Word) -> int:
         """Length under the alternating-pair counting convention.
@@ -114,7 +125,8 @@ class FreeProduct:
         """
         if w.is_identity():
             raise EmptyWord("the identity has no prefix vertices")
-        return [Word(w.syllables[:i]) for i in range(1, len(w.syllables))]
+        # a prefix of a reduced word is reduced
+        return [Word._trusted(syllables=w.syllables[:i]) for i in range(1, len(w.syllables))]
 
     def project_to_factor(self, v: Word, factor_id: str) -> factors.FactorElement:
         """First syllable of v in the target factor, or its identity.

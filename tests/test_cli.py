@@ -853,8 +853,16 @@ def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):
         ({"id": "A1", "kind": "line", "names": ["x", "z"]}, "invalid factors or homeos: the integer line has exactly one base generator"),
         ({"id": "A1", "kind": "lattice", "dim": 2, "names": "ab"}, "factor 'A1' names must be a list of strings"),
         ({"id": "A1", "kind": "free", "rank": 1, "names": [1]}, "factor 'A1' names must be a list of strings"),
+        ({"id": "A1", "kind": "line", "names": []}, "factor 'A1' names must not be empty"),
+        ({"id": "A1", "kind": "lattice", "dim": 2, "names": []}, "factor 'A1' names must not be empty"),
+        ({"id": "A1", "kind": "free", "rank": 1, "names": []}, "factor 'A1' names must not be empty"),
+        ({"id": "A1", "kind": "finite", "table": [[0, 1], [1, 0]], "generators": [1], "names": []}, "factor 'A1' names must not be empty"),
+        ({"id": 5, "kind": "line"}, "factor id 5 must be a string"),
     ],
-    ids=["unknown", "no-kind", "no-dim", "no-rank", "no-table", "not-an-object", "line-two-names", "names-text", "names-number"],
+    ids=[
+        "unknown", "no-kind", "no-dim", "no-rank", "no-table", "not-an-object", "line-two-names", "names-text",
+        "names-number", "line-no-names", "lattice-no-names", "free-no-names", "finite-no-names", "id-number",
+    ],
 )
 def test_factor_entry_errors_are_usage_errors(tmp_path, capsys, entry, message):
     first = [entry, {"id": "B1", "kind": "line", "names": ["y"]}]

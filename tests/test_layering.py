@@ -18,9 +18,12 @@ many steps two factor geodesics share.  A ball reads its space through
 one named protocol, which both ``FreeProduct`` and ``FactorSpace``
 define; a vertex's syllable prefix comes from the ball's own tables,
 never from the space.  A combinatorial geodesic or a gauge carries no
-kind tag: its data say whether it is finite or affine.  The rays, the checks and the matching
-memoize through tables that one run makes, never through ``functools``,
-whose caches would outlive the run.  Boundary verdicts take plain
+kind tag: its data say whether it is finite or affine.  No module
+memoizes through ``functools``, whose caches would outlive the run:
+tables live with the run or the spec that makes them.  Values are
+validated at the door: the public constructors check every invariant,
+and ``_trusted`` skips the checks only at the call sites that ``TRUSTED``
+lists, each of which says in a comment why its invariant holds.  Boundary verdicts take plain
 values in ``rays`` and ``morse`` alike: no record carries a
 neighbourhood's center, depth and gauge, a join's certificate, a
 corresponding ray, or a matched element's role, and every spelling reads
@@ -31,6 +34,7 @@ by the quasi-geodesic scan and by prefix-transit's walk count, and no
 module catches it to say what it means.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -62,6 +66,17 @@ SPLIT_LAST = re.compile(r"\bsplit_last\b")
 KIND_TAG = re.compile(r"\.kind\b|^\s*kind\s*[:=]|\b(FINITE|INFINITE|AFFINE|TABLE)\b")
 AVOIDING_ROW = re.compile(r"\bavoiding_row\b")
 MEMO = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|^\s*@cache\b|\bimport\b.*\bcache\b")
+
+#: (module, enclosing function, class) of every ``_trusted`` construction
+TRUSTED = {
+    ("words.py", "FreeProduct.multiply", "Word"),
+    ("words.py", "FreeProduct.inverse", "Word"),
+    ("words.py", "FreeProduct.prefix_vertices", "Word"),
+    ("rays.py", "realize", "Word"),
+    ("rays.py", "spell", "Word"),
+    ("rays.py", "comb_population", "CombRay"),
+    ("matching.py", "induced_map", "CombRay"),
+}
 
 #: what a ball reads of its space
 BALL_SPACE = {"identity", "generators", "join", "first_geodesic", "sort_key", "format"}
@@ -145,10 +160,52 @@ def test_rays_and_gauges_carry_no_kind_tag():
     assert [h for h in hits if h not in validation] == []
 
 
-def test_rays_checks_and_matching_keep_no_process_cache():
+def test_no_module_keeps_a_process_cache():
     # ``rays.Spellings`` and ``MatchState``'s direction images live for one
-    # run; a functools cache would carry them into the next
-    assert _hits(MEMO, [SRC / f"{name}.py" for name in ("rays", "checks", "matching")]) == []
+    # run and a spec's line ends with the spec; a functools cache would
+    # carry them, and every spec it saw, into the next run.  The one cache
+    # left, ``morse.qg_bound``, is keyed by two numbers and keeps only the
+    # int tables of their inequality
+    (hit,) = _hits(MEMO, sorted(SRC.glob("*.py")))
+    name, line, _text = hit.split(":", 2)
+    assert name == "morse.py"
+    assert (SRC / name).read_text(encoding="utf-8").splitlines()[int(line)].startswith("def qg_bound(")
+
+
+def _trusted_calls():
+    """(module, enclosing function, class, function source) of each call
+    ``X._trusted(...)`` in the package."""
+    out = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "_trusted"
+            ):
+                out.append((path.name, ".".join(scope), ast.unparse(child.func.value), path))
+            visit(child, path, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, [])
+    return out
+
+
+def test_trusted_constructors_are_called_only_where_listed():
+    calls = _trusted_calls()
+    assert {(name, scope, cls) for name, scope, cls, _path in calls} == TRUSTED
+    # each caller names the invariant it guarantees
+    for name, scope, _cls, path in calls:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = tree
+        for part in scope.split("."):
+            owner = next(n for n in ast.iter_child_nodes(owner) if getattr(n, "name", None) == part)
+        lines = path.read_text(encoding="utf-8").splitlines()[owner.lineno - 1 : owner.end_lineno]
+        assert any(line.strip().startswith("#") for line in lines), f"{name}:{scope}"
 
 
 def test_ball_reads_one_space_protocol():
