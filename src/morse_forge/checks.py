@@ -7,7 +7,11 @@ passed silently.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import marshal
+import os
+import threading
 
 from . import factors, matching, morse, rays
 from .errors import BudgetExceeded, CapExceeded
@@ -27,6 +31,72 @@ def _report(check: str, params: dict, instances: int, failures: list, extra: dic
     if extra:
         out.update(extra)
     return out
+
+
+def _shared(work, n: int, cost) -> list:
+    """[work(0), ..., work(n - 1)], shared out between this process and one
+    forked child per further CPU, at most n - 1.
+
+    Every process claims the next item, in descending ``cost`` (ties in
+    index order), from a queue of 4-byte indices in a pipe until the queue
+    is empty.  A child sends its results back with ``marshal``, so they
+    must be plain values, and always ends in ``os._exit``.  A process whose
+    item raises drains the queue.  Once the children are reaped, this
+    process runs each item that still has no result, in index order, so
+    it raises exactly what the plain loop raises.  With one CPU or one
+    item, without ``os.fork``, or while another thread runs, this is the
+    plain loop.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    helpers = min(cpus, n) - 1
+    if helpers < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [work(i) for i in range(n)]
+    queue, feed = os.pipe()
+    order = b"".join(i.to_bytes(4, "little") for i in sorted(range(n), key=cost, reverse=True))
+    os.set_blocking(feed, False)
+    # 512 bytes, POSIX's least PIPE_BUF, go in whole or not at all; items
+    # left out of a full pipe get no result and run here at the end
+    with contextlib.suppress(BlockingIOError):
+        for start in range(0, len(order), 512):
+            os.write(feed, order[start : start + 512])
+    os.close(feed)
+
+    def claim() -> dict:
+        done = {}
+        while index := os.read(queue, 4):
+            i = int.from_bytes(index, "little")
+            try:
+                done[i] = work(i)
+            except Exception:  # left without a result, the item runs again at the end
+                while os.read(queue, 1 << 16):
+                    pass
+        return done
+
+    children = []  # (pid, its reply pipe)
+    try:
+        for _ in range(helpers):
+            reply, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(send, "wb") as out:
+                        out.write(marshal.dumps(claim()))
+                finally:
+                    os._exit(0)
+            os.close(send)
+            children.append((pid, open(reply, "rb")))
+        done = claim()
+        for _pid, reply in children:
+            with contextlib.suppress(EOFError, ValueError):  # a child that died sent nothing whole
+                done.update(marshal.loads(reply.read()))
+    finally:
+        while os.read(queue, 1 << 16):  # each child stops after its current item
+            pass
+        os.close(queue)
+        for pid, reply in children:
+            reply.close()
+            os.waitpid(pid, 0)
+    return [done[i] if i in done else work(i) for i in range(n)]
 
 
 # -- prefix transit ----------------------------------------------------------
@@ -79,6 +149,19 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
 
 
 def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2, 1), (3, 0)), path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
+    """Every (lam, eps) quasi-geodesic walk between two vertices of the
+    first factor's copy projects onto the copy within the lower bound and
+    within the bound's Hausdorff distance of the walk (see
+    ``projection_visitor``), for each grid point.
+
+    One instance is one walk u -> v.  The pairs {u, v} of copy vertices
+    fall into orbits under the ball's symmetries; ``instances`` counts the
+    walks of one pair per orbit, ``instances_with_symmetry`` those of
+    every pair.  An item is one (grid point, orbit pair): the scan from
+    the end farther from e and, if it finds a failing walk, a plain rescan
+    u -> v that lists every failing walk in search order.  Items may run
+    in a forked child (``_shared``); the report takes them in item order.
+    """
     ball = Ball.build(fp, radius, vertex_budget)
     proj_map = [
         ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices
@@ -110,29 +193,36 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
         walks = morse.scan_quasi_geodesics(ball, u, v, bound, visit, PROJECTION_START, path_cap, symmetries)
         return walks, bad
 
-    for bound in bounds:
-        # no enumerated walk is longer than max_len of the ball's diameter
-        least = bound.least.upto(bound.max_len(2 * radius))
-        for (u, v), weight in sorted(orbits.items()):
-            # one walk per orbit of the stabilizer of both ends.  Reversal
-            # maps the walks u -> v one to one onto the walks v -> u, and
-            # keeps the (lam, eps) inequality, the stabilizer of the ends,
-            # the projected lower bound (pairwise in the index gap) and
-            # the largest d(x, pi(x)); so the scan starts from the end
-            # farther from e, where it tries fewer steps.  A tie keeps
-            # (u, v): reversing those too tries more on Z^2 * Z (radius 2,
-            # (2, 2): 75,508 steps against 73,188).  A failing pair is
-            # searched again plainly as (u, v), so reports do not change
-            far = (v, u) if ball.dist[v] > ball.dist[u] else (u, v)
-            walks, bad = scan(bound, least, *far, symmetries)
-            if bad:  # list every failing walk, as the plain search meets them
-                walks, bad = scan(bound, least, u, v, None)
-            instances += walks
-            covered += walks * weight
-            for walk, reason in bad:
-                failures.append(
-                    {"lam": str(bound.lam), "eps": str(bound.eps), "walk": list(walk), "reason": reason}
-                )
+    # no enumerated walk is longer than max_len of the ball's diameter
+    leasts = [bound.least.upto(bound.max_len(2 * radius)) for bound in bounds]
+    items = [(bound, least, u, v) for bound, least in zip(bounds, leasts) for u, v in sorted(orbits)]
+
+    def pair(k):
+        bound, least, u, v = items[k]
+        # one walk per orbit of the stabilizer of both ends.  Reversal maps
+        # the walks u -> v one to one onto the walks v -> u, and keeps the
+        # (lam, eps) inequality, the stabilizer of the ends, the projected
+        # lower bound (pairwise in the index gap) and the largest
+        # d(x, pi(x)); so the scan starts from the end farther from e,
+        # where it tries fewer steps.  A tie keeps (u, v): reversing those
+        # too tries more on Z^2 * Z (radius 2, (2, 2): 75,508 steps against
+        # 73,188).  A failing pair is searched again plainly as (u, v), so
+        # reports do not change
+        far = (v, u) if ball.dist[v] > ball.dist[u] else (u, v)
+        walks, bad = scan(bound, least, *far, symmetries)
+        if bad:  # list every failing walk, as the plain search meets them
+            walks, bad = scan(bound, least, u, v, None)
+        return walks, bad
+
+    def longest(k):
+        bound, _least, u, v = items[k]
+        return bound.max_len(dist[u][v])
+
+    for (bound, _least, u, v), (walks, bad) in zip(items, _shared(pair, len(items), longest)):
+        instances += walks
+        covered += walks * orbits[u, v]
+        for walk, reason in bad:
+            failures.append({"lam": str(bound.lam), "eps": str(bound.eps), "walk": list(walk), "reason": reason})
     return _report(
         "projection-qg",
         {"radius": radius, "grid": [[str(b.lam), str(b.eps)] for b in bounds]},
@@ -231,6 +321,17 @@ GEODESIC_CAP = 64
 
 
 def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, path_cap: int | None = None, vertex_budget: int | None = None) -> dict:
+    """Two vertices near a walk gamma, joined through their closest points
+    on gamma, give a (3 lam, eps + 1) quasi-geodesic whenever those points
+    meet the separation hypothesis.
+
+    gamma is each geodesic from e in the ball, at (1, 0), and each (1, 2)
+    quasi-geodesic from e to a vertex of norm <= ``qg_norm_limit``.  One
+    instance is one pair (p, q) near one gamma that meets the hypothesis
+    (``morse.separated_concatenations``).  An item is one gamma of two or
+    more vertices with all its joins.  Items may run in a forked child
+    (``_shared``); the report takes them in gamma order.
+    """
     ball = Ball.build(fp, radius, vertex_budget)
     geodesic_paths: list[tuple[int, ...]] = []
     qg_paths: list[tuple[int, ...]] = []
@@ -242,16 +343,18 @@ def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, path
         if ball.dist[w] <= qg_norm_limit:
             qg_paths.extend(morse.enumerate_quasi_geodesics(ball, 0, w, 1, 2, path_cap))
     families = (("geodesic", 1, 0, geodesic_paths), ("qg", 1, 2, qg_paths))
+    items = [(name, lam, eps, gamma) for name, lam, eps, paths in families for gamma in paths if len(gamma) >= 2]
     instances = 0
     failures = []
-    for name, lam, eps, paths in families:
-        for gamma in paths:
-            if len(gamma) < 2:
-                continue
-            joins, failed = morse.separated_concatenations(ball, gamma, lam, eps)
-            instances += joins
-            for p, q, cert in failed:
-                failures.append({"family": name, "gamma": list(gamma), "p": p, "q": q, "certificate": cert})
+
+    def joins(k):
+        _name, lam, eps, gamma = items[k]
+        return morse.separated_concatenations(ball, gamma, lam, eps)
+
+    for (name, _lam, _eps, gamma), (count, failed) in zip(items, _shared(joins, len(items), lambda k: len(items[k][3]))):
+        instances += count
+        for p, q, cert in failed:
+            failures.append({"family": name, "gamma": list(gamma), "p": p, "q": q, "certificate": cert})
     return _report(
         "concat-qg",
         {"radius": radius, "families": ["geodesic (1,0)", f"qg (1,2) norm<={qg_norm_limit}"]},

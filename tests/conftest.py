@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -72,3 +73,18 @@ def dihedral():
 @pytest.fixture
 def lattice_product(lattice2, line_b):
     return FreeProduct(lattice2, line_b)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(count) makes the checks share their items among ``count`` CPUs
+    from then on; it returns a list that gains one entry per fork."""
+    forks = []
+    fork = os.fork
+
+    def share(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(count) or fork())
+        return forks
+
+    return share

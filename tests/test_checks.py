@@ -1,9 +1,14 @@
 """Check layer: reports, symmetry reduction, matching invariant suites."""
 
+import json
+import os
+import time
+
 import pytest
 
 from morse_forge import FactorSpec, FreeProduct
 from morse_forge import checks, matching, morse, rays, words
+from morse_forge.errors import CapExceeded
 from morse_forge.graph import Ball
 from morse_forge.matching import BoundaryHomeo, MatchState, run_matching
 
@@ -586,6 +591,54 @@ def test_projection_check_keeps_bound_tables(zz):
     least = list(morse.qg_bound(2, 1).least.items)
     checks.run_projection_qg(zz, radius=2, grid=[(2, 1)])
     assert morse.qg_bound(2, 1).least.items == least
+
+
+def test_sharing_changes_no_report(cpus):
+    # the checks merge their shared items in item order, so a run that
+    # forks returns the plain loop's report, byte for byte
+    runs = (
+        lambda: checks.run_projection_qg(_PRODUCTS["zz"], radius=3, grid=[(2, 3)]),
+        lambda: checks.run_projection_qg(_PRODUCTS["lattice-line"], radius=2, grid=[(2, 2)]),
+        lambda: checks.run_concat_qg(_PRODUCTS["zz"], radius=3),
+    )
+    reports = {}
+    for count in (1, 2):
+        forks = cpus(count)
+        reports[count] = [json.dumps(run()) for run in runs]
+    assert forks == [2, 2, 2]
+    assert reports[1] == reports[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_shared_items_raise_as_the_plain_loop(cpus, tmp_path):
+    # an item that raised in the child has no result, so this process runs
+    # it again once the child is reaped, in index order: the caller meets
+    # the plain loop's exception, here CapExceeded(2), which does not
+    # survive a pickle round trip
+    forks = cpus(2)
+    main = os.getpid()
+    raised = tmp_path / "raised-in-child"
+
+    def work(i):
+        if i >= 2:
+            if os.getpid() != main:
+                raised.touch()
+            raise CapExceeded(i)
+        # this process's first item waits until the child has raised
+        deadline = time.monotonic() + 30
+        while os.getpid() == main and not raised.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return i
+
+    with pytest.raises(CapExceeded) as exc:
+        checks._shared(work, 6, lambda i: -i)
+    assert str(exc.value) == str(CapExceeded(2)) and raised.exists()
+    # items that raise in the child alone pass when run again here
+    assert checks._shared(lambda i: i if os.getpid() == main else 1 // 0, 4, lambda i: i) == [0, 1, 2, 3]
+    assert forks == [2, 2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _prefix_transit_reference(fp, radius, slack=2):

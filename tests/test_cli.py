@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -302,7 +303,7 @@ def _plain_scans(monkeypatch):
 
 
 def _written(directory):
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
 def test_projection_path_cap_exit_code(tmp_path, capsys, monkeypatch):
@@ -415,6 +416,26 @@ def test_concat_qg_can_fail(tmp_path, capsys, monkeypatch):
         "verified": False,
     }
     assert (tmp_path / "check-concat-qg-paths.csv").read_text().strip()
+
+
+@pytest.mark.parametrize(
+    "seeded", [test_projection_qg_can_fail, test_projection_lower_bound_can_fail, test_concat_qg_can_fail]
+)
+def test_sharing_keeps_failure_lists(seeded, tmp_path, capsys, monkeypatch, cpus):
+    # each seeded defect writes the same files, failure lists in the same
+    # order, whether the check shares its items with a forked child or not
+    written = []
+    for count in (1, 2):
+        out = tmp_path / str(count)
+        out.mkdir()
+        with monkeypatch.context() as patched:
+            forks = cpus(count)
+            seeded(out, capsys, patched)
+        written.append(_written(out))
+    assert forks and set(forks) == {2}
+    assert written[0] == written[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_phi_psi_can_fail(tmp_path, capsys, monkeypatch):
@@ -910,6 +931,17 @@ def test_concat_ball_too_small_exit_code(tmp_path, capsys, monkeypatch):
     code, _out, err = run_cli(args, capsys)
     assert code == 3
     assert err == "inconclusive: budget ball_radius 2 too small: joining geodesics may leave the ball\n"
+
+
+@pytest.mark.parametrize("budget", [test_projection_path_cap_exit_code, test_concat_ball_too_small_exit_code])
+def test_budgets_bind_in_shared_items(budget, tmp_path, capsys, monkeypatch, cpus):
+    # with two CPUs the caps still exit 3 with their exact messages, though
+    # the item that overruns may run in the child, and no child outlives it
+    forks = cpus(2)
+    budget(tmp_path, capsys, monkeypatch)
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_match_ray_budget_exit_code(tmp_path, capsys):
