@@ -420,9 +420,10 @@ class FactorSpec(Value):
     closed under formal inversion.  For the finite kind, ``table`` is a
     full multiplication table over element indices and ``gen_elems``
     lists the generating element indices (closed under inversion).
-    ``ops`` holds the kind's operations and ``_line_ends`` the directions
-    of ``line_ends`` once they are made, so they live as long as the spec
-    (a run's config, not the process).  Neither takes part in equality or
+    ``ops`` holds the kind's operations, ``_elements`` the spec's elements
+    by payload (see ``_element``) and ``_line_ends`` the directions of
+    ``line_ends`` once they are made, so they live as long as the spec (a
+    run's config, not the process).  None takes part in equality or
     hashing; the hash is computed once, since every dict or set operation
     on an element hashes its spec and a finite table is large.
     """
@@ -435,6 +436,7 @@ class FactorSpec(Value):
     table: tuple[tuple[int, ...], ...] = ()
     gen_elems: tuple[int, ...] = ()
     ops: object = field(default=None, init=False, repr=False, compare=False)
+    _elements: dict = field(default=None, init=False, repr=False, compare=False)
     _line_ends: tuple = field(default=(), init=False, repr=False, compare=False)
     _key = operator.attrgetter("id", "kind", "names", "dim", "rank", "table", "gen_elems")
 
@@ -451,6 +453,7 @@ class FactorSpec(Value):
         # (g, g^-1) payloads in generator order, for searches on payloads
         ops.moves = tuple((p, ops.inverse(p)) for p in ops.steps.values())
         object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "_elements", {})
 
     # -- constructors ---------------------------------------------------
 
@@ -482,11 +485,11 @@ class FactorSpec(Value):
     # -- elements --------------------------------------------------------
 
     def identity(self) -> "FactorElement":
-        return FactorElement(self, self.ops.identity)
+        return _element(self, self.ops.identity)
 
     def make_element(self, payload) -> "FactorElement":
         """Validating element constructor; payload must be canonical."""
-        return FactorElement(self, self.ops.check(payload))
+        return _element(self, self.ops.check(payload))
 
     def power(self, base: int, k: int) -> "FactorElement":
         """The k-th power of the given base generator."""
@@ -494,7 +497,7 @@ class FactorSpec(Value):
             raise ValueError("generator index out of range")
         if k == 0:
             return self.identity()
-        return FactorElement(self, self.ops.power(base, k))
+        return _element(self, self.ops.power(base, k))
 
     def generators_base_count(self) -> tuple[int, ...]:
         return self.ops.bases
@@ -503,7 +506,7 @@ class FactorSpec(Value):
         return self.ops.generators
 
     def generator_element(self, gen: Generator) -> "FactorElement":
-        return FactorElement(self, self.ops.steps[gen.base, gen.sign])
+        return _element(self, self.ops.steps[gen.base, gen.sign])
 
     def has_boundary(self) -> bool:
         return self.ops.has_boundary
@@ -521,7 +524,7 @@ class FactorSpec(Value):
         coordinate permutations for lattices, signed generator permutations
         for free factors, sign flips for lines, the identity otherwise."""
         return tuple(
-            lambda x, f=f: FactorElement(self, f(x.payload)) for f in self.ops.automorphisms()
+            lambda x, f=f: _element(self, f(x.payload)) for f in self.ops.automorphisms()
         )
 
     def letters(self, x: "FactorElement") -> tuple[Letter, ...]:
@@ -534,7 +537,7 @@ class FactorSpec(Value):
         """Write x as w * g^a with g the first generator and a maximal, so
         that the reduced word of w does not end in g or its inverse."""
         w, a = self.ops.split_first_power(x.payload)
-        return FactorElement(self, w), a
+        return _element(self, w), a
 
     # -- presentation -----------------------------------------------------
 
@@ -545,7 +548,8 @@ class FactorSpec(Value):
 @dataclass(frozen=True, eq=False, slots=True)
 class FactorElement(Value):
     """An element of a factor group in canonical form.  Its constructor
-    checks nothing: ``FactorSpec.make_element`` is the door, and inside
+    checks nothing and is called only by ``_element``:
+    ``FactorSpec.make_element`` is the door for other modules, and inside
     this module every payload comes from the kind's ops."""
 
     spec: FactorSpec
@@ -571,7 +575,7 @@ class FactorElement(Value):
         return multiply(self, other)
 
     def inverse(self) -> "FactorElement":
-        return FactorElement(self.spec, self.spec.ops.inverse(self.payload))
+        return _element(self.spec, self.spec.ops.inverse(self.payload))
 
     def norm(self) -> int:
         return self.spec.ops.norm(self.payload)
@@ -583,15 +587,27 @@ class FactorElement(Value):
         return self.spec.format_element(self)
 
 
+def _element(spec: FactorSpec, payload) -> FactorElement:
+    """The one element of spec with this payload, built on its first
+    request and then kept in the spec's table.  Within one spec equal
+    elements are thus one object, and a comparison of syllables stops at
+    the identity test; equal specs loaded apart keep tables of their own,
+    whose elements still compare and hash by value."""
+    x = spec._elements.get(payload)
+    if x is None:
+        x = spec._elements[payload] = FactorElement(spec, payload)
+    return x
+
+
 def _same_factor(x: FactorElement, y: FactorElement) -> FactorSpec:
-    if x.spec != y.spec:
+    if x.spec is not y.spec and x.spec != y.spec:
         raise MixedFactor(f"elements of {x.spec.id!r} and {y.spec.id!r} cannot be combined")
     return x.spec
 
 
 def multiply(x: FactorElement, y: FactorElement) -> FactorElement:
     spec = _same_factor(x, y)
-    return FactorElement(spec, spec.ops.multiply(x.payload, y.payload))
+    return _element(spec, spec.ops.multiply(x.payload, y.payload))
 
 
 def distance(x: FactorElement, y: FactorElement) -> int:
@@ -618,7 +634,7 @@ def geodesics(x: FactorElement, y: FactorElement):
         del path[depth:]
         path.append(cur)
         if remaining == 0:
-            paths.append(tuple(FactorElement(spec, p) for p in path))
+            paths.append(tuple(_element(spec, p) for p in path))
             continue
         below = remaining - 1
         children = []
@@ -644,7 +660,7 @@ def first_geodesic(x: FactorElement, y: FactorElement) -> tuple[FactorElement, .
             rest = mul(g_inv, r)
             if norm(rest) == remaining - 1:
                 cur, r = mul(cur, g), rest
-                path.append(FactorElement(spec, cur))
+                path.append(_element(spec, cur))
                 remaining -= 1
                 break
         else:
@@ -721,7 +737,7 @@ class BoundaryPoint(Value):
                 runs[-1][1] += sign
             else:
                 runs.append([base, sign])
-            yield FactorElement(spec, from_runs(runs))
+            yield _element(spec, from_runs(runs))
 
     def realization(self, depth: int) -> tuple[FactorElement, ...]:
         """The geodesic ray prefix of the given length representing this direction."""

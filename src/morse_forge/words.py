@@ -52,12 +52,15 @@ class Word(factors.Value):
         return " ".join(s.spec.format_element(s) for s in self.syllables)
 
 
-@dataclass(frozen=True)
-class FreeProduct:
-    """Shared context for words over the free product of two factors."""
+@dataclass(frozen=True, eq=False)
+class FreeProduct(factors.Value):
+    """Shared context for words over the free product of two factors.
+    Rays and indexes compare their products on every call, so equality
+    tests identity first (``factors.Value``)."""
 
     a: factors.FactorSpec
     b: factors.FactorSpec
+    _key = operator.attrgetter("a", "b")
 
     def __post_init__(self):
         if self.a.id == self.b.id:

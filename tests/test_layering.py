@@ -23,7 +23,10 @@ memoizes through ``functools``, whose caches would outlive the run:
 tables live with the run or the spec that makes them.  Values are
 validated at the door: the public constructors check every invariant,
 and ``_trusted`` skips the checks only at the call sites that ``TRUSTED``
-lists, each of which says in a comment why its invariant holds.  Boundary verdicts take plain
+lists, each of which says in a comment why its invariant holds.  A
+factor element comes from one door, ``factors._element``, which keeps it
+in its spec's table: no other line builds one, and the table dies with
+the spec, not with the process.  Boundary verdicts take plain
 values in ``rays`` and ``morse`` alike: no record carries a
 neighbourhood's center, depth and gauge, a join's certificate, a
 corresponding ray, or a matched element's role, and every spelling reads
@@ -37,16 +40,18 @@ other line calls ``os.fork`` or ``os._exit``, and no module imports
 """
 
 import ast
+import gc
 import importlib
 import importlib.util
 import inspect
 import io
 import re
 import tokenize
+import weakref
 from pathlib import Path
 
 import morse_forge
-from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, graph, matching, morse, rays
+from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, cli, graph, matching, morse, rays
 
 SRC = Path(morse_forge.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -166,7 +171,8 @@ def test_rays_and_gauges_carry_no_kind_tag():
 
 def test_no_module_keeps_a_process_cache():
     # ``rays.Spellings`` and ``MatchState``'s direction images live for one
-    # run and a spec's line ends with the spec; a functools cache would
+    # run, and a spec's line ends and its table of elements
+    # (``FactorSpec._elements``) with the spec; a functools cache would
     # carry them, and every spec it saw, into the next run.  The one cache
     # left, ``morse.qg_bound``, is keyed by two numbers and keeps only the
     # int tables of their inequality
@@ -174,6 +180,30 @@ def test_no_module_keeps_a_process_cache():
     name, line, _text = hit.split(":", 2)
     assert name == "morse.py"
     assert (SRC / name).read_text(encoding="utf-8").splitlines()[int(line)].startswith("def qg_bound(")
+
+
+def test_factor_elements_are_built_only_in_the_intern_door():
+    def calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "FactorElement"]
+
+    tree = ast.parse((SRC / "factors.py").read_text(encoding="utf-8"))
+    (door,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_element"]
+    assert len(calls(door)) == len(calls(tree)) == 1
+    assert _hits(re.compile(r"\bFactorElement\("), OTHERS) == []
+
+
+def test_a_spec_and_its_elements_die_with_the_run():
+    # the spec, its table and its elements form a cycle that the collector
+    # frees once the run's config is dropped; a table held by a module
+    # would keep them alive
+    config = cli.load_config(None)
+    report = checks.run_phi_psi(config.fp1)
+    specs = (config.fp1.a, config.fp1.b)
+    assert all(spec._elements for spec in specs)
+    refs = [weakref.ref(spec) for spec in specs]
+    del config, report, specs
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def _trusted_calls():

@@ -8,9 +8,9 @@ import dataclasses
 
 import pytest
 
-from morse_forge import Ball, FactorSpace, FactorSpec, FreeProduct, Word, checks, matching, rays
+from morse_forge import CANONICAL_TREE_GAUGE, Ball, FactorSpace, FactorSpec, FreeProduct, Word, checks, matching, rays
 from morse_forge.errors import NoBoundary
-from morse_forge.factors import BoundaryPoint, from_entry
+from morse_forge.factors import BoundaryPoint, first_geodesic, from_entry, geodesics
 from morse_forge.matching import BoundaryHomeo
 from morse_forge.rays import CombRay, Spellings
 
@@ -192,12 +192,66 @@ def test_equal_specs_give_equal_values():
     assert first.parse("x") != second.parse("y") and first.parse("x") != first.a.make_element(((0, 1),))
 
 
+@pytest.mark.parametrize(
+    "name, payload",
+    [("line_a", 3), ("lattice2", (2, -1)), ("free2", ((1, 1), (0, 2))), ("z6", 2)],
+    ids=["line", "lattice", "free", "finite"],
+)
+def test_every_door_returns_the_one_element_of_its_payload(request, name, payload):
+    spec = request.getfixturevalue(name)
+    e, x, g = spec.identity(), spec.make_element(payload), spec.power(0, 1)
+    assert spec.identity() is e and spec.power(0, 0) is e and x * x.inverse() is e
+    assert spec.make_element(payload) is x and x.inverse().inverse() is x
+    assert spec.power(0, 2) is g * g and (x * g) * g.inverse() is x
+    assert spec.generator_element(spec.generators()[0]) is g
+    assert spec.automorphisms()[0](x) is x  # the first map is the identity
+    first = first_geodesic(e, x)
+    assert first[0] is e and first[-1] is x
+    paths = geodesics(e, x)
+    assert all(p[0] is e and p[-1] is x for p in paths)
+    assert len(paths[0]) == len(first) and all(u is v for u, v in zip(paths[0], first))
+    if spec.has_boundary():
+        w, k = spec.split_first_power(x)
+        assert x * spec.power(0, -k) is w and w * spec.power(0, k) is x
+        ray = BoundaryPoint.line_end(spec, 1).realization(2)
+        assert ray[0] is e and ray[1] is g and ray[2] is g * g
+
+
+def test_equal_specs_with_different_tables_stay_equal():
+    entry = {"id": "A1", "kind": "free", "rank": 2, "names": ["x", "y"]}
+    s, t = from_entry(dict(entry)), from_entry(dict(entry))
+    ball = Ball.build(FactorSpace(s), 3).vertices
+    assert len(s._elements) >= len(ball) > len(t._elements)
+    assert s == t and t == s and hash(s) == hash(t) and repr(s) == repr(t)
+    for x in ball:
+        y = t.make_element(x.payload)
+        assert y is not x and y == x and x == y and hash(y) == hash(x) and repr(y) == repr(x)
+    assert s.power(0, 1) != t.power(1, 1)
+
+
+def test_products_compare_by_their_factors(zz, line_a, line_b):
+    twin = FreeProduct(FactorSpec.integer_line("A", "x"), FactorSpec.integer_line("B", "y"))
+    assert twin is not zz and twin == zz and zz == twin and hash(twin) == hash(zz) == hash((line_a, line_b))
+    swapped = FreeProduct(line_b, line_a)
+    assert swapped != zz and zz != (line_a, line_b)
+    a, b = rays.comb_population(zz, max_len=1, max_norm=1)[0], rays.comb_population(swapped, max_len=1, max_norm=1)[0]
+    # an equal product loaded apart is the same product, a swapped one is not
+    assert rays.comb_neighborhood_member(a, 1, CANONICAL_TREE_GAUGE, rays.comb_population(twin, max_len=1, max_norm=1)[0])
+    for refused in (
+        lambda: rays.comb_neighborhood_member(a, 1, CANONICAL_TREE_GAUGE, b),
+        lambda: rays.CombIndex([a, b]),
+        lambda: rays.CombIndex([a]).members(b, 1, CANONICAL_TREE_GAUGE),
+    ):
+        with pytest.raises(ValueError, match="combinatorial geodesics over different products"):
+            refused()
+
+
 def test_values_stay_frozen_and_keep_the_hash_out_of_their_fields(zz):
     x = zz.a.make_element(2)
     w = zz.word((x, zz.b.make_element(-1)))
     a = rays.comb_population(zz, max_len=1, max_norm=1)[0]
     z = rays.standard_line(zz.a)[0]
-    for v, name in ((x, "payload"), (w, "syllables"), (a, "syllables"), (z, "block"), (zz.a, "names")):
+    for v, name in ((x, "payload"), (w, "syllables"), (a, "syllables"), (z, "block"), (zz.a, "names"), (zz.a, "_elements")):
         hash(v)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(v, name, ())
