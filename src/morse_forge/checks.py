@@ -185,7 +185,7 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     instances = 0
     covered = 0
     failures = []
-    bounds = [morse.qg_bound(lam, eps) for lam, eps in grid]
+    bounds = [morse.QGBound(lam, eps) for lam, eps in grid]
 
     def scan(bound, least, u, v, symmetries):
         bad: list = []
@@ -333,6 +333,7 @@ def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, path
     (``_shared``); the report takes them in gamma order.
     """
     ball = Ball.build(fp, radius, vertex_budget)
+    geodesic, qg = morse.QGBound(1, 0), morse.QGBound(1, 2)
     geodesic_paths: list[tuple[int, ...]] = []
     qg_paths: list[tuple[int, ...]] = []
     for w in range(len(ball)):
@@ -341,17 +342,17 @@ def run_concat_qg(fp: FreeProduct, radius: int = 4, qg_norm_limit: int = 2, path
             raise BudgetExceeded(f"checks.GEODESIC_CAP {GEODESIC_CAP} exceeded: more geodesics from e to {fp.format(ball.vertex(w))}")
         geodesic_paths.extend(geodesics)
         if ball.dist[w] <= qg_norm_limit:
-            qg_paths.extend(morse.enumerate_quasi_geodesics(ball, 0, w, 1, 2, path_cap))
-    families = (("geodesic", 1, 0, geodesic_paths), ("qg", 1, 2, qg_paths))
-    items = [(name, lam, eps, gamma) for name, lam, eps, paths in families for gamma in paths if len(gamma) >= 2]
+            qg_paths.extend(morse.enumerate_quasi_geodesics(ball, 0, w, qg, path_cap))
+    families = (("geodesic", geodesic, geodesic_paths), ("qg", qg, qg_paths))
+    items = [(name, bound, gamma) for name, bound, paths in families for gamma in paths if len(gamma) >= 2]
     instances = 0
     failures = []
 
     def joins(k):
-        _name, lam, eps, gamma = items[k]
-        return morse.separated_concatenations(ball, gamma, lam, eps)
+        _name, bound, gamma = items[k]
+        return morse.separated_concatenations(ball, gamma, bound)
 
-    for (name, _lam, _eps, gamma), (count, failed) in zip(items, _shared(joins, len(items), lambda k: len(items[k][3]))):
+    for (name, _bound, gamma), (count, failed) in zip(items, _shared(joins, len(items), lambda k: len(items[k][2]))):
         instances += count
         for p, q, cert in failed:
             failures.append({"family": name, "gamma": list(gamma), "p": p, "q": q, "certificate": cert})
@@ -464,8 +465,7 @@ def run_ray_merge(fp: FreeProduct, depth: int = 36, k_values=(1, 2, 3, 4), max_l
     changes no count and no verdict."""
     delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)  # distances are ints
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
-    table = rays.Spellings()
-    realized = [rays.realize(a, depth, table) for a in population]
+    realized = [rays.realize(a, depth) for a in population]
     ks = [k for k in k_values if depth >= 6 * k]
     instances = 0
     failures = []
@@ -598,28 +598,26 @@ PHI_PSI_TAIL_DEPTH = 4
 
 def run_phi_psi(fp: FreeProduct) -> dict:
     population = rays.comb_population(fp, max_len=PHI_PSI_MAX_LEN, max_norm=PHI_PSI_MAX_NORM)
-    # one table of syllable geodesics and tail realizations for the run
-    table = rays.Spellings()
     instances = 0
     failures = []
     for a in population:
         depth = sum(s.norm() for s in a.syllables) + PHI_PSI_TAIL_DEPTH
-        ray = rays.realize(a, depth, table)
+        ray = rays.realize(a, depth)
         instances += 1
         # the runs are read once, off the ray, by the certificate that it is
         # a geodesic, and held against a; that covers every stable syllable
         try:
             observed = rays.certify_geodesic(fp, ray)
-            rays.validate_against(observed, a, table)
+            rays.validate_against(observed, a)
         except ValueError as exc:
             failures.append({"a": a.text(), "reason": f"decompose: {exc}"})
             continue
-        # the stable runs equal a's syllables, so the rebuild reads their
-        # geodesics from the entries that realize read and compares nothing
-        # new there.  The growing last run is spelled by its own geodesic:
-        # on a finite ray the comparison is independent there and in the
-        # tail, whose realization is held against that geodesic
-        if tuple(rays.spell(fp, observed, depth, table)) != ray:
+        # the stable runs are a's syllables, so the rebuild reads the
+        # spellings that realize made and compares nothing new there.  The
+        # growing last run is spelled by its own geodesic: on a finite ray
+        # the comparison is independent there and in the tail, whose
+        # realization is held against that geodesic
+        if tuple(rays.spell(fp, observed, depth)) != ray:
             failures.append({"a": a.text(), "reason": "rebuild differs"})
     return _report(
         "phi-psi",

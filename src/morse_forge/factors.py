@@ -187,7 +187,7 @@ class _LineOps(_Ops):
         super().__init__(spec)
 
     def check(self, p):
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise ValueError("line elements are integers")
         return p
 
@@ -218,7 +218,7 @@ class _LatticeOps(_Ops):
 
     def check(self, p):
         p = tuple(p)
-        if len(p) != len(self.bases) or not all(isinstance(c, int) for c in p):
+        if len(p) != len(self.bases) or not all(type(c) is int for c in p):
             raise ValueError("lattice elements are integer vectors of the right dimension")
         return p
 
@@ -257,7 +257,7 @@ class _FreeOps(_Ops):
     def check(self, p):
         p = tuple((b, e) for b, e in p)
         for i, (b, e) in enumerate(p):
-            if not (0 <= b < len(self.bases)) or e == 0:
+            if type(b) is not int or type(e) is not int or not (0 <= b < len(self.bases)) or e == 0:
                 raise ValueError("free elements are reduced non-trivial runs")
             if i and p[i - 1][0] == b:
                 raise ValueError("adjacent runs must use different generators")
@@ -352,7 +352,7 @@ class _FiniteOps(_Ops):
             self.cycles.append(tuple(cycle))
 
     def check(self, p):
-        if not isinstance(p, int) or not (0 <= p < len(self.table)):
+        if type(p) is not int or not (0 <= p < len(self.table)):
             raise ValueError("finite elements are table indices")
         return p
 
@@ -550,10 +550,13 @@ class FactorElement(Value):
     """An element of a factor group in canonical form.  Its constructor
     checks nothing and is called only by ``_element``:
     ``FactorSpec.make_element`` is the door for other modules, and inside
-    this module every payload comes from the kind's ops."""
+    this module every payload comes from the kind's ops.  ``_spelling``
+    keeps the element's ``spelling`` once made, outside equality and
+    ``repr``."""
 
     spec: FactorSpec
     payload: object
+    _spelling: tuple = field(default=None, init=False, repr=False, compare=False)
     _key = operator.attrgetter("spec", "payload")
 
     def __eq__(self, other):
@@ -582,6 +585,13 @@ class FactorElement(Value):
 
     def sort_key(self):
         return self.spec.ops.sort_key(self.payload)
+
+    def spelling(self) -> tuple["FactorElement", ...]:
+        """The vertices after the identity on the canonical geodesic to
+        this element (``first_geodesic``), made on first request and kept."""
+        if self._spelling is None:
+            object.__setattr__(self, "_spelling", first_geodesic(self.spec.identity(), self)[1:])
+        return self._spelling
 
     def __repr__(self) -> str:
         return self.spec.format_element(self)
@@ -693,6 +703,7 @@ class BoundaryPoint(Value):
     prefix: tuple[Letter, ...]
     block: tuple[Letter, ...]
     _key = operator.attrgetter("spec", "prefix", "block")
+    _ray = ()  # the longest realization read so far
 
     def __post_init__(self):
         if not self.spec.has_boundary():
@@ -740,8 +751,11 @@ class BoundaryPoint(Value):
             yield _element(spec, from_runs(runs))
 
     def realization(self, depth: int) -> tuple[FactorElement, ...]:
-        """The geodesic ray prefix of the given length representing this direction."""
-        return tuple(itertools.islice(self.vertices(), depth + 1))
+        """The geodesic ray prefix of the given length representing this
+        direction; the direction keeps the longest one it was asked for."""
+        if len(self._ray) <= depth:
+            object.__setattr__(self, "_ray", tuple(itertools.islice(self.vertices(), depth + 1)))
+        return self._ray[: depth + 1]
 
     def format(self) -> str:
         return self.spec.ops.direction_text(self.prefix, self.block)

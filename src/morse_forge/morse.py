@@ -3,8 +3,9 @@
 A gauge maps stability parameters (lam, eps) to a deviation bound.  All
 derived constants are evaluated exactly over rationals; table gauges
 never interpolate, they either hold the probe point or fail loudly.
-This module alone knows the (lam, eps) inequality: ``qg_bound`` turns it
-into int tables once per pair, and every quasi-geodesic verdict reads them.
+This module alone knows the (lam, eps) inequality: a ``QGBound`` turns it
+into int tables, which every quasi-geodesic verdict reads; a check makes
+one bound per pair and passes it on.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ class _Table:
 
 
 class QGBound:
-    """The (lam, eps) quasi-geodesic inequality on int distances, built
-    once per pair by ``qg_bound``.
+    """The (lam, eps) quasi-geodesic inequality on int distances.
 
     Walk vertices g steps apart at distance d satisfy it when
     least(g) <= d <= most(g), and a quasi-geodesic between vertices d apart
@@ -174,13 +174,7 @@ class QGBound:
     @functools.cached_property
     def concatenated(self) -> "QGBound":
         """(3 lam, eps + 1), which joins must meet; the +1 absorbs vertex discretization."""
-        return qg_bound(3 * self.lam, self.eps + 1)
-
-
-@functools.cache
-def qg_bound(lam, eps) -> QGBound:
-    """The bound for (lam, eps), built once per pair."""
-    return QGBound(lam, eps)
+        return QGBound(3 * self.lam, self.eps + 1)
 
 
 def _holds(ball: Ball, walk: tuple[int, ...], bound: QGBound) -> bool:
@@ -461,9 +455,9 @@ def scan_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, visit, stat
                 walk.pop()
 
 
-def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | None = None):
-    """Every (lam, eps)-quasi-geodesic edge path u -> v in the ball, as
-    tuples in search order (see ``scan_quasi_geodesics``)."""
+def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, bound: QGBound, cap: int | None = None):
+    """Every quasi-geodesic edge path u -> v in the ball within the bound,
+    as tuples in search order (see ``scan_quasi_geodesics``)."""
     out: list[tuple[int, ...]] = []
 
     def collect(state, walk):
@@ -471,7 +465,7 @@ def enumerate_quasi_geodesics(ball: Ball, u: int, v: int, lam, eps, cap: int | N
             out.append(tuple(walk))
         return state
 
-    scan_quasi_geodesics(ball, u, v, qg_bound(lam, eps), collect, None, cap)
+    scan_quasi_geodesics(ball, u, v, bound, collect, None, cap)
     return out
 
 
@@ -503,7 +497,7 @@ def estimate_gauge(ball: Ball, verts: tuple[int, ...], grid, path_cap: int | Non
         return most
 
     for lam, eps in grid:
-        bound = qg_bound(lam, eps)
+        bound = QGBound(lam, eps)
         worst = 0
         for i, u in enumerate(verts):
             for v in verts[i:]:
@@ -547,19 +541,18 @@ def _join(ball: Ball, walk: tuple[int, ...], p: int, t: int, q: int, t2: int, bo
     return combined, _holds(ball, combined, bound.concatenated)
 
 
-def concat_quasi_geodesic(ball: Ball, p: int, q: int, walk: tuple[int, ...], lam, eps) -> tuple[tuple[int, ...], dict]:
+def concat_quasi_geodesic(ball: Ball, p: int, q: int, walk: tuple[int, ...], bound: QGBound) -> tuple[tuple[int, ...], dict]:
     """Join p and q to a quasi-geodesic walk through its closest points.
 
     Returns the joined walk and its certificate, the dict
     ``separated_concatenations`` reports a failing join with.
     """
-    bound = qg_bound(lam, eps)
     (dp, tp), (dq, tq) = _closest_point(ball, walk, p), _closest_point(ball, walk, q)
     combined, verified = _join(ball, walk, p, tp, q, tq, bound)
     return combined, _certificate(bound, tp, tq, bound.separated(abs(tp - tq), dp + dq), verified)
 
 
-def separated_concatenations(ball: Ball, gamma: tuple[int, ...], lam, eps) -> tuple[int, list]:
+def separated_concatenations(ball: Ball, gamma: tuple[int, ...], bound: QGBound) -> tuple[int, list]:
     """How many pairs of vertices near gamma meet the separation
     hypothesis, and (p, q, certificate), in sorted order, for each of them
     whose join, as in ``concat_quasi_geodesic``, fails to verify.  Near
@@ -567,7 +560,6 @@ def separated_concatenations(ball: Ball, gamma: tuple[int, ...], lam, eps) -> tu
     the hypothesis for a gap of |gamma| and an offset of 1.  Each vertex's
     closest point is found once.
     """
-    bound = qg_bound(lam, eps)
     near = set(gamma)
     if bound.separated(len(gamma) - 1, 1):
         for g in gamma:

@@ -199,10 +199,7 @@ class FreeProduct(factors.Value):
         return tuple(verts)
 
     def sort_key(self, w: Word):
-        return tuple(
-            ((0 if s.factor == self.a.id else 1),) + tuple(_norm_key(s.sort_key()))
-            for s in w.syllables
-        )
+        return tuple((0 if s.factor == self.a.id else 1, *s.sort_key()) for s in w.syllables)
 
     # -- text -------------------------------------------------------------
 
@@ -231,14 +228,3 @@ class FreeProduct(factors.Value):
             if name in spec.names:
                 return spec, spec.names.index(name)
         return None
-
-
-def _norm_key(key) -> tuple:
-    # flatten heterogeneous sort keys so tuple comparison never crosses types
-    out = []
-    for part in key:
-        if isinstance(part, tuple):
-            out.append(tuple(part))
-        else:
-            out.append((part,))
-    return tuple(out)

@@ -1,8 +1,10 @@
 """Check layer: reports, symmetry reduction, matching invariant suites."""
 
+import gc
 import json
 import os
 import time
+import weakref
 
 import pytest
 
@@ -183,12 +185,12 @@ def test_projection_visitor_matches_reference(first, radius, line_b):
     ball, proj_map, dist, proj_gap, _symmetries, pairs = _projection_setup(fp, radius)
     reasons = set()
     for lam, eps in ((2, 1), (2, 2), (3, 0)):
-        bound = morse.qg_bound(lam, eps)
+        bound = morse.QGBound(lam, eps)
         real = bound.least.upto(bound.max_len(2 * radius))
-        geodesic = morse.qg_bound(1, 0).least.upto(len(real))
-        slope_half = morse.qg_bound(2, 0).least.upto(len(real))
+        geodesic = morse.QGBound(1, 0).least.upto(len(real))
+        slope_half = morse.QGBound(2, 0).least.upto(len(real))
         for u, v in pairs:
-            walks = morse.enumerate_quasi_geodesics(ball, u, v, lam, eps)
+            walks = morse.enumerate_quasi_geodesics(ball, u, v, bound)
             settings = ((real, bound.hausdorff), (geodesic, bound.hausdorff), (real, 0), (slope_half, bound.hausdorff))
             for least, haus_bound in settings:
                 expected = []
@@ -213,14 +215,14 @@ def test_projection_visitor_matches_reference_at_odd_slack():
     # (gaps 1 and 3), a deadline one index late passes runs of gap 2 and 4
     # that break the bound
     ball, proj_map, dist, proj_gap, _symmetries, pairs = _projection_setup(_PRODUCTS["zz"], 3)
-    bound = morse.qg_bound(2, 2)
+    bound = morse.QGBound(2, 2)
     real = bound.least.upto(bound.max_len(6))
     broken = 0
     for point, slack in (((1, 1), 1), ((3, 1), 3)):
-        least = morse.qg_bound(*point).least.upto(len(real))
+        least = morse.QGBound(*point).least.upto(len(real))
         assert checks.projection_slack(least)[0] == slack
         for u, v in pairs:
-            walks = morse.enumerate_quasi_geodesics(ball, u, v, 2, 2)
+            walks = morse.enumerate_quasi_geodesics(ball, u, v, bound)
             expected = []
             for walk in walks:
                 reason = _projection_violation(dist, [proj_map[x] for x in walk], walk, least, bound.hausdorff)
@@ -245,10 +247,10 @@ def test_projection_slack_is_the_widest_gap_allowed():
     points = {tuple(point) for point in DEFAULT_CONFIG["grid"]} | {(1, 0), (2, 2), (2, 3), (3, 0)}
     for radius in (2, 3, 4):
         for lam, eps in sorted(points):
-            bound = morse.qg_bound(lam, eps)
+            bound = morse.QGBound(lam, eps)
             real = list(bound.least.upto(bound.max_len(2 * radius)))
             tables = [real, [x + 1 for x in real]]
-            tables += [list(morse.qg_bound(*point).least.upto(len(real))) for point in ((1, 0), (2, 0))]
+            tables += [list(morse.QGBound(*point).least.upto(len(real))) for point in ((1, 0), (2, 0))]
             for least in tables:
                 kept = list(least)
                 slack = checks.projection_slack(least)
@@ -278,7 +280,7 @@ def test_projection_visitor_reads_one_row_per_run():
     # closes and as its walk ends would read 60,720 rows
     ball, proj_map, dist, proj_gap, symmetries, pairs = _projection_setup(_PRODUCTS["zz"], 3)
     rows = _CountingRows(dist)
-    bound = morse.qg_bound(2, 3)
+    bound = morse.QGBound(2, 3)
     least = bound.least.upto(bound.max_len(6))
     openings = 0
     for u, v in pairs:
@@ -450,7 +452,7 @@ def test_reduced_scan_matches_plain_scan(product, radius, grid):
     reasons = set()
     reduced_failures = plain_failures = 0
     for lam, eps in grid:
-        bound = morse.qg_bound(lam, eps)
+        bound = morse.QGBound(lam, eps)
         least = bound.least.upto(bound.max_len(2 * radius))
         settings = ((least, 0), ([x + 1 for x in least], bound.hausdorff))
         for u, v in pairs:
@@ -493,7 +495,7 @@ def test_reversed_scan_matches_forward_scan(product, radius):
     generators = _branch_generators(ball)
     reasons = set()
     for lam, eps in _ORACLE_GRID:
-        bound = morse.qg_bound(lam, eps)
+        bound = morse.QGBound(lam, eps)
         least = bound.least.upto(bound.max_len(2 * radius))
         settings = ((least, bound.hausdorff), (least, 0), ([x + 1 for x in least], bound.hausdorff))
         for u, v in pairs:
@@ -549,7 +551,7 @@ def test_no_kept_prefix_is_dead(product, radius, point, reduced_kept):
     # keep the pinned number of prefixes (the global factor automorphisms
     # kept 125,338 on Z*Z and 20,521 on F2*Z)
     ball, _proj_map, _dist, _proj_gap, groups, pairs = _projection_setup(_PRODUCTS[product], radius)
-    bound = morse.qg_bound(*point)
+    bound = morse.QGBound(*point)
     kept = {}
     reference_dead = 0
     for group in (groups, None):
@@ -574,7 +576,7 @@ def test_far_first_scan_keeps_no_dead_prefix(product, radius, point, far_first_k
     # of prefixes, every one of which leads to a walk; from u they keep
     # 63,659 on Z*Z and 18,746 on F2*Z (test_no_kept_prefix_is_dead)
     ball, _proj_map, _dist, _proj_gap, groups, pairs = _projection_setup(_PRODUCTS[product], radius)
-    bound = morse.qg_bound(*point)
+    bound = morse.QGBound(*point)
     kept = 0
     for u, v in pairs:
         if ball.dist[v] > ball.dist[u]:
@@ -585,12 +587,26 @@ def test_far_first_scan_keeps_no_dead_prefix(product, radius, point, far_first_k
     assert kept == far_first_kept
 
 
-def test_projection_check_keeps_bound_tables(zz):
-    # the bound's int tables are shared by every caller; a rerun must not grow them
-    checks.run_projection_qg(zz, radius=2, grid=[(2, 1)])
-    least = list(morse.qg_bound(2, 1).least.items)
-    checks.run_projection_qg(zz, radius=2, grid=[(2, 1)])
-    assert morse.qg_bound(2, 1).least.items == least
+def test_check_bounds_die_with_the_run(zz, cpus, monkeypatch):
+    # each check makes its bounds once and drops them with its run: concat-qg
+    # its (1, 0) and (1, 2) bounds and the (3, 1) and (3, 3) bounds their
+    # joins meet, projection-qg one per grid point.  A table outside the
+    # run would keep one, and its int tables, alive into the next run
+    made = []
+
+    class Recorded(morse.QGBound):
+        def __init__(self, lam, eps):
+            super().__init__(lam, eps)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(morse, "QGBound", Recorded)
+    cpus(1)  # every item runs in this process, so every bound is seen
+    checks.run_concat_qg(zz, radius=2)
+    assert len(made) == 4
+    checks.run_projection_qg(zz, radius=2, grid=[(2, 1), (1, 2)])
+    assert len(made) == 6
+    gc.collect()
+    assert [ref() for ref in made] == [None] * 6
 
 
 def test_sharing_changes_no_report(cpus):
@@ -732,7 +748,7 @@ def _ray_merge_reference(fp, depth=36, k_values=(1, 2, 3, 4), max_len=2, max_nor
     """Reference ray-merge report, taking every pair's whole profile."""
     delta = morse.rational_ceil(morse.CANONICAL_TREE_GAUGE.delta)
     population = rays.comb_population(fp, max_len=max_len, max_norm=max_norm, max_infinite_prefix=1)
-    realized = [rays.realize(a, depth, rays.Spellings()) for a in population]
+    realized = [rays.realize(a, depth) for a in population]
     instances = 0
     failures = []
     for ai in range(len(realized)):

@@ -326,12 +326,12 @@ def test_projection_path_cap_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_projection_qg_can_fail(tmp_path, capsys, monkeypatch):
     # a Hausdorff bound of 0 is too strong: some walk leaves the factor copy
-    def strict(lam, eps):
-        bound = morse.QGBound(lam, eps)
-        bound.hausdorff = 0
-        return bound
+    class Strict(morse.QGBound):
+        def __init__(self, lam, eps):
+            super().__init__(lam, eps)
+            self.hausdorff = 0
 
-    monkeypatch.setattr(morse, "qg_bound", strict)
+    monkeypatch.setattr(morse, "QGBound", Strict)
     args = ["check", "projection-qg", "--radius", "2", "--lambda", "2", "--eps", "2"]
     code, _out, _err = run_cli(["--out", str(tmp_path)] + args, capsys)
     assert code == 1
@@ -400,7 +400,8 @@ def test_projection_builds_only_the_rows_it_reads(tmp_path, capsys, monkeypatch)
 
 def test_concat_qg_can_fail(tmp_path, capsys, monkeypatch):
     # joins held to (1, 0) instead of (3 lam, eps + 1): some join is too long
-    monkeypatch.setattr(morse.QGBound, "concatenated", property(lambda self: morse.qg_bound(1, 0)))
+    geodesic = morse.QGBound(1, 0)
+    monkeypatch.setattr(morse.QGBound, "concatenated", property(lambda self: geodesic))
     code, _out, _err = run_cli(["--out", str(tmp_path), "check", "concat-qg", "--radius", "3"], capsys)
     assert code == 1
     report = json.loads((tmp_path / "check-concat-qg.json").read_text())
@@ -460,11 +461,11 @@ def test_phi_psi_records_a_broken_certificate(tmp_path, capsys, monkeypatch):
     # a spelling that steps back to e at vertex 2 of every ray longer than
     # 3: the certificate refuses those rays, and the check records them
     # (the rays spelled shorter fail their rebuild instead); the list it
-    # edits is its own, so the run's table of spellings stays intact
+    # edits is its own, so the spellings the syllables keep stay intact
     spell = rays.spell
 
-    def stepping_back(fp, syllables, depth, table):
-        verts = spell(fp, syllables, depth, table)
+    def stepping_back(fp, syllables, depth):
+        verts = spell(fp, syllables, depth)
         if len(verts) > 3:
             verts[2] = verts[0]
         return verts

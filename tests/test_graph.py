@@ -342,7 +342,7 @@ def test_searches_leave_no_reference_cycles(zz, lattice2):
     dist = [ball.row(i) for i in range(len(ball))]
     proj_map = [ball.index_of(zz.embed(zz.project_to_factor(w, zz.a.id))) for w in ball.vertices]
     proj_gap = [dist[i][proj_map[i]] for i in range(len(ball))]
-    bound = morse.qg_bound(2, 1)
+    bound = morse.QGBound(2, 1)
     least = bound.least.upto(bound.max_len(2 * ball.radius))
     gc.collect()
     gc.disable()
@@ -358,3 +358,45 @@ def test_searches_leave_no_reference_cycles(zz, lattice2):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _nested_sort_key(fp, w):
+    """The word order as first written: each part of a syllable's key in a
+    tuple of its own, behind the tuple of its factor's flag."""
+    def nest(key):
+        return tuple(tuple(part) if isinstance(part, tuple) else (part,) for part in key)
+
+    return tuple(((0 if s.factor == fp.a.id else 1),) + nest(s.sort_key()) for s in w.syllables)
+
+
+def _sort_key_products():
+    line_a, line_b = FactorSpec.integer_line("A", "x"), FactorSpec.integer_line("B", "y")
+    lattice2, lattice3 = FactorSpec.integer_lattice("A", 2), FactorSpec.integer_lattice("A", 3)
+    free2, free3 = FactorSpec.free_group("A", 2, names=("p", "q")), FactorSpec.free_group("A", 3)
+    z2 = [FactorSpec.finite_table(i, [[0, 1], [1, 0]], [1], names=[n]) for i, n in (("A", "a"), ("B", "b"))]
+    z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    z3_a, z3_b = (FactorSpec.finite_table(i, z3, [1, 2], names=("s", "s_inv")) for i in ("A", "B"))
+    second_lattice = FactorSpec.integer_lattice("B", 2, names=("b1", "b2"))
+    return {
+        "zz-r5": (FreeProduct(line_a, line_b), 5),
+        "lattice-line-r4": (FreeProduct(lattice2, line_b), 4),
+        "f2-line-r4": (FreeProduct(free2, line_b), 4),
+        "z2z2-r6": (FreeProduct(*z2), 6),
+        "line-z3-r5": (FreeProduct(line_a, z3_b), 5),
+        # the mixed kinds, which no golden orders
+        "lattice3-z3-r3": (FreeProduct(lattice3, z3_b), 3),
+        "f3-lattice2-r3": (FreeProduct(free3, second_lattice), 3),
+        "z3-lattice2-r3": (FreeProduct(z3_a, second_lattice), 3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_sort_key_products()))
+def test_flat_sort_key_orders_as_the_nested_key(case):
+    # wrapping a key part in a tuple of its own never changes an order, and
+    # the syllables of one factor share a key shape, so the flat key
+    # compares no two parts of different types and orders every ball's
+    # words as the nested key does
+    fp, radius = _sort_key_products()[case]
+    words = Ball.build(fp, radius).vertices[::-1]
+    assert len(set(map(fp.sort_key, words))) == len(words)
+    assert sorted(words, key=fp.sort_key) == sorted(words, key=lambda w: _nested_sort_key(fp, w))

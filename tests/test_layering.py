@@ -20,19 +20,21 @@ define; a vertex's syllable prefix comes from the ball's own tables,
 never from the space.  A combinatorial geodesic or a gauge carries no
 kind tag: its data say whether it is finite or affine.  No module
 memoizes through ``functools``, whose caches would outlive the run:
-tables live with the run or the spec that makes them.  Values are
-validated at the door: the public constructors check every invariant,
-and ``_trusted`` skips the checks only at the call sites that ``TRUSTED``
-lists, each of which says in a comment why its invariant holds.  A
+derived data live on the value they derive from, and tables with the run
+or the spec that makes them.  Values are validated at the door: the
+public constructors check every invariant, and ``_trusted`` skips the
+checks only at the call sites that ``TRUSTED`` lists, each of which says
+in a comment why its invariant holds.  A
 factor element comes from one door, ``factors._element``, which keeps it
 in its spec's table: no other line builds one, and the table dies with
 the spec, not with the process.  Boundary verdicts take plain
 values in ``rays`` and ``morse`` alike: no record carries a
 neighbourhood's center, depth and gauge, a join's certificate, a
-corresponding ray, or a matched element's role, and every spelling reads
-a table its caller made.  A ball keeps one cut-vertex table, ``gates``:
-prefix-transit reads it and runs no search that avoids a vertex.  The
-path_cap budget names itself where it binds: ``CapExceeded`` is raised
+corresponding ray, or a matched element's role, and every spelling is
+kept by the element or direction it spells, never in a table beside it.
+A ball keeps one cut-vertex table, ``gates``: prefix-transit reads it
+and runs no search that avoids a vertex.  The path_cap budget names
+itself where it binds: ``CapExceeded`` is raised
 by the quasi-geodesic scan and by prefix-transit's walk count, and no
 module catches it to say what it means.  Only ``checks._shared`` forks: no
 other line calls ``os.fork`` or ``os._exit``, and no module imports
@@ -170,16 +172,13 @@ def test_rays_and_gauges_carry_no_kind_tag():
 
 
 def test_no_module_keeps_a_process_cache():
-    # ``rays.Spellings`` and ``MatchState``'s direction images live for one
-    # run, and a spec's line ends and its table of elements
-    # (``FactorSpec._elements``) with the spec; a functools cache would
-    # carry them, and every spec it saw, into the next run.  The one cache
-    # left, ``morse.qg_bound``, is keyed by two numbers and keeps only the
-    # int tables of their inequality
-    (hit,) = _hits(MEMO, sorted(SRC.glob("*.py")))
-    name, line, _text = hit.split(":", 2)
-    assert name == "morse.py"
-    assert (SRC / name).read_text(encoding="utf-8").splitlines()[int(line)].startswith("def qg_bound(")
+    # an element's spelling and a direction's realization live on the
+    # value, ``MatchState``'s direction images for one run, a spec's line
+    # ends and its table of elements (``FactorSpec._elements``) with the
+    # spec, and a quasi-geodesic bound with the check that made it; a
+    # functools cache would carry them, and every spec it saw, into the
+    # next run
+    assert _hits(MEMO, sorted(SRC.glob("*.py"))) == []
 
 
 def test_factor_elements_are_built_only_in_the_intern_door():
@@ -193,15 +192,18 @@ def test_factor_elements_are_built_only_in_the_intern_door():
 
 
 def test_a_spec_and_its_elements_die_with_the_run():
-    # the spec, its table and its elements form a cycle that the collector
-    # frees once the run's config is dropped; a table held by a module
-    # would keep them alive
+    # the spec, its table and its elements, with the spellings they keep,
+    # and its line ends, with the realizations they keep, form a cycle
+    # that the collector frees once the run's config is dropped; a table
+    # held by a module would keep them alive
     config = cli.load_config(None)
-    report = checks.run_phi_psi(config.fp1)
+    reports = [checks.run_phi_psi(config.fp1), checks.run_ray_merge(config.fp1)]
     specs = (config.fp1.a, config.fp1.b)
     assert all(spec._elements for spec in specs)
+    assert all(any(x._spelling for x in spec._elements.values()) for spec in specs)
+    assert all(end._ray for spec in specs for end in spec.line_ends())
     refs = [weakref.ref(spec) for spec in specs]
-    del config, report, specs
+    del config, reports, specs
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
 
@@ -290,9 +292,10 @@ def test_boundary_verdicts_take_plain_values():
     state = matching.MatchState(matching.BoundaryHomeo(*lines, "identity"))
     state.step(1)
     assert not hasattr(state, "meta") and not hasattr(state, "delta_prime")
+    # an element keeps its spelling and a direction its realization
+    assert not hasattr(rays, "Spellings")
     for fn in (rays.realize, rays.spell, rays.validate_against):
-        table = inspect.signature(fn).parameters["table"]
-        assert table.default is inspect.Parameter.empty, fn.__name__
+        assert "table" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_prefix_transit_reads_the_cut_vertex_table():

@@ -77,7 +77,7 @@ def test_gauge_table_monotonicity_enforced():
 
 
 def _is_quasi_geodesic(ball, walk, lam, eps):
-    return morse._holds(ball, walk, morse.qg_bound(lam, eps))
+    return morse._holds(ball, walk, morse.QGBound(lam, eps))
 
 
 def test_geodesic_is_quasi_geodesic(zz):
@@ -99,7 +99,7 @@ def test_enumeration_matches_path_filter(zz):
     ball = Ball.build(zz, 3)
     u, v = 0, ball.index_of(zz.parse("x^2"))
     for lam, eps in ((1, 2), (2, 1), (Fraction(3, 2), Fraction(1, 2))):
-        got = sorted(enumerate_quasi_geodesics(ball, u, v, lam, eps))
+        got = sorted(enumerate_quasi_geodesics(ball, u, v, morse.QGBound(lam, eps)))
         walks = ball.enumerate_paths(u, v, int(lam * (ball.pair_distance(u, v) + eps)))
         expect = sorted(
             w
@@ -114,7 +114,7 @@ def test_enumeration_matches_path_filter(zz):
 @pytest.mark.parametrize("eps", [0, Fraction(1, 2), 1, 2, 3])
 def test_integer_bound_matches_fraction_definitions(lam, eps):
     # the int tables must decide exactly as the rational inequality does
-    bound = morse.qg_bound(lam, eps)
+    bound = morse.QGBound(lam, eps)
     lam, eps = Fraction(lam), Fraction(eps)
     for n in range(41):
         lower, upper = n / lam - eps, lam * n + eps
@@ -253,11 +253,12 @@ def test_estimate_gauge_matches_enumerated_walks(product, word, request):
     grid = [(1, 0), (1, 1), (1, 2), (2, 1), (3, 0), (5, 0)]  # the CLI's default grid
     expected = {}
     for lam, eps in grid:
+        bound = morse.QGBound(lam, eps)
         walks = [
             walk
             for i in range(len(path))
             for j in range(i, len(path))
-            for walk in morse.enumerate_quasi_geodesics(ball, path[i], path[j], lam, eps)
+            for walk in morse.enumerate_quasi_geodesics(ball, path[i], path[j], bound)
         ]
         expected[(lam, eps)] = max(dev[x] for walk in walks for x in walk)
     g = estimate_gauge(ball, path, grid)
@@ -279,7 +280,7 @@ def test_estimated_tree_tables_below_canonical(zz):
 def test_concat_trivial_endpoints(zz):
     ball = Ball.build(zz, 3)
     path = ball.first_geodesic(0, ball.index_of(zz.parse("x^3")))
-    out, cert = concat_quasi_geodesic(ball, path[0], path[-1], path, 1, 0)
+    out, cert = concat_quasi_geodesic(ball, path[0], path[-1], path, morse.QGBound(1, 0))
     assert out == path
     assert cert["hypothesis_held"] and cert["verified"]
 
@@ -289,7 +290,7 @@ def test_concat_spec_instance(zz):
     gamma = ball.first_geodesic(ball.index_of(zz.parse("x^-3")), ball.index_of(zz.parse("x^3")))
     p = ball.index_of(zz.parse("x^-2 y"))
     q = ball.index_of(zz.parse("x^2 y"))
-    out, cert = concat_quasi_geodesic(ball, p, q, gamma, 1, 0)
+    out, cert = concat_quasi_geodesic(ball, p, q, gamma, morse.QGBound(1, 0))
     assert cert == {
         "lam": "1",
         "eps": "0",
@@ -305,6 +306,7 @@ def test_concat_spec_instance(zz):
 
 def test_concat_hypothesis_instances_verify(zz, lattice_product):
     # wherever the separation hypothesis holds the output verifies (3l, e+1)
+    bound = morse.QGBound(1, 0)
     for fp in (zz, lattice_product):
         ball = Ball.build(fp, 4)
         held = 0
@@ -315,7 +317,7 @@ def test_concat_hypothesis_instances_verify(zz, lattice_product):
                 near = sorted(set(gamma))
                 for p in near:
                     for q in near:
-                        out, cert = concat_quasi_geodesic(ball, p, q, gamma, 1, 0)
+                        out, cert = concat_quasi_geodesic(ball, p, q, gamma, bound)
                         if cert["hypothesis_held"]:
                             held += 1
                             assert cert["verified"]
@@ -328,7 +330,7 @@ def test_concat_join_leaving_the_ball_names_the_budget(lattice_product):
     ball = Ball.build(fp, 2)
     p, q = ball.index_of(fp.parse("a2^2")), ball.index_of(fp.parse("a1^2"))
     with pytest.raises(BallTooSmall, match="^budget ball_radius 2 too small: "):
-        concat_quasi_geodesic(ball, p, q, (q,), 1, 0)
+        concat_quasi_geodesic(ball, p, q, (q,), morse.QGBound(1, 0))
 
 
 # -- neighborhoods -------------------------------------------------------------------
@@ -409,7 +411,7 @@ def test_ray_merge_shadow(zz):
     delta = CANONICAL_TREE_GAUGE.delta
     pop = rays_mod.comb_population(zz, max_len=2, max_norm=1, max_infinite_prefix=1)
     depth = 24
-    realized = [rays_mod.realize(a, depth, rays_mod.Spellings()) for a in pop]
+    realized = [rays_mod.realize(a, depth) for a in pop]
     tested = 0
     for av in realized:
         for bv in realized:

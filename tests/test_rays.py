@@ -13,7 +13,6 @@ from morse_forge.rays import (
     comb_population,
     corresponding_ray,
     decompose,
-    Spellings,
     realize,
     standard_line,
 )
@@ -110,14 +109,14 @@ def test_corresponding_ray_tracks_realizations(line_a, free2):
 def test_realize_infinite(zz):
     a = CombRay(zz, (zz.a.make_element(1), zz.b.make_element(1)),
                 repeat=(zz.a.make_element(1), zz.b.make_element(1)))
-    ray = realize(a, 4, Spellings())
+    ray = realize(a, 4)
     assert [zz.format(v) for v in ray] == ["e", "x", "x y", "x y x", "x y x y"]
 
 
 def test_realize_finite_tail(zz):
     a = CombRay(zz, (zz.a.make_element(1), zz.b.make_element(1)),
                 tail=BoundaryPoint.line_end(zz.a, 1))
-    ray = realize(a, 4, Spellings())
+    ray = realize(a, 4)
     assert [zz.format(v) for v in ray] == ["e", "x", "x y", "x y x", "x y x^2"]
 
 
@@ -143,8 +142,8 @@ def test_decompose_leading_second_factor(zz):
 def test_roundtrip_population(zz):
     for a in comb_population(zz, max_len=3, max_norm=2):
         depth = sum(s.norm() for s in a.syllables) + 3
-        ray = realize(a, depth, Spellings())
-        rays.validate_against(rays.certify_geodesic(zz, ray), a, Spellings())
+        ray = realize(a, depth)
+        rays.validate_against(rays.certify_geodesic(zz, ray), a)
 
 
 def _phi_psi_population(fp):
@@ -152,37 +151,71 @@ def _phi_psi_population(fp):
     return [(a, sum(s.norm() for s in a.syllables) + checks.PHI_PSI_TAIL_DEPTH) for a in population]
 
 
+def _loaded_apart(name, *values):
+    """A product of ``name`` loaded apart, whose elements and directions
+    have kept nothing yet, and the values rebuilt over it: rays, or tuples
+    of syllables."""
+    fp = _index_product(name)
+
+    def spec(x):
+        return fp.a if x.spec.id == fp.a.id else fp.b
+
+    def move(s):
+        return spec(s).make_element(s.payload)
+
+    def rebuild(v):
+        if not isinstance(v, CombRay):
+            return tuple(map(move, v))
+        tail = v.tail and BoundaryPoint(spec(v.tail), v.tail.prefix, v.tail.block)
+        return CombRay(fp, tuple(map(move, v.syllables)), tail=tail, repeat=tuple(map(move, v.repeat)))
+
+    return (fp, *map(rebuild, values))
+
+
 @pytest.mark.parametrize("name", ["zz", "lz3", "f2l"])
 def test_shared_spellings_match_fresh_ones(name):
-    # phi-psi's run reads one table; each call here also gets a fresh one.
-    # Each ray is read at phi-psi's depth and one step further, so the table
-    # holds tails of two lengths, and its runs are validated against their
-    # own ray and against the ray before it, so both verdicts are compared
+    # phi-psi's run leaves its spellings and tail realizations on the values
+    # of its product; each read here is held against the same read on a
+    # product loaded apart, whose values make theirs afresh.  Each ray is
+    # read at phi-psi's depth and one step further, so a warm tail answers
+    # one length from what it kept and grows for the other, and its runs
+    # are validated against their own ray and against the ray before it,
+    # so both verdicts are compared
     fp = _index_product(name)
-    shared = Spellings()
+    checks.run_phi_psi(fp)
     population = _phi_psi_population(fp)
     verdicts = set()
     for (a, depth), (prev, _depth) in zip(population, population[-1:] + population[:-1]):
         for d in (depth, depth + 1):
-            ray = realize(a, d, shared)
-            assert ray == realize(a, d, Spellings())
+            ray = realize(a, d)
+            assert ray == realize(_loaded_apart(name, a)[1], d)
             runs = rays.certify_geodesic(fp, ray)
-            assert rays.spell(fp, runs, d, shared) == rays.spell(fp, runs, d, Spellings())
+            assert rays.spell(fp, runs, d) == rays.spell(*_loaded_apart(name, runs), d)
             for b in (a, prev):
-                verdict = _outcome(rays.validate_against, runs, b, shared)
-                assert verdict == _outcome(rays.validate_against, runs, b, Spellings())
+                verdict = _outcome(rays.validate_against, runs, b)
+                assert verdict == _outcome(rays.validate_against, *_loaded_apart(name, runs, b)[1:])
                 verdicts.add(verdict is None)
     assert verdicts == {True, False}
 
 
-def test_spellings_are_tuples(zz):
-    # a caller that edits the list ``spell`` returns leaves the table alone
-    table = Spellings()
+def test_spellings_are_tuples(zz, free2):
+    # a caller that edits the list ``spell`` returns changes no spelling
+    # that an element keeps; a direction keeps its longest realization and
+    # answers a shorter one with its head, as one made afresh would
     x2 = zz.a.make_element(2)
-    verts = rays.spell(zz, (x2,), 2, table)
+    verts = rays.spell(zz, (x2,), 2)
     verts[1] = verts[0]
-    assert isinstance(table.syllable(x2), tuple) and isinstance(table.tail(standard_line(zz.a)[0], 2), tuple)
-    assert rays.spell(zz, (x2,), 2, table) == rays.spell(zz, (x2,), 2, Spellings())
+    assert isinstance(x2.spelling(), tuple)
+    assert rays.spell(zz, (x2,), 2) == rays.spell(*_loaded_apart("zz", (x2,)), 2)
+    for z in (standard_line(zz.a)[0], BoundaryPoint.make(free2, ((1, 1),), ((0, 1), (1, -1)))):
+        d = 6
+        z.realization(2)
+        deep = z.realization(d)
+        for k in range(d):
+            head = z.realization(k)
+            assert isinstance(head, tuple) and len(head) == k + 1
+            assert z.realization(d)[: k + 1] == head == BoundaryPoint(z.spec, z.prefix, z.block).realization(k)
+        assert isinstance(deep, tuple) and z.realization(d) == deep
 
 
 def _realize_reference(a, depth):
@@ -242,7 +275,7 @@ def test_decompose_steps_match_word_product_rule(name):
     outcomes = {}
     for a in comb_population(fp, max_len=2, max_norm=1):
         depth = sum(s.norm() for s in a.syllables) + 2
-        verts = realize(a, depth, Spellings())
+        verts = realize(a, depth)
         assert verts == _realize_reference(a, depth)
         for t, prev in enumerate(verts):
             ps = prev.syllables
@@ -311,7 +344,7 @@ def test_certify_matches_reference(name):
     gens = [fp.embed(g.element) for g in fp.generators()]
     verdicts = set()
     for a in comb_population(fp):
-        verts = realize(a, sum(s.norm() for s in a.syllables) + 2, Spellings())
+        verts = realize(a, sum(s.norm() for s in a.syllables) + 2)
         paths = [verts]
         for t, v in enumerate(verts):
             for g in gens:

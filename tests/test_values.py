@@ -12,7 +12,7 @@ from morse_forge import CANONICAL_TREE_GAUGE, Ball, FactorSpace, FactorSpec, Fre
 from morse_forge.errors import NoBoundary
 from morse_forge.factors import BoundaryPoint, first_geodesic, from_entry, geodesics
 from morse_forge.matching import BoundaryHomeo
-from morse_forge.rays import CombRay, Spellings
+from morse_forge.rays import CombRay
 
 
 def _twin(v):
@@ -94,20 +94,51 @@ def test_boundary_point_refuses_each_broken_invariant(free2, prefix, block, mess
         BoundaryPoint(free2, prefix, block)
 
 
+_KIND_SPECS = {
+    "line": lambda: FactorSpec.integer_line("A"),
+    "lattice": lambda: FactorSpec.integer_lattice("A", 2),
+    "free": lambda: FactorSpec.free_group("A", 2),
+    "finite": lambda: FactorSpec.finite_table("A", [[0, 1], [1, 0]], [1]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, payload, twin, message",
+    [
+        ("line", True, 1, "line elements are integers"),
+        ("line", 1.0, 1, "line elements are integers"),
+        ("lattice", (True, 0), (1, 0), "lattice elements are integer vectors"),
+        ("lattice", (0, 2.0), (0, 2), "lattice elements are integer vectors"),
+        ("free", ((0, 1.5),), ((0, 1),), "free elements are reduced non-trivial runs"),
+        ("free", ((True, 2),), ((1, 2),), "free elements are reduced non-trivial runs"),
+        ("free", ((0, True),), ((0, 1),), "free elements are reduced non-trivial runs"),
+        ("finite", True, 1, "finite elements are table indices"),
+        ("finite", 1.0, 1, "finite elements are table indices"),
+    ],
+    ids=["line-bool", "line-float", "lattice-bool", "lattice-float", "free-float-exponent", "free-bool-base", "free-bool-exponent", "finite-bool", "finite-float"],
+)
+def test_make_element_refuses_payloads_that_are_not_ints(kind, payload, twin, message):
+    # a bool or a float equal to an int would share its key in the spec's
+    # table, and the element made first would answer for both
+    spec = _KIND_SPECS[kind]()
+    with pytest.raises(ValueError, match=message):
+        spec.make_element(payload)
+    assert repr(spec.make_element(twin).payload) == repr(twin)
+
+
 # -- trusted paths ------------------------------------------------------------------
 
 
 def test_phi_psi_vertices_pass_the_public_constructor(zz):
     population = rays.comb_population(zz, max_len=checks.PHI_PSI_MAX_LEN, max_norm=checks.PHI_PSI_MAX_NORM)
     _assert_valid(population)
-    table = Spellings()
     vertices = []
     for a in population:
         depth = sum(s.norm() for s in a.syllables) + checks.PHI_PSI_TAIL_DEPTH
-        ray = rays.realize(a, depth, table)
+        ray = rays.realize(a, depth)
         observed = rays.certify_geodesic(zz, ray)
         vertices += ray
-        vertices += rays.spell(zz, observed, depth, table)
+        vertices += rays.spell(zz, observed, depth)
     _assert_valid(vertices)
 
 
@@ -251,7 +282,7 @@ def test_values_stay_frozen_and_keep_the_hash_out_of_their_fields(zz):
     w = zz.word((x, zz.b.make_element(-1)))
     a = rays.comb_population(zz, max_len=1, max_norm=1)[0]
     z = rays.standard_line(zz.a)[0]
-    for v, name in ((x, "payload"), (w, "syllables"), (a, "syllables"), (z, "block"), (zz.a, "names"), (zz.a, "_elements")):
+    for v, name in ((x, "payload"), (w, "syllables"), (a, "syllables"), (z, "block"), (zz.a, "names"), (zz.a, "_elements"), (x, "_spelling"), (z, "_ray")):
         hash(v)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(v, name, ())
