@@ -125,7 +125,7 @@ def run_prefix_transit(fp: FreeProduct, radius: int = 5, slack: int = 2, path_ca
         if path_cap is not None and walks > path_cap:
             raise CapExceeded(path_cap)
         instances += walks
-        required = {ball.index_of(p) for p in fp.prefix_vertices(ball.vertex(w))}
+        required = set(ball.prefixes(w))
         chain = {w}
         x = w
         while x:
@@ -163,10 +163,11 @@ def run_projection_qg(fp: FreeProduct, radius: int = 4, grid=((1, 0), (1, 2), (2
     in a forked child (``_shared``); the report takes them in item order.
     """
     ball = Ball.build(fp, radius, vertex_budget)
-    proj_map = [
-        ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices
-    ]
     n = len(ball)
+    # pi(x) is x's first syllable when that lies in the first factor, else
+    # e: collapsing each shadow to its root retracts the ball onto the copy
+    first = [(x, *ball.prefixes(x))[-1] for x in range(n)]
+    proj_map = [x if x and ball.last[x].factor == fp.a.id else 0 for x in first]
     # the projection retracts onto the factor copy, so it fixes exactly the copy
     copy_a = [i for i in range(n) if proj_map[i] == i]
     # the visitor reads the rows of projected values only, which lie in the copy

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import checks, factors, matching, morse
-from .errors import BudgetExceeded, Inconclusive, MorseForgeError, ParseError
+from .errors import BallTooSmall, BudgetExceeded, Inconclusive, MorseForgeError, ParseError
 from .graph import Ball
 from .words import FreeProduct
 
@@ -279,9 +279,10 @@ def cmd_gauge(cfg: RunConfig, text: str, radius: int | None) -> int:
     fp = cfg.fp1
     word = fp.parse(text)
     r = cfg.budgets["ball_radius"] if radius is None else radius
+    if fp.norm(word) > r:
+        raise BallTooSmall(f"ball radius {r} too small: {fp.format(word)} has norm {fp.norm(word)}")
     ball = Ball.build(fp, r, vertex_budget=cfg.budgets["vertex_budget"])
-    target = ball.index_of(word)
-    path = ball.first_geodesic(0, target)
+    path = ball.first_geodesic(0, ball.index_of(word))
     gauge = morse.estimate_gauge(ball, path, cfg.grid, cfg.budgets["path_cap"])
     lines = ["lambda,eps,bound,certified_radius"]
     for (lam, eps), bound in gauge.entries:

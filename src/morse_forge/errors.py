@@ -21,10 +21,6 @@ class NoLine(MorseForgeError):
     """The factor group has no usable bi-infinite geodesic through the basepoint."""
 
 
-class EmptyWord(MorseForgeError):
-    """The operation needs a non-trivial word."""
-
-
 class ParseError(MorseForgeError):
     """Unparseable word, element or tail text."""
 

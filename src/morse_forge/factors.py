@@ -248,8 +248,8 @@ class _FreeOps(_Ops):
     identity = ()
 
     def __init__(self, spec: "FactorSpec"):
-        if spec.rank < 1:
-            raise ValueError("free rank must be >= 1")
+        if type(spec.rank) is not int or spec.rank < 1:
+            raise ValueError("free rank must be an integer >= 1")
         if len(spec.names) != spec.rank:
             raise ValueError("need one generator name per free rank")
         super().__init__(spec)
@@ -293,8 +293,8 @@ class _FiniteOps(_Ops):
         n = len(t)
         if n == 0 or any(len(row) != n for row in t):
             raise ValueError("finite table must be square and non-empty")
-        if any(not (0 <= v < n) for row in t for v in row):
-            raise ValueError("finite table entries out of range")
+        if any(type(v) is not int or not (0 <= v < n) for row in t for v in row):
+            raise ValueError("finite table entries must be integers in range")
         ident = next(
             (e for e in range(n) if all(t[e][j] == j and t[j][e] == j for j in range(n))), None
         )
@@ -314,8 +314,8 @@ class _FiniteOps(_Ops):
         gens = spec.gen_elems
         if not gens:
             raise ValueError("finite factor needs at least one generator element")
-        if any(not (0 <= g < n) for g in gens):
-            raise ValueError("finite generator index out of range")
+        if any(type(g) is not int or not (0 <= g < n) for g in gens):
+            raise ValueError("finite generators must be integer indices in range")
         if len(set(gens)) != len(gens):
             raise ValueError("finite generator elements must be distinct")
         if len(spec.names) != len(gens):

@@ -18,7 +18,9 @@ A ``Ball`` owns every table of its graph; no other module keeps one.
 None outside the ball) and ``neighbors`` its in-ball neighbours, in the
 same order.  The syllable tree is built with the ball: ``parent`` and
 ``last`` give each vertex but e its syllable prefix's index and its last
-syllable, and ``child`` maps each such pair back to the vertex.  Three
+syllable, ``child`` maps each such pair back to the vertex and
+``children`` lists each vertex's children.  ``prefixes`` reads a vertex's
+syllable prefixes off ``parent``; no other module rebuilds them.  Three
 stores fill one entry per source or target on first use and are freed
 with the ball: ``row`` (true distances), ``in_ball_row`` (distances along
 paths inside the ball) and ``gates`` (nearest cut vertices toward a
@@ -51,88 +53,6 @@ def spheres(space):
         yield frontier
 
 
-class _PrefixTree:
-    """The vertices of a ball as a tree of syllable prefixes.
-
-    A vertex's parent is the vertex without its last syllable.  Its norm
-    is smaller, so it lies in the ball (a single factor splits into the
-    identity and itself).  The word metric splits over this tree: with c
-    the deepest common prefix of u and w, and a and b the children of c
-    toward u and toward w,
-
-        d(u, w) = |u| - |a| + |w| - |b| + d_F(last a, last b)
-
-    when both children exist and their last syllables share a factor, and
-    d(u, w) = |u| + |w| - 2|c| otherwise.  All arithmetic is on ints;
-    factor distances are cached per pair of syllable ids.
-    """
-
-    def __init__(self, ball: "Ball"):
-        n = len(ball)
-        self.norm = ball.dist
-        self.parent = ball.parent
-        self.children: list[list[int]] = [[] for _ in range(n)]
-        for i in range(1, n):
-            self.children[ball.parent[i]].append(i)
-        self.factor = [""] + [s.factor for s in ball.last[1:]]  # of the last syllable
-        ids: dict[factors.FactorElement, int] = {}
-        self.syllable = [0] + [ids.setdefault(s, len(ids)) for s in ball.last[1:]]  # its id
-        self.syllables = list(ids)
-        self._factor_distance: dict[tuple[int, int], int] = {}
-        # preorder positions: every subtree is one slice [start, stop)
-        self.start = [0] * n
-        self.stop = [0] * n
-        order = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            self.start[v] = len(order)
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        size = [1] * n
-        for i in range(n - 1, 0, -1):  # parents come before children
-            size[self.parent[i]] += size[i]
-        for v in range(n):
-            self.stop[v] = self.start[v] + size[v]
-        self.preorder_norm = [self.norm[v] for v in order]
-
-    def factor_distance(self, a: int, b: int) -> int:
-        """Factor distance between the last syllables of vertices a and b."""
-        key = (self.syllable[a], self.syllable[b])
-        d = self._factor_distance.get(key)
-        if d is None:
-            d = self._factor_distance[key] = factors.distance(
-                self.syllables[key[0]], self.syllables[key[1]]
-            )
-        return d
-
-    def row(self, u: int) -> list[int]:
-        """True distances from u to every vertex, in vertex order."""
-        norm, factor, start, stop = self.norm, self.factor, self.start, self.stop
-        pnorm = self.preorder_norm
-        chain = [u]
-        while chain[-1]:
-            chain.append(self.parent[chain[-1]])
-        chain.reverse()
-        nu = norm[u]
-        out = [0] * len(norm)  # in preorder
-        # a vertex in the subtree of child b of c gets |w| + offset
-        for c, a in zip(chain, chain[1:]):
-            out[start[c]] = nu - norm[c]
-            for b in self.children[c]:
-                if b == a:
-                    continue
-                if factor[b] == factor[a]:
-                    offset = nu - norm[a] - norm[b] + self.factor_distance(a, b)
-                else:
-                    offset = nu - 2 * norm[c]
-                lo, hi = start[b], stop[b]
-                out[lo:hi] = [x + offset for x in pnorm[lo:hi]]
-        lo, hi = start[u], stop[u]
-        out[lo:hi] = [x - nu for x in pnorm[lo:hi]]
-        return [out[i] for i in start]
-
-
 class Ball:
     """The radius-r ball around the identity, with exact metric data.
 
@@ -157,7 +77,31 @@ class Ball:
         self.child = child
         self.adjacency = adjacency
         self.neighbors = [[w for _s, w in row if w is not None] for row in adjacency]
-        self._tree = _PrefixTree(self)
+        n = len(vertices)
+        self.children: list[list[int]] = [[] for _ in range(n)]
+        for i in range(1, n):
+            self.children[parent[i]].append(i)
+        # per vertex, its last syllable's factor, read once here as ``row``
+        # compares it for every child, and an id that is equal exactly for
+        # equal syllables, which keys the factor distances
+        self._factor = [""] + [s.factor for s in last[1:]]
+        ids: dict[factors.FactorElement, int] = {}
+        self._syllable = [0] + [ids.setdefault(s, len(ids)) for s in last[1:]]
+        self._factor_distances: dict[tuple[int, int], int] = {}
+        # preorder positions: every subtree is one slice [start, stop)
+        self._start = [0] * n
+        order = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            self._start[v] = len(order)
+            order.append(v)
+            stack.extend(reversed(self.children[v]))
+        size = [1] * n
+        for i in range(n - 1, 0, -1):  # parents come before children
+            size[parent[i]] += size[i]
+        self._stop = [start + k for start, k in zip(self._start, size)]
+        self._preorder_norm = [dist[v] for v in order]
         self._rows: dict[int, list[int]] = {}
         self._in_ball_rows: dict[int, bytes | list[int]] = {}
         self._gates: dict[int, list[int]] = {}
@@ -285,11 +229,55 @@ class Ball:
         """
         return self.dist[u] + self.dist[v] + self.in_ball_row(u)[v] <= 2 * self.radius
 
+    def prefixes(self, x: int) -> list[int]:
+        """x's proper syllable prefixes other than e, nearest first; none
+        for e or a vertex of one syllable.  Every path from e to x passes
+        each of them."""
+        out = []
+        while x := self.parent[x]:
+            out.append(x)
+        return out
+
     def row(self, u: int) -> list[int]:
-        """True distances from u to every vertex, from the syllable-prefix tree."""
+        """True distances from u to every vertex, in vertex order.
+
+        The word metric splits over the syllable-prefix tree: with c the
+        deepest common prefix of u and w, and a and b the children of c
+        toward u and toward w,
+
+            d(u, w) = |u| - |a| + |w| - |b| + d_F(last a, last b)
+
+        when both children exist and their last syllables share a factor,
+        and d(u, w) = |u| + |w| - 2|c| otherwise.  All arithmetic is on
+        ints; factor distances are kept per pair of syllable ids.
+        """
         row = self._rows.get(u)
-        if row is None:
-            row = self._rows[u] = self._tree.row(u)
+        if row is not None:
+            return row
+        norm, factor, start, stop = self.dist, self._factor, self._start, self._stop
+        pnorm, syllable, memo = self._preorder_norm, self._syllable, self._factor_distances
+        chain = [0, *reversed(self.prefixes(u)), u] if u else [0]
+        nu = norm[u]
+        out = [0] * len(norm)  # in preorder
+        # a vertex in the subtree of child b of c gets |w| + offset
+        for c, a in zip(chain, chain[1:]):
+            out[start[c]] = nu - norm[c]
+            for b in self.children[c]:
+                if b == a:
+                    continue
+                if factor[b] == factor[a]:
+                    key = (syllable[a], syllable[b])
+                    d = memo.get(key)
+                    if d is None:
+                        d = memo[key] = factors.distance(self.last[a], self.last[b])
+                    offset = nu - norm[a] - norm[b] + d
+                else:
+                    offset = nu - 2 * norm[c]
+                lo, hi = start[b], stop[b]
+                out[lo:hi] = [x + offset for x in pnorm[lo:hi]]
+        lo, hi = start[u], stop[u]
+        out[lo:hi] = [x - nu for x in pnorm[lo:hi]]
+        row = self._rows[u] = [out[i] for i in start]
         return row
 
     def pair_distance(self, u: int, v: int) -> int:

@@ -35,6 +35,8 @@ class BoundaryHomeo:
     generators, possibly onto inverses) and ``lineswap`` (flip the two
     ends of a line).  Each rule is invertible within the same family and
     maps eventually periodic directions to eventually periodic ones.
+    Factors without a boundary take ``identity`` alone, and only ``perm``
+    reads a generator map.
     ``letters`` maps signed source generators to target ones; it is built
     and validated once, from the other fields, and takes no part in
     equality or hashing.
@@ -47,9 +49,13 @@ class BoundaryHomeo:
     letters: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.perm and self.rule != PERM:
+            raise ValueError(f"a generator map is read by the perm rule only, not by {self.rule!r}")
         if self.source.has_boundary() != self.target.has_boundary():
             raise ValueError("both factors must have boundaries, or neither")
         if not self.source.has_boundary():
+            if self.rule != IDENTITY:
+                raise ValueError(f"factors without a boundary take the identity rule only, not {self.rule!r}")
             finite = self.source.kind == factors.FINITE
             if finite != (self.target.kind == factors.FINITE):
                 raise ValueError("a finite factor and an infinite one admit no bijection")

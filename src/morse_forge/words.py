@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from . import factors
-from .errors import EmptyWord, ParseError
+from .errors import ParseError
 
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
@@ -120,27 +120,6 @@ class FreeProduct(factors.Value):
             return 0
         pad = 1 if w.syllables[0].factor == self.b.id else 0
         return len(w.syllables) + pad
-
-    def prefix_vertices(self, w: Word) -> list[Word]:
-        """Proper syllable-prefix products of w (excluding e and w itself).
-
-        Every path from e to w must visit each of these vertices.
-        """
-        if w.is_identity():
-            raise EmptyWord("the identity has no prefix vertices")
-        # a prefix of a reduced word is reduced
-        return [Word._trusted(syllables=w.syllables[:i]) for i in range(1, len(w.syllables))]
-
-    def project_to_factor(self, v: Word, factor_id: str) -> factors.FactorElement:
-        """First syllable of v in the target factor, or its identity.
-
-        Collapsing each shadow to its root makes this the vertex part of
-        the retraction of the product graph onto the factor copy.
-        """
-        spec = self.spec_of(factor_id)
-        if v.syllables and v.syllables[0].factor == factor_id:
-            return v.syllables[0]
-        return spec.identity()
 
     # -- metric -----------------------------------------------------------
 

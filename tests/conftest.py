@@ -33,6 +33,14 @@ def directions(spec, size):
     return sorted(out, key=lambda z: (len(z.prefix) + len(z.block), z.prefix, z.block))
 
 
+def first_factor_root(fp, w):
+    """The word-level retraction onto the first factor's copy: w's first
+    syllable when it lies in ``fp.a``, else e."""
+    if w.syllables and w.syllables[0].factor == fp.a.id:
+        return fp.embed(w.syllables[0])
+    return fp.identity()
+
+
 @pytest.fixture
 def line_a():
     return FactorSpec.integer_line("A", "x")

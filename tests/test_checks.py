@@ -9,10 +9,12 @@ import weakref
 import pytest
 
 from morse_forge import FactorSpec, FreeProduct
-from morse_forge import checks, matching, morse, rays, words
+from morse_forge import checks, graph, matching, morse, rays, words
 from morse_forge.errors import CapExceeded
 from morse_forge.graph import Ball
 from morse_forge.matching import BoundaryHomeo, MatchState, run_matching
+
+from conftest import first_factor_root
 
 
 def _zz_pair():
@@ -91,7 +93,7 @@ def test_ball_symmetries_are_automorphisms():
 def test_symmetries_commute_with_projection():
     for fp in _PRODUCTS.values():
         ball = Ball.build(fp, 3)
-        proj = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
+        proj = [ball.index_of(first_factor_root(fp, w)) for w in ball.vertices]
         for p in _branch_generators(ball).values():
             for x in range(len(ball)):
                 assert p[proj[x]] == proj[p[x]]
@@ -119,7 +121,7 @@ def _projection_setup(fp, radius):
     which are all the visitor reads, and the references read the others."""
     ball = Ball.build(fp, radius)
     n = len(ball)
-    proj_map = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
+    proj_map = [ball.index_of(first_factor_root(fp, w)) for w in ball.vertices]
     dist = [ball.row(i) for i in range(n)]
     proj_gap = [dist[i][proj_map[i]] for i in range(n)]
     copy_a = [i for i in range(n) if proj_map[i] == i]
@@ -234,6 +236,33 @@ def test_projection_visitor_matches_reference_at_odd_slack():
             assert found == expected
             broken += len(found)
     assert broken > 0
+
+
+def test_projection_map_is_the_first_syllable_retraction(cpus, monkeypatch):
+    # the map run_projection_qg hands its visitor, against the word-level
+    # oracle; on one CPU every visitor is made in this process
+    cpus(1)
+    handed = []
+    visitor = checks.projection_visitor
+
+    def recording(dist, proj_map, *rest):
+        handed.append(proj_map)
+        return visitor(dist, proj_map, *rest)
+
+    monkeypatch.setattr(checks, "projection_visitor", recording)
+    zz = _PRODUCTS["zz"]
+    cases = [(zz, 4), (_PRODUCTS["lattice-line"], 3), (_PRODUCTS["free2-line"], 2)]
+    cases += [(FreeProduct(FactorSpec.integer_line("A", "x"), _Z3_FACTOR), 3), (zz, 7)]
+    for fp, radius in cases:
+        handed.clear()
+        checks.run_projection_qg(fp, radius=radius, grid=((1, 0),))
+        ball = Ball.build(fp, radius)
+        oracle = [ball.index_of(first_factor_root(fp, w)) for w in ball.vertices]
+        assert handed and all(proj_map == oracle for proj_map in handed)
+    # on Z*Z radius 7: x^2 y x retracts to x^2, y x y^5 to e, x^3 to itself
+    proj_map = handed[0]
+    for word, root in (("x^2 y x", "x^2"), ("y x y^5", "e"), ("x^3", "x^3")):
+        assert proj_map[ball.index_of(zz.parse(word))] == ball.index_of(zz.parse(root))
 
 
 def test_projection_slack_is_the_widest_gap_allowed():
@@ -664,7 +693,7 @@ def _prefix_transit_reference(fp, radius, slack=2):
     failures = []
     for w in range(1, len(ball)):
         word = ball.vertex(w)
-        required = {ball.index_of(p) for p in fp.prefix_vertices(word)}
+        required = set(ball.prefixes(w))
         for p in ball.enumerate_paths(0, w, ball.dist[w] + slack):
             instances += 1
             if not required <= set(p):
@@ -672,16 +701,17 @@ def _prefix_transit_reference(fp, radius, slack=2):
     return instances, failures
 
 
-def _stricter_prefix_vertices(prefix_vertices):
-    """Claims too strong for some targets: a two-syllable word must also
+def _stricter_prefixes(prefixes):
+    """Claims too strong for some targets: a two-syllable vertex must also
     pass the first generator of the factor it does not start in.  Every
-    word also names e and itself, which every walk to it passes."""
+    vertex also names e and itself, which every walk to it passes."""
 
-    def stricter(fp, w):
-        required = prefix_vertices(fp, w) + [fp.identity(), w]
-        if len(w.syllables) == 2:
-            gen = next(g for g in fp.generators() if g.factor != w.syllables[0].factor)
-            required.append(fp.embed(gen.element))
+    def stricter(ball, x):
+        claimed = prefixes(ball, x)
+        required = claimed + [0, x]
+        if len(claimed) == 1:  # x has two syllables, the first one claimed[0]
+            gen = next(g for g in ball.space.generators() if g.factor != ball.last[claimed[0]].factor)
+            required.append(ball.child[0, gen.element])
         return required
 
     return stricter
@@ -709,7 +739,7 @@ def test_prefix_transit_counts_match_listing_reference(fp, radius, strict, slack
     # stricter claim also compares the listing of failing targets, and at
     # slack 0 its shortest walks missing a vertex are just long enough
     if strict:
-        monkeypatch.setattr(words.FreeProduct, "prefix_vertices", _stricter_prefix_vertices(words.FreeProduct.prefix_vertices))
+        monkeypatch.setattr(graph.Ball, "prefixes", _stricter_prefixes(graph.Ball.prefixes))
     report = checks.run_prefix_transit(fp, radius=radius, slack=slack)
     instances, failures = _prefix_transit_reference(fp, radius, slack)
     assert report["instances"] == instances > 0

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from morse_forge import checks, cli, errors, factors, graph, matching, morse, rays, words
+from morse_forge import checks, cli, errors, factors, graph, matching, morse, rays
 from morse_forge.cli import DEFAULT_CONFIG, load_config, main
 from morse_forge.errors import PossiblyTruncated
 
@@ -187,6 +187,17 @@ def test_gauge_lattice_nonzero_entry(tmp_path, capsys):
     text = (tmp_path / "rep" / "gauge-a1_2.csv").read_text()
     row = next(l for l in text.splitlines() if l.startswith("3,0,"))
     assert row.split(",")[2] != "0"
+
+
+def test_gauge_beyond_the_ball_is_inconclusive(tmp_path, capsys):
+    # the word is valid; what ran out is the ball radius
+    for args, message in (
+        (["gauge", "x^9"], "ball radius 4 too small: x^9 has norm 9"),
+        (["gauge", "x^2 y", "--radius", "2"], "ball radius 2 too small: x^2 y has norm 3"),
+    ):
+        code, _out, err = run_cli(["--out", str(tmp_path), *args], capsys)
+        assert code == 3 and err == f"inconclusive: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_dot(tmp_path, capsys):
@@ -880,10 +891,20 @@ def test_finite_first_with_line_second_is_usage_error(tmp_path, capsys):
         ({"id": "A1", "kind": "free", "rank": 1, "names": []}, "factor 'A1' names must not be empty"),
         ({"id": "A1", "kind": "finite", "table": [[0, 1], [1, 0]], "generators": [1], "names": []}, "factor 'A1' names must not be empty"),
         ({"id": 5, "kind": "line"}, "factor id 5 must be a string"),
+        ({"id": "A1", "kind": "free", "rank": True}, "invalid factors or homeos: free rank must be an integer >= 1"),
+        (
+            {"id": "A1", "kind": "finite", "table": [[0, 1], [1, 0]], "generators": [True], "names": ["a"]},
+            "invalid factors or homeos: finite generators must be integer indices in range",
+        ),
+        (
+            {"id": "A1", "kind": "finite", "table": [[0, True], [True, 0]], "generators": [1], "names": ["a"]},
+            "invalid factors or homeos: finite table entries must be integers in range",
+        ),
     ],
     ids=[
         "unknown", "no-kind", "no-dim", "no-rank", "no-table", "not-an-object", "line-two-names", "names-text",
         "names-number", "line-no-names", "lattice-no-names", "free-no-names", "finite-no-names", "id-number",
+        "free-rank-bool", "finite-generator-bool", "finite-table-bool",
     ],
 )
 def test_factor_entry_errors_are_usage_errors(tmp_path, capsys, entry, message):
@@ -1012,6 +1033,27 @@ def test_finite_factor_match_finishes(tmp_path, capsys):
     assert [json.loads(l)["pair"] for l in lines].count("A") == 1
 
 
+def test_boundaryless_factors_take_only_the_identity_rule(tmp_path, capsys):
+    # a lattice has no boundary, so no other rule says anything of it
+    for rule in ("bogus", "lineswap", "perm"):
+        cfg = write_config(tmp_path, factors=_pair(_LATTICE_FACTOR, _LATTICE_FACTOR), homeos={"a": {"rule": rule}})
+        args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "match", "--steps", "2"]
+        code, _out, err = run_cli(args, capsys)
+        _assert_usage_error(code, err)
+        assert f"factors without a boundary take the identity rule only, not {rule!r}" in err
+
+
+def test_generator_map_needs_the_perm_rule(tmp_path, capsys):
+    # only perm reads the map; under another rule it would go unread
+    for rule in ("identity", "lineswap"):
+        cfg = write_config(tmp_path, homeos={"a": {"rule": rule, "map": {"x": "x^-1"}}})
+        code, _out, err = run_cli(["--config", str(cfg), "normalize", "x"], capsys)
+        _assert_usage_error(code, err)
+        assert f"a generator map is read by the perm rule only, not by {rule!r}" in err
+    cfg = write_config(tmp_path, homeos={"a": {"rule": "perm", "map": {"x": "x^-1"}}})
+    assert run_cli(["--config", str(cfg), "normalize", "x"], capsys)[0] == 0
+
+
 _INCONCLUSIVE_ERRORS = (
     errors.BudgetExceeded,
     errors.CapExceeded,
@@ -1025,7 +1067,6 @@ _USAGE_ERRORS = (
     errors.MixedFactor,
     errors.NoBoundary,
     errors.NoLine,
-    errors.EmptyWord,
     errors.ParseError,
 )
 
@@ -1045,19 +1086,25 @@ def test_error_class_sets_exit_code(capsys, monkeypatch, error, expected):
     assert err.startswith("inconclusive: " if expected == 3 else "error: ")
 
 
+def _require_on_the_way(monkeypatch, fp, target, extra):
+    """Make the ball claim that every path to ``target`` also passes
+    ``extra``, on top of its syllable prefixes."""
+    prefixes = graph.Ball.prefixes
+
+    def stricter(ball, x):
+        required = prefixes(ball, x)
+        if ball.vertex(x) == fp.parse(target):
+            required.append(ball.index_of(fp.parse(extra)))
+        return required
+
+    monkeypatch.setattr(graph.Ball, "prefixes", stricter)
+
+
 def test_prefix_transit_can_fail(tmp_path, capsys, monkeypatch):
     # a claim too strong: every path to a1 a2 must pass a1, which is no cut
     # vertex of the lattice, so the path through a2 breaks it
-    prefix_vertices = words.FreeProduct.prefix_vertices
-
-    def stricter(fp, w):
-        required = prefix_vertices(fp, w)
-        if w == fp.parse("a1 a2"):
-            required.append(fp.parse("a1"))
-        return required
-
-    monkeypatch.setattr(words.FreeProduct, "prefix_vertices", stricter)
     cfg = write_config(tmp_path, factors=_pair(_LATTICE_FACTOR, _LATTICE_FACTOR))
+    _require_on_the_way(monkeypatch, load_config(str(cfg)).fp1, "a1 a2", "a1")
     args = ["--config", str(cfg), "--out", str(tmp_path), "check", "prefix-transit", "--radius", "2"]
     code, _out, _err = run_cli(args, capsys)
     assert code == 1
@@ -1075,16 +1122,8 @@ def test_prefix_transit_slack_can_fail(tmp_path, capsys, monkeypatch):
     # on Z^2 * Z, a1^2 made to require a1 as well: a1 is off its gate chain,
     # and the shortest walks around it take |a1^2| + 2 = 4 steps, so the
     # default slack 2 lists them and slack 1 does not reach them
-    prefix_vertices = words.FreeProduct.prefix_vertices
-
-    def stricter(fp, w):
-        required = prefix_vertices(fp, w)
-        if w == fp.parse("a1^2"):
-            required.append(fp.parse("a1"))
-        return required
-
-    monkeypatch.setattr(words.FreeProduct, "prefix_vertices", stricter)
     cfg = write_config(tmp_path, factors=_pair(_LATTICE_FACTOR, _LATTICE_FACTOR))
+    _require_on_the_way(monkeypatch, load_config(str(cfg)).fp1, "a1^2", "a1")
     args = ["--config", str(cfg), "--out", str(tmp_path / "rep"), "check", "prefix-transit", "--radius", "3"]
     code, _out, _err = run_cli(args, capsys)
     assert code == 1

@@ -1,4 +1,4 @@
-"""Cayley-graph balls: BFS metric, enumeration, projection."""
+"""Cayley-graph balls: BFS metric, syllable prefixes, enumeration, projection."""
 
 import gc
 from collections import defaultdict
@@ -8,6 +8,9 @@ import pytest
 from morse_forge import FactorSpace, FactorSpec, FreeProduct, checks, factors, morse
 from morse_forge.errors import BudgetExceeded, PossiblyTruncated
 from morse_forge.graph import Ball, spheres
+from morse_forge.words import Word
+
+from conftest import first_factor_root
 
 
 def walk_count_oracle(ball, u, v, maxlen):
@@ -106,6 +109,49 @@ def test_build_matches_word_level_construction(case):
     assert (ball.parent[0], ball.last[0]) == (0, None)
     assert [(ball.parent[i], ball.last[i]) for i in range(1, len(ball))] == [split(w) for w in verts[1:]]
     assert ball.child == {(ball.parent[i], ball.last[i]): i for i in range(len(ball))}
+    assert ball.children == [[i for i in range(1, len(ball)) if ball.parent[i] == p] for p in range(len(ball))]
+
+
+def test_prefixes_are_the_word_level_syllable_prefixes(zz, dihedral, lattice_product):
+    # nearest first; none for e or a vertex of one syllable
+    for fp, radius in ((zz, 4), (dihedral, 5), (lattice_product, 3)):
+        ball = Ball.build(fp, radius)
+        assert ball.prefixes(0) == []
+        for x, w in enumerate(ball.vertices):
+            expected = [Word(w.syllables[:i]) for i in range(len(w) - 1, 0, -1)]
+            assert [ball.vertex(p) for p in ball.prefixes(x)] == expected
+    for fp, text, prefixes in ((zz, "x y x^-1", ["x y", "x"]), (zz, "x", []), (dihedral, "a b a", ["a b", "a"])):
+        ball = Ball.build(fp, 3)
+        x = ball.index_of(fp.parse(text))
+        assert [fp.format(ball.vertex(p)) for p in ball.prefixes(x)] == prefixes
+
+
+def test_prefixes_are_the_product_level_forced_set(zz, lattice_product):
+    # forced vertices on every geodesic = syllable prefixes plus whatever the
+    # factor itself forces inside each syllable
+    for fp in (zz, lattice_product):
+        ball = Ball.build(fp, 4)
+        for idx in range(1, len(ball)):
+            w = ball.vertex(idx)
+            geods = ball.enumerate_geodesics(0, idx)
+            forced = set(geods[0])
+            for p in geods[1:]:
+                forced &= set(p)
+            prefixes = set(ball.prefixes(idx))
+            assert prefixes == {ball.index_of(Word(w.syllables[:i])) for i in range(1, len(w))}
+            assert prefixes <= forced
+            # the factor-forced part: intersect per-syllable factor geodesics
+            factor_forced = {0, idx}
+            base = fp.identity()
+            for s in w.syllables:
+                segs = factors.geodesics(s.spec.identity(), s)
+                inner = set(segs[0])
+                for seg in segs[1:]:
+                    inner &= set(seg)
+                for elt in inner:
+                    factor_forced.add(ball.index_of(fp.multiply(base, fp.embed(elt))))
+                base = fp.multiply(base, fp.embed(s))
+            assert forced == prefixes | factor_forced
 
 
 def test_vertex_budget_edge(zz):
@@ -229,7 +275,7 @@ def test_geodesics_are_filtered_paths(zz, lattice_product):
 
 
 def _projection(fp, ball, walk):
-    return tuple(ball.index_of(fp.embed(fp.project_to_factor(ball.vertex(i), "A"))) for i in walk)
+    return tuple(ball.index_of(first_factor_root(fp, ball.vertex(i))) for i in walk)
 
 
 def test_projection_collapses_excursion(zz):
@@ -254,7 +300,7 @@ def test_projection_fixes_factor_copy(zz):
 def test_projection_is_short_on_edges(zz, lattice_product):
     for fp in (zz, lattice_product):
         ball = Ball.build(fp, 4 if fp is zz else 3)
-        proj = [ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) for w in ball.vertices]
+        proj = [ball.index_of(first_factor_root(fp, w)) for w in ball.vertices]
         for i, row in enumerate(ball.adjacency):
             for _s, j in row:
                 if j is not None:
@@ -340,7 +386,7 @@ def test_searches_leave_no_reference_cycles(zz, lattice2):
     ball = Ball.build(zz, 4)
     e, target = lattice2.identity(), lattice2.make_element((2, 2))
     dist = [ball.row(i) for i in range(len(ball))]
-    proj_map = [ball.index_of(zz.embed(zz.project_to_factor(w, zz.a.id))) for w in ball.vertices]
+    proj_map = [ball.index_of(first_factor_root(zz, w)) for w in ball.vertices]
     proj_gap = [dist[i][proj_map[i]] for i in range(len(ball))]
     bound = morse.QGBound(2, 1)
     least = bound.least.upto(bound.max_len(2 * ball.radius))

@@ -16,8 +16,11 @@ decided in ``morse`` alone: other modules call ``morse.factor_close`` or
 ``morse.ray_tracking``, never ``tree_close``, and only ``morse`` reads how
 many steps two factor geodesics share.  A ball reads its space through
 one named protocol, which both ``FreeProduct`` and ``FactorSpace``
-define; a vertex's syllable prefix comes from the ball's own tables,
-never from the space.  A combinatorial geodesic or a gauge carries no
+define; a vertex's syllable prefixes come from the ball's own tables
+(``Ball.prefixes``), never from the space, and the checks find no vertex
+by its word: ``FreeProduct`` has no ``prefix_vertices`` or
+``project_to_factor``, ``graph`` no separate prefix tree, and
+``checks.py`` calls no ``index_of``.  A combinatorial geodesic or a gauge carries no
 kind tag: its data say whether it is finite or affine.  No module
 memoizes through ``functools``, whose caches would outlive the run:
 derived data live on the value they derive from, and tables with the run
@@ -82,7 +85,6 @@ MEMO = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|^\s*@cache\b|\bimport\b.*
 TRUSTED = {
     ("words.py", "FreeProduct.multiply", "Word"),
     ("words.py", "FreeProduct.inverse", "Word"),
-    ("words.py", "FreeProduct.prefix_vertices", "Word"),
     ("rays.py", "realize", "Word"),
     ("rays.py", "spell", "Word"),
     ("rays.py", "comb_population", "CombRay"),
@@ -252,6 +254,15 @@ def test_ball_reads_one_space_protocol():
     assert set(SPACE_READ.findall((SRC / "graph.py").read_text(encoding="utf-8"))) == BALL_SPACE | {"step"}
     assert "space.step" in inspect.getsource(graph.spheres) and inspect.isfunction(FactorSpace.step)
     assert _hits(SPLIT_LAST, sorted(SRC.glob("*.py"))) == []
+
+
+def test_prefixes_come_from_the_ball():
+    # the syllable tree held as indices is the one place a check reads a
+    # vertex's prefixes or its first syllable
+    assert not hasattr(FreeProduct, "prefix_vertices") and not hasattr(FreeProduct, "project_to_factor")
+    assert not hasattr(graph, "_PrefixTree")
+    assert inspect.isfunction(graph.Ball.__dict__.get("prefixes"))
+    assert _hits(re.compile(r"\bindex_of\b"), [SRC / "checks.py"]) == []
 
 
 def test_tracer_targets_resolve_to_plain_functions():

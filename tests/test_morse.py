@@ -18,6 +18,8 @@ from morse_forge.morse import (
     tracking_bound,
 )
 
+from conftest import first_factor_root
+
 
 # -- derived constants ----------------------------------------------------
 
@@ -165,7 +167,7 @@ def test_nearest_gates_match_brute_force(product, radius, request, line_b):
         fp = request.getfixturevalue(product)
     ball = Ball.build(fp, radius)
     # the targets of the projection check: the copy of the first factor
-    copy = [x for x, w in enumerate(ball.vertices) if ball.index_of(fp.embed(fp.project_to_factor(w, fp.a.id))) == x]
+    copy = [x for x, w in enumerate(ball.vertices) if ball.index_of(first_factor_root(fp, w)) == x]
     cut_vertices = set()
     assert copy[0] == 0  # the root that prefix-transit reads
     for v in copy:

@@ -172,7 +172,6 @@ def test_ball_vertices_and_word_algebra_pass_the_public_constructor(request, pro
     _assert_valid(ball.vertices)
     near = [w for w in ball.vertices if fp.norm(w) <= 2]
     _assert_valid(fp.inverse(w) for w in ball.vertices)
-    _assert_valid(p for w in ball.vertices[1:] for p in fp.prefix_vertices(w))
     _assert_valid(fp.multiply(u, v) for u in ball.vertices for v in near)
 
 

@@ -1,12 +1,14 @@
-"""Free-product word algebra: normal forms, shadows, projection."""
+"""Free-product word algebra: normal forms, shadows, parsing, distance."""
 
 import itertools
 
 import pytest
 
 from morse_forge import FactorSpec, FreeProduct
-from morse_forge.errors import EmptyWord, ParseError
+from morse_forge.errors import ParseError
 from morse_forge.graph import Ball
+
+from conftest import first_factor_root
 
 
 def test_multiply_inverse_cancellation(zz):
@@ -57,19 +59,6 @@ def test_syllable_length_subadditive(zz):
             ) + zz.syllable_length(v)
 
 
-def test_prefix_vertices(zz, dihedral):
-    w = zz.parse("x y x^-1")
-    assert [zz.format(p) for p in zz.prefix_vertices(w)] == ["x", "x y"]
-    assert zz.prefix_vertices(zz.parse("x")) == []
-    aba = dihedral.parse("a b a")
-    assert [dihedral.format(p) for p in dihedral.prefix_vertices(aba)] == ["a", "a b"]
-
-
-def test_prefix_vertices_empty_word(zz):
-    with pytest.raises(EmptyWord):
-        zz.prefix_vertices(zz.identity())
-
-
 def test_shadow_partition_radius_five(zz):
     # every element outside the first factor copy lies in exactly one shadow
     ball = Ball.build(zz, 5)
@@ -82,49 +71,12 @@ def test_shadow_partition_radius_five(zz):
             for a in a_elements
             if not a.is_identity() and len(v.syllables) > 1 and v.syllables[:1] == a.syllables
         ]
-        root = zz.project_to_factor(v, "A")
+        root = first_factor_root(zz, v)
         if root.is_identity():
             assert hits == []
             assert v.syllables[0].factor == "B"
         else:
-            assert hits == [zz.embed(root)]
-
-
-def test_project_to_factor(zz):
-    assert zz.project_to_factor(zz.parse("x^2 y x"), "A").payload == 2
-    assert zz.project_to_factor(zz.parse("y x y^5"), "A").is_identity()
-    a = zz.parse("x^3")
-    assert zz.project_to_factor(a, "A") == a.syllables[0]
-
-
-def test_prefix_vertices_are_the_product_level_forced_set(zz, lattice_product):
-    # forced vertices on every geodesic = syllable prefixes plus whatever the
-    # factor itself forces inside each syllable
-    for fp in (zz, lattice_product):
-        ball = Ball.build(fp, 4)
-        for idx in range(1, len(ball)):
-            w = ball.vertex(idx)
-            geods = ball.enumerate_geodesics(0, idx)
-            forced = set(geods[0])
-            for p in geods[1:]:
-                forced &= set(p)
-            prefixes = {ball.index_of(p) for p in fp.prefix_vertices(w)}
-            assert prefixes <= forced
-            # the factor-forced part: intersect per-syllable factor geodesics
-            from morse_forge import factors as f
-
-            factor_forced = {0, idx}
-            base = fp.identity()
-            for s in w.syllables:
-                spec = s.spec
-                segs = f.geodesics(spec.identity(), s)
-                inner = set(segs[0])
-                for seg in segs[1:]:
-                    inner &= set(seg)
-                for elt in inner:
-                    factor_forced.add(ball.index_of(fp.multiply(base, fp.embed(elt))))
-                base = fp.multiply(base, fp.embed(s))
-            assert forced == prefixes | factor_forced
+            assert hits == [root]
 
 
 def test_parse_rejects_garbage(zz):
